@@ -27,7 +27,7 @@ from .errors import (
 from .fiberq import build_basis, prequant_matrix, quantize_transition
 from .gauge import BasePoint, BaseTangent, connection_quadrature, connection_rep
 from .orbit import moment_hamiltonian
-from .scenario import Scenario, default_scenario, load_scenario
+from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
 from .transport import covariant_section_solve, transport, wilson_loop
 from .verify import run_suite
@@ -47,6 +47,10 @@ commands:
 common options: --config FILE --spin TWO_J --hamiltonian a1,a2,a3
   --point q1,q2[;p1,p2] --tangent dq1,dq2[;dp1,dp2] --chart NAME
   --path NAME --source rep|quad --steps N --tol X --output json|table
+
+  --steps N  RK4 steps per unit path parameter, N >= 1
+  --tol X    set every tolerance key to X > 0; the min-mode witness
+             floors of verify are not tolerances and stay fixed
 """
 
 _COMMANDS = ("gram", "prequant", "transition", "connection", "transport",
@@ -56,12 +60,6 @@ EXIT_OK = 0
 EXIT_INVALID = 2
 EXIT_ACCURACY = 3
 EXIT_USAGE = 64
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return repr(value)
 
 
 def _serialize(obj, indent: int = 0) -> str:
@@ -173,10 +171,11 @@ def _scenario_from_args(args) -> Scenario:
     if args.spin is not None and args.config:
         raise ValidationError("--spin conflicts with --config; set orbit.two_j in the file")
     if args.tol is not None:
-        if args.tol <= 0:
+        if not args.tol > 0:
             raise ValidationError(f"--tol must be positive, got {args.tol}")
-        for key in scenario.tolerances | dict.fromkeys(("equivalence", "gauge_law", "holonomy")):
-            scenario.tolerances[key] = args.tol
+        scenario.tolerances = dict.fromkeys(DEFAULT_TOLERANCES, args.tol)
+    if args.steps is not None and args.steps < 1:
+        raise ValidationError(f"--steps must be a positive integer, got {args.steps}")
     return scenario
 
 
@@ -257,8 +256,8 @@ def _cmd_connection(args, scenario: Scenario) -> dict:
         "chart": chart,
         "matrix": matrix_payload(a_val),
         "anti_hermiticity_deviation": anti,
-        "tolerance": 1e-9,
-        "pass": anti <= 1e-9,
+        "tolerance": scenario.tolerance("anti_hermiticity"),
+        "pass": anti <= scenario.tolerance("anti_hermiticity"),
     }
 
 
@@ -277,8 +276,8 @@ def _cmd_transport(args, scenario: Scenario) -> dict:
         "unitary": matrix_payload(result.unitary),
         "alpha_phase": float(result.alpha_phase),
         "unitarity_deviation": result.unitarity_deviation,
-        "tolerance": 1e-8,
-        "pass": result.unitarity_deviation <= 1e-8,
+        "tolerance": scenario.tolerance("transport_unitarity"),
+        "pass": result.unitarity_deviation <= scenario.tolerance("transport_unitarity"),
         "chart_log": [[float(t), name] for t, name in result.chart_log],
     }
 
@@ -297,8 +296,8 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
         "trace": [float(trace.real), float(trace.imag)],
         "diagonal_phases": [[float(x.real), float(x.imag)] for x in np.diag(hol)],
         "unitarity_deviation": dev,
-        "tolerance": 1e-8,
-        "pass": dev <= 1e-8,
+        "tolerance": scenario.tolerance("transport_unitarity"),
+        "pass": dev <= scenario.tolerance("transport_unitarity"),
     }
 
 

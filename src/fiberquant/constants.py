@@ -37,10 +37,6 @@ S_POISSON = +1
 S_DIRAC = -1
 MONOPOLE_HOLONOMY_SIGN = -1
 
-# Fiber measure normalization: d nu = ((2j+1)/pi) (1+|z|^2)^(-(2j+2)) dA,
-# chosen so the two_j = 0 Gram matrix is exactly (1).
-MEASURE_PREFACTOR_NUM = "two_j + 1"  # documented; code computes (two_j+1)/pi
-
 # Default quadrature sizes for the fiber Hilbert space (exact for the
 # polynomial integrands that occur in basis and operator assembly).
 def default_rule_sizes(two_j: int) -> tuple[int, int]:
@@ -53,21 +49,13 @@ def residual_rule_sizes(two_j: int) -> tuple[int, int]:
     return two_j + 16, 2 * two_j + 25
 
 
-# Unpolarized sample cutoff recorded for the leakage checker: the
-# quadrature rule is sized to resolve monomial content up to degree
-# two_j + POLARIZATION_SAMPLE_EXTRA in each of z and conj(z).
-POLARIZATION_SAMPLE_EXTRA = 4
-
 # Numerical step defaults; each stencil's error budget is noted at its use site.
 RK4_STEPS_PER_UNIT = 1000
 FD_STEP_GAUGE = 1.0e-5       # dX in the gauge-law residual
 FD_STEP_GRADIENT = 1.0e-6    # fallback gradients of user fiber Hamiltonians
 FD_STEP_REP = 1.0e-6         # one-parameter derivative building rho
 FD_STEP_FORM = 1.0e-5        # exterior-derivative stencils on the total space
-FD_STEP_LIFT = 1.0e-4        # path-parameter step for the lifted-path check
 CROSSING_BISECT_TOL = 1.0e-10
-
-MATRIX_EXP_TOL = 1.0e-12
 
 
 def conventions_record() -> dict:

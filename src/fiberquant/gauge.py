@@ -98,7 +98,6 @@ class GaugeModel:
     convert_point: dict = field(default_factory=dict)
     push_tangent: dict = field(default_factory=dict)
     push_covector: dict = field(default_factory=dict)
-    params: dict = field(default_factory=dict)
     momentum_potential: bool = False
 
     def chart_data(self, b: BasePoint) -> ChartData:
@@ -132,11 +131,6 @@ class GaugeModel:
         dq2 = self.push_tangent[key](b.q, v.dq)
         dp2 = self.push_covector[key](b.q, v.dp)
         return BaseTangent(dq=dq2, dp=dp2)
-
-
-def alpha_base_pair(b: BasePoint, v: BaseTangent) -> float:
-    """Canonical one-form of the base, <p dq, v>; exact."""
-    return float(np.dot(b.p, v.dq))
 
 
 def potential_contraction(model: GaugeModel, b: BasePoint, v: BaseTangent) -> np.ndarray:
@@ -449,7 +443,6 @@ def trivial_model(spec: OrbitSpec, check: bool = True) -> GaugeModel:
         spec=spec,
         kind="trivial",
         charts={"main": ChartData("main", _zero_potential, _always_valid)},
-        params={},
     )
     if check:
         _model_checks(model, OrbitGeometry(spec), build_basis(spec))
@@ -479,7 +472,6 @@ def constant_model(spec: OrbitSpec, coefficients=None, check: bool = True) -> Ga
         spec=spec,
         kind="constant",
         charts={"main": ChartData("main", potential, _always_valid)},
-        params={"coefficients": coefficients.tolist()},
     )
     if check:
         _model_checks(model, OrbitGeometry(spec), build_basis(spec))
@@ -568,7 +560,6 @@ def monopole_model(spec: OrbitSpec, strength: int = 1, check: bool = True) -> Ga
         convert_point={("north", "south"): _sphere_convert, ("south", "north"): _sphere_convert},
         push_tangent={("north", "south"): _sphere_push_tangent, ("south", "north"): _sphere_push_tangent},
         push_covector={("north", "south"): _sphere_push_covector, ("south", "north"): _sphere_push_covector},
-        params={"strength": strength},
     )
     if check:
         _model_checks(model, OrbitGeometry(spec), build_basis(spec))
@@ -590,12 +581,6 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1), check: bool = True) -> G
 
     def potential(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
-        if q.ndim == 1:
-            a_half = su2_exp(np.array([r1 * q[0], 0.0, 0.0]))
-            out = np.zeros((2, 2, 2), dtype=complex)
-            out[0] = r1 * TAU[0]
-            out[1] = r2 * (a_half @ TAU[1] @ a_half.conj().T)
-            return out
         flat = q.reshape(-1, 2)
         out = np.zeros((flat.shape[0], 2, 2, 2), dtype=complex)
         for idx, qq in enumerate(flat):
@@ -621,7 +606,6 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1), check: bool = True) -> G
         convert_point={("flat", "gauged"): identity, ("gauged", "flat"): identity},
         push_tangent={("flat", "gauged"): lambda q, dq: dq, ("gauged", "flat"): lambda q, dq: dq},
         push_covector={("flat", "gauged"): ident_cov, ("gauged", "flat"): ident_cov},
-        params={"rates": [r1, r2]},
     )
     if check:
         _model_checks(model, OrbitGeometry(spec), build_basis(spec))

@@ -98,14 +98,20 @@ def rk4_integrate(field, y0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
         raise InvalidArgument("t_grid must be strictly increasing")
     y = np.array(y0, dtype=complex)
     for k in range(t_grid.size - 1):
-        t = t_grid[k]
-        h = t_grid[k + 1] - t
-        k1 = np.asarray(field(t, y))
-        k2 = np.asarray(field(t + 0.5 * h, y + 0.5 * h * k1))
-        k3 = np.asarray(field(t + 0.5 * h, y + 0.5 * h * k2))
-        k4 = np.asarray(field(t + h, y + h * k3))
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        y = rk4_step(field, t_grid[k], y, t_grid[k + 1] - t_grid[k])
     return y
+
+
+def rk4_step(field, t: float, y, h: float):
+    """One classical RK4 step of y' = field(t, y) from t to t + h.
+
+    ``h`` may have either sign; a negative step integrates backwards.
+    """
+    k1 = np.asarray(field(t, y))
+    k2 = np.asarray(field(t + 0.5 * h, y + 0.5 * h * k1))
+    k3 = np.asarray(field(t + 0.5 * h, y + 0.5 * h * k2))
+    k4 = np.asarray(field(t + h, y + h * k3))
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def matrix_exp(m: np.ndarray) -> np.ndarray:
@@ -139,8 +145,4 @@ def central_difference(f, x: float, h: float):
     """(f(x+h) - f(x-h)) / (2h) for scalar- or array-valued f; error O(h^2)."""
     if h <= 0:
         raise InvalidArgument(f"step must be positive, got {h}")
-    upper = f(x + h)
-    lower = f(x - h)
-    if isinstance(upper, np.ndarray):
-        return (upper - lower) / (2.0 * h)
-    return (upper - lower) / (2.0 * h)
+    return (f(x + h) - f(x - h)) / (2.0 * h)

@@ -9,7 +9,7 @@ bracket and the linear moment functions all live here.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -63,10 +63,6 @@ class OrbitGeometry:
 
     spec: OrbitSpec
     s_omega: int = constants.S_OMEGA
-    kahler_scale: float = field(default=0.0)  # filled in __post_init__
-
-    def __post_init__(self):
-        object.__setattr__(self, "kahler_scale", float(self.spec.two_j))
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ the minimal-coupling precondition and the chart-data consistency check.
 from __future__ import annotations
 
 import json
+import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,9 +48,9 @@ from .transport import (
 
 CONFIG_DIR_ENV = "FIBERQUANT_CONFIG_DIR"
 
-_MODEL_KINDS = ("trivial", "constant", "monopole", "pure_gauge")
-_PATH_KINDS = ("latitude", "meridian", "segment", "phase_circle", "momentum_circle")
-
+# The bound of every max-mode check and command payload, by key.  Scenario
+# "tolerances" override single keys and --tol sets all of them.  The
+# min-mode witness floors in verify.py are not tolerances.
 DEFAULT_TOLERANCES = {
     "gram": 1e-10,
     "spectrum": 1e-8,
@@ -69,6 +70,69 @@ DEFAULT_TOLERANCES = {
     "section": 1e-12,
     "orbit_identity": 1e-10,
     "area": 1e-10,
+    "lie_chain": 1e-5,
+    "chart_covariance": 1e-9,
+    "poisson": 1e-9,
+    "embed_radius": 1e-12,
+    "potential_curvature": 1e-6,
+    "rep_commutators": 1e-9,
+    "data_consistency": 1e-8,
+    "anti_hermiticity": 1e-9,
+    "linearity": 1e-9,
+    "vertical_independence": 1e-15,
+    "flatness": 1e-6,
+    "trivial_identity": 1e-12,
+    "green_phase": 1e-8,
+    "vertical_loop": 1e-10,
+    "reversal": 1e-8,
+    "transport_unitarity": 1e-8,
+}
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+
+
+def _is_reals(x, length: int) -> bool:
+    return isinstance(x, list) and len(x) == length and all(_is_real(v) for v in x)
+
+
+# Scenario field types: name -> (check, what a value must be).
+_FIELD_TYPES = {
+    "real": (_is_real, "a finite real"),
+    "int": (_is_int, "an integer"),
+    "pair": (lambda x: _is_reals(x, 2), "a pair of finite reals"),
+    "colatitude": (lambda x: _is_real(x) and 0.0 < x < np.pi, "a real strictly between 0 and pi"),
+    "plane": (lambda x: _is_int(x) and x in (0, 1), "0 or 1"),
+    "chart": (lambda x: isinstance(x, str), "a chart name"),
+    "strength": (lambda x: _is_int(x) and x != 0, "a nonzero integer"),
+    "coefficients": (lambda x: isinstance(x, list) and len(x) == 2 and all(_is_reals(r, 3) for r in x),
+                     "a 2x3 array of finite reals"),
+}
+
+# Optional fields of each model kind.  Every field is the keyword of the
+# same name of the kind's builder, which supplies its default.
+_MODEL_FIELDS = {
+    "trivial": {},
+    "constant": {"coefficients": "coefficients"},
+    "monopole": {"strength": "strength"},
+    "pure_gauge": {"rates": "pair"},
+}
+
+# Builder, required and optional fields of each path kind, keyed the same way.
+_PATHS = {
+    "latitude": (latitude_path, {"theta": "colatitude"}, {"winds": "int", "phi0": "real"}),
+    "meridian": (meridian_path, {}, {}),
+    "segment": (segment_path, {"q_from": "pair", "q_to": "pair"},
+                {"p_from": "pair", "p_to": "pair", "chart": "chart"}),
+    "phase_circle": (phase_circle_path, {"center_q": "pair", "radius": "real"},
+                     {"plane": "plane", "chart": "chart"}),
+    "momentum_circle": (momentum_circle_path, {"q_fixed": "pair", "p_center": "pair", "radius": "real"},
+                        {"chart": "chart"}),
 }
 
 
@@ -81,8 +145,6 @@ class Scenario:
     path_specs: dict
     tolerances: dict
     output: str
-    source_path: str = ""
-    raw: dict = field(default_factory=dict)
 
     def spec(self) -> OrbitSpec:
         return OrbitSpec(self.two_j)
@@ -96,18 +158,11 @@ class Scenario:
         return default_rule(self.spec())
 
     def build_model(self) -> GaugeModel:
-        spec = self.spec()
-        kind = self.model_kind
-        if kind == "trivial":
-            return trivial_model(spec)
-        if kind == "constant":
-            coeffs = self.model_params.get("coefficients")
-            return constant_model(spec, coeffs)
-        if kind == "monopole":
-            return monopole_model(spec, self.model_params.get("strength", 1))
-        if kind == "pure_gauge":
-            return pure_gauge_model(spec, self.model_params.get("rates", (0.7, 1.1)))
-        raise ValidationError(f"model.kind: unknown kind {kind!r}")
+        # Builders are looked up by module name on each call, so that
+        # wrappers installed on those names (benchmark tracing) see it.
+        builders = {"trivial": trivial_model, "constant": constant_model,
+                    "monopole": monopole_model, "pure_gauge": pure_gauge_model}
+        return builders[self.model_kind](self.spec(), **self.model_params)
 
     def build_context(self) -> dict:
         """Everything the commands need, constructed once."""
@@ -126,10 +181,13 @@ class Scenario:
     def path(self, name: str) -> BasePath:
         if name not in self.path_specs:
             raise ValidationError(f"paths.{name}: no such path in the scenario")
-        return _build_path(self.path_specs[name], self.model_kind)
+        fields = dict(self.path_specs[name])
+        return _PATHS[fields.pop("kind")][0](**fields)
 
     def tolerance(self, name: str) -> float:
-        return float(self.tolerances.get(name, DEFAULT_TOLERANCES.get(name, 1e-8)))
+        """The bound of a max-mode check: the scenario override or the default."""
+        default = DEFAULT_TOLERANCES[name]  # KeyError: not a tolerance key
+        return float(self.tolerances.get(name, default))
 
     def echo(self) -> dict:
         return {
@@ -157,32 +215,28 @@ def _default_paths(model_kind: str) -> dict:
     }
 
 
-def _build_path(spec: dict, model_kind: str) -> BasePath:
-    kind = spec["kind"]
-    chart = spec.get("chart", "main")
-    if kind == "latitude":
-        return latitude_path(float(spec["theta"]), winds=int(spec.get("winds", 1)),
-                             phi0=float(spec.get("phi0", 0.0)))
-    if kind == "meridian":
-        return meridian_path()
-    if kind == "segment":
-        return segment_path(spec["q_from"], spec["q_to"], spec.get("p_from"),
-                            spec.get("p_to"), chart=chart)
-    if kind == "phase_circle":
-        return phase_circle_path(spec["center_q"], float(spec["radius"]),
-                                 plane=int(spec.get("plane", 0)), chart=chart)
-    if kind == "momentum_circle":
-        return momentum_circle_path(spec["q_fixed"], spec["p_center"],
-                                    float(spec["radius"]), chart=chart)
-    raise ValidationError(f"paths: unknown path kind {kind!r}")
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise ValidationError(message)
 
 
+def _check_fields(obj: dict, where: str, required: dict, optional: dict) -> None:
+    fields = {**required, **optional}
+    for name in obj:
+        _require(name in fields, f"{where}.{name}: unknown field; valid fields: {', '.join(fields) or 'none'}")
+    for name, kind in fields.items():
+        if name not in obj:
+            _require(name not in required, f"{where}.{name}: required field missing")
+            continue
+        check, what = _FIELD_TYPES[kind]
+        _require(check(obj[name]), f"{where}.{name}: must be {what}, got {obj[name]!r}")
+
+
 def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
+    """Check a scenario document field by field and return its Scenario.
+
+    ``source`` names the document for callers that pass it; it is not used.
+    """
     _require(isinstance(data, dict), "scenario: top level must be an object")
     orbit = data.get("orbit")
     _require(isinstance(orbit, dict), "orbit: required object with field two_j")
@@ -194,21 +248,9 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     model = data.get("model")
     _require(isinstance(model, dict), "model: required object with field kind")
     kind = model.get("kind")
-    _require(kind in _MODEL_KINDS, f"model.kind: must be one of {_MODEL_KINDS}, got {kind!r}")
+    _require(kind in _MODEL_FIELDS, f"model.kind: must be one of {tuple(_MODEL_FIELDS)}, got {kind!r}")
     params = {k: v for k, v in model.items() if k != "kind"}
-    if kind == "monopole":
-        strength = params.get("strength", 1)
-        _require(isinstance(strength, int) and not isinstance(strength, bool) and strength != 0,
-                 f"model.strength: must be a nonzero integer, got {strength!r}")
-    if kind == "constant" and "coefficients" in params:
-        coeffs = params["coefficients"]
-        ok = (isinstance(coeffs, list) and len(coeffs) == 2
-              and all(isinstance(row, list) and len(row) == 3 for row in coeffs))
-        _require(ok, "model.coefficients: must be a 2x3 array of reals")
-    if kind == "pure_gauge" and "rates" in params:
-        rates = params["rates"]
-        _require(isinstance(rates, list) and len(rates) == 2,
-                 "model.rates: must be a pair of reals")
+    _check_fields(params, "model", {}, _MODEL_FIELDS[kind])
 
     quadrature = data.get("quadrature", {})
     if quadrature:
@@ -221,19 +263,18 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     user_paths = data.get("paths", {})
     _require(isinstance(user_paths, dict), "paths: must be an object")
     for name, pspec in user_paths.items():
-        _require(isinstance(pspec, dict) and pspec.get("kind") in _PATH_KINDS,
-                 f"paths.{name}.kind: must be one of {_PATH_KINDS}")
-        if pspec["kind"] == "latitude":
-            theta = pspec.get("theta")
-            _require(isinstance(theta, (int, float)) and 0.0 < theta < np.pi,
-                     f"paths.{name}.theta: must lie strictly between 0 and pi")
+        _require(isinstance(pspec, dict) and pspec.get("kind") in _PATHS,
+                 f"paths.{name}.kind: must be one of {tuple(_PATHS)}")
+        _, required, optional = _PATHS[pspec["kind"]]
+        _check_fields({k: v for k, v in pspec.items() if k != "kind"}, f"paths.{name}", required, optional)
         path_specs[name] = pspec
 
     tolerances = data.get("tolerances", {})
     _require(isinstance(tolerances, dict), "tolerances: must be an object")
     for name, tol in tolerances.items():
-        _require(isinstance(tol, (int, float)) and tol > 0,
-                 f"tolerances.{name}: must be positive, got {tol!r}")
+        _require(name in DEFAULT_TOLERANCES,
+                 f"tolerances.{name}: unknown key; valid keys: {', '.join(DEFAULT_TOLERANCES)}")
+        _require(_is_real(tol) and tol > 0, f"tolerances.{name}: must be a positive real, got {tol!r}")
 
     output = data.get("output", "json")
     _require(output in ("json", "table"), f"output: must be 'json' or 'table', got {output!r}")
@@ -246,8 +287,6 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
         path_specs=path_specs,
         tolerances=dict(tolerances),
         output=output,
-        source_path=source,
-        raw=data,
     )
 
 

@@ -30,11 +30,6 @@ def su2_exp(c: np.ndarray) -> np.ndarray:
     return np.cos(angle / 2.0) * np.eye(2) - 1.0j * np.sin(angle / 2.0) * sigma_n
 
 
-def su2_coefficients(xi: np.ndarray) -> np.ndarray:
-    """Coefficients c with xi = sum_a c_a TAU[a] (tr(TAU_a TAU_b) = -delta/2)."""
-    return np.array([-2.0 * np.trace(xi @ TAU[a]).real for a in range(3)])
-
-
 def check_special_unitary(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):

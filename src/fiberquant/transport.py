@@ -27,7 +27,7 @@ from .gauge import (
     connection_rep_batch,
     orbit_function,
 )
-from .numerics import QuadratureRule
+from .numerics import QuadratureRule, rk4_step
 from .orbit import (
     Chart,
     ChartPoint,
@@ -319,6 +319,8 @@ def transport(
     """Path-ordered transport over [0, 1] with chart-crossing insertions."""
     if steps is None:
         steps = constants.RK4_STEPS_PER_UNIT
+    if steps < 1:
+        raise InvalidArgument(f"transport needs at least one step per unit, got steps = {steps}")
     if source == "rep" and rep is None:
         from .gauge import build_rep
 
@@ -421,11 +423,6 @@ def reverse_path(path: BasePath) -> BasePath:
     return BasePath(charts=path.charts, position=position, velocity=velocity,
                     start_chart=path.start_chart, closed=path.closed,
                     label=path.label + ":reversed")
-
-
-def concatenate_results(first: TransportResult, second: TransportResult) -> tuple[np.ndarray, float]:
-    """Compose transports: later factor on the left, phases add."""
-    return second.unitary @ first.unitary, first.alpha_phase + second.alpha_phase
 
 
 def wilson_loop(
@@ -537,8 +534,8 @@ def covariant_residual_total_space(
             return -hamiltonian_field_complex(geom, ww, ChartPoint(Chart.NORTH, complex(zz)))
 
         for z0 in fiber_points:
-            z_plus = _rk4_complex(fiber_velocity, complex(z0), t0, h)
-            z_minus = _rk4_complex(fiber_velocity, complex(z0), t0, -h)
+            z_plus = rk4_step(fiber_velocity, t0, complex(z0), h)
+            z_minus = rk4_step(fiber_velocity, t0, complex(z0), -h)
             psi_mid = np.dot(coeffs_at(idx), basis.eval(np.array([z0]))[:, 0])
             psi_plus = np.dot(coeffs_at(idx + 1), basis.eval(np.array([z_plus]))[:, 0])
             psi_minus = np.dot(coeffs_at(idx - 1), basis.eval(np.array([z_minus]))[:, 0])
@@ -548,11 +545,3 @@ def covariant_residual_total_space(
             pairing = alpha_b + w.value(pt) - theta_dz(geom, pt) * h_w
             worst = max(worst, abs(deriv - 1j * pairing * psi_mid))
     return worst
-
-
-def _rk4_complex(f, z0: complex, t0: float, h: float) -> complex:
-    k1 = f(t0, z0)
-    k2 = f(t0 + 0.5 * h, z0 + 0.5 * h * k1)
-    k3 = f(t0 + 0.5 * h, z0 + 0.5 * h * k2)
-    k4 = f(t0 + h, z0 + h * k3)
-    return z0 + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)

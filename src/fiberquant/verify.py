@@ -111,7 +111,7 @@ def suite_orbit(scenario: Scenario) -> list[CheckResult]:
     checks.append(CheckResult("orbit.hamiltonian_field_identity", worst, scenario.tolerance("orbit_identity")))
 
     worst = _lie_chain_residual(geom, rng, samples=25)
-    checks.append(CheckResult("orbit.potential_lie_chain", worst, 1e-5))
+    checks.append(CheckResult("orbit.potential_lie_chain", worst, scenario.tolerance("lie_chain")))
 
     worst = 0.0
     for _ in range(50):
@@ -120,7 +120,7 @@ def suite_orbit(scenario: Scenario) -> list[CheckResult]:
         pt = _random_point(rng)
         other = chart_transition(pt)
         worst = max(worst, abs(w.value(pt) - w.value(other)))
-    checks.append(CheckResult("orbit.chart_covariance", worst, 1e-9))
+    checks.append(CheckResult("orbit.chart_covariance", worst, scenario.tolerance("chart_covariance")))
 
     worst = 0.0
     for two_j in (1, 2, 3, 4):
@@ -134,16 +134,16 @@ def suite_orbit(scenario: Scenario) -> list[CheckResult]:
                                       moment_hamiltonian(spec_j, b), pt)
             expected = moment_hamiltonian(spec_j, np.cross(a, b)).value(pt)
             worst = max(worst, abs(bracket - expected))
-    checks.append(CheckResult("orbit.poisson_sign_global", worst, 1e-9))
+    checks.append(CheckResult("orbit.poisson_sign_global", worst, scenario.tolerance("poisson")))
 
     worst = 0.0
     for _ in range(100):
         pt = _random_point(rng)
         worst = max(worst, abs(np.linalg.norm(embed_point(spec, pt)) - spec.j))
-    checks.append(CheckResult("orbit.embed_radius", worst, 1e-12))
+    checks.append(CheckResult("orbit.embed_radius", worst, scenario.tolerance("embed_radius")))
 
     worst = _curl_vs_form_residual(geom, rng, samples=100)
-    checks.append(CheckResult("orbit.potential_curvature", worst, 1e-6))
+    checks.append(CheckResult("orbit.potential_curvature", worst, scenario.tolerance("potential_curvature")))
     return checks
 
 
@@ -295,7 +295,8 @@ def suite_gauge(scenario: Scenario) -> list[CheckResult]:
     two_j = min(scenario.two_j, 4) or 2
 
     spec, geom, basis, rep = _gauge_context(two_j)
-    checks.append(CheckResult("gauge.rep_commutators", rep.commutator_residual(), 1e-9))
+    checks.append(CheckResult("gauge.rep_commutators", rep.commutator_residual(),
+                              scenario.tolerance("rep_commutators")))
 
     mono = monopole_model(spec, check=False)
     const = constant_model(spec, check=False)
@@ -305,7 +306,7 @@ def suite_gauge(scenario: Scenario) -> list[CheckResult]:
         "gauge.data_consistency",
         max(verify_gauge_data(mono, np.random.default_rng(7)),
             verify_gauge_data(pure, np.random.default_rng(8))),
-        1e-8,
+        scenario.tolerance("data_consistency"),
     ))
 
     worst_eq = 0.0
@@ -329,9 +330,10 @@ def suite_gauge(scenario: Scenario) -> list[CheckResult]:
             worst_pi = max(worst_pi, float(np.linalg.norm(
                 connection_rep(model, rep, b, shifted) - a_rep, 2)))
     checks.append(CheckResult("gauge.connection_equivalence", worst_eq, scenario.tolerance("equivalence")))
-    checks.append(CheckResult("gauge.anti_hermiticity", worst_ah, 1e-9))
-    checks.append(CheckResult("gauge.linearity", worst_lin, 1e-9))
-    checks.append(CheckResult("gauge.vertical_independence", worst_pi, 1e-15))
+    checks.append(CheckResult("gauge.anti_hermiticity", worst_ah, scenario.tolerance("anti_hermiticity")))
+    checks.append(CheckResult("gauge.linearity", worst_lin, scenario.tolerance("linearity")))
+    checks.append(CheckResult("gauge.vertical_independence", worst_pi,
+                              scenario.tolerance("vertical_independence")))
 
     worst = 0.0
     for _ in range(10):
@@ -356,7 +358,7 @@ def suite_gauge(scenario: Scenario) -> list[CheckResult]:
     b = BasePoint("gauged", np.array([0.3, -0.2]), np.zeros(2))
     flat_curv = float(np.linalg.norm(
         curvature(pure, rep, b, BaseTangent.of([1, 0]), BaseTangent.of([0, 1])), 2))
-    checks.append(CheckResult("gauge.pure_gauge_flatness", flat_curv, 1e-6))
+    checks.append(CheckResult("gauge.pure_gauge_flatness", flat_curv, scenario.tolerance("flatness")))
 
     b = BasePoint("main", np.zeros(2), np.zeros(2))
     noncomm = float(np.linalg.norm(
@@ -394,7 +396,7 @@ def suite_transport(scenario: Scenario) -> list[CheckResult]:
     seg = segment_path([0.0, 0.0], [1.0, 0.0])
     res = transport(triv, basis, seg, rep=rep, steps=200)
     idcheck = float(np.linalg.norm(res.unitary - np.eye(spec.dim), 2)) + abs(res.alpha_phase)
-    checks.append(CheckResult("transport.trivial_identity", idcheck, 1e-12))
+    checks.append(CheckResult("transport.trivial_identity", idcheck, scenario.tolerance("trivial_identity")))
 
     res = transport(const, basis, seg, rep=rep, steps=2000)
     oracle = matrix_exp(rep.matrices[0])
@@ -412,19 +414,20 @@ def suite_transport(scenario: Scenario) -> list[CheckResult]:
     res = transport(triv, basis, loop, rep=rep, steps=2000)
     area_err = abs(res.alpha_phase - np.pi * 0.25)
     checks.append(CheckResult("transport.green_phase", area_err + float(
-        np.linalg.norm(res.unitary - np.eye(spec.dim), 2)), 1e-8))
+        np.linalg.norm(res.unitary - np.eye(spec.dim), 2)), scenario.tolerance("green_phase")))
 
     fixed = momentum_circle_path([0.4, -0.1], [0.0, 0.0], 0.7)
     res = transport(const, basis, fixed, rep=rep, steps=500)
     checks.append(CheckResult("transport.vertical_loop", abs(res.alpha_phase) + float(
-        np.linalg.norm(res.unitary - np.eye(spec.dim), 2)), 1e-10))
+        np.linalg.norm(res.unitary - np.eye(spec.dim), 2)), scenario.tolerance("vertical_loop")))
 
     lat = latitude_path(np.pi / 3.0)
     fwd = transport(mono, basis, lat, rep=rep, steps=2000)
     bwd = transport(mono, basis, reverse_path(lat), rep=rep, steps=2000)
     rev = float(np.linalg.norm(bwd.unitary - fwd.unitary.conj().T, 2))
-    checks.append(CheckResult("transport.reversal", rev, 1e-8))
-    checks.append(CheckResult("transport.unitarity", fwd.unitarity_deviation, 1e-8))
+    checks.append(CheckResult("transport.reversal", rev, scenario.tolerance("reversal")))
+    checks.append(CheckResult("transport.unitarity", fwd.unitarity_deviation,
+                              scenario.tolerance("transport_unitarity")))
 
     from .constants import MONOPOLE_HOLONOMY_SIGN
 

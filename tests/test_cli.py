@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from fiberquant.cli import (
+    EXIT_ACCURACY,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_USAGE,
     run_command,
 )
 from fiberquant.errors import ParseError, ValidationError
-from fiberquant.scenario import load_scenario, validate_scenario_dict
+from fiberquant.scenario import default_scenario, load_scenario, validate_scenario_dict
 
 
 @pytest.fixture()
@@ -51,6 +52,14 @@ class TestScenarioLoading:
         with pytest.raises(ValidationError):
             validate_scenario_dict({"orbit": {"two_j": 1}, "model": {"kind": "trivial"},
                                     "tolerances": {"gram": -1.0}})
+
+    def test_unknown_tolerance_key_rejected(self):
+        with pytest.raises(ValidationError) as err:
+            validate_scenario_dict({"orbit": {"two_j": 1}, "model": {"kind": "trivial"},
+                                    "tolerances": {"gramm": 1e-30}})
+        assert "tolerances.gramm" in str(err.value) and "chart_covariance" in str(err.value)
+        with pytest.raises(KeyError):
+            default_scenario().tolerance("gramm")
 
     def test_monopole_defaults_carry_paths(self, monopole_config):
         sc = load_scenario(monopole_config)
@@ -177,11 +186,76 @@ class TestExitCodes:
         code, _ = run_command(["prequant", "--spin", "1"])
         assert code == EXIT_INVALID
 
+    @pytest.mark.parametrize("command", ["transport", "wilson"])
+    @pytest.mark.parametrize("steps", ["0", "-5"])
+    def test_non_positive_steps_rejected(self, monopole_config, command, steps):
+        code, out = run_command([command, "--config", monopole_config, "--path", "lat60",
+                                 "--steps", steps])
+        assert code == EXIT_INVALID
+        assert "--steps" in out
+
+    @pytest.mark.parametrize("model, paths, field", [
+        ({"kind": "trivial"}, {"bad": {"kind": "segment", "q_to": [1.0, 0.0]}}, "paths.bad.q_from"),
+        ({"kind": "monopole"}, {"bad": {"kind": "latitude", "theta": 1.0, "winds": "two"}},
+         "paths.bad.winds"),
+        ({"kind": "trivial"}, {"bad": {"kind": "phase_circle", "center_q": [0, 0], "radius": 0.5,
+                                       "plane": 2}}, "paths.bad.plane"),
+        ({"kind": "trivial"}, {"bad": {"kind": "momentum_circle", "q_fixed": [0, 0],
+                                       "p_center": [0, 0]}}, "paths.bad.radius"),
+        ({"kind": "pure_gauge", "rates": ["x", 1]}, {}, "model.rates"),
+        ({"kind": "constant", "coefficients": [[1, 0, "a"], [0, 1, 0]]}, {}, "model.coefficients"),
+        ({"kind": "monopole", "strenght": 2}, {}, "model.strenght"),
+    ])
+    def test_malformed_fields_rejected(self, tmp_path, model, paths, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 1}, "model": model, "paths": paths}))
+        code, out = run_command(["transport", "--config", str(cfg), "--path", "bad"])
+        assert code == EXIT_INVALID
+        assert out.startswith(f"error: {field}:")
+
     def test_table_output(self, trivial_config):
         code, out = run_command(["verify", "orbit", "--config", trivial_config,
                                  "--output", "table"])
         assert code == EXIT_OK
         assert "pass" in out and "check" in out
+
+
+class TestToleranceOverrides:
+    FLOORS = {
+        "fiber.polarization_counterexample_ratio": 1e3,
+        "gauge.constant_model_curvature": 0.1,
+        "transport.noncommutativity": 0.1,
+        "transport.corruption_sensitivity": 10.0,
+    }
+
+    def test_tol_reaches_every_row_but_not_floors(self):
+        code, out = run_command(["verify", "all", "--spin", "1", "--tol", "1e-30"])
+        assert code == EXIT_ACCURACY
+        rows = json.loads(out)["payload"]["checks"]
+        assert {row["name"] for row in rows if row["mode"] == "min"} == set(self.FLOORS)
+        for row in rows:
+            expected = self.FLOORS[row["name"]] if row["mode"] == "min" else 1e-30
+            assert row["tolerance"] == expected, row["name"]
+
+    def test_scenario_override_reaches_row(self, tmp_path):
+        cfg = tmp_path / "loose.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 1}, "model": {"kind": "trivial"},
+                                   "tolerances": {"chart_covariance": 1e-3}}))
+        code, out = run_command(["verify", "orbit", "--config", str(cfg)])
+        assert code == EXIT_OK
+        rows = {row["name"]: row for row in json.loads(out)["payload"]["checks"]}
+        assert rows["orbit.chart_covariance"]["tolerance"] == 1e-3
+        assert rows["orbit.poisson_sign_global"]["tolerance"] == 1e-9
+
+    @pytest.mark.parametrize("argv", [
+        ["transport", "--path", "lat90", "--steps", "1000"],
+        ["wilson", "--path", "lat60", "--steps", "1000"],
+        ["connection", "--point", "0.4,0.1", "--tangent", "0.3,-0.2", "--chart", "north"],
+    ])
+    def test_tol_reaches_payload(self, monopole_config, argv):
+        code, out = run_command(argv + ["--config", monopole_config, "--tol", "0.25"])
+        assert code == EXIT_OK
+        assert json.loads(out)["payload"]["tolerance"] == 0.25
 
 
 class TestDeterminism:

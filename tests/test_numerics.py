@@ -7,6 +7,7 @@ from fiberquant.numerics import (
     gauss_legendre,
     matrix_exp,
     rk4_integrate,
+    rk4_step,
     sphere_rule,
 )
 
@@ -85,6 +86,12 @@ class TestRK4:
         m = m - m.conj().T
         out = rk4_integrate(lambda t, y: m @ y, np.eye(4, dtype=complex), np.linspace(0, 1, 1001))
         assert np.linalg.norm(out - matrix_exp(m), 2) < 1e-10
+
+    def test_step_either_sign(self):
+        # one step of y' = y is the degree-4 Taylor polynomial of exp(h)
+        for h in (0.1, -0.1):
+            out = rk4_step(lambda t, y: y, 0.0, np.array(1.0 + 0j), h)
+            assert out == pytest.approx(1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24, abs=1e-15)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(InvalidArgument):

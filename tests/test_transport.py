@@ -287,6 +287,11 @@ class TestTransportErrors:
         with pytest.raises(ChartError):
             transport(stripped, ctx["basis"], meridian_path(), rep=ctx["rep"], steps=500)
 
+    @pytest.mark.parametrize("steps", [0, -5])
+    def test_non_positive_steps_rejected(self, ctx, steps):
+        with pytest.raises(InvalidArgument):
+            transport(ctx["mono"], ctx["basis"], latitude_path(np.pi / 3), rep=ctx["rep"], steps=steps)
+
     def test_unitarity_blowup_rejected(self, ctx):
         from fiberquant.errors import AccuracyFailure
 
