@@ -288,6 +288,7 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
     ctx = scenario.build_context()
     loop = scenario.path(args.path_name)
     hol, trace = wilson_loop(ctx["model"], ctx["basis"], loop, rep=ctx["rep"],
+                             geom=ctx["geom"], rule=ctx["rule"],
                              source=args.source, steps=args.steps)
     dev = float(np.linalg.norm(hol.conj().T @ hol - np.eye(hol.shape[0]), 2))
     return {

@@ -9,6 +9,7 @@ downstream works in the orthonormalized monomial basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -28,9 +29,17 @@ from .orbit import (
 from .su2 import check_special_unitary
 
 
+@lru_cache(maxsize=None)
+def _shared_rule(n_t: int, n_phi: int) -> QuadratureRule:
+    """Read-only sphere rule, built once per size and shared by every caller."""
+    rule = sphere_rule(n_t, n_phi)
+    rule.nodes.setflags(write=False)
+    rule.weights.setflags(write=False)
+    return rule
+
+
 def default_rule(spec: OrbitSpec) -> QuadratureRule:
-    n_t, n_phi = constants.default_rule_sizes(spec.two_j)
-    return sphere_rule(n_t, n_phi)
+    return _shared_rule(*constants.default_rule_sizes(spec.two_j))
 
 
 def rule_points(rule: QuadratureRule) -> np.ndarray:
@@ -68,9 +77,9 @@ class FiberBasis:
     def eval_deriv(self, z: np.ndarray) -> np.ndarray:
         """Derivatives e_k'(z); shape (n, len(z))."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
+        k = self.degrees[1:, None]
         out = np.zeros((self.spec.dim, z.size), dtype=complex)
-        for k in range(1, self.spec.dim):
-            out[k] = k * z ** (k - 1) / self.norms[k]
+        out[1:] = k * z[None, :] ** (k - 1) / self.norms[1:, None]
         return out
 
 
@@ -118,24 +127,20 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
     return FiberBasis(spec=spec, degrees=degrees, norms=np.sqrt(diag), gram=gram)
 
 
-def _prequant_pointwise(
-    geom: OrbitGeometry,
-    w: FiberHamiltonian,
-    z: np.ndarray,
-    f_vals: np.ndarray,
-    f_deriv: np.ndarray,
-) -> np.ndarray:
+def _prequant_pointwise(geom: OrbitGeometry, w: FiberHamiltonian, z: np.ndarray,
+                        f_vals: np.ndarray, f_deriv: np.ndarray) -> np.ndarray:
     """Apply O(w) = -i nabla_{H_w} + w to section values in the chart frame.
 
     For values f and derivative f' of a polarized section,
     O(w) f = -i h_w f' + (w - <theta, H_w>) f with h_w the dz-component
     of the Hamiltonian field.  ``f_vals`` and ``f_deriv`` are (n, len(z))
-    blocks, one row per basis section; the node data is computed once.
+    blocks, one row per basis section; the node data is computed once,
+    as one array-valued call per kernel.
     """
-    pts = [ChartPoint(Chart.NORTH, complex(zz)) for zz in z]
-    h = np.array([hamiltonian_field_complex(geom, w, pt) for pt in pts])
-    theta = np.array([theta_dz(geom, pt) for pt in pts])
-    wv = np.array([w.value(pt) for pt in pts])
+    pt = ChartPoint(Chart.NORTH, z)
+    h = hamiltonian_field_complex(geom, w, pt)
+    theta = theta_dz(geom, pt)
+    wv = w.value(pt)
     return -1j * h * f_deriv + (wv - theta * h) * f_vals
 
 
@@ -172,8 +177,7 @@ def polarization_residual(
     L^2(d nu) norm is returned, maximized over basis columns.
     """
     if rule is None:
-        n_t, n_phi = constants.residual_rule_sizes(basis.spec.two_j)
-        rule = sphere_rule(n_t, n_phi)
+        rule = _shared_rule(*constants.residual_rule_sizes(basis.spec.two_j))
     z = rule_points(rule)
     wts = measure_weights(basis.spec, rule)
     vals = basis.eval(z)

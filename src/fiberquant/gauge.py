@@ -5,8 +5,8 @@ configuration space, with the base phase space T*Q represented by (q, p)
 pairs), a per-chart su(2) potential, and the chart transition functions.
 The connection on the quantum bundle is assembled two independent ways:
 
-* ``connection_quadrature`` builds i * <e_nu | O(w) e_mu> from the orbit
-  function w by quadrature, and
+* ``connection_quadrature`` builds i * <e_nu | O(w) e_mu> by quadrature;
+  O(w) is linear in w, so it sums three moment-function matrices, and
 * ``connection_rep`` contracts the potential with the numerically built
   Lie-algebra representation.
 
@@ -153,14 +153,10 @@ def su2_coefficients_batch(xi: np.ndarray) -> np.ndarray:
 _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 
 
-def orbit_direction(model: GaugeModel, b: BasePoint, v: BaseTangent) -> np.ndarray:
-    xi = potential_contraction(model, b, v)
-    return su2_coefficients_batch(xi) * _MOMENT_TWIST
-
-
 def orbit_function(model: GaugeModel, b: BasePoint, v: BaseTangent) -> FiberHamiltonian:
     """The fiber Hamiltonian induced by the potential at (b, v)."""
-    return moment_hamiltonian(model.spec, orbit_direction(model, b, v))
+    xi = potential_contraction(model, b, v)
+    return moment_hamiltonian(model.spec, su2_coefficients_batch(xi) * _MOMENT_TWIST)
 
 
 def horizontal_lift(
@@ -175,22 +171,31 @@ def horizontal_lift(
     return v, -hamiltonian_field(geom, w, f)
 
 
-def connection_quadrature(
-    model: GaugeModel,
-    geom: OrbitGeometry,
-    basis: FiberBasis,
-    b: BasePoint,
-    v: BaseTangent,
-    rule: QuadratureRule | None = None,
-) -> np.ndarray:
-    """Connection value i * <e_nu | O(w) e_mu> from the orbit function."""
-    w = orbit_function(model, b, v)
-    op = prequant_matrix(geom, basis, w, rule)
-    a = 1j * op.matrix
-    dev = np.linalg.norm(a + a.conj().T, 2)
-    if dev > 1e-8:
-        raise AccuracyFailure(f"connection value not anti-Hermitian ({dev:.2e})")
+def connection_quadrature_batch(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, chart: str,
+                                q: np.ndarray, dq: np.ndarray, rule: QuadratureRule | None = None) -> np.ndarray:
+    """Connection values i * <e_nu | O(w) e_mu> along arrays of points/tangents.
+
+    The orbit function is linear in its moment direction d, and so is
+    O(w); hence i O(w) = i sum_k d_k P_k with P_k the quadrature matrix of
+    the moment function of e_k, built once per call.
+    """
+    gens = np.array([prequant_matrix(geom, basis, moment_hamiltonian(model.spec, e), rule).matrix
+                     for e in np.eye(3)])
+    xi = np.einsum("...k,...kij->...ij", dq, model.charts[chart].potential(q))
+    d = su2_coefficients_batch(xi) * _MOMENT_TWIST
+    a = 1j * np.einsum("...a,aij->...ij", d, gens)
+    dev = np.linalg.norm(a + np.swapaxes(a, -1, -2).conj(), 2, axis=(-2, -1))
+    if np.any(dev > 1e-8):
+        raise AccuracyFailure(f"connection value not anti-Hermitian ({np.max(dev):.2e})")
     return a
+
+
+def connection_quadrature(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, b: BasePoint,
+                          v: BaseTangent, rule: QuadratureRule | None = None) -> np.ndarray:
+    """Connection value i * <e_nu | O(w) e_mu> from the orbit function at (b, v)."""
+    model.chart_data(b)
+    q, dq = np.asarray(b.q, dtype=float), np.asarray(v.dq, dtype=float)
+    return connection_quadrature_batch(model, geom, basis, b.chart, q[None], dq[None], rule)[0]
 
 
 def build_rep(spec: OrbitSpec, basis: FiberBasis, h: float = constants.FD_STEP_REP) -> LieAlgebraRep:
@@ -207,9 +212,8 @@ def build_rep(spec: OrbitSpec, basis: FiberBasis, h: float = constants.FD_STEP_R
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> np.ndarray:
     """Connection value by contracting the potential with the representation."""
-    xi = potential_contraction(model, b, v)
-    coeffs = su2_coefficients_batch(xi)
-    return np.einsum("a,aij->ij", coeffs, rep.matrices)
+    model.chart_data(b)
+    return connection_rep_batch(model, rep, b.chart, b.q, v.dq)
 
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -397,7 +401,8 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
         if model.kind == "monopole":
             theta = rng.uniform(np.pi / 3.0, 2.0 * np.pi / 3.0)
             phi = rng.uniform(0.0, 2.0 * np.pi)
-            q = _stereo_north(theta, phi) if i == "north" else _stereo_south(theta, phi)
+            r, s = (np.tan(theta / 2.0), 1.0) if i == "north" else (1.0 / np.tan(theta / 2.0), -1.0)
+            q = np.array([r * np.cos(phi), s * r * np.sin(phi)])
         else:
             q = rng.uniform(-1.0, 1.0, size=2)
         if bool(model.charts[i].valid(q)):
@@ -476,16 +481,6 @@ def constant_model(spec: OrbitSpec, coefficients=None, check: bool = True) -> Ga
     if check:
         _model_checks(model, OrbitGeometry(spec), build_basis(spec))
     return model
-
-
-def _stereo_north(theta: float, phi: float) -> np.ndarray:
-    r = np.tan(theta / 2.0)
-    return np.array([r * np.cos(phi), r * np.sin(phi)])
-
-
-def _stereo_south(theta: float, phi: float) -> np.ndarray:
-    r = 1.0 / np.tan(theta / 2.0)
-    return np.array([r * np.cos(phi), -r * np.sin(phi)])
 
 
 def _sphere_convert(q: np.ndarray) -> np.ndarray:
@@ -580,14 +575,14 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1), check: bool = True) -> G
         return su2_exp(np.array([r1 * q[0], 0.0, 0.0])) @ su2_exp(np.array([0.0, r2 * q[1], 0.0]))
 
     def potential(q: np.ndarray) -> np.ndarray:
-        q = np.asarray(q, dtype=float)
-        flat = q.reshape(-1, 2)
-        out = np.zeros((flat.shape[0], 2, 2, 2), dtype=complex)
-        for idx, qq in enumerate(flat):
-            a_half = su2_exp(np.array([r1 * qq[0], 0.0, 0.0]))
-            out[idx, 0] = r1 * TAU[0]
-            out[idx, 1] = r2 * (a_half @ TAU[1] @ a_half.conj().T)
-        return out.reshape(q.shape[:-1] + (2, 2, 2))
+        # (dg) g^{-1} = r1 tau_1 dq1 + r2 Ad_{exp(r1 q1 tau_1)} tau_2 dq2, and
+        # Ad_{exp(s tau_1)} tau_2 = cos(s) tau_2 + sin(s) tau_3 since
+        # [tau_1, tau_2] = tau_3 and [tau_1, tau_3] = -tau_2.
+        s = r1 * np.asarray(q, dtype=float)[..., 0]
+        out = np.empty(s.shape + (2, 2, 2), dtype=complex)
+        out[..., 0, :, :] = r1 * TAU[0]
+        out[..., 1, :, :] = r2 * (np.multiply.outer(np.cos(s), TAU[1]) + np.multiply.outer(np.sin(s), TAU[2]))
+        return out
 
     identity = lambda q: np.asarray(q, dtype=float)
     ident_cov = lambda q, p: np.asarray(p, dtype=float)

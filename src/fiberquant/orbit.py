@@ -53,8 +53,10 @@ class OrbitSpec:
 
 @dataclass(frozen=True)
 class ChartPoint:
+    """A point, or with an array ``z`` a block of points, of one chart."""
+
     chart: Chart
-    z: complex
+    z: complex | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -67,7 +69,11 @@ class OrbitGeometry:
 
 @dataclass(frozen=True)
 class FiberHamiltonian:
-    """Real function on the fiber with a chart gradient (d/dx, d/dy)."""
+    """Real function on the fiber with a chart gradient (d/dx, d/dy).
+
+    Both callables take a ``ChartPoint``; given an array ``z`` they work
+    elementwise, the gradient with shape (2,) + z.shape.
+    """
 
     value: Callable[[ChartPoint], float]
     chart_gradient: Callable[[ChartPoint], np.ndarray]
@@ -86,36 +92,30 @@ class FiberHamiltonian:
         return cls(value=value, chart_gradient=gradient, label=label)
 
 
+def _rho(z):
+    """1 + |z|^2, bit-equal for scalar and array z: hypot, as abs(complex) uses."""
+    r = np.hypot(np.real(z), np.imag(z))
+    return 1.0 + r * r
+
+
 def embed_point(spec: OrbitSpec, pt: ChartPoint) -> np.ndarray:
-    """Embed a chart point on the radius-j sphere in R^3."""
+    """Embed a chart point on the radius-j sphere in R^3; shape (3,) + z.shape."""
     sx, sy, sz = _EMBED_SIGNS[pt.chart]
-    x, y = pt.z.real, pt.z.imag
+    x, y = np.real(pt.z), np.imag(pt.z)
     rho = 1.0 + x * x + y * y
     j = spec.j
     return np.array([2 * j * sx * x / rho, 2 * j * sy * y / rho, j * sz * (2.0 / rho - 1.0)])
 
 
 def embed_gradient(spec: OrbitSpec, pt: ChartPoint) -> np.ndarray:
-    """d(embed)/d(x, y): array of shape (2, 3)."""
+    """d(embed)/d(x, y): array of shape (2, 3) + z.shape."""
     sx, sy, sz = _EMBED_SIGNS[pt.chart]
-    x, y = pt.z.real, pt.z.imag
+    x, y = np.real(pt.z), np.imag(pt.z)
     rho = 1.0 + x * x + y * y
     j = spec.j
-    dx = np.array(
-        [
-            2 * j * sx * (rho - 2 * x * x) / rho**2,
-            -4 * j * sy * x * y / rho**2,
-            -4 * j * sz * x / rho**2,
-        ]
-    )
-    dy = np.array(
-        [
-            -4 * j * sx * x * y / rho**2,
-            2 * j * sy * (rho - 2 * y * y) / rho**2,
-            -4 * j * sz * y / rho**2,
-        ]
-    )
-    return np.vstack([dx, dy])
+    dx = np.array([2 * j * sx * (rho - 2 * x * x), -4 * j * sy * x * y, -4 * j * sz * x])
+    dy = np.array([-4 * j * sx * x * y, 2 * j * sy * (rho - 2 * y * y), -4 * j * sz * y])
+    return np.stack([dx, dy]) / (rho * rho)
 
 
 def chart_transition(pt: ChartPoint) -> ChartPoint:
@@ -128,8 +128,8 @@ def chart_transition(pt: ChartPoint) -> ChartPoint:
 
 def omega_coefficient(geom: OrbitGeometry, pt: ChartPoint) -> float:
     """Coefficient c(z) with Omega = c(z) dx ^ dy in the active chart."""
-    rho = 1.0 + abs(pt.z) ** 2
-    return geom.s_omega * 4.0 * geom.spec.j / rho**2
+    rho = _rho(pt.z)
+    return geom.s_omega * 4.0 * geom.spec.j / (rho * rho)
 
 
 def symplectic_form_at(geom: OrbitGeometry, pt: ChartPoint, u1, u2) -> float:
@@ -163,35 +163,41 @@ def kahler_potential_at(geom: OrbitGeometry, pt: ChartPoint) -> np.ndarray:
 
 def theta_dz(geom: OrbitGeometry, pt: ChartPoint) -> complex:
     """dz-coefficient of the chart potential."""
-    z = pt.z
-    return -2.0j * geom.spec.j * np.conj(z) / (1.0 + abs(z) ** 2)
+    return -2.0j * geom.spec.j * np.conj(pt.z) / _rho(pt.z)
 
 
 def hamiltonian_field(geom: OrbitGeometry, w: FiberHamiltonian, pt: ChartPoint) -> np.ndarray:
-    """The chart tangent H_w defined through Omega(H_w, .) = -dw."""
+    """The chart tangent H_w defined through Omega(H_w, .) = -dw; shape (2,) + z.shape."""
     if geom.spec.two_j == 0:
         # point orbit: every function is constant, every field vanishes
-        return np.zeros(2)
+        return np.zeros((2,) + np.shape(pt.z))
     gx, gy = w.chart_gradient(pt)
     c = omega_coefficient(geom, pt)
     return np.array([-gy / c, gx / c])
 
 
-def hamiltonian_field_complex(geom: OrbitGeometry, w: FiberHamiltonian, pt: ChartPoint) -> complex:
+def hamiltonian_field_complex(geom: OrbitGeometry, w: FiberHamiltonian, pt: ChartPoint) -> complex | np.ndarray:
     """dz-component of H_w (the full real field is h d/dz + conj)."""
     hx, hy = hamiltonian_field(geom, w, pt)
-    return complex(hx + 1j * hy)
+    h = hx + 1j * hy
+    return h if np.ndim(pt.z) else complex(h)
+
+
+def _dot3(a: np.ndarray, v: np.ndarray):
+    """a . v over the leading length-3 axis of v, elementwise in the rest."""
+    return a[0] * v[0] + a[1] * v[1] + a[2] * v[2]
 
 
 def moment_hamiltonian(spec: OrbitSpec, a) -> FiberHamiltonian:
     """Linear moment function H_a(f) = a . embed(f), with analytic gradient."""
     a = np.asarray(a, dtype=float)
 
-    def value(pt: ChartPoint) -> float:
-        return float(np.dot(a, embed_point(spec, pt)))
+    def value(pt: ChartPoint) -> float | np.ndarray:
+        h = _dot3(a, embed_point(spec, pt))
+        return h if np.ndim(pt.z) else float(h)
 
     def gradient(pt: ChartPoint) -> np.ndarray:
-        return embed_gradient(spec, pt) @ a
+        return _dot3(a, embed_gradient(spec, pt).swapaxes(0, 1))
 
     return FiberHamiltonian(value=value, chart_gradient=gradient, label=f"moment{tuple(a)}")
 
@@ -199,7 +205,7 @@ def moment_hamiltonian(spec: OrbitSpec, a) -> FiberHamiltonian:
 def squared_hamiltonian(w: FiberHamiltonian) -> FiberHamiltonian:
     """w^2 with chain-rule gradient; the standard polarization-breaking probe."""
 
-    def value(pt: ChartPoint) -> float:
+    def value(pt: ChartPoint) -> float | np.ndarray:
         return w.value(pt) ** 2
 
     def gradient(pt: ChartPoint) -> np.ndarray:

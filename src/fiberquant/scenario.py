@@ -208,10 +208,12 @@ def _default_paths(model_kind: str) -> dict:
             "lat120": {"kind": "latitude", "theta": 2.0 * np.pi / 3.0},
             "meridian": {"kind": "meridian"},
         }
+    chart = "flat" if model_kind == "pure_gauge" else "main"  # the kind's first chart
     return {
-        "unit_x": {"kind": "segment", "q_from": [0.0, 0.0], "q_to": [1.0, 0.0]},
-        "unit_y": {"kind": "segment", "q_from": [0.0, 0.0], "q_to": [0.0, 1.0]},
-        "phase_loop": {"kind": "phase_circle", "center_q": [0.0, 0.0], "radius": 0.5, "plane": 0},
+        "unit_x": {"kind": "segment", "q_from": [0.0, 0.0], "q_to": [1.0, 0.0], "chart": chart},
+        "unit_y": {"kind": "segment", "q_from": [0.0, 0.0], "q_to": [0.0, 1.0], "chart": chart},
+        "phase_loop": {"kind": "phase_circle", "center_q": [0.0, 0.0], "radius": 0.5, "plane": 0,
+                       "chart": chart},
     }
 
 

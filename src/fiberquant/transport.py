@@ -23,7 +23,7 @@ from .gauge import (
     BaseTangent,
     GaugeModel,
     LieAlgebraRep,
-    connection_quadrature,
+    connection_quadrature_batch,
     connection_rep_batch,
     orbit_function,
 )
@@ -210,7 +210,7 @@ class BundleSection:
     residual: float
 
 
-def _generator_batch(model, rep, chart, path, ts, source, geom, basis, rule):
+def _generator_batch(connection, chart, path, ts):
     """Connection values A(v(t)) and canonical-form pairings along the path.
 
     The scalar i <alpha_B, v> I part of the transport generator commutes
@@ -219,20 +219,8 @@ def _generator_batch(model, rep, chart, path, ts, source, geom, basis, rule):
     operator is exp(i alpha_phase) times the returned unitary.
     """
     q, p = path.position(chart, ts)
-    dq, dp = path.velocity(chart, ts)
-    alpha = np.einsum("...k,...k->...", p, dq)
-    n = model.spec.dim
-    if source == "rep":
-        a_vals = connection_rep_batch(model, rep, chart, q, dq)
-    elif source == "quad":
-        a_vals = np.empty(ts.shape + (n, n), dtype=complex)
-        for idx in range(ts.shape[0]):
-            b = BasePoint(chart, q[idx], p[idx])
-            v = BaseTangent(dq=dq[idx], dp=dp[idx])
-            a_vals[idx] = connection_quadrature(model, geom, basis, b, v, rule)
-    else:
-        raise InvalidArgument(f"unknown connection source {source!r}")
-    return a_vals, alpha
+    dq, _ = path.velocity(chart, ts)
+    return connection(chart, q, dq), np.einsum("...k,...k->...", p, dq)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -250,16 +238,10 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 class _Integrator:
     """Stateful RK4 march with optional per-node storage."""
 
-    def __init__(self, model, basis, rep, geom, rule, path, source, store):
-        self.model = model
-        self.basis = basis
-        self.rep = rep
-        self.geom = geom
-        self.rule = rule
+    def __init__(self, n, path, connection, store):
         self.path = path
-        self.source = source
+        self.connection = connection  # (chart, q, dq) -> connection values
         self.store = store
-        n = model.spec.dim
         self.w = np.eye(n, dtype=complex)
         self.phase = 0.0
         self.times = [0.0]
@@ -270,13 +252,11 @@ class _Integrator:
     def run_span(self, t0: float, t1: float, chart: str, n_steps: int) -> None:
         n_steps = max(int(n_steps), 1)
         h = (t1 - t0) / n_steps
-        n = self.model.spec.dim
-        eye = np.eye(n, dtype=complex)
+        eye = np.eye(self.w.shape[0], dtype=complex)
         for c0 in range(0, n_steps, _CHUNK_STEPS):
             c1 = min(c0 + _CHUNK_STEPS, n_steps)
             ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
-            g, alpha = _generator_batch(self.model, self.rep, chart, self.path, ts,
-                                        self.source, self.geom, self.basis, self.rule)
+            g, alpha = _generator_batch(self.connection, chart, self.path, ts)
             g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
             a1 = g0
             a2 = g1 + (0.5 * h) * np.matmul(g1, a1)
@@ -332,7 +312,15 @@ def transport(
     if chart not in model.charts:
         raise ChartError(f"path start chart {chart!r} unknown to the model")
 
-    integ = _Integrator(model, basis, rep, geom, rule, path, source, store)
+    # Both sources contract the potential with three generator matrices:
+    # the derivative of the quantized transitions, or quadrature of O(w).
+    if source == "rep":
+        connection = lambda c, q, dq: connection_rep_batch(model, rep, c, q, dq)
+    elif source == "quad":
+        connection = lambda c, q, dq: connection_quadrature_batch(model, geom, basis, c, q, dq, rule)
+    else:
+        raise InvalidArgument(f"unknown connection source {source!r}")
+    integ = _Integrator(model.spec.dim, path, connection, store)
     chart_log = [(0.0, chart)]
 
     def do_insert(t_cross: float, from_chart: str, to_chart: str) -> None:
@@ -434,6 +422,8 @@ def wilson_loop(
     source: str = "rep",
     steps: int | None = None,
     forced_switches=None,
+    geom: OrbitGeometry | None = None,
+    rule: QuadratureRule | None = None,
 ) -> tuple[np.ndarray, complex]:
     """Holonomy matrix and trace around a closed base loop."""
     q0, p0 = loop.position(loop.start_chart, np.array([0.0]))
@@ -441,8 +431,8 @@ def wilson_loop(
     gap = float(np.max(np.abs(q1 - q0)) + np.max(np.abs(p1 - p0)))
     if gap > 1e-12:
         raise InvalidArgument(f"loop is not closed (endpoint gap {gap:.2e})")
-    result = transport(model, basis, loop, source=source, rep=rep, steps=steps,
-                       forced_switches=forced_switches)
+    result = transport(model, basis, loop, source=source, rep=rep, geom=geom, rule=rule,
+                       steps=steps, forced_switches=forced_switches)
     hol = np.exp(1j * result.alpha_phase) * result.unitary
     return hol, complex(np.trace(hol))
 

@@ -145,6 +145,34 @@ class TestCommands:
         assert doc["payload"]["unitarity_deviation"] <= 1e-8
         assert doc["payload"]["alpha_phase"] == 0
 
+    @pytest.mark.parametrize("kind", ["trivial", "constant", "monopole", "pure_gauge"])
+    def test_every_default_path_transports(self, tmp_path, kind):
+        data = {"orbit": {"two_j": 1}, "model": {"kind": kind}}
+        cfg = tmp_path / f"{kind}.json"
+        cfg.write_text(json.dumps(data))
+        for name in validate_scenario_dict(data).path_specs:
+            code, out = run_command(["transport", "--config", str(cfg), "--path", name,
+                                     "--steps", "200"])
+            assert code == EXIT_OK, (name, out)
+
+    def test_wilson_uses_scenario_quadrature(self, tmp_path):
+        cfg = tmp_path / "quad.json"
+        cfg.write_text(json.dumps({
+            "orbit": {"two_j": 2},
+            "model": {"kind": "monopole", "strength": 1},
+            "quadrature": {"n_t": 30, "n_phi": 41},
+        }))
+        argv = ["--config", str(cfg), "--source", "quad", "--path", "lat60", "--steps", "200"]
+        payloads = {}
+        for command in ("wilson", "transport"):
+            code, out = run_command([command] + argv)
+            assert code == EXIT_OK
+            payloads[command] = json.loads(out)["payload"]
+        as_matrix = lambda rows: np.array([[complex(re, im) for re, im in row] for row in rows])
+        trans = payloads["transport"]
+        expected = np.exp(1j * trans["alpha_phase"]) * as_matrix(trans["unitary"])
+        assert np.array_equal(as_matrix(payloads["wilson"]["holonomy"]), expected)
+
     def test_section_residual(self, trivial_config):
         code, out = run_command(["section", "--config", trivial_config])
         assert code == EXIT_OK

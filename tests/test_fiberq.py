@@ -59,6 +59,21 @@ class TestBasis:
         with pytest.raises(AccuracyFailure):
             build_basis(OrbitSpec(8), sphere_rule(2, 3))
 
+    def test_default_rule_shared_and_read_only(self):
+        rule = default_rule(OrbitSpec(3))
+        assert default_rule(OrbitSpec(3)) is rule
+        with pytest.raises(ValueError):
+            rule.nodes[0, 0] = 0.0
+        with pytest.raises(ValueError):
+            rule.weights[0] = 0.0
+
+    def test_derivative_matches_monomial_formula(self):
+        spec = OrbitSpec(5)
+        basis = build_basis(spec)
+        z = np.array([0.3 - 0.8j, -1.2 + 0.1j, 0.0])
+        expected = np.array([k * z ** max(k - 1, 0) / basis.norms[k] for k in range(spec.dim)])
+        assert np.max(np.abs(basis.eval_deriv(z) - expected)) <= 1e-13
+
     def test_measure_is_normalized(self):
         spec = OrbitSpec(3)
         rule = default_rule(spec)

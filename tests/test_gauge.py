@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from fiberquant.errors import ChartError, ConfigurationError, InvalidArgument
-from fiberquant.fiberq import build_basis
+from fiberquant import gauge
+from fiberquant.errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
+from fiberquant.fiberq import PrequantOperator, build_basis, prequant_matrix
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
     assume_check,
     build_rep,
     connection_quadrature,
+    connection_quadrature_batch,
     connection_rep,
     constant_model,
     curvature,
@@ -29,6 +31,7 @@ from fiberquant.orbit import (
     moment_hamiltonian,
     squared_hamiltonian,
 )
+from fiberquant.su2 import TAU, su2_exp
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -166,6 +169,72 @@ class TestConnectionEquivalence:
             vertical = BaseTangent.of(v.dq, v.dp + rng.standard_normal(2))
             shift = connection_rep(ctx["mono"], ctx["rep"], b, vertical) - a_v
             assert np.linalg.norm(shift, 2) == 0.0
+
+
+class TestQuadratureBatch:
+    """The linear collapse i sum_k d_k P_k against quadrature of O(w) itself."""
+
+    @staticmethod
+    def states(model, rng, count):
+        if model.kind == "monopole":
+            theta = rng.uniform(np.pi / 8, 2 * np.pi / 3, count)
+            phi = rng.uniform(0, 2 * np.pi, count)
+            r = np.tan(theta / 2)
+            q = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
+            chart = "north"
+        else:
+            q = rng.uniform(-1, 1, (count, 2))
+            chart = "gauged" if model.kind == "pure_gauge" else "main"
+        return chart, q, rng.standard_normal((count, 2)), rng.standard_normal((count, 2, 2))
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    @pytest.mark.parametrize("builder", [monopole_model, constant_model, pure_gauge_model])
+    def test_batch_equals_quadrature_of_orbit_function(self, builder, two_j):
+        spec = OrbitSpec(two_j)
+        geom, basis = OrbitGeometry(spec), build_basis(spec)
+        model = builder(spec, check=False)
+        rng = np.random.default_rng(40 + two_j)
+        chart, q, dq, p = self.states(model, rng, 24)
+        batch = connection_quadrature_batch(model, geom, basis, chart, q, dq)
+        assert batch.shape == (24, spec.dim, spec.dim)
+        for k in range(24):
+            b = BasePoint(chart, q[k], p[k, 0])
+            v = BaseTangent.of(dq[k], p[k, 1])
+            oracle = 1j * prequant_matrix(geom, basis, orbit_function(model, b, v)).matrix
+            assert np.linalg.norm(batch[k] - oracle, 2) <= 1e-12
+            single = connection_quadrature(model, geom, basis, b, v)
+            assert np.linalg.norm(single - oracle, 2) <= 1e-12
+
+    def test_non_anti_hermitian_value_rejected(self, ctx, monkeypatch):
+        def skewed(geom, basis, w, rule=None):
+            op = prequant_matrix(geom, basis, w, rule)
+            return PrequantOperator(matrix=op.matrix + 1e-6j * np.eye(basis.spec.dim), hamiltonian=w)
+
+        monkeypatch.setattr(gauge, "prequant_matrix", skewed)
+        q, dq = np.array([[0.2, -0.1], [0.5, 0.3]]), np.array([[1.0, 0.0], [0.3, -0.7]])
+        with pytest.raises(AccuracyFailure):
+            connection_quadrature_batch(ctx["const"], ctx["geom"], ctx["basis"], "main", q, dq)
+
+
+class TestPureGaugePotential:
+    """Closed form Ad_{exp(s tau_1)} tau_2 = cos(s) tau_2 + sin(s) tau_3, s = r1 q1."""
+
+    def test_matches_group_conjugation(self):
+        r1, r2 = 0.7, 1.1
+        pot = pure_gauge_model(OrbitSpec(1), rates=(r1, r2), check=False).charts["gauged"].potential
+        q = np.random.default_rng(41).uniform(-3, 3, (40, 2))
+        out = pot(q)
+        for k, qq in enumerate(q):
+            a_half = su2_exp(np.array([r1 * qq[0], 0.0, 0.0]))
+            assert np.max(np.abs(out[k, 0] - r1 * TAU[0])) <= 1e-14
+            assert np.max(np.abs(out[k, 1] - r2 * (a_half @ TAU[1] @ a_half.conj().T))) <= 1e-14
+
+    def test_rotation_sign_and_shapes(self):
+        pot = pure_gauge_model(OrbitSpec(1), rates=(1.0, 1.0), check=False).charts["gauged"].potential
+        # a quarter turn about tau_1 carries tau_2 to +tau_3
+        assert np.max(np.abs(pot(np.array([np.pi / 2, 0.0]))[1] - TAU[2])) <= 1e-15
+        assert pot(np.zeros(2)).shape == (2, 2, 2)
+        assert pot(np.zeros((3, 4, 2))).shape == (3, 4, 2, 2, 2)
 
 
 class TestGaugeLaw:

@@ -10,14 +10,17 @@ from fiberquant.orbit import (
     OrbitGeometry,
     OrbitSpec,
     chart_transition,
+    embed_gradient,
     embed_point,
     hamiltonian_field,
+    hamiltonian_field_complex,
     kahler_potential_at,
     moment_hamiltonian,
     poisson_bracket,
     squared_hamiltonian,
     symplectic_area,
     symplectic_form_at,
+    theta_dz,
 )
 
 
@@ -254,3 +257,59 @@ def test_squared_hamiltonian_gradient():
     pt = north(0.7 - 0.3j)
     assert sq.value(pt) == pytest.approx(w.value(pt) ** 2)
     assert sq.chart_gradient(pt) == pytest.approx(2 * w.value(pt) * w.chart_gradient(pt))
+
+
+class TestArrayChartPoints:
+    """Every orbit kernel applied to an array of chart points equals the scalar loop."""
+
+    @staticmethod
+    def kernels(geom):
+        spec = geom.spec
+        moment = moment_hamiltonian(spec, [0.3, -1.1, 0.7])
+        squared = squared_hamiltonian(moment)
+        wrapped = FiberHamiltonian.from_value(moment.value)
+        return {
+            "embed_point": lambda pt: embed_point(spec, pt),
+            "embed_gradient": lambda pt: embed_gradient(spec, pt),
+            "hamiltonian_field": lambda pt: hamiltonian_field(geom, moment, pt),
+            "hamiltonian_field_complex": lambda pt: hamiltonian_field_complex(geom, moment, pt),
+            "theta_dz": lambda pt: theta_dz(geom, pt),
+            "moment.value": moment.value,
+            "moment.gradient": moment.chart_gradient,
+            "squared.value": squared.value,
+            "squared.gradient": squared.chart_gradient,
+            "from_value.value": wrapped.value,
+            "from_value.gradient": wrapped.chart_gradient,
+            "from_value.field": lambda pt: hamiltonian_field(geom, wrapped, pt),
+        }
+
+    @pytest.mark.parametrize("chart", [Chart.NORTH, Chart.SOUTH])
+    @pytest.mark.parametrize("two_j", [1, 2, 5])
+    def test_array_equals_scalar_loop(self, chart, two_j):
+        rng = np.random.default_rng(17 + two_j)
+        z = rng.normal(scale=1.2, size=(3, 4)) + 1j * rng.normal(scale=1.2, size=(3, 4))
+        geom = OrbitGeometry(OrbitSpec(two_j))
+        for name, kernel in self.kernels(geom).items():
+            block = np.asarray(kernel(ChartPoint(chart, z)))
+            loop = np.array([[kernel(ChartPoint(chart, complex(zz))) for zz in row] for row in z])
+            loop = np.moveaxis(loop, (0, 1), (-2, -1))  # point axes go last, as in the block
+            assert block.shape == loop.shape, name
+            assert np.max(np.abs(block - loop)) <= 1e-15, name
+
+    def test_scalar_calls_return_python_scalars(self):
+        geom = OrbitGeometry(OrbitSpec(2))
+        w = moment_hamiltonian(geom.spec, [0.0, 1.0, 2.0])
+        pt = north(0.4 - 0.3j)
+        assert type(w.value(pt)) is float
+        assert type(hamiltonian_field_complex(geom, w, pt)) is complex
+        assert hamiltonian_field(geom, w, pt).shape == (2,)
+        assert embed_gradient(geom.spec, pt).shape == (2, 3)
+
+    def test_point_orbit_field_shape(self):
+        geom = OrbitGeometry(OrbitSpec(0))
+        w = moment_hamiltonian(geom.spec, [1.0, 0.0, 0.0])
+        z = np.linspace(0.1, 1.0, 12).reshape(3, 4) * (1 + 0.5j)
+        field = hamiltonian_field(geom, w, ChartPoint(Chart.NORTH, z))
+        assert field.shape == (2, 3, 4) and not field.any()
+        assert hamiltonian_field_complex(geom, w, ChartPoint(Chart.NORTH, z)).shape == (3, 4)
+        assert hamiltonian_field(geom, w, north(0.5)).shape == (2,)
