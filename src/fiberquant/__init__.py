@@ -44,6 +44,7 @@ from .gauge import (
     monopole_model,
     orbit_function,
     pure_gauge_model,
+    quadrature_rep,
     trivial_model,
 )
 from .numerics import (

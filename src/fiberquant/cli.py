@@ -9,6 +9,7 @@ documents are emitted once on stdout, deterministically serialized
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -25,7 +26,7 @@ from .errors import (
     ValidationError,
 )
 from .fiberq import build_basis, prequant_matrix, quantize_transition
-from .gauge import BasePoint, BaseTangent, connection_quadrature, connection_rep
+from .gauge import BasePoint, BaseTangent, connection_rep, quadrature_rep
 from .orbit import moment_hamiltonian
 from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
@@ -126,21 +127,23 @@ def render_table(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _parse_vector(text: str, length: int = 3) -> np.ndarray:
+def _parse_vector(text: str, length: int, flag: str) -> np.ndarray:
     try:
         parts = [float(tok) for tok in text.split(",")]
     except ValueError as exc:
-        raise ValidationError(f"cannot parse vector {text!r}") from exc
+        raise ValidationError(f"{flag}: cannot parse vector {text!r}") from exc
     if len(parts) != length:
-        raise ValidationError(f"expected {length} components, got {len(parts)} in {text!r}")
+        raise ValidationError(f"{flag}: expected {length} components, got {len(parts)} in {text!r}")
+    if not all(map(math.isfinite, parts)):
+        raise ValidationError(f"{flag}: components must be finite, got {text!r}")
     return np.array(parts)
 
 
-def _parse_phase_point(text: str) -> tuple[np.ndarray, np.ndarray]:
+def _parse_phase_point(text: str, flag: str) -> tuple[np.ndarray, np.ndarray]:
     if ";" in text:
         q_text, p_text = text.split(";", 1)
-        return _parse_vector(q_text, 2), _parse_vector(p_text, 2)
-    return _parse_vector(text, 2), np.zeros(2)
+        return _parse_vector(q_text, 2, flag), _parse_vector(p_text, 2, flag)
+    return _parse_vector(text, 2, flag), np.zeros(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -171,8 +174,8 @@ def _scenario_from_args(args) -> Scenario:
     if args.spin is not None and args.config:
         raise ValidationError("--spin conflicts with --config; set orbit.two_j in the file")
     if args.tol is not None:
-        if not args.tol > 0:
-            raise ValidationError(f"--tol must be positive, got {args.tol}")
+        if not (math.isfinite(args.tol) and args.tol > 0):
+            raise ValidationError(f"--tol must be a finite positive real, got {args.tol}")
         scenario.tolerances = dict.fromkeys(DEFAULT_TOLERANCES, args.tol)
     if args.steps is not None and args.steps < 1:
         raise ValidationError(f"--steps must be a positive integer, got {args.steps}")
@@ -198,7 +201,7 @@ def _cmd_gram(args, scenario: Scenario) -> dict:
 def _cmd_prequant(args, scenario: Scenario) -> dict:
     if args.hamiltonian is None:
         raise ValidationError("prequant requires --hamiltonian a1,a2,a3")
-    a = _parse_vector(args.hamiltonian, 3)
+    a = _parse_vector(args.hamiltonian, 3, "--hamiltonian")
     spec = scenario.spec()
     geom = scenario.geometry()
     basis = build_basis(spec, scenario.rule())
@@ -217,10 +220,12 @@ def _cmd_prequant(args, scenario: Scenario) -> dict:
 def _cmd_transition(args, scenario: Scenario) -> dict:
     if args.axis is None or args.angle is None:
         raise ValidationError("transition requires --axis x,y,z and --angle t")
-    axis = _parse_vector(args.axis, 3)
+    axis = _parse_vector(args.axis, 3, "--axis")
     norm = np.linalg.norm(axis)
     if norm == 0:
         raise ValidationError("--axis must be nonzero")
+    if not math.isfinite(args.angle):
+        raise ValidationError(f"--angle must be finite, got {args.angle}")
     g = su2_exp(axis / norm * args.angle)
     spec = scenario.spec()
     basis = build_basis(spec, scenario.rule())
@@ -236,20 +241,22 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
     }
 
 
+def _generators(args, ctx: dict):
+    """The generator matrices of the --source route."""
+    if args.source == "quad":
+        return quadrature_rep(ctx["geom"], ctx["basis"], ctx["rule"])
+    return ctx["rep"]
+
+
 def _cmd_connection(args, scenario: Scenario) -> dict:
     if args.point is None or args.tangent is None:
         raise ValidationError("connection requires --point and --tangent")
+    q, p = _parse_phase_point(args.point, "--point")
+    dq, dp = _parse_phase_point(args.tangent, "--tangent")
     ctx = scenario.build_context()
     model = ctx["model"]
     chart = args.chart or next(iter(model.charts))
-    q, p = _parse_phase_point(args.point)
-    dq, dp = _parse_phase_point(args.tangent)
-    b = BasePoint(chart, q, p)
-    v = BaseTangent(dq=dq, dp=dp)
-    if args.source == "quad":
-        a_val = connection_quadrature(model, ctx["geom"], ctx["basis"], b, v, ctx["rule"])
-    else:
-        a_val = connection_rep(model, ctx["rep"], b, v)
+    a_val = connection_rep(model, _generators(args, ctx), BasePoint(chart, q, p), BaseTangent(dq=dq, dp=dp))
     anti = float(np.linalg.norm(a_val + a_val.conj().T, 2))
     return {
         "source": args.source,
@@ -266,9 +273,7 @@ def _cmd_transport(args, scenario: Scenario) -> dict:
         raise ValidationError("transport requires --path NAME")
     ctx = scenario.build_context()
     path = scenario.path(args.path_name)
-    result = transport(ctx["model"], ctx["basis"], path, source=args.source,
-                       rep=ctx["rep"], geom=ctx["geom"], rule=ctx["rule"],
-                       steps=args.steps)
+    result = transport(ctx["model"], ctx["basis"], path, rep=_generators(args, ctx), steps=args.steps)
     return {
         "path": args.path_name,
         "source": args.source,
@@ -287,9 +292,7 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
         raise ValidationError("wilson requires --path NAME")
     ctx = scenario.build_context()
     loop = scenario.path(args.path_name)
-    hol, trace = wilson_loop(ctx["model"], ctx["basis"], loop, rep=ctx["rep"],
-                             geom=ctx["geom"], rule=ctx["rule"],
-                             source=args.source, steps=args.steps)
+    hol, trace = wilson_loop(ctx["model"], ctx["basis"], loop, rep=_generators(args, ctx), steps=args.steps)
     dev = float(np.linalg.norm(hol.conj().T @ hol - np.eye(hol.shape[0]), 2))
     return {
         "path": args.path_name,

@@ -3,14 +3,15 @@
 A ``GaugeModel`` packages the base manifold (plane or two-chart sphere as
 configuration space, with the base phase space T*Q represented by (q, p)
 pairs), a per-chart su(2) potential, and the chart transition functions.
-The connection on the quantum bundle is assembled two independent ways:
+The connection on the quantum bundle is the potential contracted with a
+``LieAlgebraRep``, three generator matrices built two independent ways:
 
-* ``connection_quadrature`` builds i * <e_nu | O(w) e_mu> by quadrature;
-  O(w) is linear in w, so it sums three moment-function matrices, and
-* ``connection_rep`` contracts the potential with the numerically built
-  Lie-algebra representation.
+* ``quadrature_rep`` takes i O(mu_a) of the three moment functions, with
+  O the prequantum operator by quadrature (Kostant-Souriau), and
+* ``build_rep`` differentiates the quantized transitions.
 
-Their agreement is the package's central cross-check.
+``connection_rep_batch`` is the one contraction; the agreement of the two
+generator sets is the package's central cross-check.
 """
 
 from __future__ import annotations
@@ -171,31 +172,27 @@ def horizontal_lift(
     return v, -hamiltonian_field(geom, w, f)
 
 
-def connection_quadrature_batch(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, chart: str,
-                                q: np.ndarray, dq: np.ndarray, rule: QuadratureRule | None = None) -> np.ndarray:
-    """Connection values i * <e_nu | O(w) e_mu> along arrays of points/tangents.
+def quadrature_rep(geom: OrbitGeometry, basis: FiberBasis, rule: QuadratureRule | None = None) -> LieAlgebraRep:
+    """Generators i * _MOMENT_TWIST[a] * <e_nu | O(mu_a) e_mu> of the moment functions, by quadrature.
 
-    The orbit function is linear in its moment direction d, and so is
-    O(w); hence i O(w) = i sum_k d_k P_k with P_k the quadrature matrix of
-    the moment function of e_k, built once per call.
+    O(w) is linear in w, so the connection value i O(w) of the orbit
+    function is the potential contracted with these three matrices.  Every
+    value is a real combination of them, so the anti-Hermiticity guard
+    runs here, once per generator.
     """
-    gens = np.array([prequant_matrix(geom, basis, moment_hamiltonian(model.spec, e), rule).matrix
-                     for e in np.eye(3)])
-    xi = np.einsum("...k,...kij->...ij", dq, model.charts[chart].potential(q))
-    d = su2_coefficients_batch(xi) * _MOMENT_TWIST
-    a = 1j * np.einsum("...a,aij->...ij", d, gens)
-    dev = np.linalg.norm(a + np.swapaxes(a, -1, -2).conj(), 2, axis=(-2, -1))
+    spec = basis.spec
+    mats = np.array([1j * twist * prequant_matrix(geom, basis, moment_hamiltonian(spec, e), rule).matrix
+                     for twist, e in zip(_MOMENT_TWIST, np.eye(3))])
+    dev = np.linalg.norm(mats + np.swapaxes(mats, -1, -2).conj(), 2, axis=(-2, -1))
     if np.any(dev > 1e-8):
-        raise AccuracyFailure(f"connection value not anti-Hermitian ({np.max(dev):.2e})")
-    return a
+        raise AccuracyFailure(f"quadrature generator not anti-Hermitian ({np.max(dev):.2e})")
+    return LieAlgebraRep(spec=spec, matrices=mats)
 
 
 def connection_quadrature(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, b: BasePoint,
                           v: BaseTangent, rule: QuadratureRule | None = None) -> np.ndarray:
     """Connection value i * <e_nu | O(w) e_mu> from the orbit function at (b, v)."""
-    model.chart_data(b)
-    q, dq = np.asarray(b.q, dtype=float), np.asarray(v.dq, dtype=float)
-    return connection_quadrature_batch(model, geom, basis, b.chart, q[None], dq[None], rule)[0]
+    return connection_rep(model, quadrature_rep(geom, basis, rule), b, v)
 
 
 def build_rep(spec: OrbitSpec, basis: FiberBasis, h: float = constants.FD_STEP_REP) -> LieAlgebraRep:
@@ -238,17 +235,16 @@ def gauge_residual(
     Compares A in the neighbour chart against
     X A X^{-1} + (dX along v) X^{-1} with X the quantized transition.
     """
-    data = model.chart_data(b)
+    model.chart_data(b)
     target = model.other_chart(b.chart)
     if target is None:
         raise ChartError(f"chart {b.chart!r} has no registered overlap")
     if not bool(model.charts[target].valid(model.convert_point[(b.chart, target)](b.q))):
         raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
 
-    a_here = connection_quadrature(model, geom, basis, b, v, rule)
-    b_there = model.to_chart(b, target)
-    v_there = model.push(b, v, target)
-    a_there = connection_quadrature(model, geom, basis, b_there, v_there, rule)
+    gens = quadrature_rep(geom, basis, rule)
+    a_here = connection_rep(model, gens, b, v)
+    a_there = connection_rep(model, gens, model.to_chart(b, target), model.push(b, v, target))
 
     g_fn = model.transitions[(b.chart, target)]
     x_at = lambda q: quantize_transition(model.spec, basis, g_fn(q)).matrix

@@ -26,9 +26,6 @@ class Quadrature1D:
         if abs(self.weights.sum() - 2.0) > 1e-12:
             raise AccuracyFailure("1-D weights do not sum to the interval length")
 
-    def integrate(self, f) -> float:
-        return float(np.dot(self.weights, f(self.nodes)))
-
 
 @dataclass(frozen=True)
 class QuadratureRule:
@@ -55,9 +52,6 @@ class QuadratureRule:
     @property
     def phi(self) -> np.ndarray:
         return self.nodes[:, 1]
-
-    def integrate(self, values: np.ndarray) -> complex:
-        return complex(np.dot(self.weights, values))
 
 
 def gauss_legendre(n: int) -> Quadrature1D:

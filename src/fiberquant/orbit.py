@@ -61,10 +61,9 @@ class ChartPoint:
 
 @dataclass(frozen=True)
 class OrbitGeometry:
-    """Orbit plus the frozen convention constants of the symplectic layer."""
+    """The orbit as a symplectic manifold; the form's sign is ``constants.S_OMEGA``."""
 
     spec: OrbitSpec
-    s_omega: int = constants.S_OMEGA
 
 
 @dataclass(frozen=True)
@@ -129,7 +128,7 @@ def chart_transition(pt: ChartPoint) -> ChartPoint:
 def omega_coefficient(geom: OrbitGeometry, pt: ChartPoint) -> float:
     """Coefficient c(z) with Omega = c(z) dx ^ dy in the active chart."""
     rho = _rho(pt.z)
-    return geom.s_omega * 4.0 * geom.spec.j / (rho * rho)
+    return constants.S_OMEGA * 4.0 * geom.spec.j / (rho * rho)
 
 
 def symplectic_form_at(geom: OrbitGeometry, pt: ChartPoint, u1, u2) -> float:
@@ -147,7 +146,7 @@ def symplectic_area(geom: OrbitGeometry, rule) -> float:
     """
     t = rule.t
     rho = 2.0 / (1.0 + t)           # 1 + |z|^2 at the node
-    integrand = geom.s_omega * 4.0 * geom.spec.j / rho**2 / (1.0 + t) ** 2
+    integrand = constants.S_OMEGA * 4.0 * geom.spec.j / rho**2 / (1.0 + t) ** 2
     return float(np.dot(rule.weights, integrand))
 
 

@@ -167,13 +167,14 @@ class Scenario:
     def build_context(self) -> dict:
         """Everything the commands need, constructed once."""
         spec = self.spec()
-        basis = build_basis(spec, self.rule())
+        rule = self.rule()
+        basis = build_basis(spec, rule)
         model = self.build_model()
         return {
             "spec": spec,
             "geom": self.geometry(),
             "basis": basis,
-            "rule": self.rule(),
+            "rule": rule,
             "model": model,
             "rep": build_rep(spec, basis),
         }

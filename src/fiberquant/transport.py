@@ -23,11 +23,10 @@ from .gauge import (
     BaseTangent,
     GaugeModel,
     LieAlgebraRep,
-    connection_quadrature_batch,
     connection_rep_batch,
     orbit_function,
 )
-from .numerics import QuadratureRule, rk4_step
+from .numerics import rk4_step
 from .orbit import (
     Chart,
     ChartPoint,
@@ -210,7 +209,7 @@ class BundleSection:
     residual: float
 
 
-def _generator_batch(connection, chart, path, ts):
+def _generator_batch(model, rep, chart, path, ts):
     """Connection values A(v(t)) and canonical-form pairings along the path.
 
     The scalar i <alpha_B, v> I part of the transport generator commutes
@@ -220,7 +219,7 @@ def _generator_batch(connection, chart, path, ts):
     """
     q, p = path.position(chart, ts)
     dq, _ = path.velocity(chart, ts)
-    return connection(chart, q, dq), np.einsum("...k,...k->...", p, dq)
+    return connection_rep_batch(model, rep, chart, q, dq), np.einsum("...k,...k->...", p, dq)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -238,11 +237,12 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 class _Integrator:
     """Stateful RK4 march with optional per-node storage."""
 
-    def __init__(self, n, path, connection, store):
+    def __init__(self, model, rep, path, store):
+        self.model = model
+        self.rep = rep
         self.path = path
-        self.connection = connection  # (chart, q, dq) -> connection values
         self.store = store
-        self.w = np.eye(n, dtype=complex)
+        self.w = np.eye(model.spec.dim, dtype=complex)
         self.phase = 0.0
         self.times = [0.0]
         self.mats = [self.w.copy()]
@@ -256,7 +256,7 @@ class _Integrator:
         for c0 in range(0, n_steps, _CHUNK_STEPS):
             c1 = min(c0 + _CHUNK_STEPS, n_steps)
             ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
-            g, alpha = _generator_batch(self.connection, chart, self.path, ts)
+            g, alpha = _generator_batch(self.model, self.rep, chart, self.path, ts)
             g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
             a1 = g0
             a2 = g1 + (0.5 * h) * np.matmul(g1, a1)
@@ -288,39 +288,30 @@ def transport(
     basis: FiberBasis,
     path: BasePath,
     *,
-    source: str = "rep",
     rep: LieAlgebraRep | None = None,
-    geom: OrbitGeometry | None = None,
-    rule: QuadratureRule | None = None,
     steps: int | None = None,
     forced_switches=None,
     store: bool = False,
 ) -> TransportResult:
-    """Path-ordered transport over [0, 1] with chart-crossing insertions."""
+    """Path-ordered transport over [0, 1] with chart-crossing insertions.
+
+    The connection is the potential contracted with ``rep``: by default
+    ``build_rep``, or the generators of ``gauge.quadrature_rep``.
+    """
     if steps is None:
         steps = constants.RK4_STEPS_PER_UNIT
     if steps < 1:
         raise InvalidArgument(f"transport needs at least one step per unit, got steps = {steps}")
-    if source == "rep" and rep is None:
+    if rep is None:
         from .gauge import build_rep
 
         rep = build_rep(model.spec, basis)
-    if geom is None:
-        geom = OrbitGeometry(model.spec)
 
     chart = path.start_chart
     if chart not in model.charts:
         raise ChartError(f"path start chart {chart!r} unknown to the model")
 
-    # Both sources contract the potential with three generator matrices:
-    # the derivative of the quantized transitions, or quadrature of O(w).
-    if source == "rep":
-        connection = lambda c, q, dq: connection_rep_batch(model, rep, c, q, dq)
-    elif source == "quad":
-        connection = lambda c, q, dq: connection_quadrature_batch(model, geom, basis, c, q, dq, rule)
-    else:
-        raise InvalidArgument(f"unknown connection source {source!r}")
-    integ = _Integrator(model.spec.dim, path, connection, store)
+    integ = _Integrator(model, rep, path, store)
     chart_log = [(0.0, chart)]
 
     def do_insert(t_cross: float, from_chart: str, to_chart: str) -> None:
@@ -419,11 +410,8 @@ def wilson_loop(
     loop: BasePath,
     *,
     rep: LieAlgebraRep | None = None,
-    source: str = "rep",
     steps: int | None = None,
     forced_switches=None,
-    geom: OrbitGeometry | None = None,
-    rule: QuadratureRule | None = None,
 ) -> tuple[np.ndarray, complex]:
     """Holonomy matrix and trace around a closed base loop."""
     q0, p0 = loop.position(loop.start_chart, np.array([0.0]))
@@ -431,8 +419,7 @@ def wilson_loop(
     gap = float(np.max(np.abs(q1 - q0)) + np.max(np.abs(p1 - p0)))
     if gap > 1e-12:
         raise InvalidArgument(f"loop is not closed (endpoint gap {gap:.2e})")
-    result = transport(model, basis, loop, source=source, rep=rep, geom=geom, rule=rule,
-                       steps=steps, forced_switches=forced_switches)
+    result = transport(model, basis, loop, rep=rep, steps=steps, forced_switches=forced_switches)
     hol = np.exp(1j * result.alpha_phase) * result.unitary
     return hol, complex(np.trace(hol))
 
@@ -497,6 +484,9 @@ def covariant_residual_total_space(
             c = corruption(float(times[idx])) * c
         return c
 
+    z0 = np.asarray(fiber_points, dtype=complex)
+    pt = ChartPoint(Chart.NORTH, z0)
+    vals_mid = basis.eval(z0)
     for idx in sample_idx:
         if idx <= 0 or idx >= count - 1:
             continue
@@ -511,27 +501,20 @@ def covariant_residual_total_space(
         h = h_plus
         q, p = path.position(chart, np.array([t0]))
         dq, dp = path.velocity(chart, np.array([t0]))
-        b = BasePoint(chart, q[0], p[0])
-        v = BaseTangent(dq=dq[0], dp=dp[0])
-        w = orbit_function(model, b, v)
+        w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent(dq=dq[0], dp=dp[0]))
         alpha_b = float(np.dot(p[0], dq[0]))
 
         def fiber_velocity(t, zz):
             qq, pp = path.position(chart, np.array([t]))
             dqq, dpp = path.velocity(chart, np.array([t]))
-            bb = BasePoint(chart, qq[0], pp[0])
-            ww = orbit_function(model, bb, BaseTangent(dq=dqq[0], dp=dpp[0]))
-            return -hamiltonian_field_complex(geom, ww, ChartPoint(Chart.NORTH, complex(zz)))
+            ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), BaseTangent(dq=dqq[0], dp=dpp[0]))
+            return -hamiltonian_field_complex(geom, ww, ChartPoint(Chart.NORTH, zz))
 
-        for z0 in fiber_points:
-            z_plus = rk4_step(fiber_velocity, t0, complex(z0), h)
-            z_minus = rk4_step(fiber_velocity, t0, complex(z0), -h)
-            psi_mid = np.dot(coeffs_at(idx), basis.eval(np.array([z0]))[:, 0])
-            psi_plus = np.dot(coeffs_at(idx + 1), basis.eval(np.array([z_plus]))[:, 0])
-            psi_minus = np.dot(coeffs_at(idx - 1), basis.eval(np.array([z_minus]))[:, 0])
-            deriv = (psi_plus - psi_minus) / (2.0 * h)
-            pt = ChartPoint(Chart.NORTH, complex(z0))
-            h_w = hamiltonian_field_complex(geom, w, pt)
-            pairing = alpha_b + w.value(pt) - theta_dz(geom, pt) * h_w
-            worst = max(worst, abs(deriv - 1j * pairing * psi_mid))
+        # All fiber points march together: one field evaluation per RK4 stage.
+        z_plus = rk4_step(fiber_velocity, t0, z0, h)
+        z_minus = rk4_step(fiber_velocity, t0, z0, -h)
+        psi_mid = coeffs_at(idx) @ vals_mid
+        deriv = (coeffs_at(idx + 1) @ basis.eval(z_plus) - coeffs_at(idx - 1) @ basis.eval(z_minus)) / (2.0 * h)
+        pairing = alpha_b + w.value(pt) - theta_dz(geom, pt) * hamiltonian_field_complex(geom, w, pt)
+        worst = max(worst, float(np.max(np.abs(deriv - 1j * pairing * psi_mid), initial=0.0)))
     return worst

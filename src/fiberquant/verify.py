@@ -23,7 +23,6 @@ from .gauge import (
     BasePoint,
     BaseTangent,
     build_rep,
-    connection_quadrature,
     connection_rep,
     constant_model,
     curvature,
@@ -31,6 +30,7 @@ from .gauge import (
     lift_orthogonality_residual,
     monopole_model,
     pure_gauge_model,
+    quadrature_rep,
     trivial_model,
     verify_gauge_data,
 )
@@ -295,6 +295,7 @@ def suite_gauge(scenario: Scenario) -> list[CheckResult]:
     two_j = min(scenario.two_j, 4) or 2
 
     spec, geom, basis, rep = _gauge_context(two_j)
+    quad_rep = quadrature_rep(geom, basis)
     checks.append(CheckResult("gauge.rep_commutators", rep.commutator_residual(),
                               scenario.tolerance("rep_commutators")))
 
@@ -316,7 +317,7 @@ def suite_gauge(scenario: Scenario) -> list[CheckResult]:
     for model in (mono, const):
         for _ in range(20):
             b, v = _sample_state(model, rng)
-            a_quad = connection_quadrature(model, geom, basis, b, v)
+            a_quad = connection_rep(model, quad_rep, b, v)
             a_rep = connection_rep(model, rep, b, v)
             worst_eq = max(worst_eq, float(np.linalg.norm(a_quad - a_rep, 2)))
             worst_ah = max(worst_ah, float(np.linalg.norm(a_quad + a_quad.conj().T, 2)))
@@ -448,7 +449,7 @@ def suite_transport(scenario: Scenario) -> list[CheckResult]:
         scenario.tolerance("chart_independence"),
     ))
 
-    quad = transport(mono, basis, lat, source="quad", geom=geom, steps=300)
+    quad = transport(mono, basis, lat, rep=quadrature_rep(geom, basis), steps=300)
     repd = transport(mono, basis, lat, rep=rep, steps=300)
     checks.append(CheckResult(
         "transport.source_independence",

@@ -241,6 +241,20 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert out.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["prequant", "--hamiltonian", "nan,0,0"], "--hamiltonian"),
+        (["transition", "--axis", "0,0,1", "--angle", "nan"], "--angle"),
+        (["transition", "--axis", "inf,0,1", "--angle", "0.3"], "--axis"),
+        (["connection", "--point", "0.1,0.2", "--tangent", "inf,0"], "--tangent"),
+        (["connection", "--point", "0.1,0.2;nan,0", "--tangent", "1,0"], "--point"),
+        (["verify", "orbit", "--tol", "inf"], "--tol"),
+        (["verify", "orbit", "--tol", "nan"], "--tol"),
+    ])
+    def test_non_finite_numbers_rejected(self, argv, flag):
+        code, out = run_command(argv + ["--spin", "1"])
+        assert code == EXIT_INVALID
+        assert out.startswith(f"error: {flag}")
+
     def test_table_output(self, trivial_config):
         code, out = run_command(["verify", "orbit", "--config", trivial_config,
                                  "--output", "table"])

@@ -10,8 +10,8 @@ from fiberquant.gauge import (
     assume_check,
     build_rep,
     connection_quadrature,
-    connection_quadrature_batch,
     connection_rep,
+    connection_rep_batch,
     constant_model,
     curvature,
     gauge_residual,
@@ -20,6 +20,7 @@ from fiberquant.gauge import (
     monopole_model,
     orbit_function,
     pure_gauge_model,
+    quadrature_rep,
     trivial_model,
     verify_gauge_data,
 )
@@ -172,7 +173,7 @@ class TestConnectionEquivalence:
 
 
 class TestQuadratureBatch:
-    """The linear collapse i sum_k d_k P_k against quadrature of O(w) itself."""
+    """The quadrature generators contracted with the potential against quadrature of O(w) itself."""
 
     @staticmethod
     def states(model, rng, count):
@@ -195,7 +196,7 @@ class TestQuadratureBatch:
         model = builder(spec, check=False)
         rng = np.random.default_rng(40 + two_j)
         chart, q, dq, p = self.states(model, rng, 24)
-        batch = connection_quadrature_batch(model, geom, basis, chart, q, dq)
+        batch = connection_rep_batch(model, quadrature_rep(geom, basis), chart, q, dq)
         assert batch.shape == (24, spec.dim, spec.dim)
         for k in range(24):
             b = BasePoint(chart, q[k], p[k, 0])
@@ -211,9 +212,18 @@ class TestQuadratureBatch:
             return PrequantOperator(matrix=op.matrix + 1e-6j * np.eye(basis.spec.dim), hamiltonian=w)
 
         monkeypatch.setattr(gauge, "prequant_matrix", skewed)
-        q, dq = np.array([[0.2, -0.1], [0.5, 0.3]]), np.array([[1.0, 0.0], [0.3, -0.7]])
         with pytest.raises(AccuracyFailure):
-            connection_quadrature_batch(ctx["const"], ctx["geom"], ctx["basis"], "main", q, dq)
+            quadrature_rep(ctx["geom"], ctx["basis"])
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
+    def test_generators_form_the_derived_representation(self, two_j):
+        # i O(mu_a) represents su(2) (Kostant-Souriau) and equals rho(tau_a)
+        spec = OrbitSpec(two_j)
+        basis = build_basis(spec)
+        quad = quadrature_rep(OrbitGeometry(spec), basis)
+        assert quad.matrices.shape == (3, spec.dim, spec.dim)
+        assert quad.commutator_residual() <= 1e-12
+        assert np.max(np.linalg.norm(quad.matrices - build_rep(spec, basis).matrices, 2, axis=(1, 2))) <= 1e-8
 
 
 class TestPureGaugePotential:

@@ -12,6 +12,7 @@ from fiberquant.gauge import (
     constant_model,
     curvature,
     monopole_model,
+    quadrature_rep,
     trivial_model,
 )
 from fiberquant.numerics import matrix_exp
@@ -172,7 +173,7 @@ class TestMonopoleHolonomy:
 
     def test_source_independence(self, ctx):
         lat = latitude_path(np.pi / 3)
-        a = transport(ctx["mono"], ctx["basis"], lat, source="quad", geom=ctx["geom"], steps=300)
+        a = transport(ctx["mono"], ctx["basis"], lat, rep=quadrature_rep(ctx["geom"], ctx["basis"]), steps=300)
         b = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=300)
         assert np.linalg.norm(a.unitary - b.unitary, 2) <= 1e-6
 
