@@ -35,7 +35,6 @@ from .gauge import (
     GaugeModel,
     LieAlgebraRep,
     build_rep,
-    connection_quadrature,
     connection_rep,
     constant_model,
     curvature,

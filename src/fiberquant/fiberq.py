@@ -118,11 +118,11 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
     gram = gram.T  # gram[k, l] = <z^k, z^l>
     diag = gram.diagonal().real
     off = gram - np.diag(diag)
-    if np.max(np.abs(off)) > 1e-10:
+    if not np.max(np.abs(off)) <= 1e-10:
         raise AccuracyFailure("monomial Gram matrix has off-diagonal leakage; rule under-resolved")
     exact = exact_monomial_norms_sq(spec)
     rel = np.max(np.abs(diag - exact) / exact)
-    if rel > 1e-8:
+    if not rel <= 1e-8:
         raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e}; rule under-resolved")
     return FiberBasis(spec=spec, degrees=degrees, norms=np.sqrt(diag), gram=gram)
 
@@ -159,7 +159,7 @@ def prequant_matrix(
     applied = _prequant_pointwise(geom, w, z, vals, basis.eval_deriv(z))
     matrix = (vals.conj() * wts[None, :]) @ applied.T
     herm = np.linalg.norm(matrix - matrix.conj().T, 2)
-    if herm > 1e-8:
+    if not herm <= 1e-8:
         raise AccuracyFailure(f"prequantization matrix not Hermitian to tolerance ({herm:.2e})")
     return PrequantOperator(matrix=matrix, hamiltonian=w)
 
@@ -218,6 +218,6 @@ def quantize_transition(spec: OrbitSpec, basis: FiberBasis, g: np.ndarray) -> Qu
         mono[:, k] = np.convolve(p1, p2)
     matrix = basis.norms[:, None] * mono / basis.norms[None, :]
     dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), 2)
-    if dev > 1e-9:
+    if not dev <= 1e-9:
         raise AccuracyFailure(f"quantized transition not unitary to tolerance ({dev:.2e})")
     return QuantizedTransition(group_element=g, matrix=matrix)

@@ -184,15 +184,9 @@ def quadrature_rep(geom: OrbitGeometry, basis: FiberBasis, rule: QuadratureRule 
     mats = np.array([1j * twist * prequant_matrix(geom, basis, moment_hamiltonian(spec, e), rule).matrix
                      for twist, e in zip(_MOMENT_TWIST, np.eye(3))])
     dev = np.linalg.norm(mats + np.swapaxes(mats, -1, -2).conj(), 2, axis=(-2, -1))
-    if np.any(dev > 1e-8):
+    if not np.all(dev <= 1e-8):
         raise AccuracyFailure(f"quadrature generator not anti-Hermitian ({np.max(dev):.2e})")
     return LieAlgebraRep(spec=spec, matrices=mats)
-
-
-def connection_quadrature(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, b: BasePoint,
-                          v: BaseTangent, rule: QuadratureRule | None = None) -> np.ndarray:
-    """Connection value i * <e_nu | O(w) e_mu> from the orbit function at (b, v)."""
-    return connection_rep(model, quadrature_rep(geom, basis, rule), b, v)
 
 
 def build_rep(spec: OrbitSpec, basis: FiberBasis, h: float = constants.FD_STEP_REP) -> LieAlgebraRep:
@@ -356,7 +350,7 @@ def assume_check(
     for w in hamiltonians:
         res = polarization_residual(geom, basis, w)
         worst = max(worst, res)
-        if res > tol:
+        if not res <= tol:
             raise ConfigurationError(
                 f"orbit function {w.label or '<anonymous>'} breaks the polarization "
                 f"(residual {res:.2e} > {tol:.1e})"
@@ -424,7 +418,7 @@ def _zero_potential(q: np.ndarray) -> np.ndarray:
 def _model_checks(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, seed: int = 11) -> None:
     rng = np.random.default_rng(seed)
     data_defect = verify_gauge_data(model, rng)
-    if data_defect > 1e-8:
+    if not data_defect <= 1e-8:
         raise ConfigurationError(f"chart potentials inconsistent with transitions ({data_defect:.2e})")
     hams = []
     for name in model.charts:

@@ -23,7 +23,7 @@ class Quadrature1D:
     def __post_init__(self):
         if self.nodes.size < 1:
             raise InvalidArgument("quadrature rule needs at least one node")
-        if abs(self.weights.sum() - 2.0) > 1e-12:
+        if not abs(self.weights.sum() - 2.0) <= 1e-12:
             raise AccuracyFailure("1-D weights do not sum to the interval length")
 
 
@@ -42,7 +42,7 @@ class QuadratureRule:
     def __post_init__(self):
         if self.nodes.shape[0] < 1:
             raise InvalidArgument("quadrature rule needs at least one node")
-        if abs(self.weights.sum() - 4.0 * np.pi) > 1e-12:
+        if not abs(self.weights.sum() - 4.0 * np.pi) <= 1e-12:
             raise AccuracyFailure("sphere weights do not sum to 4*pi")
 
     @property

@@ -48,45 +48,53 @@ from .transport import (
 
 CONFIG_DIR_ENV = "FIBERQUANT_CONFIG_DIR"
 
-# The bound of every max-mode check and command payload, by key.  Scenario
-# "tolerances" override single keys and --tol sets all of them.  The
-# min-mode witness floors in verify.py are not tolerances.
-DEFAULT_TOLERANCES = {
-    "gram": 1e-10,
-    "spectrum": 1e-8,
-    "dirac": 1e-8,
-    "hermiticity": 1e-9,
-    "unitarity": 1e-9,
-    "homomorphism": 1e-9,
-    "polarization": 1e-8,
-    "lift_orthogonality": 1e-8,
-    "equivalence": 1e-8,
-    "gauge_law": 1e-6,
-    "holonomy": 1e-6,
-    "transport_oracle": 1e-8,
-    "chart_independence": 1e-6,
-    "source_independence": 1e-6,
-    "total_space": 1e-5,
-    "section": 1e-12,
-    "orbit_identity": 1e-10,
-    "area": 1e-10,
-    "lie_chain": 1e-5,
-    "chart_covariance": 1e-9,
-    "poisson": 1e-9,
-    "embed_radius": 1e-12,
-    "potential_curvature": 1e-6,
-    "rep_commutators": 1e-9,
-    "data_consistency": 1e-8,
-    "anti_hermiticity": 1e-9,
-    "linearity": 1e-9,
-    "vertical_independence": 1e-15,
-    "flatness": 1e-6,
-    "trivial_identity": 1e-12,
-    "green_phase": 1e-8,
-    "vertical_loop": 1e-10,
-    "reversal": 1e-8,
-    "transport_unitarity": 1e-8,
+# Every verify row, in the order verify prints them, and its bound: a
+# tolerance key and its default for a max-mode row (value <= bound), or None
+# and the floor for a min-mode witness (value >= floor).  The command
+# payloads reuse the keys.  Scenario "tolerances" override single keys and
+# --tol sets all of them; the floors are not tolerances and stay fixed.
+CHECKS = {
+    "orbit.area_oracle": ("area", 1e-10),
+    "orbit.hamiltonian_field_identity": ("orbit_identity", 1e-10),
+    "orbit.potential_lie_chain": ("lie_chain", 1e-5),
+    "orbit.chart_covariance": ("chart_covariance", 1e-9),
+    "orbit.poisson_sign_global": ("poisson", 1e-9),
+    "orbit.embed_radius": ("embed_radius", 1e-12),
+    "orbit.potential_curvature": ("potential_curvature", 1e-6),
+    "fiber.gram_oracle": ("gram", 1e-10),
+    "fiber.hermiticity": ("hermiticity", 1e-9),
+    "fiber.spectrum_no_half_form": ("spectrum", 1e-8),
+    "fiber.dirac_condition": ("dirac", 1e-8),
+    "fiber.transition_homomorphism": ("homomorphism", 1e-9),
+    "fiber.transition_unitarity": ("unitarity", 1e-9),
+    "fiber.polarization_moment": ("polarization", 1e-8),
+    "fiber.polarization_counterexample_ratio": (None, 1e3),
+    "gauge.rep_commutators": ("rep_commutators", 1e-9),
+    "gauge.data_consistency": ("data_consistency", 1e-8),
+    "gauge.connection_equivalence": ("equivalence", 1e-8),
+    "gauge.anti_hermiticity": ("anti_hermiticity", 1e-9),
+    "gauge.linearity": ("linearity", 1e-9),
+    "gauge.vertical_independence": ("vertical_independence", 1e-15),
+    "gauge.transformation_law": ("gauge_law", 1e-6),
+    "gauge.lift_orthogonality": ("lift_orthogonality", 1e-8),
+    "gauge.pure_gauge_flatness": ("flatness", 1e-6),
+    "gauge.constant_model_curvature": (None, 0.1),
+    "transport.trivial_identity": ("trivial_identity", 1e-12),
+    "transport.constant_oracle": ("transport_oracle", 1e-8),
+    "transport.noncommutativity": (None, 0.1),
+    "transport.green_phase": ("green_phase", 1e-8),
+    "transport.vertical_loop": ("vertical_loop", 1e-10),
+    "transport.reversal": ("reversal", 1e-8),
+    "transport.unitarity": ("transport_unitarity", 1e-8),
+    "transport.monopole_holonomy": ("holonomy", 1e-6),
+    "transport.chart_independence": ("chart_independence", 1e-6),
+    "transport.source_independence": ("source_independence", 1e-6),
+    "transport.section_constancy": ("section", 1e-12),
+    "transport.total_space_residual": ("total_space", 1e-5),
+    "transport.corruption_sensitivity": (None, 10.0),
 }
+
+DEFAULT_TOLERANCES = {key: bound for key, bound in CHECKS.values() if key is not None}
 
 
 def _is_int(x) -> bool:

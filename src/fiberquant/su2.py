@@ -34,9 +34,9 @@ def check_special_unitary(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise InvalidArgument(f"group element must be 2x2, got {g.shape}")
-    if np.linalg.norm(g.conj().T @ g - np.eye(2)) > tol:
+    if not np.linalg.norm(g.conj().T @ g - np.eye(2)) <= tol:
         raise InvalidArgument("group element is not unitary")
-    if abs(np.linalg.det(g) - 1.0) > tol:
+    if not abs(np.linalg.det(g) - 1.0) <= tol:
         raise InvalidArgument("group element is not unimodular")
     return g
 

@@ -363,7 +363,7 @@ def transport(
 
     n = model.spec.dim
     dev = float(np.linalg.norm(integ.w.conj().T @ integ.w - np.eye(n), 2))
-    if dev > 1e-6:
+    if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
     return TransportResult(
         unitary=integ.w,
@@ -417,7 +417,7 @@ def wilson_loop(
     q0, p0 = loop.position(loop.start_chart, np.array([0.0]))
     q1, p1 = loop.position(loop.start_chart, np.array([1.0]))
     gap = float(np.max(np.abs(q1 - q0)) + np.max(np.abs(p1 - p0)))
-    if gap > 1e-12:
+    if not gap <= 1e-12:
         raise InvalidArgument(f"loop is not closed (endpoint gap {gap:.2e})")
     result = transport(model, basis, loop, rep=rep, steps=steps, forced_switches=forced_switches)
     hol = np.exp(1j * result.alpha_phase) * result.unitary

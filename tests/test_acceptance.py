@@ -19,13 +19,13 @@ from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
     build_rep,
-    connection_quadrature,
     connection_rep,
     constant_model,
     gauge_residual,
     lift_orthogonality_residual,
     monopole_model,
     pure_gauge_model,
+    quadrature_rep,
 )
 from fiberquant.numerics import matrix_exp
 from fiberquant.orbit import (
@@ -198,7 +198,7 @@ def test_criterion_07_connection_equivalence():
         for model in (mono, const):
             for _ in range(13):
                 b, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
-                a_q = connection_quadrature(model, ctx["geom"], ctx["basis"], b, v)
+                a_q = connection_rep(model, quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
                 a_r = connection_rep(model, ctx["rep"], b, v)
                 worst = max(worst, float(np.linalg.norm(a_q - a_r, 2)))
     verdict(7, worst <= 1e-8,

@@ -8,6 +8,7 @@ from fiberquant.cli import (
     EXIT_INVALID,
     EXIT_OK,
     EXIT_USAGE,
+    _bounded,
     run_command,
 )
 from fiberquant.errors import ParseError, ValidationError
@@ -114,6 +115,16 @@ class TestCommands:
         # one-parameter subgroup through tau_3: phases e^{-i m t}
         expected = np.diag(np.exp(-1j * np.array([1.0, 0.0, -1.0]) * 0.5))
         assert np.linalg.norm(matrix - expected, 2) < 1e-10
+
+    @pytest.mark.parametrize("extreme, plain", [("1e200,1e200,1e200", "1,1,1"), ("1e-200,0,0", "1,0,0")])
+    def test_transition_axis_scale_free(self, extreme, plain):
+        payloads = []
+        for axis in (extreme, plain):
+            code, out = run_command(["transition", "--spin", "2", "--axis", axis, "--angle", "0.5"])
+            assert code == EXIT_OK
+            payloads.append(json.loads(out)["payload"])
+        for key in ("group_element", "matrix"):
+            assert np.max(np.abs(np.subtract(payloads[0][key], payloads[1][key]))) <= 1e-15
 
     def test_connection_sources_agree(self, monopole_config):
         outs = {}
@@ -255,6 +266,12 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert out.startswith(f"error: {flag}")
 
+    def test_overflowing_spin_is_accuracy_failure(self):
+        with np.errstate(all="ignore"):
+            code, out = run_command(["gram", "--spin", "160"])
+        assert code == EXIT_ACCURACY
+        assert out.startswith("accuracy failure:") and "nan" not in out
+
     def test_table_output(self, trivial_config):
         code, out = run_command(["verify", "orbit", "--config", trivial_config,
                                  "--output", "table"])
@@ -298,6 +315,11 @@ class TestToleranceOverrides:
         code, out = run_command(argv + ["--config", monopole_config, "--tol", "0.25"])
         assert code == EXIT_OK
         assert json.loads(out)["payload"]["tolerance"] == 0.25
+
+    @pytest.mark.parametrize("value, passed", [(np.float64(1e-11), True), (np.float64(1e-9), False),
+                                               (np.nan, False)])
+    def test_payload_pass_is_python_bool(self, value, passed):
+        assert _bounded(default_scenario(), "gram", value)["pass"] is passed
 
 
 class TestDeterminism:

@@ -59,6 +59,11 @@ class TestBasis:
         with pytest.raises(AccuracyFailure):
             build_basis(OrbitSpec(8), sphere_rule(2, 3))
 
+    def test_overflowing_spin_rejected(self):
+        # z**160 overflows at the outer nodes, so the Gram matrix holds NaN.
+        with np.errstate(all="ignore"), pytest.raises(AccuracyFailure):
+            build_basis(OrbitSpec(160))
+
     def test_default_rule_shared_and_read_only(self):
         rule = default_rule(OrbitSpec(3))
         assert default_rule(OrbitSpec(3)) is rule
@@ -250,6 +255,13 @@ class TestQuantizedTransitions:
         basis = build_basis(spec)
         with pytest.raises(InvalidArgument):
             quantize_transition(spec, basis, 1.1 * np.eye(2, dtype=complex))
+
+    @pytest.mark.parametrize("g", [np.full((2, 2), np.nan, dtype=complex),
+                                   np.array([[np.nan, 0], [0, 1]], dtype=complex)])
+    def test_non_finite_group_element_rejected(self, g):
+        spec = OrbitSpec(1)
+        with pytest.raises(InvalidArgument):
+            quantize_transition(spec, build_basis(spec), g)
 
     def test_one_parameter_generators_match_spin_matrices(self):
         # derivative of the transitions along the generator subgroups

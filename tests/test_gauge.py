@@ -9,7 +9,6 @@ from fiberquant.gauge import (
     BaseTangent,
     assume_check,
     build_rep,
-    connection_quadrature,
     connection_rep,
     connection_rep_batch,
     constant_model,
@@ -110,7 +109,7 @@ class TestConnectionEquivalence:
     def test_zero_potential_vanishes(self, ctx):
         b = BasePoint("main", np.array([0.1, 0.2]), np.array([1.0, 0.0]))
         v = BaseTangent.of([1.0, 2.0], [0.5, 0.5])
-        a_q = connection_quadrature(ctx["triv"], ctx["geom"], ctx["basis"], b, v)
+        a_q = connection_rep(ctx["triv"], quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
         a_r = connection_rep(ctx["triv"], ctx["rep"], b, v)
         assert np.linalg.norm(a_q, 2) < 1e-12
         assert np.linalg.norm(a_r, 2) < 1e-12
@@ -124,7 +123,7 @@ class TestConnectionEquivalence:
     def test_vertical_tangent_gives_zero_matrix(self, ctx):
         b = BasePoint("main", np.array([0.3, 0.1]), np.array([1.0, 2.0]))
         v = BaseTangent.of([0.0, 0.0], [0.7, -0.4])
-        a_q = connection_quadrature(ctx["const"], ctx["geom"], ctx["basis"], b, v)
+        a_q = connection_rep(ctx["const"], quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
         assert np.linalg.norm(a_q, 2) < 1e-14
         assert np.linalg.norm(connection_rep(ctx["const"], ctx["rep"], b, v), 2) == 0.0
 
@@ -150,7 +149,7 @@ class TestConnectionEquivalence:
                 else:
                     b = BasePoint("main", rng.standard_normal(2), rng.standard_normal(2))
                     v = BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2))
-                a_q = connection_quadrature(model, ctx["geom"], ctx["basis"], b, v)
+                a_q = connection_rep(model, quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
                 a_r = connection_rep(model, ctx["rep"], b, v)
                 worst = max(worst, np.linalg.norm(a_q - a_r, 2))
         assert worst <= 1e-8
@@ -203,7 +202,7 @@ class TestQuadratureBatch:
             v = BaseTangent.of(dq[k], p[k, 1])
             oracle = 1j * prequant_matrix(geom, basis, orbit_function(model, b, v)).matrix
             assert np.linalg.norm(batch[k] - oracle, 2) <= 1e-12
-            single = connection_quadrature(model, geom, basis, b, v)
+            single = connection_rep(model, quadrature_rep(geom, basis), b, v)
             assert np.linalg.norm(single - oracle, 2) <= 1e-12
 
     def test_non_anti_hermitian_value_rejected(self, ctx, monkeypatch):
