@@ -177,7 +177,7 @@ def _scenario_from_args(args) -> Scenario:
 def _bounded(scenario: Scenario, key: str, value: float) -> dict:
     """The "tolerance" and "pass" fields of a payload whose value is bounded by ``key``."""
     tolerance = scenario.tolerance(key)
-    return {"tolerance": tolerance, "pass": bool(value <= tolerance)}
+    return {"tolerance": tolerance, "pass": value <= tolerance}
 
 
 def _cmd_gram(args, scenario: Scenario) -> dict:
@@ -220,11 +220,8 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
     scale = np.max(np.abs(axis))
     if scale == 0:
         raise ValidationError("--axis must be nonzero")
-    with np.errstate(over="ignore"):
-        norm = np.linalg.norm(axis)
-    if not 0 < norm < math.inf:  # the squares over- or underflowed
-        axis = axis / scale
-        norm = np.linalg.norm(axis)
+    axis = axis / scale  # so that the squares in the norm neither overflow nor underflow
+    norm = np.linalg.norm(axis)
     if not math.isfinite(args.angle):
         raise ValidationError(f"--angle must be finite, got {args.angle}")
     g = su2_exp(axis / norm * args.angle)

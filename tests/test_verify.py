@@ -6,7 +6,7 @@ import pytest
 
 from fiberquant import verify
 from fiberquant.errors import FiberquantError
-from fiberquant.scenario import CHECKS, DEFAULT_TOLERANCES, default_scenario
+from fiberquant.scenario import CHECKS, default_scenario
 from fiberquant.verify import run_suite
 
 
@@ -57,9 +57,10 @@ def test_min_mode_checks_report_floor():
 
 
 class TestCheckTable:
-    # The bound each acceptance criterion pins (tests/test_acceptance.py),
-    # by the verify row that measures the same invariant.  Floors are the
-    # min-mode rows.
+    # The bound each acceptance criterion pins, by the verify row that
+    # measures the same invariant.  Floors are the min-mode rows.  These are
+    # copies of the literals in tests/test_acceptance.py: change a bound there
+    # and here together.
     CRITERIA = {
         "fiber.gram_oracle": 1e-10,                      # 1
         "fiber.spectrum_no_half_form": 1e-8,             # 2
@@ -82,7 +83,6 @@ class TestCheckTable:
     def test_each_key_bounds_exactly_one_row(self):
         keys = Counter(key for key, _ in CHECKS.values() if key is not None)
         assert set(keys.values()) == {1}
-        assert list(keys) == list(DEFAULT_TOLERANCES)
         assert {row for row, (key, _) in CHECKS.items() if key is None} == self.FLOORS
 
     @pytest.mark.parametrize("row", sorted(CRITERIA))
