@@ -16,14 +16,10 @@ from .errors import (
     InvalidArgument,
     ParseError,
     PoleNotInOverlap,
-    UnsupportedPolarization,
     ValidationError,
 )
 from .fiberq import (
     FiberBasis,
-    FiberSection,
-    PrequantOperator,
-    QuantizedTransition,
     build_basis,
     polarization_residual,
     prequant_matrix,
@@ -58,7 +54,6 @@ from .orbit import (
     Chart,
     ChartPoint,
     FiberHamiltonian,
-    OrbitGeometry,
     OrbitSpec,
     chart_transition,
     embed_point,

@@ -200,14 +200,12 @@ def _cmd_prequant(args, scenario: Scenario) -> dict:
         raise ValidationError("prequant requires --hamiltonian a1,a2,a3")
     a = _parse_vector(args.hamiltonian, 3, "--hamiltonian")
     spec = scenario.spec()
-    geom = scenario.geometry()
-    basis = build_basis(spec, scenario.rule())
-    op = prequant_matrix(geom, basis, moment_hamiltonian(spec, a), scenario.rule())
-    herm = float(np.linalg.norm(op.matrix - op.matrix.conj().T, 2))
+    op = prequant_matrix(build_basis(spec, scenario.rule()), moment_hamiltonian(spec, a))
+    herm = float(np.linalg.norm(op - op.conj().T, 2))
     return {
         "two_j": spec.two_j,
         "direction": [float(x) for x in a],
-        "matrix": matrix_payload(op.matrix),
+        "matrix": matrix_payload(op),
         "hermiticity_deviation": herm,
         **_bounded(scenario, "hermiticity", herm),
     }
@@ -226,13 +224,12 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
         raise ValidationError(f"--angle must be finite, got {args.angle}")
     g = su2_exp(axis / norm * args.angle)
     spec = scenario.spec()
-    basis = build_basis(spec, scenario.rule())
-    trans = quantize_transition(spec, basis, g)
-    dev = float(np.linalg.norm(trans.matrix.conj().T @ trans.matrix - np.eye(spec.dim), 2))
+    trans = quantize_transition(build_basis(spec, scenario.rule()), g)
+    dev = float(np.linalg.norm(trans.conj().T @ trans - np.eye(spec.dim), 2))
     return {
         "two_j": spec.two_j,
         "group_element": matrix_payload(g),
-        "matrix": matrix_payload(trans.matrix),
+        "matrix": matrix_payload(trans),
         "unitarity_deviation": dev,
         **_bounded(scenario, "unitarity", dev),
     }
@@ -241,7 +238,7 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
 def _generators(args, ctx: dict):
     """The generator matrices of the --source route."""
     if args.source == "quad":
-        return quadrature_rep(ctx["geom"], ctx["basis"], ctx["rule"])
+        return quadrature_rep(ctx["basis"])
     return ctx["rep"]
 
 
@@ -302,7 +299,7 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
 def _cmd_section(args, scenario: Scenario) -> dict:
     ctx = scenario.build_context()
     model = ctx["model"]
-    n = ctx["spec"].dim
+    n = ctx["basis"].spec.dim
     q_grid = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5),
                                   indexing="ij"), axis=-1).reshape(-1, 2)
     p_grid = np.stack(np.meshgrid(np.linspace(-1, 1, 3), np.linspace(-1, 1, 3),

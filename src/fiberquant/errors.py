@@ -35,7 +35,3 @@ class ValidationError(FiberquantError):
 
 class ParseError(FiberquantError):
     """A scenario file could not be parsed at all."""
-
-
-class UnsupportedPolarization(FiberquantError):
-    """Requested section solve needs a vertical polarization the model lacks."""

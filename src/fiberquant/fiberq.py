@@ -3,7 +3,9 @@
 Wavefunctions are polynomials of degree <= two_j in the chart coordinate,
 square-integrable against d nu = ((two_j+1)/pi)(1+|z|^2)^(-(two_j+2)) dA.
 Monomials are orthogonal with ||z^k||^2 = 1/binom(two_j, k); everything
-downstream works in the orthonormalized monomial basis.
+downstream works in the orthonormalized monomial basis.  A ``FiberBasis``
+carries the spin and the quadrature rule its Gram matrix was built on, and
+every operator here is assembled from the basis alone.
 """
 
 from __future__ import annotations
@@ -15,13 +17,12 @@ from math import comb
 import numpy as np
 
 from . import constants
-from .errors import AccuracyFailure, InvalidArgument
+from .errors import AccuracyFailure
 from .numerics import QuadratureRule, sphere_rule
 from .orbit import (
     Chart,
     ChartPoint,
     FiberHamiltonian,
-    OrbitGeometry,
     OrbitSpec,
     hamiltonian_field_complex,
     theta_dz,
@@ -63,7 +64,10 @@ def exact_monomial_norms_sq(spec: OrbitSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiberBasis:
+    """Orthonormalized monomials of the weight ``spec`` fiber, built on ``rule``."""
+
     spec: OrbitSpec
+    rule: QuadratureRule
     degrees: np.ndarray
     norms: np.ndarray      # quadrature monomial norms, ||z^k||
     gram: np.ndarray       # quadrature Gram matrix of the monomials
@@ -83,29 +87,6 @@ class FiberBasis:
         return out
 
 
-@dataclass(frozen=True)
-class FiberSection:
-    """Coefficients of a polarized section in the orthonormal basis."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        if self.coefficients.ndim != 1:
-            raise InvalidArgument("section coefficients must be a vector")
-
-
-@dataclass(frozen=True)
-class PrequantOperator:
-    matrix: np.ndarray
-    hamiltonian: FiberHamiltonian
-
-
-@dataclass(frozen=True)
-class QuantizedTransition:
-    group_element: np.ndarray
-    matrix: np.ndarray
-
-
 def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBasis:
     """Monomial Gram matrix by quadrature, checked against the Beta oracle."""
     if rule is None:
@@ -113,7 +94,11 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
     z = rule_points(rule)
     w = measure_weights(spec, rule)
     degrees = np.arange(spec.dim)
-    powers = z[None, :] ** degrees[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = z[None, :] ** degrees[:, None]
+    if not np.all(np.isfinite(powers)):
+        raise AccuracyFailure(f"monomial powers z**k overflow on the quadrature nodes "
+                              f"at two_j = {spec.two_j}")
     gram = (powers * w[None, :]) @ powers.conj().T
     gram = gram.T  # gram[k, l] = <z^k, z^l>
     diag = gram.diagonal().real
@@ -124,10 +109,10 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
     rel = np.max(np.abs(diag - exact) / exact)
     if not rel <= 1e-8:
         raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e}; rule under-resolved")
-    return FiberBasis(spec=spec, degrees=degrees, norms=np.sqrt(diag), gram=gram)
+    return FiberBasis(spec=spec, rule=rule, degrees=degrees, norms=np.sqrt(diag), gram=gram)
 
 
-def _prequant_pointwise(geom: OrbitGeometry, w: FiberHamiltonian, z: np.ndarray,
+def _prequant_pointwise(spec: OrbitSpec, w: FiberHamiltonian, z: np.ndarray,
                         f_vals: np.ndarray, f_deriv: np.ndarray) -> np.ndarray:
     """Apply O(w) = -i nabla_{H_w} + w to section values in the chart frame.
 
@@ -138,50 +123,39 @@ def _prequant_pointwise(geom: OrbitGeometry, w: FiberHamiltonian, z: np.ndarray,
     as one array-valued call per kernel.
     """
     pt = ChartPoint(Chart.NORTH, z)
-    h = hamiltonian_field_complex(geom, w, pt)
-    theta = theta_dz(geom, pt)
+    h = hamiltonian_field_complex(spec, w, pt)
+    theta = theta_dz(spec, pt)
     wv = w.value(pt)
     return -1j * h * f_deriv + (wv - theta * h) * f_vals
 
 
-def prequant_matrix(
-    geom: OrbitGeometry,
-    basis: FiberBasis,
-    w: FiberHamiltonian,
-    rule: QuadratureRule | None = None,
-) -> PrequantOperator:
-    """Matrix elements <e_nu | O(w) e_mu> by quadrature."""
-    if rule is None:
-        rule = default_rule(basis.spec)
-    z = rule_points(rule)
-    wts = measure_weights(basis.spec, rule)
+def prequant_matrix(basis: FiberBasis, w: FiberHamiltonian) -> np.ndarray:
+    """Matrix elements <e_nu | O(w) e_mu> by quadrature on the basis's rule."""
+    z = rule_points(basis.rule)
+    wts = measure_weights(basis.spec, basis.rule)
     vals = basis.eval(z)
-    applied = _prequant_pointwise(geom, w, z, vals, basis.eval_deriv(z))
+    applied = _prequant_pointwise(basis.spec, w, z, vals, basis.eval_deriv(z))
     matrix = (vals.conj() * wts[None, :]) @ applied.T
     herm = np.linalg.norm(matrix - matrix.conj().T, 2)
     if not herm <= 1e-8:
         raise AccuracyFailure(f"prequantization matrix not Hermitian to tolerance ({herm:.2e})")
-    return PrequantOperator(matrix=matrix, hamiltonian=w)
+    return matrix
 
 
-def polarization_residual(
-    geom: OrbitGeometry,
-    basis: FiberBasis,
-    w: FiberHamiltonian,
-    rule: QuadratureRule | None = None,
-) -> float:
+def polarization_residual(basis: FiberBasis, w: FiberHamiltonian) -> float:
     """Largest leakage of O(w) e_k outside the polarized subspace.
 
-    The component orthogonal to the polarized span is formed pointwise on
-    the quadrature nodes (avoiding norm-difference cancellation) and its
-    L^2(d nu) norm is returned, maximized over basis columns.
+    The leakage integrand is not polynomial, so it is integrated on the
+    oversized residual rule, not on the basis's rule.  The component
+    orthogonal to the polarized span is formed pointwise on its nodes
+    (avoiding norm-difference cancellation) and its L^2(d nu) norm is
+    returned, maximized over basis columns.
     """
-    if rule is None:
-        rule = _shared_rule(*constants.residual_rule_sizes(basis.spec.two_j))
+    rule = _shared_rule(*constants.residual_rule_sizes(basis.spec.two_j))
     z = rule_points(rule)
     wts = measure_weights(basis.spec, rule)
     vals = basis.eval(z)
-    applied = _prequant_pointwise(geom, w, z, vals, basis.eval_deriv(z))
+    applied = _prequant_pointwise(basis.spec, w, z, vals, basis.eval_deriv(z))
     # Stacked matrix-vector products, one per basis column: the same
     # kernels a per-column loop calls, so the residual is unchanged to the bit.
     coeffs = np.matmul(vals.conj() * wts[None, :], applied[:, :, None])[..., 0]
@@ -190,7 +164,7 @@ def polarization_residual(
     return float(np.sqrt(np.maximum(norm_sq, 0.0)).max())
 
 
-def quantize_transition(spec: OrbitSpec, basis: FiberBasis, g: np.ndarray) -> QuantizedTransition:
+def quantize_transition(basis: FiberBasis, g: np.ndarray) -> np.ndarray:
     """Unitary action of g on polarized sections, lifted by the factor of
     automorphy.
 
@@ -205,8 +179,8 @@ def quantize_transition(spec: OrbitSpec, basis: FiberBasis, g: np.ndarray) -> Qu
     """
     g = check_special_unitary(g)
     a, b = g[0, 0], g[0, 1]
-    two_j = spec.two_j
-    n = spec.dim
+    two_j = basis.spec.two_j
+    n = basis.spec.dim
     mono = np.zeros((n, n), dtype=complex)
     for k in range(n):
         p1 = np.zeros(k + 1, dtype=complex)          # (conj(a) z - b)^k
@@ -220,4 +194,4 @@ def quantize_transition(spec: OrbitSpec, basis: FiberBasis, g: np.ndarray) -> Qu
     dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), 2)
     if not dev <= 1e-9:
         raise AccuracyFailure(f"quantized transition not unitary to tolerance ({dev:.2e})")
-    return QuantizedTransition(group_element=g, matrix=matrix)
+    return matrix

@@ -4,7 +4,8 @@ A ``GaugeModel`` packages the base manifold (plane or two-chart sphere as
 configuration space, with the base phase space T*Q represented by (q, p)
 pairs), a per-chart su(2) potential, and the chart transition functions.
 The connection on the quantum bundle is the potential contracted with a
-``LieAlgebraRep``, three generator matrices built two independent ways:
+``LieAlgebraRep``, three generator matrices built from the ``FiberBasis``
+alone, in two independent ways:
 
 * ``quadrature_rep`` takes i O(mu_a) of the three moment functions, with
   O the prequantum operator by quadrature (Kostant-Souriau), and
@@ -30,12 +31,10 @@ from .fiberq import (
     prequant_matrix,
     quantize_transition,
 )
-from .numerics import QuadratureRule
 from .orbit import (
     Chart,
     ChartPoint,
     FiberHamiltonian,
-    OrbitGeometry,
     OrbitSpec,
     hamiltonian_field,
     moment_hamiltonian,
@@ -99,7 +98,6 @@ class GaugeModel:
     convert_point: dict = field(default_factory=dict)
     push_tangent: dict = field(default_factory=dict)
     push_covector: dict = field(default_factory=dict)
-    momentum_potential: bool = False
 
     def chart_data(self, b: BasePoint) -> ChartData:
         if b.chart not in self.charts:
@@ -160,19 +158,13 @@ def orbit_function(model: GaugeModel, b: BasePoint, v: BaseTangent) -> FiberHami
     return moment_hamiltonian(model.spec, su2_coefficients_batch(xi) * _MOMENT_TWIST)
 
 
-def horizontal_lift(
-    model: GaugeModel,
-    geom: OrbitGeometry,
-    b: BasePoint,
-    v: BaseTangent,
-    f: ChartPoint,
-) -> tuple[BaseTangent, np.ndarray]:
+def horizontal_lift(model: GaugeModel, b: BasePoint, v: BaseTangent, f: ChartPoint) -> tuple[BaseTangent, np.ndarray]:
     """Horizontal lift (v, -H_w) of a base tangent at fiber point f."""
     w = orbit_function(model, b, v)
-    return v, -hamiltonian_field(geom, w, f)
+    return v, -hamiltonian_field(model.spec, w, f)
 
 
-def quadrature_rep(geom: OrbitGeometry, basis: FiberBasis, rule: QuadratureRule | None = None) -> LieAlgebraRep:
+def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
     """Generators i * _MOMENT_TWIST[a] * <e_nu | O(mu_a) e_mu> of the moment functions, by quadrature.
 
     O(w) is linear in w, so the connection value i O(w) of the orbit
@@ -181,7 +173,7 @@ def quadrature_rep(geom: OrbitGeometry, basis: FiberBasis, rule: QuadratureRule 
     runs here, once per generator.
     """
     spec = basis.spec
-    mats = np.array([1j * twist * prequant_matrix(geom, basis, moment_hamiltonian(spec, e), rule).matrix
+    mats = np.array([1j * twist * prequant_matrix(basis, moment_hamiltonian(spec, e))
                      for twist, e in zip(_MOMENT_TWIST, np.eye(3))])
     dev = np.linalg.norm(mats + np.swapaxes(mats, -1, -2).conj(), 2, axis=(-2, -1))
     if not np.all(dev <= 1e-8):
@@ -189,16 +181,17 @@ def quadrature_rep(geom: OrbitGeometry, basis: FiberBasis, rule: QuadratureRule 
     return LieAlgebraRep(spec=spec, matrices=mats)
 
 
-def build_rep(spec: OrbitSpec, basis: FiberBasis, h: float = constants.FD_STEP_REP) -> LieAlgebraRep:
+def build_rep(basis: FiberBasis) -> LieAlgebraRep:
     """rho(tau_a) as the one-parameter derivative of the quantized transitions."""
+    h = constants.FD_STEP_REP
     mats = []
     for a in range(3):
         unit = np.zeros(3)
         unit[a] = 1.0
-        plus = quantize_transition(spec, basis, su2_exp(h * unit)).matrix
-        minus = quantize_transition(spec, basis, su2_exp(-h * unit)).matrix
+        plus = quantize_transition(basis, su2_exp(h * unit))
+        minus = quantize_transition(basis, su2_exp(-h * unit))
         mats.append((plus - minus) / (2.0 * h))
-    return LieAlgebraRep(spec=spec, matrices=np.array(mats))
+    return LieAlgebraRep(spec=basis.spec, matrices=np.array(mats))
 
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> np.ndarray:
@@ -215,15 +208,7 @@ def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: n
     return np.einsum("...a,aij->...ij", coeffs, rep.matrices)
 
 
-def gauge_residual(
-    model: GaugeModel,
-    geom: OrbitGeometry,
-    basis: FiberBasis,
-    b: BasePoint,
-    v: BaseTangent,
-    rule: QuadratureRule | None = None,
-    h: float = constants.FD_STEP_GAUGE,
-) -> float:
+def gauge_residual(model: GaugeModel, basis: FiberBasis, b: BasePoint, v: BaseTangent) -> float:
     """Defect of the gauge transformation law across the overlap at b.
 
     Compares A in the neighbour chart against
@@ -236,12 +221,13 @@ def gauge_residual(
     if not bool(model.charts[target].valid(model.convert_point[(b.chart, target)](b.q))):
         raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
 
-    gens = quadrature_rep(geom, basis, rule)
+    gens = quadrature_rep(basis)
     a_here = connection_rep(model, gens, b, v)
     a_there = connection_rep(model, gens, model.to_chart(b, target), model.push(b, v, target))
 
     g_fn = model.transitions[(b.chart, target)]
-    x_at = lambda q: quantize_transition(model.spec, basis, g_fn(q)).matrix
+    x_at = lambda q: quantize_transition(basis, g_fn(q))
+    h = constants.FD_STEP_GAUGE
     x = x_at(b.q)
     x_inv = x.conj().T
     dx = (x_at(b.q + h * v.dq) - x_at(b.q - h * v.dq)) / (2.0 * h)
@@ -249,14 +235,7 @@ def gauge_residual(
     return float(np.linalg.norm(a_there - law, 2))
 
 
-def curvature(
-    model: GaugeModel,
-    rep: LieAlgebraRep,
-    b: BasePoint,
-    v1: BaseTangent,
-    v2: BaseTangent,
-    h: float = 1.0e-5,
-) -> np.ndarray:
+def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: BaseTangent, v2: BaseTangent) -> np.ndarray:
     """Field strength on (v1, v2) by small-displacement stencils.
 
     Normalized to the small-loop law of the transport ordering: holonomy
@@ -264,6 +243,7 @@ def curvature(
     F = d1 A(v2) - d2 A(v1) + [A(v2), A(v1)].  Vanishes for pure-gauge
     potentials.
     """
+    h = 1.0e-5
 
     def a_at(q, v):
         return connection_rep(model, rep, BasePoint(b.chart, q, b.p), v)
@@ -277,7 +257,6 @@ def curvature(
 
 def alpha_total_components(
     model: GaugeModel,
-    geom: OrbitGeometry,
     chart: str,
     q: np.ndarray,
     p: np.ndarray,
@@ -298,7 +277,7 @@ def alpha_total_components(
         unit[k] = 1.0
         w_k = orbit_function(model, b, BaseTangent.of(unit))
         out[k] = b.p[k] + w_k.value(pt)
-    coeff = theta_dz(geom, pt)
+    coeff = theta_dz(model.spec, pt)
     out[4] = coeff
     out[5] = 1j * coeff
     return out
@@ -306,19 +285,18 @@ def alpha_total_components(
 
 def lift_orthogonality_residual(
     model: GaugeModel,
-    geom: OrbitGeometry,
     b: BasePoint,
     v: BaseTangent,
     f: ChartPoint,
     xi: np.ndarray,
-    h: float = constants.FD_STEP_FORM,
 ) -> float:
     """|Omega_total(lift(v), vertical xi)| by a central-difference stencil.
 
     The two-form is evaluated on constant coordinate extensions, for which
     d alpha(V1, V2) = D_V1 <alpha, V2> - D_V2 <alpha, V1>.
     """
-    _, fiber = horizontal_lift(model, geom, b, v, f)
+    h = constants.FD_STEP_FORM
+    _, fiber = horizontal_lift(model, b, v, f)
     lift6 = np.concatenate([v.dq, v.dp, fiber])
     vert6 = np.concatenate([np.zeros(4), np.asarray(xi, dtype=float)])
 
@@ -326,7 +304,7 @@ def lift_orthogonality_residual(
 
     def pairing(coords: np.ndarray, vec: np.ndarray) -> complex:
         alpha = alpha_total_components(
-            model, geom, b.chart, coords[0:2], coords[2:4], complex(coords[4], coords[5])
+            model, b.chart, coords[0:2], coords[2:4], complex(coords[4], coords[5])
         )
         return complex(np.dot(alpha, vec))
 
@@ -335,20 +313,16 @@ def lift_orthogonality_residual(
     return abs(d1 - d2)
 
 
-def assume_check(
-    geom: OrbitGeometry,
-    basis: FiberBasis,
-    hamiltonians,
-    tol: float = 1.0e-6,
-) -> float:
+def assume_check(basis: FiberBasis, hamiltonians) -> float:
     """Enforce the minimal-coupling hypothesis on sampled orbit functions.
 
     Raises ConfigurationError when any sampled fiber Hamiltonian fails to
-    preserve the polarized subspace at the given tolerance.
+    preserve the polarized subspace to 1e-6.
     """
+    tol = 1.0e-6
     worst = 0.0
     for w in hamiltonians:
-        res = polarization_residual(geom, basis, w)
+        res = polarization_residual(basis, w)
         worst = max(worst, res)
         if not res <= tol:
             raise ConfigurationError(
@@ -358,16 +332,16 @@ def assume_check(
     return worst
 
 
-def verify_gauge_data(model: GaugeModel, rng: np.random.Generator, samples: int = 12,
-                      h: float = constants.FD_STEP_GAUGE) -> float:
+def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
     """Consistency of the chart potentials with the registered transitions.
 
-    Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1} on sampled overlap
-    points; returns the worst absolute defect.
+    Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1} on 12 sampled overlap
+    points per transition; returns the worst absolute defect.
     """
+    h = constants.FD_STEP_GAUGE
     worst = 0.0
     for (i, j), g_fn in model.transitions.items():
-        for _ in range(samples):
+        for _ in range(12):
             q = _sample_overlap_point(model, i, j, rng)
             if q is None:
                 continue
@@ -415,8 +389,8 @@ def _zero_potential(q: np.ndarray) -> np.ndarray:
     return np.zeros(shape, dtype=complex)
 
 
-def _model_checks(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, seed: int = 11) -> None:
-    rng = np.random.default_rng(seed)
+def _model_checks(model: GaugeModel, basis: FiberBasis) -> None:
+    rng = np.random.default_rng(11)
     data_defect = verify_gauge_data(model, rng)
     if not data_defect <= 1e-8:
         raise ConfigurationError(f"chart potentials inconsistent with transitions ({data_defect:.2e})")
@@ -429,7 +403,7 @@ def _model_checks(model: GaugeModel, geom: OrbitGeometry, basis: FiberBasis, see
             b = BasePoint(name, q, np.zeros(2))
             v = BaseTangent.of(rng.standard_normal(2))
             hams.append(orbit_function(model, b, v))
-    assume_check(geom, basis, hams)
+    assume_check(basis, hams)
 
 
 def trivial_model(spec: OrbitSpec, check: bool = True) -> GaugeModel:
@@ -440,7 +414,7 @@ def trivial_model(spec: OrbitSpec, check: bool = True) -> GaugeModel:
         charts={"main": ChartData("main", _zero_potential, _always_valid)},
     )
     if check:
-        _model_checks(model, OrbitGeometry(spec), build_basis(spec))
+        _model_checks(model, build_basis(spec))
     return model
 
 
@@ -469,7 +443,7 @@ def constant_model(spec: OrbitSpec, coefficients=None, check: bool = True) -> Ga
         charts={"main": ChartData("main", potential, _always_valid)},
     )
     if check:
-        _model_checks(model, OrbitGeometry(spec), build_basis(spec))
+        _model_checks(model, build_basis(spec))
     return model
 
 
@@ -547,7 +521,7 @@ def monopole_model(spec: OrbitSpec, strength: int = 1, check: bool = True) -> Ga
         push_covector={("north", "south"): _sphere_push_covector, ("south", "north"): _sphere_push_covector},
     )
     if check:
-        _model_checks(model, OrbitGeometry(spec), build_basis(spec))
+        _model_checks(model, build_basis(spec))
     return model
 
 
@@ -593,5 +567,5 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1), check: bool = True) -> G
         push_covector={("flat", "gauged"): ident_cov, ("gauged", "flat"): ident_cov},
     )
     if check:
-        _model_checks(model, OrbitGeometry(spec), build_basis(spec))
+        _model_checks(model, build_basis(spec))
     return model

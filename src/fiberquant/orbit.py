@@ -3,7 +3,8 @@
 The fiber is the sphere of radius j realized with two charts (NORTH and
 SOUTH, overlap map z -> 1/z).  The symplectic form, the chart-local
 holomorphic-frame potential, Hamiltonian vector fields, the Poisson
-bracket and the linear moment functions all live here.
+bracket and the linear moment functions all live here; each kernel takes
+the ``OrbitSpec``, whose weight j fixes the sphere.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ class ChartPoint:
 
 
 @dataclass(frozen=True)
-class OrbitGeometry:
-    """The orbit as a symplectic manifold; the form's sign is ``constants.S_OMEGA``."""
-
-    spec: OrbitSpec
-
-
-@dataclass(frozen=True)
 class FiberHamiltonian:
     """Real function on the fiber with a chart gradient (d/dx, d/dy).
 
@@ -79,11 +73,11 @@ class FiberHamiltonian:
     label: str = ""
 
     @classmethod
-    def from_value(cls, value, h: float = constants.FD_STEP_GRADIENT, label: str = ""):
+    def from_value(cls, value, label: str = ""):
         """Wrap a plain value function, supplying a central-difference gradient."""
 
         def gradient(pt: ChartPoint) -> np.ndarray:
-            z = pt.z
+            z, h = pt.z, constants.FD_STEP_GRADIENT
             gx = (value(ChartPoint(pt.chart, z + h)) - value(ChartPoint(pt.chart, z - h))) / (2 * h)
             gy = (value(ChartPoint(pt.chart, z + 1j * h)) - value(ChartPoint(pt.chart, z - 1j * h))) / (2 * h)
             return np.array([gx, gy])
@@ -125,20 +119,20 @@ def chart_transition(pt: ChartPoint) -> ChartPoint:
     return ChartPoint(other, 1.0 / pt.z)
 
 
-def omega_coefficient(geom: OrbitGeometry, pt: ChartPoint) -> float:
-    """Coefficient c(z) with Omega = c(z) dx ^ dy in the active chart."""
+def omega_coefficient(spec: OrbitSpec, pt: ChartPoint) -> float:
+    """Coefficient c(z) with Omega = c(z) dx ^ dy in the active chart; its sign is ``constants.S_OMEGA``."""
     rho = _rho(pt.z)
-    return constants.S_OMEGA * 4.0 * geom.spec.j / (rho * rho)
+    return constants.S_OMEGA * 4.0 * spec.j / (rho * rho)
 
 
-def symplectic_form_at(geom: OrbitGeometry, pt: ChartPoint, u1, u2) -> float:
+def symplectic_form_at(spec: OrbitSpec, pt: ChartPoint, u1, u2) -> float:
     """Omega evaluated on two chart tangents (real 2-vectors)."""
     u1 = np.asarray(u1, dtype=float)
     u2 = np.asarray(u2, dtype=float)
-    return omega_coefficient(geom, pt) * (u1[0] * u2[1] - u1[1] * u2[0])
+    return omega_coefficient(spec, pt) * (u1[0] * u2[1] - u1[1] * u2[0])
 
 
-def symplectic_area(geom: OrbitGeometry, rule) -> float:
+def symplectic_area(spec: OrbitSpec, rule) -> float:
     """Total integral of Omega over the sphere via a (t, phi) rule.
 
     The chart area element dA = dt dphi / (1+t)^2 combines with the form
@@ -146,38 +140,38 @@ def symplectic_area(geom: OrbitGeometry, rule) -> float:
     """
     t = rule.t
     rho = 2.0 / (1.0 + t)           # 1 + |z|^2 at the node
-    integrand = constants.S_OMEGA * 4.0 * geom.spec.j / rho**2 / (1.0 + t) ** 2
+    integrand = constants.S_OMEGA * 4.0 * spec.j / rho**2 / (1.0 + t) ** 2
     return float(np.dot(rule.weights, integrand))
 
 
-def kahler_potential_at(geom: OrbitGeometry, pt: ChartPoint) -> np.ndarray:
+def kahler_potential_at(spec: OrbitSpec, pt: ChartPoint) -> np.ndarray:
     """Holomorphic-frame potential as chart covector components (dx, dy).
 
     theta = -2ij conj(z) dz / (1 + |z|^2); its (0,1) part vanishes, so
     polarized sections are annihilated by plain d/d(conj z).
     """
-    coeff = theta_dz(geom, pt)
+    coeff = theta_dz(spec, pt)
     return np.array([coeff, 1j * coeff])
 
 
-def theta_dz(geom: OrbitGeometry, pt: ChartPoint) -> complex:
+def theta_dz(spec: OrbitSpec, pt: ChartPoint) -> complex:
     """dz-coefficient of the chart potential."""
-    return -2.0j * geom.spec.j * np.conj(pt.z) / _rho(pt.z)
+    return -2.0j * spec.j * np.conj(pt.z) / _rho(pt.z)
 
 
-def hamiltonian_field(geom: OrbitGeometry, w: FiberHamiltonian, pt: ChartPoint) -> np.ndarray:
+def hamiltonian_field(spec: OrbitSpec, w: FiberHamiltonian, pt: ChartPoint) -> np.ndarray:
     """The chart tangent H_w defined through Omega(H_w, .) = -dw; shape (2,) + z.shape."""
-    if geom.spec.two_j == 0:
+    if spec.two_j == 0:
         # point orbit: every function is constant, every field vanishes
         return np.zeros((2,) + np.shape(pt.z))
     gx, gy = w.chart_gradient(pt)
-    c = omega_coefficient(geom, pt)
+    c = omega_coefficient(spec, pt)
     return np.array([-gy / c, gx / c])
 
 
-def hamiltonian_field_complex(geom: OrbitGeometry, w: FiberHamiltonian, pt: ChartPoint) -> complex | np.ndarray:
+def hamiltonian_field_complex(spec: OrbitSpec, w: FiberHamiltonian, pt: ChartPoint) -> complex | np.ndarray:
     """dz-component of H_w (the full real field is h d/dz + conj)."""
-    hx, hy = hamiltonian_field(geom, w, pt)
+    hx, hy = hamiltonian_field(spec, w, pt)
     h = hx + 1j * hy
     return h if np.ndim(pt.z) else complex(h)
 
@@ -213,8 +207,8 @@ def squared_hamiltonian(w: FiberHamiltonian) -> FiberHamiltonian:
     return FiberHamiltonian(value=value, chart_gradient=gradient, label=f"({w.label})^2")
 
 
-def poisson_bracket(geom: OrbitGeometry, w1: FiberHamiltonian, w2: FiberHamiltonian, pt: ChartPoint) -> float:
+def poisson_bracket(spec: OrbitSpec, w1: FiberHamiltonian, w2: FiberHamiltonian, pt: ChartPoint) -> float:
     """{w1, w2} = Omega(H_w1, H_w2) under the frozen conventions."""
-    h1 = hamiltonian_field(geom, w1, pt)
-    h2 = hamiltonian_field(geom, w2, pt)
-    return symplectic_form_at(geom, pt, h1, h2)
+    h1 = hamiltonian_field(spec, w1, pt)
+    h2 = hamiltonian_field(spec, w2, pt)
+    return symplectic_form_at(spec, pt, h1, h2)

@@ -36,7 +36,7 @@ from .gauge import (
     trivial_model,
 )
 from .numerics import sphere_rule
-from .orbit import OrbitGeometry, OrbitSpec
+from .orbit import OrbitSpec
 from .transport import (
     BasePath,
     latitude_path,
@@ -157,9 +157,6 @@ class Scenario:
     def spec(self) -> OrbitSpec:
         return OrbitSpec(self.two_j)
 
-    def geometry(self) -> OrbitGeometry:
-        return OrbitGeometry(self.spec())
-
     def rule(self):
         if self.quadrature:
             return sphere_rule(self.quadrature["n_t"], self.quadrature["n_phi"])
@@ -174,18 +171,8 @@ class Scenario:
 
     def build_context(self) -> dict:
         """Everything the commands need, constructed once."""
-        spec = self.spec()
-        rule = self.rule()
-        basis = build_basis(spec, rule)
-        model = self.build_model()
-        return {
-            "spec": spec,
-            "geom": self.geometry(),
-            "basis": basis,
-            "rule": rule,
-            "model": model,
-            "rep": build_rep(spec, basis),
-        }
+        basis = build_basis(self.spec(), self.rule())
+        return {"basis": basis, "model": self.build_model(), "rep": build_rep(basis)}
 
     def path(self, name: str) -> BasePath:
         if name not in self.path_specs:

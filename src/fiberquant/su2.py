@@ -30,7 +30,9 @@ def su2_exp(c: np.ndarray) -> np.ndarray:
     return np.cos(angle / 2.0) * np.eye(2) - 1.0j * np.sin(angle / 2.0) * sigma_n
 
 
-def check_special_unitary(g: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def check_special_unitary(g: np.ndarray) -> np.ndarray:
+    """g as a complex array, once it is a 2x2 unitary of determinant 1 to 1e-10."""
+    tol = 1e-10
     g = np.asarray(g, dtype=complex)
     if g.shape != (2, 2):
         raise InvalidArgument(f"group element must be 2x2, got {g.shape}")

@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from . import constants
-from .errors import AccuracyFailure, ChartError, InvalidArgument, UnsupportedPolarization
+from .errors import AccuracyFailure, ChartError, InvalidArgument
 from .fiberq import FiberBasis, quantize_transition
 from .gauge import (
     BasePoint,
@@ -27,13 +27,7 @@ from .gauge import (
     orbit_function,
 )
 from .numerics import rk4_step
-from .orbit import (
-    Chart,
-    ChartPoint,
-    OrbitGeometry,
-    hamiltonian_field_complex,
-    theta_dz,
-)
+from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
 
 _CHUNK_STEPS = 32768
 
@@ -51,7 +45,6 @@ class BasePath:
     velocity: Callable[[str, np.ndarray], tuple]
     start_chart: str
     closed: bool = False
-    label: str = ""
 
 
 def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> BasePath:
@@ -71,8 +64,7 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
 
     return BasePath(charts=(chart,), position=position, velocity=velocity,
                     start_chart=chart,
-                    closed=bool(np.allclose(q0, q1) and np.allclose(p0, p1)),
-                    label="segment")
+                    closed=bool(np.allclose(q0, q1) and np.allclose(p0, p1)))
 
 
 def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
@@ -107,7 +99,7 @@ def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
 
     start = "north" if theta <= 3.0 * np.pi / 4.0 else "south"
     return BasePath(charts=("north", "south"), position=position, velocity=velocity,
-                    start_chart=start, closed=True, label=f"latitude(theta={theta})")
+                    start_chart=start, closed=True)
 
 
 def meridian_path() -> BasePath:
@@ -136,7 +128,7 @@ def meridian_path() -> BasePath:
         return dq, np.zeros_like(dq)
 
     return BasePath(charts=("north", "south"), position=position, velocity=velocity,
-                    start_chart="north", closed=True, label="meridian")
+                    start_chart="north", closed=True)
 
 
 def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "main") -> BasePath:
@@ -162,7 +154,7 @@ def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "mai
         return dq, dp
 
     return BasePath(charts=(chart,), position=position, velocity=velocity,
-                    start_chart=chart, closed=True, label="phase_circle")
+                    start_chart=chart, closed=True)
 
 
 def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") -> BasePath:
@@ -185,7 +177,7 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
         return dq, dp
 
     return BasePath(charts=(chart,), position=position, velocity=velocity,
-                    start_chart=chart, closed=True, label="momentum_circle")
+                    start_chart=chart, closed=True)
 
 
 @dataclass(frozen=True)
@@ -305,7 +297,7 @@ def transport(
     if rep is None:
         from .gauge import build_rep
 
-        rep = build_rep(model.spec, basis)
+        rep = build_rep(basis)
 
     chart = path.start_chart
     if chart not in model.charts:
@@ -320,7 +312,7 @@ def transport(
         if key not in model.transitions:
             raise ChartError(f"no registered transition {from_chart!r} -> {to_chart!r} at t = {t_cross:.6f}")
         q_here = path.position(from_chart, np.array([t_cross]))[0][0]
-        x = quantize_transition(model.spec, basis, model.transitions[key](q_here)).matrix
+        x = quantize_transition(basis, model.transitions[key](q_here))
         integ.insert(x, to_chart)
         chart = to_chart
         chart_log.append((t_cross, to_chart))
@@ -400,8 +392,7 @@ def reverse_path(path: BasePath) -> BasePath:
         return -dq, -dp
 
     return BasePath(charts=path.charts, position=position, velocity=velocity,
-                    start_chart=path.start_chart, closed=path.closed,
-                    label=path.label + ":reversed")
+                    start_chart=path.start_chart, closed=path.closed)
 
 
 def wilson_loop(
@@ -432,8 +423,6 @@ def covariant_section_solve(model: GaugeModel, psi0, q_grid, p_grid) -> BundleSe
     p.  The reported residual is the grid derivative of the extension
     along p, identically zero for this construction.
     """
-    if model.momentum_potential:
-        raise UnsupportedPolarization("model potential has momentum components")
     q_grid = np.asarray(q_grid, dtype=float)
     p_grid = np.asarray(p_grid, dtype=float)
     n = model.spec.dim
@@ -447,31 +436,28 @@ def covariant_section_solve(model: GaugeModel, psi0, q_grid, p_grid) -> BundleSe
     return BundleSection(q_grid=q_grid, p_grid=p_grid, values=values, residual=residual)
 
 
-_DEFAULT_FIBER_SAMPLES = (0.3 + 0.2j, -0.5 + 0.1j, 0.8j, 1.2 - 0.7j, -0.2 - 0.4j)
+_FIBER_SAMPLES = (0.3 + 0.2j, -0.5 + 0.1j, 0.8j, 1.2 - 0.7j, -0.2 - 0.4j)
 
 
 def covariant_residual_total_space(
     model: GaugeModel,
-    geom: OrbitGeometry,
     basis: FiberBasis,
     path: BasePath,
     result: TransportResult,
-    fiber_points=_DEFAULT_FIBER_SAMPLES,
-    psi0: np.ndarray | None = None,
     corruption: Callable[[float], complex] | None = None,
 ) -> float:
     """Defect of the lifted-section equation along the transported path.
 
-    Reconstructs psi(t, f) = sum_mu Psi_mu(t) e_mu(f) on the horizontal
-    lift and compares its parameter derivative (central differences along
-    the lift) against i <alpha_total, lift> psi.  Requires a transport
-    result computed with store=True.
+    Reconstructs psi(t, f) = sum_mu Psi_mu(t) e_mu(f), for the uniform
+    initial vector Psi(0), on the horizontal lift of five fixed fiber
+    points and compares its parameter derivative (central differences
+    along the lift) against i <alpha_total, lift> psi.  Requires a
+    transport result computed with store=True.
     """
     if result.times is None:
         raise InvalidArgument("transport result must be computed with store=True")
-    n = model.spec.dim
-    if psi0 is None:
-        psi0 = np.ones(n, dtype=complex) / np.sqrt(n)
+    spec = basis.spec
+    psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
 
     times = result.times
     count = len(times)
@@ -484,7 +470,7 @@ def covariant_residual_total_space(
             c = corruption(float(times[idx])) * c
         return c
 
-    z0 = np.asarray(fiber_points, dtype=complex)
+    z0 = np.asarray(_FIBER_SAMPLES, dtype=complex)
     pt = ChartPoint(Chart.NORTH, z0)
     vals_mid = basis.eval(z0)
     for idx in sample_idx:
@@ -508,13 +494,13 @@ def covariant_residual_total_space(
             qq, pp = path.position(chart, np.array([t]))
             dqq, dpp = path.velocity(chart, np.array([t]))
             ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), BaseTangent(dq=dqq[0], dp=dpp[0]))
-            return -hamiltonian_field_complex(geom, ww, ChartPoint(Chart.NORTH, zz))
+            return -hamiltonian_field_complex(spec, ww, ChartPoint(Chart.NORTH, zz))
 
         # All fiber points march together: one field evaluation per RK4 stage.
         z_plus = rk4_step(fiber_velocity, t0, z0, h)
         z_minus = rk4_step(fiber_velocity, t0, z0, -h)
         psi_mid = coeffs_at(idx) @ vals_mid
         deriv = (coeffs_at(idx + 1) @ basis.eval(z_plus) - coeffs_at(idx - 1) @ basis.eval(z_minus)) / (2.0 * h)
-        pairing = alpha_b + w.value(pt) - theta_dz(geom, pt) * hamiltonian_field_complex(geom, w, pt)
+        pairing = alpha_b + w.value(pt) - theta_dz(spec, pt) * hamiltonian_field_complex(spec, w, pt)
         worst = max(worst, float(np.max(np.abs(deriv - 1j * pairing * psi_mid), initial=0.0)))
     return worst

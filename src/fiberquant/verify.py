@@ -40,7 +40,6 @@ from .numerics import matrix_exp
 from .orbit import (
     Chart,
     ChartPoint,
-    OrbitGeometry,
     OrbitSpec,
     chart_transition,
     embed_point,
@@ -91,25 +90,24 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
 
     worst_area = 0.0
     for two_j in (1, 2, 4):
-        geom = OrbitGeometry(OrbitSpec(two_j))
-        rule = default_rule(geom.spec)
-        worst_area = max(worst_area, abs(symplectic_area(geom, rule) - 4.0 * np.pi * (two_j / 2.0)))
+        spec = OrbitSpec(two_j)
+        area = symplectic_area(spec, default_rule(spec))
+        worst_area = max(worst_area, abs(area - 4.0 * np.pi * (two_j / 2.0)))
     rows["orbit.area_oracle"] = worst_area
 
     spec = OrbitSpec(2)
-    geom = OrbitGeometry(spec)
     worst = 0.0
     for _ in range(100):
         a = rng.standard_normal(3)
         w = moment_hamiltonian(spec, a)
         pt = _random_point(rng)
         xi = rng.standard_normal(2)
-        field = hamiltonian_field(geom, w, pt)
-        lhs = symplectic_form_at(geom, pt, field, xi)
+        field = hamiltonian_field(spec, w, pt)
+        lhs = symplectic_form_at(spec, pt, field, xi)
         grad = w.chart_gradient(pt)
         worst = max(worst, abs(lhs + float(np.dot(grad, xi))))
     rows["orbit.hamiltonian_field_identity"] = worst
-    rows["orbit.potential_lie_chain"] = _lie_chain_residual(geom, rng, samples=25)
+    rows["orbit.potential_lie_chain"] = _lie_chain_residual(spec, rng, samples=25)
 
     worst = 0.0
     for _ in range(50):
@@ -123,12 +121,11 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
     worst = 0.0
     for two_j in (1, 2, 3, 4):
         spec_j = OrbitSpec(two_j)
-        geom_j = OrbitGeometry(spec_j)
         for _ in range(25):
             a = rng.standard_normal(3)
             b = rng.standard_normal(3)
             pt = _random_point(rng)
-            bracket = poisson_bracket(geom_j, moment_hamiltonian(spec_j, a),
+            bracket = poisson_bracket(spec_j, moment_hamiltonian(spec_j, a),
                                       moment_hamiltonian(spec_j, b), pt)
             expected = moment_hamiltonian(spec_j, np.cross(a, b)).value(pt)
             worst = max(worst, abs(bracket - expected))
@@ -139,17 +136,16 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
         pt = _random_point(rng)
         worst = max(worst, abs(np.linalg.norm(embed_point(spec, pt)) - spec.j))
     rows["orbit.embed_radius"] = worst
-    rows["orbit.potential_curvature"] = _curl_vs_form_residual(geom, rng, samples=100)
+    rows["orbit.potential_curvature"] = _curl_vs_form_residual(spec, rng, samples=100)
     return rows
 
 
-def _lie_chain_residual(geom: OrbitGeometry, rng, samples: int = 25, h: float = 1e-5) -> float:
+def _lie_chain_residual(spec: OrbitSpec, rng, samples: int = 25, h: float = 1e-5) -> float:
     """The one-form identity behind the field definition, via stencils.
 
     Checks Omega(H_w, xi) = H_w<theta, xi> - xi<theta, H_w> - <theta,[H_w, xi]>
     for constant chart fields xi.
     """
-    spec = geom.spec
     worst = 0.0
     for _ in range(samples):
         a = rng.standard_normal(3)
@@ -158,10 +154,10 @@ def _lie_chain_residual(geom: OrbitGeometry, rng, samples: int = 25, h: float = 
         xi = rng.standard_normal(2)
 
         def theta_pair(point: ChartPoint, vec) -> complex:
-            return complex(np.dot(kahler_potential_at(geom, point), vec))
+            return complex(np.dot(kahler_potential_at(spec, point), vec))
 
         def field_at(point: ChartPoint) -> np.ndarray:
-            return hamiltonian_field(geom, w, point)
+            return hamiltonian_field(spec, w, point)
 
         hw = field_at(pt)
 
@@ -177,25 +173,25 @@ def _lie_chain_residual(geom: OrbitGeometry, rng, samples: int = 25, h: float = 
         # [H_w, xi] = -(D H_w) xi for constant xi, by stencil on the field.
         jac_xi = (field_at(shift(pt, xi, h)) - field_at(shift(pt, xi, -h))) / (2 * h)
         commutator = -jac_xi
-        lhs = symplectic_form_at(geom, pt, hw, xi)
+        lhs = symplectic_form_at(spec, pt, hw, xi)
         rhs = d_hw - d_xi - theta_pair(pt, commutator)
         worst = max(worst, abs(lhs - rhs))
     return worst
 
 
-def _curl_vs_form_residual(geom: OrbitGeometry, rng, samples: int = 100, h: float = 1e-5) -> float:
+def _curl_vs_form_residual(spec: OrbitSpec, rng, samples: int = 100, h: float = 1e-5) -> float:
     worst = 0.0
     for _ in range(samples):
         pt = _random_point(rng)
 
         def comp(point: ChartPoint, k: int) -> complex:
-            return complex(kahler_potential_at(geom, point)[k])
+            return complex(kahler_potential_at(spec, point)[k])
 
         z = pt.z
         d_x_theta_y = (comp(ChartPoint(pt.chart, z + h), 1) - comp(ChartPoint(pt.chart, z - h), 1)) / (2 * h)
         d_y_theta_x = (comp(ChartPoint(pt.chart, z + 1j * h), 0) - comp(ChartPoint(pt.chart, z - 1j * h), 0)) / (2 * h)
         curl = d_x_theta_y - d_y_theta_x
-        expected = symplectic_form_at(geom, pt, (1.0, 0.0), (0.0, 1.0))
+        expected = symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))
         worst = max(worst, abs(curl - expected))
     return worst
 
@@ -217,14 +213,13 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
     worst_s = 0.0
     for two_j in (1, 2, 3, 4):
         spec = OrbitSpec(two_j)
-        geom = OrbitGeometry(spec)
         basis = build_basis(spec)
         for _ in range(5):
             a = rng.standard_normal(3)
             a /= np.linalg.norm(a)
-            op = prequant_matrix(geom, basis, moment_hamiltonian(spec, a))
-            worst_h = max(worst_h, float(np.linalg.norm(op.matrix - op.matrix.conj().T, 2)))
-            eig = np.sort(np.linalg.eigvalsh(op.matrix))
+            op = prequant_matrix(basis, moment_hamiltonian(spec, a))
+            worst_h = max(worst_h, float(np.linalg.norm(op - op.conj().T, 2)))
+            eig = np.sort(np.linalg.eigvalsh(op))
             expected = np.arange(-spec.j, spec.j + 1.0)
             worst_s = max(worst_s, float(np.max(np.abs(eig - expected))))
     rows["fiber.hermiticity"] = worst_h
@@ -233,9 +228,8 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
     worst = 0.0
     for two_j in (1, 2, 3, 4, 5):
         spec = OrbitSpec(two_j)
-        geom = OrbitGeometry(spec)
         basis = build_basis(spec)
-        ops = [prequant_matrix(geom, basis, moment_hamiltonian(spec, e)).matrix
+        ops = [prequant_matrix(basis, moment_hamiltonian(spec, e))
                for e in np.eye(3)]
         for _ in range(20):
             a = rng.standard_normal(3)
@@ -257,32 +251,30 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
         for _ in range(34):
             g1 = random_su2(rng)
             g2 = random_su2(rng)
-            x1 = quantize_transition(spec, basis, g1).matrix
-            x2 = quantize_transition(spec, basis, g2).matrix
-            x12 = quantize_transition(spec, basis, g1 @ g2).matrix
+            x1 = quantize_transition(basis, g1)
+            x2 = quantize_transition(basis, g2)
+            x12 = quantize_transition(basis, g1 @ g2)
             worst_hom = max(worst_hom, float(np.linalg.norm(x12 - x1 @ x2, 2)))
             worst_uni = max(worst_uni, float(np.linalg.norm(x1.conj().T @ x1 - np.eye(spec.dim), 2)))
     rows["fiber.transition_homomorphism"] = worst_hom
     rows["fiber.transition_unitarity"] = worst_uni
 
     spec = OrbitSpec(2)
-    geom = OrbitGeometry(spec)
     basis = build_basis(spec)
     moment_res = 0.0
     for a in np.eye(3):
-        moment_res = max(moment_res, polarization_residual(geom, basis, moment_hamiltonian(spec, a)))
+        moment_res = max(moment_res, polarization_residual(basis, moment_hamiltonian(spec, a)))
     rows["fiber.polarization_moment"] = moment_res
-    quad_res = polarization_residual(geom, basis, squared_hamiltonian(moment_hamiltonian(spec, [0, 0, 1])))
+    quad_res = polarization_residual(basis, squared_hamiltonian(moment_hamiltonian(spec, [0, 0, 1])))
     rows["fiber.polarization_counterexample_ratio"] = quad_res / max(moment_res, 1e-300)
     return rows
 
 
 def _gauge_context(two_j: int):
     spec = OrbitSpec(two_j)
-    geom = OrbitGeometry(spec)
     basis = build_basis(spec)
-    rep = build_rep(spec, basis)
-    return spec, geom, basis, rep
+    rep = build_rep(basis)
+    return spec, basis, rep
 
 
 def suite_gauge(two_j: int) -> dict[str, float]:
@@ -290,8 +282,8 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     rng = np.random.default_rng(303)
     rows = {}
 
-    spec, geom, basis, rep = _gauge_context(min(two_j, 4) or 2)
-    quad_rep = quadrature_rep(geom, basis)
+    spec, basis, rep = _gauge_context(min(two_j, 4) or 2)
+    quad_rep = quadrature_rep(basis)
     rows["gauge.rep_commutators"] = rep.commutator_residual()
 
     mono = monopole_model(spec, check=False)
@@ -329,12 +321,12 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     worst = 0.0
     for _ in range(10):
         b, v = _sample_state(mono, rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, geom, basis, b, v))
+        worst = max(worst, gauge_residual(mono, basis, b, v))
     for _ in range(10):
         q = rng.uniform(-1, 1, size=2)
         b = BasePoint("flat", q, np.zeros(2))
         v = BaseTangent.of(rng.standard_normal(2))
-        worst = max(worst, gauge_residual(pure, geom, basis, b, v))
+        worst = max(worst, gauge_residual(pure, basis, b, v))
     rows["gauge.transformation_law"] = worst
 
     worst = 0.0
@@ -343,7 +335,7 @@ def suite_gauge(two_j: int) -> dict[str, float]:
             b, v = _sample_state(model, rng)
             f = _random_point(rng)
             xi = rng.standard_normal(2)
-            worst = max(worst, lift_orthogonality_residual(model, geom, b, v, f, xi))
+            worst = max(worst, lift_orthogonality_residual(model, b, v, f, xi))
     rows["gauge.lift_orthogonality"] = worst
 
     b = BasePoint("gauged", np.array([0.3, -0.2]), np.zeros(2))
@@ -376,7 +368,7 @@ def suite_transport(two_j: int) -> dict[str, float]:
     """Transport rows, at two_j clamped to 1..2 (2 for two_j = 0)."""
     rng = np.random.default_rng(404)
     rows = {}
-    spec, geom, basis, rep = _gauge_context(min(two_j, 2) or 2)
+    spec, basis, rep = _gauge_context(min(two_j, 2) or 2)
 
     triv = trivial_model(spec, check=False)
     const = constant_model(spec, check=False)
@@ -424,7 +416,7 @@ def suite_transport(two_j: int) -> dict[str, float]:
                          forced_switches=[(0.25, "south"), (0.75, "north")])
     rows["transport.chart_independence"] = float(np.linalg.norm(plain.unitary - switched.unitary, 2))
 
-    quad = transport(mono, basis, lat, rep=quadrature_rep(geom, basis), steps=300)
+    quad = transport(mono, basis, lat, rep=quadrature_rep(basis), steps=300)
     repd = transport(mono, basis, lat, rep=rep, steps=300)
     rows["transport.source_independence"] = float(np.linalg.norm(quad.unitary - repd.unitary, 2))
 
@@ -437,10 +429,10 @@ def suite_transport(two_j: int) -> dict[str, float]:
     rows["transport.section_constancy"] = section.residual
 
     stored = transport(mono, basis, lat, rep=rep, steps=4000, store=True)
-    base_res = covariant_residual_total_space(mono, geom, basis, lat, stored)
+    base_res = covariant_residual_total_space(mono, basis, lat, stored)
     rows["transport.total_space_residual"] = base_res
     corrupted = covariant_residual_total_space(
-        mono, geom, basis, lat, stored,
+        mono, basis, lat, stored,
         corruption=lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t)))
     rows["transport.corruption_sensitivity"] = corrupted / max(base_res, 1e-300)
     return rows

@@ -31,7 +31,6 @@ from fiberquant.numerics import matrix_exp
 from fiberquant.orbit import (
     Chart,
     ChartPoint,
-    OrbitGeometry,
     OrbitSpec,
     moment_hamiltonian,
     squared_hamiltonian,
@@ -54,9 +53,8 @@ def fiber_ctx(two_j: int):
         basis = build_basis(spec)
         _CACHE[two_j] = {
             "spec": spec,
-            "geom": OrbitGeometry(spec),
             "basis": basis,
-            "rep": build_rep(spec, basis),
+            "rep": build_rep(basis),
         }
     return _CACHE[two_j]
 
@@ -103,8 +101,8 @@ def test_criterion_02_spectrum_no_half_form():
         for _ in range(10):
             a = rng.standard_normal(3)
             a /= np.linalg.norm(a)
-            op = prequant_matrix(ctx["geom"], ctx["basis"], moment_hamiltonian(ctx["spec"], a))
-            eig = np.sort(np.linalg.eigvalsh(op.matrix))
+            op = prequant_matrix(ctx["basis"], moment_hamiltonian(ctx["spec"], a))
+            eig = np.sort(np.linalg.eigvalsh(op))
             worst = max(worst, float(np.max(np.abs(eig - np.arange(-ctx["spec"].j, ctx["spec"].j + 1)))))
     verdict(2, worst <= 1e-8,
             f"spectra of unit moment operators are {{-j..j}}: max dev {worst:.2e} (tol 1e-8)")
@@ -117,7 +115,7 @@ def test_criterion_03_dirac_condition():
     for two_j in (1, 2, 3, 4, 5):
         ctx = fiber_ctx(two_j)
         ops = np.array([
-            prequant_matrix(ctx["geom"], ctx["basis"], moment_hamiltonian(ctx["spec"], e)).matrix
+            prequant_matrix(ctx["basis"], moment_hamiltonian(ctx["spec"], e))
             for e in np.eye(3)
         ])
         for _ in range(20):
@@ -148,7 +146,7 @@ def test_criterion_04_lift_orthogonality():
             b, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
             f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
             xi = rng.standard_normal(2)
-            worst = max(worst, lift_orthogonality_residual(model, ctx["geom"], b, v, f, xi))
+            worst = max(worst, lift_orthogonality_residual(model, b, v, f, xi))
     verdict(4, worst <= 1e-8,
             f"horizontal-lift orthogonality over 100 samples: residual {worst:.2e} (tol 1e-8)")
 
@@ -159,12 +157,12 @@ def test_criterion_05_polarization_preservation():
     moment_worst = 0.0
     for _ in range(10):
         w = moment_hamiltonian(ctx["spec"], rng.standard_normal(3))
-        moment_worst = max(moment_worst, polarization_residual(ctx["geom"], ctx["basis"], w))
+        moment_worst = max(moment_worst, polarization_residual(ctx["basis"], w))
     for e in np.eye(3):
         moment_worst = max(moment_worst,
-                           polarization_residual(ctx["geom"], ctx["basis"],
+                           polarization_residual(ctx["basis"],
                                                  moment_hamiltonian(ctx["spec"], e)))
-    quad = polarization_residual(ctx["geom"], ctx["basis"],
+    quad = polarization_residual(ctx["basis"],
                                  squared_hamiltonian(moment_hamiltonian(ctx["spec"], [0, 0, 1])))
     ok = moment_worst <= 1e-8 and quad >= 1e3 * max(moment_worst, 1e-300) and quad >= 1e3 * 1e-8
     verdict(5, ok,
@@ -180,10 +178,10 @@ def test_criterion_06_gauge_law():
     worst = 0.0
     for _ in range(25):
         b, v = monopole_sample(rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, ctx["geom"], ctx["basis"], b, v))
+        worst = max(worst, gauge_residual(mono, ctx["basis"], b, v))
     for _ in range(25):
         b, v = plane_sample(rng, chart="flat")
-        worst = max(worst, gauge_residual(pure, ctx["geom"], ctx["basis"], b, v))
+        worst = max(worst, gauge_residual(pure, ctx["basis"], b, v))
     verdict(6, worst <= 1e-6,
             f"gauge transformation law over 50 overlap samples: residual {worst:.2e} (tol 1e-6)")
 
@@ -198,7 +196,7 @@ def test_criterion_07_connection_equivalence():
         for model in (mono, const):
             for _ in range(13):
                 b, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
-                a_q = connection_rep(model, quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
+                a_q = connection_rep(model, quadrature_rep(ctx["basis"]), b, v)
                 a_r = connection_rep(model, ctx["rep"], b, v)
                 worst = max(worst, float(np.linalg.norm(a_q - a_r, 2)))
     verdict(7, worst <= 1e-8,
@@ -252,9 +250,9 @@ def test_criterion_10_total_space_reconstruction():
     ]
     for model, path in cases:
         stored = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=10000, store=True)
-        base = covariant_residual_total_space(model, ctx["geom"], ctx["basis"], path, stored)
+        base = covariant_residual_total_space(model, ctx["basis"], path, stored)
         bad = covariant_residual_total_space(
-            model, ctx["geom"], ctx["basis"], path, stored,
+            model, ctx["basis"], path, stored,
             corruption=lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t)))
         worst = max(worst, base)
         ratios.append(bad / max(base, 1e-300))
@@ -288,9 +286,9 @@ def test_criterion_12_representation_property():
         ctx = fiber_ctx(two_j)
         for _ in range(25):
             g1, g2 = random_su2(rng), random_su2(rng)
-            x1 = quantize_transition(ctx["spec"], ctx["basis"], g1).matrix
-            x2 = quantize_transition(ctx["spec"], ctx["basis"], g2).matrix
-            x12 = quantize_transition(ctx["spec"], ctx["basis"], g1 @ g2).matrix
+            x1 = quantize_transition(ctx["basis"], g1)
+            x2 = quantize_transition(ctx["basis"], g2)
+            x12 = quantize_transition(ctx["basis"], g1 @ g2)
             worst = max(worst, float(np.linalg.norm(x12 - x1 @ x2, 2)))
     verdict(12, worst <= 1e-9,
             f"quantized transitions form a true representation: {worst:.2e} "

@@ -1,6 +1,12 @@
+import importlib
+import inspect
+import pkgutil
+import warnings
+
 import numpy as np
 import pytest
 
+import fiberquant
 from fiberquant.errors import AccuracyFailure, InvalidArgument
 from fiberquant.fiberq import (
     build_basis,
@@ -15,7 +21,6 @@ from fiberquant.fiberq import (
 from fiberquant.numerics import sphere_rule
 from fiberquant.orbit import (
     FiberHamiltonian,
-    OrbitGeometry,
     OrbitSpec,
     moment_hamiltonian,
     squared_hamiltonian,
@@ -60,9 +65,11 @@ class TestBasis:
             build_basis(OrbitSpec(8), sphere_rule(2, 3))
 
     def test_overflowing_spin_rejected(self):
-        # z**160 overflows at the outer nodes, so the Gram matrix holds NaN.
-        with np.errstate(all="ignore"), pytest.raises(AccuracyFailure):
-            build_basis(OrbitSpec(160))
+        # z**160 overflows at the outer nodes: the error names it, and numpy warns of nothing.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AccuracyFailure, match=r"overflow .* two_j = 160"):
+                build_basis(OrbitSpec(160))
 
     def test_default_rule_shared_and_read_only(self):
         rule = default_rule(OrbitSpec(3))
@@ -89,62 +96,57 @@ class TestPrequant:
     def test_constant_hamiltonian_is_scalar(self):
         spec = OrbitSpec(2)
         basis = build_basis(spec)
-        geom = OrbitGeometry(spec)
         w = FiberHamiltonian(value=lambda pt: 2.5, chart_gradient=lambda pt: np.zeros(2))
-        op = prequant_matrix(geom, basis, w)
-        assert np.linalg.norm(op.matrix - 2.5 * np.eye(spec.dim), 2) < 1e-12
+        op = prequant_matrix(basis, w)
+        assert np.linalg.norm(op - 2.5 * np.eye(spec.dim), 2) < 1e-12
 
     def test_axis_three_diagonal(self):
         spec = OrbitSpec(1)
-        op = prequant_matrix(OrbitGeometry(spec), build_basis(spec), moment_hamiltonian(spec, [0, 0, 1]))
-        assert np.linalg.norm(op.matrix - np.diag([0.5, -0.5]), 2) < 1e-12
+        op = prequant_matrix(build_basis(spec), moment_hamiltonian(spec, [0, 0, 1]))
+        assert np.linalg.norm(op - np.diag([0.5, -0.5]), 2) < 1e-12
 
     def test_axis_one_offdiagonal(self):
         spec = OrbitSpec(1)
-        op = prequant_matrix(OrbitGeometry(spec), build_basis(spec), moment_hamiltonian(spec, [1, 0, 0]))
-        assert np.linalg.norm(op.matrix - 0.5 * np.array([[0, 1], [1, 0]]), 2) < 1e-12
+        op = prequant_matrix(build_basis(spec), moment_hamiltonian(spec, [1, 0, 0]))
+        assert np.linalg.norm(op - 0.5 * np.array([[0, 1], [1, 0]]), 2) < 1e-12
 
     def test_ladder_commutator_oracle(self):
         # the axis-1 operator is pinned by its commutator with the axis-3 one
         spec = OrbitSpec(3)
-        geom = OrbitGeometry(spec)
         basis = build_basis(spec)
-        o1 = prequant_matrix(geom, basis, moment_hamiltonian(spec, [1, 0, 0])).matrix
-        o2 = prequant_matrix(geom, basis, moment_hamiltonian(spec, [0, 1, 0])).matrix
-        o3 = prequant_matrix(geom, basis, moment_hamiltonian(spec, [0, 0, 1])).matrix
+        o1 = prequant_matrix(basis, moment_hamiltonian(spec, [1, 0, 0]))
+        o2 = prequant_matrix(basis, moment_hamiltonian(spec, [0, 1, 0]))
+        o3 = prequant_matrix(basis, moment_hamiltonian(spec, [0, 0, 1]))
         assert np.linalg.norm((o3 @ o1 - o1 @ o3) - (-1j) * o2, 2) < 1e-10
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
     def test_spectrum_is_unshifted(self, two_j):
         spec = OrbitSpec(two_j)
-        geom = OrbitGeometry(spec)
         basis = build_basis(spec)
         rng = np.random.default_rng(20 + two_j)
         for _ in range(5):
             a = rng.standard_normal(3)
             a /= np.linalg.norm(a)
-            op = prequant_matrix(geom, basis, moment_hamiltonian(spec, a))
-            eig = np.sort(np.linalg.eigvalsh(op.matrix))
+            op = prequant_matrix(basis, moment_hamiltonian(spec, a))
+            eig = np.sort(np.linalg.eigvalsh(op))
             assert np.max(np.abs(eig - np.arange(-spec.j, spec.j + 1))) <= 1e-8
 
     def test_hermiticity_random(self):
         rng = np.random.default_rng(21)
         for two_j in (1, 3, 5):
             spec = OrbitSpec(two_j)
-            geom = OrbitGeometry(spec)
             basis = build_basis(spec)
             for _ in range(5):
-                op = prequant_matrix(geom, basis, moment_hamiltonian(spec, rng.standard_normal(3)))
-                assert np.linalg.norm(op.matrix - op.matrix.conj().T, 2) <= 1e-9
+                op = prequant_matrix(basis, moment_hamiltonian(spec, rng.standard_normal(3)))
+                assert np.linalg.norm(op - op.conj().T, 2) <= 1e-9
 
     def test_dirac_condition_global_sign(self):
         rng = np.random.default_rng(22)
         for two_j in (1, 2, 3, 4, 5):
             spec = OrbitSpec(two_j)
-            geom = OrbitGeometry(spec)
             basis = build_basis(spec)
             ops = np.array([
-                prequant_matrix(geom, basis, moment_hamiltonian(spec, e)).matrix for e in np.eye(3)
+                prequant_matrix(basis, moment_hamiltonian(spec, e)) for e in np.eye(3)
             ])
             for _ in range(20):
                 a = rng.standard_normal(3)
@@ -159,58 +161,46 @@ class TestPolarization:
     def test_constant_has_no_leakage(self):
         spec = OrbitSpec(2)
         w = FiberHamiltonian(value=lambda pt: 1.0, chart_gradient=lambda pt: np.zeros(2))
-        assert polarization_residual(OrbitGeometry(spec), build_basis(spec), w) <= 1e-12
+        assert polarization_residual(build_basis(spec), w) <= 1e-12
 
     def test_moment_functions_preserve_polarization(self):
         spec = OrbitSpec(2)
-        geom = OrbitGeometry(spec)
         basis = build_basis(spec)
         rng = np.random.default_rng(23)
         for _ in range(5):
             w = moment_hamiltonian(spec, rng.standard_normal(3))
-            assert polarization_residual(geom, basis, w) <= 1e-8
+            assert polarization_residual(basis, w) <= 1e-8
 
     def test_quadratic_counterexample_leaks(self):
         spec = OrbitSpec(2)
-        geom = OrbitGeometry(spec)
         basis = build_basis(spec)
-        moment = max(polarization_residual(geom, basis, moment_hamiltonian(spec, e)) for e in np.eye(3))
-        quad = polarization_residual(geom, basis, squared_hamiltonian(moment_hamiltonian(spec, [0, 0, 1])))
+        moment = max(polarization_residual(basis, moment_hamiltonian(spec, e)) for e in np.eye(3))
+        quad = polarization_residual(basis, squared_hamiltonian(moment_hamiltonian(spec, [0, 0, 1])))
         assert quad >= 1e3 * moment
         assert quad >= 1e3 * 1e-8
-
-
-class TestFiberSection:
-    def test_coefficient_vector_invariant(self):
-        from fiberquant.fiberq import FiberSection
-
-        section = FiberSection(coefficients=np.array([1.0, 0.5j, -0.2]))
-        assert section.coefficients.shape == (3,)
-        with pytest.raises(InvalidArgument):
-            FiberSection(coefficients=np.ones((2, 2)))
 
 
 class TestQuantizedTransitions:
     def test_identity(self):
         spec = OrbitSpec(3)
         basis = build_basis(spec)
-        out = quantize_transition(spec, basis, np.eye(2, dtype=complex))
-        assert np.linalg.norm(out.matrix - np.eye(spec.dim), 2) < 1e-14
+        out = quantize_transition(basis, np.eye(2, dtype=complex))
+        assert np.linalg.norm(out - np.eye(spec.dim), 2) < 1e-14
 
     def test_diagonal_one_parameter_phases(self):
         spec = OrbitSpec(3)
         basis = build_basis(spec)
         t = 0.83
         g = np.diag([np.exp(1j * t / 2), np.exp(-1j * t / 2)])
-        out = quantize_transition(spec, basis, g)
+        out = quantize_transition(basis, g)
         m = np.arange(spec.j, -spec.j - 1.0, -1.0)
-        assert np.linalg.norm(out.matrix - np.diag(np.exp(1j * m * t)), 2) < 1e-12
+        assert np.linalg.norm(out - np.diag(np.exp(1j * m * t)), 2) < 1e-12
 
     def test_quarter_turn_antidiagonal(self):
         spec = OrbitSpec(1)
         basis = build_basis(spec)
-        out = quantize_transition(spec, basis, np.array([[0, 1], [-1, 0]], dtype=complex))
-        assert np.allclose(out.matrix, np.array([[0, -1], [1, 0]]), atol=1e-14)
+        out = quantize_transition(basis, np.array([[0, 1], [-1, 0]], dtype=complex))
+        assert np.allclose(out, np.array([[0, -1], [1, 0]]), atol=1e-14)
 
     @pytest.mark.parametrize("two_j", [1, 2, 3])
     def test_homomorphism(self, two_j):
@@ -219,9 +209,9 @@ class TestQuantizedTransitions:
         rng = np.random.default_rng(24 + two_j)
         for _ in range(34):
             g1, g2 = random_su2(rng), random_su2(rng)
-            x1 = quantize_transition(spec, basis, g1).matrix
-            x2 = quantize_transition(spec, basis, g2).matrix
-            x12 = quantize_transition(spec, basis, g1 @ g2).matrix
+            x1 = quantize_transition(basis, g1)
+            x2 = quantize_transition(basis, g2)
+            x12 = quantize_transition(basis, g1 @ g2)
             assert np.linalg.norm(x12 - x1 @ x2, 2) <= 1e-9
 
     def test_unitarity(self):
@@ -229,7 +219,7 @@ class TestQuantizedTransitions:
         basis = build_basis(spec)
         rng = np.random.default_rng(25)
         for _ in range(20):
-            x = quantize_transition(spec, basis, random_su2(rng)).matrix
+            x = quantize_transition(basis, random_su2(rng))
             assert np.linalg.norm(x.conj().T @ x - np.eye(spec.dim), 2) <= 1e-9
 
     def test_quadrature_projection_oracle(self):
@@ -247,21 +237,21 @@ class TestQuantizedTransitions:
         automorphy = (np.conj(b) * z + a) ** spec.two_j
         transformed = automorphy[None, :] * basis.eval(moebius)
         oracle = (vals.conj() * wts[None, :]) @ transformed.T
-        direct = quantize_transition(spec, basis, g).matrix
+        direct = quantize_transition(basis, g)
         assert np.linalg.norm(direct - oracle, 2) < 1e-10
 
     def test_non_unimodular_rejected(self):
         spec = OrbitSpec(1)
         basis = build_basis(spec)
         with pytest.raises(InvalidArgument):
-            quantize_transition(spec, basis, 1.1 * np.eye(2, dtype=complex))
+            quantize_transition(basis, 1.1 * np.eye(2, dtype=complex))
 
     @pytest.mark.parametrize("g", [np.full((2, 2), np.nan, dtype=complex),
                                    np.array([[np.nan, 0], [0, 1]], dtype=complex)])
     def test_non_finite_group_element_rejected(self, g):
         spec = OrbitSpec(1)
         with pytest.raises(InvalidArgument):
-            quantize_transition(spec, build_basis(spec), g)
+            quantize_transition(build_basis(spec), g)
 
     def test_one_parameter_generators_match_spin_matrices(self):
         # derivative of the transitions along the generator subgroups
@@ -273,7 +263,32 @@ class TestQuantizedTransitions:
         for axis in range(3):
             unit = np.zeros(3)
             unit[axis] = 1.0
-            plus = quantize_transition(spec, basis, su2_exp(h * unit)).matrix
-            minus = quantize_transition(spec, basis, su2_exp(-h * unit)).matrix
+            plus = quantize_transition(basis, su2_exp(h * unit))
+            minus = quantize_transition(basis, su2_exp(-h * unit))
             deriv = (plus - minus) / (2 * h)
             assert np.linalg.norm(deriv - expected[axis], 2) < 1e-9
+
+
+class TestOneFiberHandle:
+    """The basis alone carries the spin and the quadrature rule of the fiber."""
+
+    @staticmethod
+    def public_functions():
+        for info in pkgutil.iter_modules(fiberquant.__path__):
+            if info.name == "__main__":
+                continue
+            module = importlib.import_module(f"fiberquant.{info.name}")
+            for name, fn in inspect.getmembers(module, inspect.isfunction):
+                if not name.startswith("_") and fn.__module__ == module.__name__:
+                    yield f"{module.__name__}.{name}", inspect.signature(fn).parameters
+
+    def test_no_signature_takes_basis_with_spin_or_rule(self):
+        signatures = dict(self.public_functions())
+        assert "fiberquant.fiberq.prequant_matrix" in signatures
+        mixed = [name for name, params in signatures.items()
+                 if "basis" in params and {"spec", "geom", "rule"} & set(params)]
+        assert mixed == []
+
+    def test_basis_keeps_its_rule(self):
+        rule = sphere_rule(30, 41)
+        assert build_basis(OrbitSpec(3), rule).rule is rule

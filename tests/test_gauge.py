@@ -3,7 +3,7 @@ import pytest
 
 from fiberquant import gauge
 from fiberquant.errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
-from fiberquant.fiberq import PrequantOperator, build_basis, prequant_matrix
+from fiberquant.fiberq import build_basis, prequant_matrix
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
@@ -26,7 +26,6 @@ from fiberquant.gauge import (
 from fiberquant.orbit import (
     Chart,
     ChartPoint,
-    OrbitGeometry,
     OrbitSpec,
     moment_hamiltonian,
     squared_hamiltonian,
@@ -39,9 +38,8 @@ def ctx():
     basis = build_basis(spec)
     return {
         "spec": spec,
-        "geom": OrbitGeometry(spec),
         "basis": basis,
-        "rep": build_rep(spec, basis),
+        "rep": build_rep(basis),
         "mono": monopole_model(spec, check=False),
         "const": constant_model(spec, check=False),
         "pure": pure_gauge_model(spec, check=False),
@@ -101,7 +99,7 @@ class TestRepresentation:
     @pytest.mark.parametrize("two_j", [1, 3, 4])
     def test_other_spins(self, two_j):
         spec = OrbitSpec(two_j)
-        rep = build_rep(spec, build_basis(spec))
+        rep = build_rep(build_basis(spec))
         assert rep.commutator_residual() <= 1e-9
 
 
@@ -109,7 +107,7 @@ class TestConnectionEquivalence:
     def test_zero_potential_vanishes(self, ctx):
         b = BasePoint("main", np.array([0.1, 0.2]), np.array([1.0, 0.0]))
         v = BaseTangent.of([1.0, 2.0], [0.5, 0.5])
-        a_q = connection_rep(ctx["triv"], quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
+        a_q = connection_rep(ctx["triv"], quadrature_rep(ctx["basis"]), b, v)
         a_r = connection_rep(ctx["triv"], ctx["rep"], b, v)
         assert np.linalg.norm(a_q, 2) < 1e-12
         assert np.linalg.norm(a_r, 2) < 1e-12
@@ -123,7 +121,7 @@ class TestConnectionEquivalence:
     def test_vertical_tangent_gives_zero_matrix(self, ctx):
         b = BasePoint("main", np.array([0.3, 0.1]), np.array([1.0, 2.0]))
         v = BaseTangent.of([0.0, 0.0], [0.7, -0.4])
-        a_q = connection_rep(ctx["const"], quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
+        a_q = connection_rep(ctx["const"], quadrature_rep(ctx["basis"]), b, v)
         assert np.linalg.norm(a_q, 2) < 1e-14
         assert np.linalg.norm(connection_rep(ctx["const"], ctx["rep"], b, v), 2) == 0.0
 
@@ -149,7 +147,7 @@ class TestConnectionEquivalence:
                 else:
                     b = BasePoint("main", rng.standard_normal(2), rng.standard_normal(2))
                     v = BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2))
-                a_q = connection_rep(model, quadrature_rep(ctx["geom"], ctx["basis"]), b, v)
+                a_q = connection_rep(model, quadrature_rep(ctx["basis"]), b, v)
                 a_r = connection_rep(model, ctx["rep"], b, v)
                 worst = max(worst, np.linalg.norm(a_q - a_r, 2))
         assert worst <= 1e-8
@@ -191,38 +189,37 @@ class TestQuadratureBatch:
     @pytest.mark.parametrize("builder", [monopole_model, constant_model, pure_gauge_model])
     def test_batch_equals_quadrature_of_orbit_function(self, builder, two_j):
         spec = OrbitSpec(two_j)
-        geom, basis = OrbitGeometry(spec), build_basis(spec)
+        basis = build_basis(spec)
         model = builder(spec, check=False)
         rng = np.random.default_rng(40 + two_j)
         chart, q, dq, p = self.states(model, rng, 24)
-        batch = connection_rep_batch(model, quadrature_rep(geom, basis), chart, q, dq)
+        batch = connection_rep_batch(model, quadrature_rep(basis), chart, q, dq)
         assert batch.shape == (24, spec.dim, spec.dim)
         for k in range(24):
             b = BasePoint(chart, q[k], p[k, 0])
             v = BaseTangent.of(dq[k], p[k, 1])
-            oracle = 1j * prequant_matrix(geom, basis, orbit_function(model, b, v)).matrix
+            oracle = 1j * prequant_matrix(basis, orbit_function(model, b, v))
             assert np.linalg.norm(batch[k] - oracle, 2) <= 1e-12
-            single = connection_rep(model, quadrature_rep(geom, basis), b, v)
+            single = connection_rep(model, quadrature_rep(basis), b, v)
             assert np.linalg.norm(single - oracle, 2) <= 1e-12
 
     def test_non_anti_hermitian_value_rejected(self, ctx, monkeypatch):
-        def skewed(geom, basis, w, rule=None):
-            op = prequant_matrix(geom, basis, w, rule)
-            return PrequantOperator(matrix=op.matrix + 1e-6j * np.eye(basis.spec.dim), hamiltonian=w)
+        def skewed(basis, w):
+            return prequant_matrix(basis, w) + 1e-6j * np.eye(basis.spec.dim)
 
         monkeypatch.setattr(gauge, "prequant_matrix", skewed)
         with pytest.raises(AccuracyFailure):
-            quadrature_rep(ctx["geom"], ctx["basis"])
+            quadrature_rep(ctx["basis"])
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 4])
     def test_generators_form_the_derived_representation(self, two_j):
         # i O(mu_a) represents su(2) (Kostant-Souriau) and equals rho(tau_a)
         spec = OrbitSpec(two_j)
         basis = build_basis(spec)
-        quad = quadrature_rep(OrbitGeometry(spec), basis)
+        quad = quadrature_rep(basis)
         assert quad.matrices.shape == (3, spec.dim, spec.dim)
         assert quad.commutator_residual() <= 1e-12
-        assert np.max(np.linalg.norm(quad.matrices - build_rep(spec, basis).matrices, 2, axis=(1, 2))) <= 1e-8
+        assert np.max(np.linalg.norm(quad.matrices - build_rep(basis).matrices, 2, axis=(1, 2))) <= 1e-8
 
 
 class TestPureGaugePotential:
@@ -254,25 +251,25 @@ class TestGaugeLaw:
         for _ in range(5):
             b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
             v = BaseTangent.of(rng.standard_normal(2))
-            assert gauge_residual(model, ctx["geom"], ctx["basis"], b, v) <= 1e-10
+            assert gauge_residual(model, ctx["basis"], b, v) <= 1e-10
 
     def test_monopole_overlap(self, ctx):
         rng = np.random.default_rng(34)
         for _ in range(10):
             b, v = monopole_state(rng, overlap=True)
-            assert gauge_residual(ctx["mono"], ctx["geom"], ctx["basis"], b, v) <= 1e-6
+            assert gauge_residual(ctx["mono"], ctx["basis"], b, v) <= 1e-6
 
     def test_pure_gauge(self, ctx):
         rng = np.random.default_rng(35)
         for _ in range(10):
             b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
             v = BaseTangent.of(rng.standard_normal(2))
-            assert gauge_residual(ctx["pure"], ctx["geom"], ctx["basis"], b, v) <= 1e-6
+            assert gauge_residual(ctx["pure"], ctx["basis"], b, v) <= 1e-6
 
     def test_point_outside_overlap_rejected(self, ctx):
         b = BasePoint("north", np.array([0.05, 0.0]), np.zeros(2))  # near north pole
         with pytest.raises(ChartError):
-            gauge_residual(ctx["mono"], ctx["geom"], ctx["basis"], b, BaseTangent.of([1.0, 0.0]))
+            gauge_residual(ctx["mono"], ctx["basis"], b, BaseTangent.of([1.0, 0.0]))
 
     def test_data_consistency(self, ctx):
         assert verify_gauge_data(ctx["mono"], np.random.default_rng(36)) <= 1e-8
@@ -283,7 +280,7 @@ class TestHorizontalLift:
     def test_zero_potential_flat_lift(self, ctx):
         b = BasePoint("main", np.zeros(2), np.zeros(2))
         v = BaseTangent.of([1.0, -0.5])
-        _, fiber = horizontal_lift(ctx["triv"], ctx["geom"], b, v, ChartPoint(Chart.NORTH, 0.4j))
+        _, fiber = horizontal_lift(ctx["triv"], b, v, ChartPoint(Chart.NORTH, 0.4j))
         assert np.allclose(fiber, 0.0)
 
     def test_equator_orthogonality(self, ctx):
@@ -294,7 +291,7 @@ class TestHorizontalLift:
         for _ in range(100):
             f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
             xi = rng.standard_normal(2)
-            res = lift_orthogonality_residual(ctx["mono"], ctx["geom"], b, v, f, xi)
+            res = lift_orthogonality_residual(ctx["mono"], b, v, f, xi)
             assert res <= 1e-8
 
     def test_random_states_both_models(self, ctx):
@@ -308,7 +305,7 @@ class TestHorizontalLift:
                     v = BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2))
                 f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
                 xi = rng.standard_normal(2)
-                assert lift_orthogonality_residual(model, ctx["geom"], b, v, f, xi) <= 1e-8
+                assert lift_orthogonality_residual(model, b, v, f, xi) <= 1e-8
 
 
 class TestCurvature:
@@ -359,8 +356,8 @@ class TestModelConstruction:
     def test_assume_check_rejects_quadratic(self, ctx):
         quad = squared_hamiltonian(moment_hamiltonian(ctx["spec"], [0, 0, 1]))
         with pytest.raises(ConfigurationError):
-            assume_check(ctx["geom"], ctx["basis"], [quad])
+            assume_check(ctx["basis"], [quad])
 
     def test_assume_check_accepts_moments(self, ctx):
         hams = [moment_hamiltonian(ctx["spec"], e) for e in np.eye(3)]
-        assert assume_check(ctx["geom"], ctx["basis"], hams) <= 1e-6
+        assert assume_check(ctx["basis"], hams) <= 1e-6

@@ -7,7 +7,6 @@ from fiberquant.orbit import (
     Chart,
     ChartPoint,
     FiberHamiltonian,
-    OrbitGeometry,
     OrbitSpec,
     chart_transition,
     embed_gradient,
@@ -92,81 +91,78 @@ class TestChartTransition:
 
 class TestSymplecticForm:
     def test_antisymmetry(self):
-        geom = OrbitGeometry(OrbitSpec(3))
+        spec = OrbitSpec(3)
         u = (0.4, -1.1)
-        assert symplectic_form_at(geom, north(0.2 + 0.1j), u, u) == 0.0
+        assert symplectic_form_at(spec, north(0.2 + 0.1j), u, u) == 0.0
 
     def test_total_area_oracle(self):
         # area must be 4*pi*j so that area / (2*pi) counts the basis states
         for two_j in (1, 2, 4):
             spec = OrbitSpec(two_j)
-            geom = OrbitGeometry(spec)
-            area = symplectic_area(geom, default_rule(spec))
+            area = symplectic_area(spec, default_rule(spec))
             assert area == pytest.approx(4 * np.pi * spec.j, abs=1e-10)
 
     def test_chart_center_value_consistent_with_area(self):
         # coefficient at z = 0 is forced to 4j by the total-area normalization
-        geom = OrbitGeometry(OrbitSpec(2))
-        val = symplectic_form_at(geom, north(0), (1, 0), (0, 1))
-        assert val == pytest.approx(4.0 * geom.spec.j)
+        spec = OrbitSpec(2)
+        val = symplectic_form_at(spec, north(0), (1, 0), (0, 1))
+        assert val == pytest.approx(4.0 * spec.j)
 
 
 class TestKahlerPotential:
     def test_vanishes_at_center(self):
-        geom = OrbitGeometry(OrbitSpec(2))
-        assert np.allclose(kahler_potential_at(geom, north(0)), 0.0)
+        spec = OrbitSpec(2)
+        assert np.allclose(kahler_potential_at(spec, north(0)), 0.0)
 
     def test_zero_antiholomorphic_part(self):
-        geom = OrbitGeometry(OrbitSpec(3))
+        spec = OrbitSpec(3)
         rng = np.random.default_rng(10)
         for pt in random_points(rng, 20):
-            theta = kahler_potential_at(geom, pt)
+            theta = kahler_potential_at(spec, pt)
             # pairing with d/d(conj z) = (d/dx + i d/dy)/2 vanishes
             assert abs(theta[0] + 1j * theta[1]) < 1e-14
 
     def test_stencil_curl_reproduces_form(self):
-        geom = OrbitGeometry(OrbitSpec(2))
+        spec = OrbitSpec(2)
         rng = np.random.default_rng(11)
         h = 1e-5
         for pt in random_points(rng, 100):
             z = pt.z
-            dy_theta_x = (kahler_potential_at(geom, north(z + 1j * h))[0]
-                          - kahler_potential_at(geom, north(z - 1j * h))[0]) / (2 * h)
-            dx_theta_y = (kahler_potential_at(geom, north(z + h))[1]
-                          - kahler_potential_at(geom, north(z - h))[1]) / (2 * h)
+            dy_theta_x = (kahler_potential_at(spec, north(z + 1j * h))[0]
+                          - kahler_potential_at(spec, north(z - 1j * h))[0]) / (2 * h)
+            dx_theta_y = (kahler_potential_at(spec, north(z + h))[1]
+                          - kahler_potential_at(spec, north(z - h))[1]) / (2 * h)
             curl = dx_theta_y - dy_theta_x
-            expected = symplectic_form_at(geom, pt, (1, 0), (0, 1))
+            expected = symplectic_form_at(spec, pt, (1, 0), (0, 1))
             assert abs(curl - expected) < 1e-6
 
 
 class TestHamiltonianField:
     def test_constant_function_gives_zero_field(self):
-        geom = OrbitGeometry(OrbitSpec(2))
+        spec = OrbitSpec(2)
         w = FiberHamiltonian.from_value(lambda pt: 3.25)
-        assert hamiltonian_field(geom, w, north(0.4 - 0.2j)) == pytest.approx([0.0, 0.0], abs=1e-9)
+        assert hamiltonian_field(spec, w, north(0.4 - 0.2j)) == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_axis_rotation_flow_is_circular(self):
         spec = OrbitSpec(2)
-        geom = OrbitGeometry(spec)
         w = moment_hamiltonian(spec, [0, 0, 1])
         rng = np.random.default_rng(12)
         for pt in random_points(rng, 25):
-            field = hamiltonian_field(geom, w, pt)
+            field = hamiltonian_field(spec, w, pt)
             radial = np.array([pt.z.real, pt.z.imag])
             # tangent to circles |z| = const
             assert abs(np.dot(field, radial)) < 1e-10 * max(1.0, np.dot(radial, radial))
 
     def test_defining_relation(self):
         spec = OrbitSpec(3)
-        geom = OrbitGeometry(spec)
         rng = np.random.default_rng(13)
         for _ in range(100):
             a = rng.standard_normal(3)
             w = moment_hamiltonian(spec, a)
             pt = north(complex(rng.normal(), rng.normal()))
             xi = rng.standard_normal(2)
-            field = hamiltonian_field(geom, w, pt)
-            lhs = symplectic_form_at(geom, pt, field, xi)
+            field = hamiltonian_field(spec, w, pt)
+            lhs = symplectic_form_at(spec, pt, field, xi)
             assert abs(lhs + np.dot(w.chart_gradient(pt), xi)) <= 1e-10
 
 
@@ -210,35 +206,31 @@ class TestMomentHamiltonian:
 class TestPoissonBracket:
     def test_self_bracket_vanishes(self):
         spec = OrbitSpec(2)
-        geom = OrbitGeometry(spec)
         w = moment_hamiltonian(spec, [0.3, -0.7, 1.1])
-        assert poisson_bracket(geom, w, w, north(0.2 + 0.4j)) == pytest.approx(0.0, abs=1e-12)
+        assert poisson_bracket(spec, w, w, north(0.2 + 0.4j)) == pytest.approx(0.0, abs=1e-12)
 
     def test_north_pole_value(self):
         # {H_e1, H_e2} at (0, 0, j) equals the frozen global sign times j
         spec = OrbitSpec(2)
-        geom = OrbitGeometry(spec)
         w1 = moment_hamiltonian(spec, [1, 0, 0])
         w2 = moment_hamiltonian(spec, [0, 1, 0])
-        assert poisson_bracket(geom, w1, w2, north(0)) == pytest.approx(spec.j, abs=1e-12)
+        assert poisson_bracket(spec, w1, w2, north(0)) == pytest.approx(spec.j, abs=1e-12)
 
     def test_global_sign_across_spins(self):
         rng = np.random.default_rng(17)
         for two_j in (1, 2, 3, 4):
             spec = OrbitSpec(two_j)
-            geom = OrbitGeometry(spec)
             for _ in range(25):
                 a = rng.standard_normal(3)
                 b = rng.standard_normal(3)
                 pt = north(complex(rng.normal(), rng.normal()))
-                lhs = poisson_bracket(geom, moment_hamiltonian(spec, a),
+                lhs = poisson_bracket(spec, moment_hamiltonian(spec, a),
                                       moment_hamiltonian(spec, b), pt)
                 rhs = moment_hamiltonian(spec, np.cross(a, b)).value(pt)
                 assert abs(lhs - rhs) <= 1e-9
 
     def test_jacobi_identity(self):
         spec = OrbitSpec(2)
-        geom = OrbitGeometry(spec)
         rng = np.random.default_rng(18)
         for _ in range(50):
             dirs = rng.standard_normal((3, 3))
@@ -246,7 +238,7 @@ class TestPoissonBracket:
             total = 0.0
             for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
                 inner = moment_hamiltonian(spec, np.cross(dirs[j], dirs[k]))
-                total += poisson_bracket(geom, moment_hamiltonian(spec, dirs[i]), inner, pt)
+                total += poisson_bracket(spec, moment_hamiltonian(spec, dirs[i]), inner, pt)
             assert abs(total) <= 1e-9
 
 
@@ -263,24 +255,23 @@ class TestArrayChartPoints:
     """Every orbit kernel applied to an array of chart points equals the scalar loop."""
 
     @staticmethod
-    def kernels(geom):
-        spec = geom.spec
+    def kernels(spec):
         moment = moment_hamiltonian(spec, [0.3, -1.1, 0.7])
         squared = squared_hamiltonian(moment)
         wrapped = FiberHamiltonian.from_value(moment.value)
         return {
             "embed_point": lambda pt: embed_point(spec, pt),
             "embed_gradient": lambda pt: embed_gradient(spec, pt),
-            "hamiltonian_field": lambda pt: hamiltonian_field(geom, moment, pt),
-            "hamiltonian_field_complex": lambda pt: hamiltonian_field_complex(geom, moment, pt),
-            "theta_dz": lambda pt: theta_dz(geom, pt),
+            "hamiltonian_field": lambda pt: hamiltonian_field(spec, moment, pt),
+            "hamiltonian_field_complex": lambda pt: hamiltonian_field_complex(spec, moment, pt),
+            "theta_dz": lambda pt: theta_dz(spec, pt),
             "moment.value": moment.value,
             "moment.gradient": moment.chart_gradient,
             "squared.value": squared.value,
             "squared.gradient": squared.chart_gradient,
             "from_value.value": wrapped.value,
             "from_value.gradient": wrapped.chart_gradient,
-            "from_value.field": lambda pt: hamiltonian_field(geom, wrapped, pt),
+            "from_value.field": lambda pt: hamiltonian_field(spec, wrapped, pt),
         }
 
     @pytest.mark.parametrize("chart", [Chart.NORTH, Chart.SOUTH])
@@ -288,8 +279,8 @@ class TestArrayChartPoints:
     def test_array_equals_scalar_loop(self, chart, two_j):
         rng = np.random.default_rng(17 + two_j)
         z = rng.normal(scale=1.2, size=(3, 4)) + 1j * rng.normal(scale=1.2, size=(3, 4))
-        geom = OrbitGeometry(OrbitSpec(two_j))
-        for name, kernel in self.kernels(geom).items():
+        spec = OrbitSpec(two_j)
+        for name, kernel in self.kernels(spec).items():
             block = np.asarray(kernel(ChartPoint(chart, z)))
             loop = np.array([[kernel(ChartPoint(chart, complex(zz))) for zz in row] for row in z])
             loop = np.moveaxis(loop, (0, 1), (-2, -1))  # point axes go last, as in the block
@@ -297,19 +288,19 @@ class TestArrayChartPoints:
             assert np.max(np.abs(block - loop)) <= 1e-15, name
 
     def test_scalar_calls_return_python_scalars(self):
-        geom = OrbitGeometry(OrbitSpec(2))
-        w = moment_hamiltonian(geom.spec, [0.0, 1.0, 2.0])
+        spec = OrbitSpec(2)
+        w = moment_hamiltonian(spec, [0.0, 1.0, 2.0])
         pt = north(0.4 - 0.3j)
         assert type(w.value(pt)) is float
-        assert type(hamiltonian_field_complex(geom, w, pt)) is complex
-        assert hamiltonian_field(geom, w, pt).shape == (2,)
-        assert embed_gradient(geom.spec, pt).shape == (2, 3)
+        assert type(hamiltonian_field_complex(spec, w, pt)) is complex
+        assert hamiltonian_field(spec, w, pt).shape == (2,)
+        assert embed_gradient(spec, pt).shape == (2, 3)
 
     def test_point_orbit_field_shape(self):
-        geom = OrbitGeometry(OrbitSpec(0))
-        w = moment_hamiltonian(geom.spec, [1.0, 0.0, 0.0])
+        spec = OrbitSpec(0)
+        w = moment_hamiltonian(spec, [1.0, 0.0, 0.0])
         z = np.linspace(0.1, 1.0, 12).reshape(3, 4) * (1 + 0.5j)
-        field = hamiltonian_field(geom, w, ChartPoint(Chart.NORTH, z))
+        field = hamiltonian_field(spec, w, ChartPoint(Chart.NORTH, z))
         assert field.shape == (2, 3, 4) and not field.any()
-        assert hamiltonian_field_complex(geom, w, ChartPoint(Chart.NORTH, z)).shape == (3, 4)
-        assert hamiltonian_field(geom, w, north(0.5)).shape == (2,)
+        assert hamiltonian_field_complex(spec, w, ChartPoint(Chart.NORTH, z)).shape == (3, 4)
+        assert hamiltonian_field(spec, w, north(0.5)).shape == (2,)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fiberquant.constants import MONOPOLE_HOLONOMY_SIGN
-from fiberquant.errors import InvalidArgument, UnsupportedPolarization
+from fiberquant.errors import InvalidArgument
 from fiberquant.fiberq import build_basis
 from fiberquant.gauge import (
     BasePoint,
@@ -16,7 +16,7 @@ from fiberquant.gauge import (
     trivial_model,
 )
 from fiberquant.numerics import matrix_exp
-from fiberquant.orbit import OrbitGeometry, OrbitSpec
+from fiberquant.orbit import OrbitSpec
 from fiberquant.transport import (
     BasePath,
     covariant_residual_total_space,
@@ -38,9 +38,8 @@ def ctx():
     basis = build_basis(spec)
     return {
         "spec": spec,
-        "geom": OrbitGeometry(spec),
         "basis": basis,
-        "rep": build_rep(spec, basis),
+        "rep": build_rep(basis),
         "triv": trivial_model(spec, check=False),
         "const": constant_model(spec, check=False),
         "mono": monopole_model(spec, check=False),
@@ -56,7 +55,7 @@ def subpath(path, t0, t1):
         return (t1 - t0) * dq, (t1 - t0) * dp
 
     return BasePath(charts=path.charts, position=position, velocity=velocity,
-                    start_chart=path.start_chart, label="sub")
+                    start_chart=path.start_chart)
 
 
 class TestBasicTransport:
@@ -143,7 +142,7 @@ class TestMonopoleHolonomy:
     def test_negative_strength_flips_phases(self):
         spec = OrbitSpec(1)
         basis = build_basis(spec)
-        rep = build_rep(spec, basis)
+        rep = build_rep(basis)
         model = monopole_model(spec, strength=-1, check=False)
         hol, _ = wilson_loop(model, basis, latitude_path(np.pi / 3), rep=rep, steps=3000)
         m = np.array([0.5, -0.5])
@@ -162,7 +161,7 @@ class TestMonopoleHolonomy:
         # great circle encloses solid angle 2*pi: holonomy -1 for spin 1/2
         spec = OrbitSpec(1)
         basis = build_basis(spec)
-        rep = build_rep(spec, basis)
+        rep = build_rep(basis)
         model = monopole_model(spec, check=False)
         hol, trace = wilson_loop(model, basis, meridian_path(), rep=rep, steps=4000)
         assert np.linalg.norm(hol + np.eye(2), 2) <= 1e-6
@@ -173,7 +172,7 @@ class TestMonopoleHolonomy:
 
     def test_source_independence(self, ctx):
         lat = latitude_path(np.pi / 3)
-        a = transport(ctx["mono"], ctx["basis"], lat, rep=quadrature_rep(ctx["geom"], ctx["basis"]), steps=300)
+        a = transport(ctx["mono"], ctx["basis"], lat, rep=quadrature_rep(ctx["basis"]), steps=300)
         b = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=300)
         assert np.linalg.norm(a.unitary - b.unitary, 2) <= 1e-6
 
@@ -229,44 +228,36 @@ class TestCovariantSections:
         expected = base_factor[:, None, None] * fiber_vec[None, None, :]
         assert np.allclose(section.values, np.broadcast_to(expected, section.values.shape))
 
-    def test_momentum_potential_rejected(self, ctx):
-        model = GaugeModel(spec=ctx["spec"], kind="constant", charts=ctx["const"].charts,
-                           momentum_potential=True)
-        with pytest.raises(UnsupportedPolarization):
-            covariant_section_solve(model, lambda q: np.ones(ctx["spec"].dim),
-                                    np.zeros((1, 2)), np.zeros((1, 2)))
-
 
 class TestTotalSpaceReconstruction:
     def test_trivial_model_near_zero(self, ctx):
         seg = segment_path([0, 0], [1, 0])
         stored = transport(ctx["triv"], ctx["basis"], seg, rep=ctx["rep"], steps=2000, store=True)
-        res = covariant_residual_total_space(ctx["triv"], ctx["geom"], ctx["basis"], seg, stored)
+        res = covariant_residual_total_space(ctx["triv"], ctx["basis"], seg, stored)
         assert res <= 1e-10
 
     def test_monopole_latitude_within_budget(self):
         spec = OrbitSpec(1)
         basis = build_basis(spec)
-        rep = build_rep(spec, basis)
-        geom = OrbitGeometry(spec)
+        rep = build_rep(basis)
         model = monopole_model(spec, check=False)
         lat = latitude_path(np.pi / 3)
         stored = transport(model, basis, lat, rep=rep, steps=10000, store=True)
-        res = covariant_residual_total_space(model, geom, basis, lat, stored)
+        res = covariant_residual_total_space(model, basis, lat, stored)
         assert res <= 1e-5
 
     def test_constant_model_with_momentum(self, ctx):
         seg = segment_path([0, 0], [1, 0.5], p_from=[0.3, -0.2], p_to=[0.1, 0.4])
         stored = transport(ctx["const"], ctx["basis"], seg, rep=ctx["rep"], steps=10000, store=True)
-        res = covariant_residual_total_space(ctx["const"], ctx["geom"], ctx["basis"], seg, stored)
+        res = covariant_residual_total_space(ctx["const"], ctx["basis"], seg, stored)
         assert res <= 1e-5
 
     def test_corruption_detected(self, ctx):
         lat = latitude_path(np.pi / 3)
         stored = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=10000, store=True)
-        base = covariant_residual_total_space(ctx["mono"], ctx["geom"], ctx["basis"], lat, stored)
+        base = covariant_residual_total_space(ctx["mono"], ctx["basis"], lat, stored)
         bad = covariant_residual_total_space(
-            ctx["mono"], ctx["geom"], ctx["basis"], lat, stored,
+            ctx["mono"], ctx["basis"], lat, stored,
             corruption=lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t)))
         assert bad >= 10.0 * base
 
@@ -274,7 +265,7 @@ class TestTotalSpaceReconstruction:
         lat = latitude_path(np.pi / 3)
         plain = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=500)
         with pytest.raises(InvalidArgument):
-            covariant_residual_total_space(ctx["mono"], ctx["geom"], ctx["basis"], lat, plain)
+            covariant_residual_total_space(ctx["mono"], ctx["basis"], lat, plain)
 
 
 class TestTransportErrors:
