@@ -31,6 +31,7 @@ from .gauge import (
     GaugeModel,
     LieAlgebraRep,
     build_rep,
+    check_model,
     connection_rep,
     constant_model,
     curvature,

@@ -1,10 +1,11 @@
 """Bundle layer: base charts, gauge potentials, orbit functions, connections.
 
-A ``GaugeModel`` packages the base manifold (plane or two-chart sphere as
-configuration space, with the base phase space T*Q represented by (q, p)
-pairs), a per-chart su(2) potential, and the chart transition functions.
-The connection on the quantum bundle is the potential contracted with a
-``LieAlgebraRep``, three generator matrices built from the ``FiberBasis``
+A ``GaugeModel`` is base data over the plane or the two-chart sphere, with
+T*Q represented by (q, p) pairs: per chart a ``ChartData`` (su(2) potential
+and domain), per ordered chart pair an ``Overlap`` (transition and change
+of coordinates).  ``check_model`` tests it against the ``FiberBasis`` in
+use.  The connection on the quantum bundle is the potential contracted with
+a ``LieAlgebraRep``, three generator matrices built from the ``FiberBasis``
 alone, in two independent ways:
 
 * ``quadrature_rep`` takes i O(mu_a) of the three moment functions, with
@@ -26,7 +27,6 @@ from . import constants
 from .errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
 from .fiberq import (
     FiberBasis,
-    build_basis,
     polarization_residual,
     prequant_matrix,
     quantize_transition,
@@ -70,7 +70,6 @@ class BaseTangent:
 class LieAlgebraRep:
     """Anti-Hermitian images of the su(2) generators on the quantum fiber."""
 
-    spec: OrbitSpec
     matrices: np.ndarray  # shape (3, n, n)
 
     def commutator_residual(self) -> float:
@@ -83,53 +82,64 @@ class LieAlgebraRep:
 
 @dataclass(frozen=True)
 class ChartData:
-    name: str
+    """A chart's potential and its domain, boundary(q) <= 0 (None: the whole plane)."""
+
     potential: Callable[[np.ndarray], np.ndarray]  # (...,2) -> (...,2,2,2)
-    valid: Callable[[np.ndarray], np.ndarray]
-    boundary: Callable[[np.ndarray], float] | None = None
+    boundary: Callable[[np.ndarray], np.ndarray] | None = None
+
+    def contains(self, q: np.ndarray) -> bool:
+        return self.boundary is None or bool(self.boundary(q) <= 0.0)
+
+
+@dataclass(frozen=True)
+class Overlap:
+    """Ordered chart pair (i, j): the transition g(q) in SU(2) and the change of
+    coordinates i -> j with its maps of tangents and covectors, at the chart-i point q."""
+
+    transition: Callable[[np.ndarray], np.ndarray]
+    convert_point: Callable[[np.ndarray], np.ndarray]
+    push_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    push_covector: Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class GaugeModel:
     spec: OrbitSpec
     kind: str
-    charts: dict
-    transitions: dict = field(default_factory=dict)
-    convert_point: dict = field(default_factory=dict)
-    push_tangent: dict = field(default_factory=dict)
-    push_covector: dict = field(default_factory=dict)
+    charts: dict  # name -> ChartData
+    overlaps: dict = field(default_factory=dict)  # (from chart, to chart) -> Overlap
 
     def chart_data(self, b: BasePoint) -> ChartData:
         if b.chart not in self.charts:
             raise ChartError(f"unknown chart {b.chart!r}")
         data = self.charts[b.chart]
-        if not bool(data.valid(b.q)):
+        if not data.contains(b.q):
             raise ChartError(f"point {b.q} outside chart {b.chart!r}")
         return data
 
     def other_chart(self, name: str) -> str | None:
-        for other in self.charts:
-            if other != name and (name, other) in self.transitions:
-                return other
-        return None
+        return next((j for i, j in self.overlaps if i == name), None)
 
     def to_chart(self, b: BasePoint, target: str) -> BasePoint:
         if target == b.chart:
             return b
-        key = (b.chart, target)
-        if key not in self.convert_point:
+        ov = self.overlaps.get((b.chart, target))
+        if ov is None:
             raise ChartError(f"no conversion {b.chart!r} -> {target!r}")
-        q2 = self.convert_point[key](b.q)
-        p2 = self.push_covector[key](b.q, b.p)
-        return BasePoint(chart=target, q=q2, p=p2)
+        return BasePoint(chart=target, q=ov.convert_point(b.q), p=ov.push_covector(b.q, b.p))
 
     def push(self, b: BasePoint, v: BaseTangent, target: str) -> BaseTangent:
         if target == b.chart:
             return v
-        key = (b.chart, target)
-        dq2 = self.push_tangent[key](b.q, v.dq)
-        dp2 = self.push_covector[key](b.q, v.dp)
-        return BaseTangent(dq=dq2, dp=dp2)
+        ov = self.overlaps[(b.chart, target)]
+        return BaseTangent(dq=ov.push_tangent(b.q, v.dq), dp=ov.push_covector(b.q, v.dp))
+
+
+def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
+    """Raise InvalidArgument unless ``what`` (of spin ``two_j``) acts on the basis's fiber."""
+    if two_j != basis.spec.two_j:
+        raise InvalidArgument(f"{what} has two_j = {two_j} but the basis has two_j = {basis.spec.two_j}; "
+                              "build both from one OrbitSpec")
 
 
 def potential_contraction(model: GaugeModel, b: BasePoint, v: BaseTangent) -> np.ndarray:
@@ -178,7 +188,7 @@ def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
     dev = np.linalg.norm(mats + np.swapaxes(mats, -1, -2).conj(), 2, axis=(-2, -1))
     if not np.all(dev <= 1e-8):
         raise AccuracyFailure(f"quadrature generator not anti-Hermitian ({np.max(dev):.2e})")
-    return LieAlgebraRep(spec=spec, matrices=mats)
+    return LieAlgebraRep(matrices=mats)
 
 
 def build_rep(basis: FiberBasis) -> LieAlgebraRep:
@@ -191,7 +201,7 @@ def build_rep(basis: FiberBasis) -> LieAlgebraRep:
         plus = quantize_transition(basis, su2_exp(h * unit))
         minus = quantize_transition(basis, su2_exp(-h * unit))
         mats.append((plus - minus) / (2.0 * h))
-    return LieAlgebraRep(spec=basis.spec, matrices=np.array(mats))
+    return LieAlgebraRep(matrices=np.array(mats))
 
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> np.ndarray:
@@ -218,15 +228,15 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, b: BasePoint, v: BaseTa
     target = model.other_chart(b.chart)
     if target is None:
         raise ChartError(f"chart {b.chart!r} has no registered overlap")
-    if not bool(model.charts[target].valid(model.convert_point[(b.chart, target)](b.q))):
+    overlap = model.overlaps[(b.chart, target)]
+    if not model.charts[target].contains(overlap.convert_point(b.q)):
         raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
 
     gens = quadrature_rep(basis)
     a_here = connection_rep(model, gens, b, v)
     a_there = connection_rep(model, gens, model.to_chart(b, target), model.push(b, v, target))
 
-    g_fn = model.transitions[(b.chart, target)]
-    x_at = lambda q: quantize_transition(basis, g_fn(q))
+    x_at = lambda q: quantize_transition(basis, overlap.transition(q))
     h = constants.FD_STEP_GAUGE
     x = x_at(b.q)
     x_inv = x.conj().T
@@ -340,7 +350,8 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
     """
     h = constants.FD_STEP_GAUGE
     worst = 0.0
-    for (i, j), g_fn in model.transitions.items():
+    for (i, j), overlap in model.overlaps.items():
+        g_fn = overlap.transition
         for _ in range(12):
             q = _sample_overlap_point(model, i, j, rng)
             if q is None:
@@ -369,9 +380,9 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
             q = np.array([r * np.cos(phi), s * r * np.sin(phi)])
         else:
             q = rng.uniform(-1.0, 1.0, size=2)
-        if bool(model.charts[i].valid(q)):
-            q_j = model.convert_point.get((i, j), lambda x: x)(q)
-            if bool(model.charts[j].valid(q_j)):
+        if model.charts[i].contains(q):
+            overlap = model.overlaps.get((i, j))
+            if model.charts[j].contains(q if overlap is None else overlap.convert_point(q)):
                 return q
     return None
 
@@ -380,16 +391,16 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
 # Built-in models
 # ----------------------------------------------------------------------
 
-def _always_valid(q: np.ndarray):
-    return np.ones(np.shape(q)[:-1], dtype=bool) if np.ndim(q) > 1 else True
-
-
 def _zero_potential(q: np.ndarray) -> np.ndarray:
     shape = np.shape(q)[:-1] + (2, 2, 2)
     return np.zeros(shape, dtype=complex)
 
 
-def _model_checks(model: GaugeModel, basis: FiberBasis) -> None:
+def check_model(model: GaugeModel, basis: FiberBasis) -> None:
+    """Check a model against the basis it is used with: one spin (else InvalidArgument),
+    chart potentials consistent with the overlaps and the minimal-coupling
+    precondition (else ConfigurationError)."""
+    check_spin(basis, "model", model.spec.two_j)
     rng = np.random.default_rng(11)
     data_defect = verify_gauge_data(model, rng)
     if not data_defect <= 1e-8:
@@ -406,19 +417,12 @@ def _model_checks(model: GaugeModel, basis: FiberBasis) -> None:
     assume_check(basis, hams)
 
 
-def trivial_model(spec: OrbitSpec, check: bool = True) -> GaugeModel:
+def trivial_model(spec: OrbitSpec) -> GaugeModel:
     """Zero potential over the plane, single global chart."""
-    model = GaugeModel(
-        spec=spec,
-        kind="trivial",
-        charts={"main": ChartData("main", _zero_potential, _always_valid)},
-    )
-    if check:
-        _model_checks(model, build_basis(spec))
-    return model
+    return GaugeModel(spec=spec, kind="trivial", charts={"main": ChartData(_zero_potential)})
 
 
-def constant_model(spec: OrbitSpec, coefficients=None, check: bool = True) -> GaugeModel:
+def constant_model(spec: OrbitSpec, coefficients=None) -> GaugeModel:
     """Constant (generally non-commuting) potential over the plane.
 
     ``coefficients[k, a]`` multiplies TAU[a] in the dq_k component;
@@ -437,14 +441,7 @@ def constant_model(spec: OrbitSpec, coefficients=None, check: bool = True) -> Ga
         out[...] = const
         return out
 
-    model = GaugeModel(
-        spec=spec,
-        kind="constant",
-        charts={"main": ChartData("main", potential, _always_valid)},
-    )
-    if check:
-        _model_checks(model, build_basis(spec))
-    return model
+    return GaugeModel(spec=spec, kind="constant", charts={"main": ChartData(potential)})
 
 
 def _sphere_convert(q: np.ndarray) -> np.ndarray:
@@ -471,7 +468,7 @@ def _sphere_push_covector(q: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.linalg.solve(jac.T, p)
 
 
-def monopole_model(spec: OrbitSpec, strength: int = 1, check: bool = True) -> GaugeModel:
+def monopole_model(spec: OrbitSpec, strength: int = 1) -> GaugeModel:
     """Embedded abelian monopole over the sphere, two stereographic charts.
 
     North potential is strength*(1-cos theta) tau_3 dphi, south potential
@@ -495,10 +492,6 @@ def monopole_model(spec: OrbitSpec, strength: int = 1, check: bool = True) -> Ga
         out[..., 1, :, :] = np.multiply.outer(coeff2, TAU[2])
         return out
 
-    def valid(q: np.ndarray):
-        rsq = q[..., 0] ** 2 + q[..., 1] ** 2
-        return rsq <= _SPHERE_CHART_RADIUS_SQ
-
     def boundary(q: np.ndarray) -> np.ndarray:
         q = np.asarray(q, dtype=float)
         return q[..., 0] ** 2 + q[..., 1] ** 2 - _SPHERE_CHART_RADIUS_SQ
@@ -507,25 +500,13 @@ def monopole_model(spec: OrbitSpec, strength: int = 1, check: bool = True) -> Ga
         phi = np.arctan2(q[1], q[0])
         return su2_exp(np.array([0.0, 0.0, -2.0 * strength * phi]))
 
-    charts = {
-        "north": ChartData("north", potential, valid, boundary),
-        "south": ChartData("south", potential, valid, boundary),
-    }
-    model = GaugeModel(
-        spec=spec,
-        kind="monopole",
-        charts=charts,
-        transitions={("north", "south"): transition, ("south", "north"): transition},
-        convert_point={("north", "south"): _sphere_convert, ("south", "north"): _sphere_convert},
-        push_tangent={("north", "south"): _sphere_push_tangent, ("south", "north"): _sphere_push_tangent},
-        push_covector={("north", "south"): _sphere_push_covector, ("south", "north"): _sphere_push_covector},
-    )
-    if check:
-        _model_checks(model, build_basis(spec))
-    return model
+    chart = ChartData(potential, boundary)
+    overlap = Overlap(transition, _sphere_convert, _sphere_push_tangent, _sphere_push_covector)
+    return GaugeModel(spec=spec, kind="monopole", charts={"north": chart, "south": chart},
+                      overlaps={("north", "south"): overlap, ("south", "north"): overlap})
 
 
-def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1), check: bool = True) -> GaugeModel:
+def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1)) -> GaugeModel:
     """Zero potential presented in two gauges over the plane.
 
     The "flat" chart carries the zero potential; the "gauged" chart
@@ -549,23 +530,14 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1), check: bool = True) -> G
         return out
 
     identity = lambda q: np.asarray(q, dtype=float)
+    ident_tan = lambda q, dq: dq
     ident_cov = lambda q, p: np.asarray(p, dtype=float)
-
-    model = GaugeModel(
+    return GaugeModel(
         spec=spec,
         kind="pure_gauge",
-        charts={
-            "flat": ChartData("flat", _zero_potential, _always_valid),
-            "gauged": ChartData("gauged", potential, _always_valid),
+        charts={"flat": ChartData(_zero_potential), "gauged": ChartData(potential)},
+        overlaps={
+            ("flat", "gauged"): Overlap(gauge, identity, ident_tan, ident_cov),
+            ("gauged", "flat"): Overlap(lambda q: gauge(q).conj().T, identity, ident_tan, ident_cov),
         },
-        transitions={
-            ("flat", "gauged"): gauge,
-            ("gauged", "flat"): lambda q: gauge(q).conj().T,
-        },
-        convert_point={("flat", "gauged"): identity, ("gauged", "flat"): identity},
-        push_tangent={("flat", "gauged"): lambda q, dq: dq, ("gauged", "flat"): lambda q, dq: dq},
-        push_covector={("flat", "gauged"): ident_cov, ("gauged", "flat"): ident_cov},
     )
-    if check:
-        _model_checks(model, build_basis(spec))
-    return model

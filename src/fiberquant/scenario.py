@@ -12,8 +12,8 @@ sizes, named paths, and tolerance overrides:
       "output": "json"
     }
 
-Validation happens before any computation; model construction enforces
-the minimal-coupling precondition and the chart-data consistency check.
+Validation happens before any computation.  ``Scenario.build_context``
+checks the model against the scenario's basis (``gauge.check_model``).
 """
 
 from __future__ import annotations
@@ -28,8 +28,8 @@ import numpy as np
 from .errors import ParseError, ValidationError
 from .fiberq import build_basis, default_rule
 from .gauge import (
-    GaugeModel,
     build_rep,
+    check_model,
     constant_model,
     monopole_model,
     pure_gauge_model,
@@ -162,17 +162,16 @@ class Scenario:
             return sphere_rule(self.quadrature["n_t"], self.quadrature["n_phi"])
         return default_rule(self.spec())
 
-    def build_model(self) -> GaugeModel:
+    def build_context(self) -> dict:
+        """Everything the commands need, constructed once; the model is checked on this basis."""
+        basis = build_basis(self.spec(), self.rule())
         # Builders are looked up by module name on each call, so that
         # wrappers installed on those names (benchmark tracing) see it.
         builders = {"trivial": trivial_model, "constant": constant_model,
                     "monopole": monopole_model, "pure_gauge": pure_gauge_model}
-        return builders[self.model_kind](self.spec(), **self.model_params)
-
-    def build_context(self) -> dict:
-        """Everything the commands need, constructed once."""
-        basis = build_basis(self.spec(), self.rule())
-        return {"basis": basis, "model": self.build_model(), "rep": build_rep(basis)}
+        model = builders[self.model_kind](self.spec(), **self.model_params)
+        check_model(model, basis)
+        return {"basis": basis, "model": model, "rep": build_rep(basis)}
 
     def path(self, name: str) -> BasePath:
         if name not in self.path_specs:

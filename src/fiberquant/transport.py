@@ -23,6 +23,7 @@ from .gauge import (
     BaseTangent,
     GaugeModel,
     LieAlgebraRep,
+    check_spin,
     connection_rep_batch,
     orbit_function,
 )
@@ -40,11 +41,9 @@ class BasePath:
     parameters and return a pair of arrays shaped (..., 2).
     """
 
-    charts: tuple
     position: Callable[[str, np.ndarray], tuple]
     velocity: Callable[[str, np.ndarray], tuple]
     start_chart: str
-    closed: bool = False
 
 
 def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> BasePath:
@@ -62,9 +61,7 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
         shape = t.shape + (2,)
         return np.broadcast_to(q1 - q0, shape).copy(), np.broadcast_to(p1 - p0, shape).copy()
 
-    return BasePath(charts=(chart,), position=position, velocity=velocity,
-                    start_chart=chart,
-                    closed=bool(np.allclose(q0, q1) and np.allclose(p0, p1)))
+    return BasePath(position=position, velocity=velocity, start_chart=chart)
 
 
 def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
@@ -98,8 +95,7 @@ def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
         return dq, np.zeros_like(dq)
 
     start = "north" if theta <= 3.0 * np.pi / 4.0 else "south"
-    return BasePath(charts=("north", "south"), position=position, velocity=velocity,
-                    start_chart=start, closed=True)
+    return BasePath(position=position, velocity=velocity, start_chart=start)
 
 
 def meridian_path() -> BasePath:
@@ -127,8 +123,7 @@ def meridian_path() -> BasePath:
         dq = np.stack([d, np.zeros_like(d)], axis=-1)
         return dq, np.zeros_like(dq)
 
-    return BasePath(charts=("north", "south"), position=position, velocity=velocity,
-                    start_chart="north", closed=True)
+    return BasePath(position=position, velocity=velocity, start_chart="north")
 
 
 def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "main") -> BasePath:
@@ -153,8 +148,7 @@ def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "mai
         dp[..., plane] = -2.0 * np.pi * radius * np.cos(ang)
         return dq, dp
 
-    return BasePath(charts=(chart,), position=position, velocity=velocity,
-                    start_chart=chart, closed=True)
+    return BasePath(position=position, velocity=velocity, start_chart=chart)
 
 
 def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") -> BasePath:
@@ -176,8 +170,7 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
         dp = 2.0 * np.pi * np.stack([-radius * np.sin(ang), radius * np.cos(ang)], axis=-1)
         return dq, dp
 
-    return BasePath(charts=(chart,), position=position, velocity=velocity,
-                    start_chart=chart, closed=True)
+    return BasePath(position=position, velocity=velocity, start_chart=chart)
 
 
 @dataclass(frozen=True)
@@ -280,24 +273,23 @@ def transport(
     basis: FiberBasis,
     path: BasePath,
     *,
-    rep: LieAlgebraRep | None = None,
+    rep: LieAlgebraRep,
     steps: int | None = None,
     forced_switches=None,
     store: bool = False,
 ) -> TransportResult:
     """Path-ordered transport over [0, 1] with chart-crossing insertions.
 
-    The connection is the potential contracted with ``rep``: by default
-    ``build_rep``, or the generators of ``gauge.quadrature_rep``.
+    The connection is the potential contracted with ``rep``: the generators
+    of ``gauge.build_rep`` or of ``gauge.quadrature_rep``.  The model, the
+    basis and the rep must share one spin.
     """
     if steps is None:
         steps = constants.RK4_STEPS_PER_UNIT
     if steps < 1:
         raise InvalidArgument(f"transport needs at least one step per unit, got steps = {steps}")
-    if rep is None:
-        from .gauge import build_rep
-
-        rep = build_rep(basis)
+    check_spin(basis, "model", model.spec.two_j)
+    check_spin(basis, "rep", rep.matrices.shape[-1] - 1)
 
     chart = path.start_chart
     if chart not in model.charts:
@@ -308,11 +300,11 @@ def transport(
 
     def do_insert(t_cross: float, from_chart: str, to_chart: str) -> None:
         nonlocal chart
-        key = (from_chart, to_chart)
-        if key not in model.transitions:
+        overlap = model.overlaps.get((from_chart, to_chart))
+        if overlap is None:
             raise ChartError(f"no registered transition {from_chart!r} -> {to_chart!r} at t = {t_cross:.6f}")
         q_here = path.position(from_chart, np.array([t_cross]))[0][0]
-        x = quantize_transition(basis, model.transitions[key](q_here))
+        x = quantize_transition(basis, overlap.transition(q_here))
         integ.insert(x, to_chart)
         chart = to_chart
         chart_log.append((t_cross, to_chart))
@@ -391,8 +383,7 @@ def reverse_path(path: BasePath) -> BasePath:
         dq, dp = path.velocity(chart, 1.0 - np.asarray(t, dtype=float))
         return -dq, -dp
 
-    return BasePath(charts=path.charts, position=position, velocity=velocity,
-                    start_chart=path.start_chart, closed=path.closed)
+    return BasePath(position=position, velocity=velocity, start_chart=path.start_chart)
 
 
 def wilson_loop(
@@ -400,9 +391,8 @@ def wilson_loop(
     basis: FiberBasis,
     loop: BasePath,
     *,
-    rep: LieAlgebraRep | None = None,
+    rep: LieAlgebraRep,
     steps: int | None = None,
-    forced_switches=None,
 ) -> tuple[np.ndarray, complex]:
     """Holonomy matrix and trace around a closed base loop."""
     q0, p0 = loop.position(loop.start_chart, np.array([0.0]))
@@ -410,7 +400,7 @@ def wilson_loop(
     gap = float(np.max(np.abs(q1 - q0)) + np.max(np.abs(p1 - p0)))
     if not gap <= 1e-12:
         raise InvalidArgument(f"loop is not closed (endpoint gap {gap:.2e})")
-    result = transport(model, basis, loop, rep=rep, steps=steps, forced_switches=forced_switches)
+    result = transport(model, basis, loop, rep=rep, steps=steps)
     hol = np.exp(1j * result.alpha_phase) * result.unitary
     return hol, complex(np.trace(hol))
 
@@ -456,6 +446,7 @@ def covariant_residual_total_space(
     """
     if result.times is None:
         raise InvalidArgument("transport result must be computed with store=True")
+    check_spin(basis, "model", model.spec.two_j)
     spec = basis.spec
     psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
 

@@ -286,9 +286,9 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     quad_rep = quadrature_rep(basis)
     rows["gauge.rep_commutators"] = rep.commutator_residual()
 
-    mono = monopole_model(spec, check=False)
-    const = constant_model(spec, check=False)
-    pure = pure_gauge_model(spec, check=False)
+    mono = monopole_model(spec)
+    const = constant_model(spec)
+    pure = pure_gauge_model(spec)
 
     rows["gauge.data_consistency"] = max(verify_gauge_data(mono, np.random.default_rng(7)),
                                          verify_gauge_data(pure, np.random.default_rng(8)))
@@ -370,9 +370,9 @@ def suite_transport(two_j: int) -> dict[str, float]:
     rows = {}
     spec, basis, rep = _gauge_context(min(two_j, 2) or 2)
 
-    triv = trivial_model(spec, check=False)
-    const = constant_model(spec, check=False)
-    mono = monopole_model(spec, check=False)
+    triv = trivial_model(spec)
+    const = constant_model(spec)
+    mono = monopole_model(spec)
 
     seg = segment_path([0.0, 0.0], [1.0, 0.0])
     res = transport(triv, basis, seg, rep=rep, steps=200)
@@ -411,10 +411,9 @@ def suite_transport(two_j: int) -> dict[str, float]:
     hol, _ = wilson_loop(mono, basis, lat, rep=rep, steps=4000)
     rows["transport.monopole_holonomy"] = float(np.max(np.abs(np.diag(hol) - expected)))
 
-    plain = transport(mono, basis, lat, rep=rep, steps=2000)
     switched = transport(mono, basis, lat, rep=rep, steps=2000,
                          forced_switches=[(0.25, "south"), (0.75, "north")])
-    rows["transport.chart_independence"] = float(np.linalg.norm(plain.unitary - switched.unitary, 2))
+    rows["transport.chart_independence"] = float(np.linalg.norm(fwd.unitary - switched.unitary, 2))
 
     quad = transport(mono, basis, lat, rep=quadrature_rep(basis), steps=300)
     repd = transport(mono, basis, lat, rep=rep, steps=300)

@@ -138,8 +138,8 @@ def test_criterion_03_dirac_condition():
 def test_criterion_04_lift_orthogonality():
     rng = np.random.default_rng(43)
     ctx = fiber_ctx(2)
-    mono = monopole_model(ctx["spec"], check=False)
-    const = constant_model(ctx["spec"], check=False)
+    mono = monopole_model(ctx["spec"])
+    const = constant_model(ctx["spec"])
     worst = 0.0
     for model in (mono, const):
         for _ in range(50):
@@ -173,8 +173,8 @@ def test_criterion_05_polarization_preservation():
 def test_criterion_06_gauge_law():
     rng = np.random.default_rng(45)
     ctx = fiber_ctx(2)
-    mono = monopole_model(ctx["spec"], check=False)
-    pure = pure_gauge_model(ctx["spec"], check=False)
+    mono = monopole_model(ctx["spec"])
+    pure = pure_gauge_model(ctx["spec"])
     worst = 0.0
     for _ in range(25):
         b, v = monopole_sample(rng, overlap=True)
@@ -191,8 +191,8 @@ def test_criterion_07_connection_equivalence():
     worst = 0.0
     for two_j in (1, 2, 3, 4):
         ctx = fiber_ctx(two_j)
-        mono = monopole_model(ctx["spec"], check=False)
-        const = constant_model(ctx["spec"], check=False)
+        mono = monopole_model(ctx["spec"])
+        const = constant_model(ctx["spec"])
         for model in (mono, const):
             for _ in range(13):
                 b, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
@@ -209,7 +209,7 @@ def test_criterion_08_monopole_holonomy():
     worst = 0.0
     for two_j in (1, 2, 4):
         ctx = fiber_ctx(two_j)
-        model = monopole_model(ctx["spec"], check=False)
+        model = monopole_model(ctx["spec"])
         m = np.arange(ctx["spec"].j, -ctx["spec"].j - 1.0, -1.0)
         for theta in (np.pi / 6, np.pi / 3, np.pi / 2, 2 * np.pi / 3):
             hol, _ = wilson_loop(model, ctx["basis"], latitude_path(theta),
@@ -225,7 +225,7 @@ def test_criterion_08_monopole_holonomy():
 
 def test_criterion_09_nonabelian_transport_oracle():
     ctx = fiber_ctx(2)
-    const = constant_model(ctx["spec"], check=False)
+    const = constant_model(ctx["spec"])
     res_x = transport(const, ctx["basis"], segment_path([0, 0], [1, 0]), rep=ctx["rep"], steps=4000)
     res_y = transport(const, ctx["basis"], segment_path([0, 0], [0, 1]), rep=ctx["rep"], steps=4000)
     err_x = float(np.linalg.norm(res_x.unitary - matrix_exp(ctx["rep"].matrices[0]), 2))
@@ -240,8 +240,8 @@ def test_criterion_09_nonabelian_transport_oracle():
 
 def test_criterion_10_total_space_reconstruction():
     ctx = fiber_ctx(2)
-    mono = monopole_model(ctx["spec"], check=False)
-    const = constant_model(ctx["spec"], check=False)
+    mono = monopole_model(ctx["spec"])
+    const = constant_model(ctx["spec"])
     worst = 0.0
     ratios = []
     cases = [
@@ -264,7 +264,7 @@ def test_criterion_10_total_space_reconstruction():
 
 def test_criterion_11_rk4_order():
     ctx = fiber_ctx(2)
-    mono = monopole_model(ctx["spec"], check=False)
+    mono = monopole_model(ctx["spec"])
     lat = latitude_path(2 * np.pi / 3)
     reference = transport(mono, ctx["basis"], lat, rep=ctx["rep"], steps=1000000)
     err_n = float(np.linalg.norm(

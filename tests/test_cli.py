@@ -38,7 +38,7 @@ class TestScenarioLoading:
     def test_minimal_valid(self):
         sc = validate_scenario_dict({"orbit": {"two_j": 1}, "model": {"kind": "trivial"}})
         assert sc.two_j == 1 and sc.model_kind == "trivial"
-        sc.build_model()  # runs the construction-time checks
+        sc.build_context()  # runs the model check on the scenario's basis
 
     def test_negative_spin_rejected(self):
         with pytest.raises(ValidationError):
@@ -232,6 +232,21 @@ class TestExitCodes:
                                  "--steps", steps])
         assert code == EXIT_INVALID
         assert "--steps" in out
+
+    @pytest.mark.parametrize("argv", [
+        ["connection", "--point", "0.3,0.2", "--tangent", "1,0.5"],
+        ["transport", "--path", "unit_y", "--steps", "300"],
+        ["wilson", "--path", "phase_loop", "--steps", "300"],
+        ["section"],
+    ])
+    def test_inconsistent_model_rejected_by_every_context_command(self, tmp_path, argv):
+        # at rates this large the model check's finite-difference derivative
+        # of the transition misses its bound
+        cfg = tmp_path / "pure50.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 2}, "model": {"kind": "pure_gauge", "rates": [50, 50]}}))
+        code, out = run_command(argv + ["--config", str(cfg)])
+        assert code == EXIT_INVALID
+        assert out.startswith("error: chart potentials inconsistent")
 
     @pytest.mark.parametrize("model, paths, field", [
         ({"kind": "trivial"}, {"bad": {"kind": "segment", "q_to": [1.0, 0.0]}}, "paths.bad.q_from"),

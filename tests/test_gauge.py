@@ -9,6 +9,7 @@ from fiberquant.gauge import (
     BaseTangent,
     assume_check,
     build_rep,
+    check_model,
     connection_rep,
     connection_rep_batch,
     constant_model,
@@ -40,10 +41,10 @@ def ctx():
         "spec": spec,
         "basis": basis,
         "rep": build_rep(basis),
-        "mono": monopole_model(spec, check=False),
-        "const": constant_model(spec, check=False),
-        "pure": pure_gauge_model(spec, check=False),
-        "triv": trivial_model(spec, check=False),
+        "mono": monopole_model(spec),
+        "const": constant_model(spec),
+        "pure": pure_gauge_model(spec),
+        "triv": trivial_model(spec),
     }
 
 
@@ -73,7 +74,7 @@ class TestOrbitFunction:
     def test_first_axis_contraction(self, ctx):
         # tau_1 dq_1 contracted with d/dq_1 gives the first-axis moment function
         spec = ctx["spec"]
-        model = constant_model(spec, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], check=False)
+        model = constant_model(spec, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         b = BasePoint("main", np.zeros(2), np.zeros(2))
         w = orbit_function(model, b, BaseTangent.of([1.0, 0.0]))
         oracle = moment_hamiltonian(spec, [1.0, 0.0, 0.0])
@@ -113,7 +114,7 @@ class TestConnectionEquivalence:
         assert np.linalg.norm(a_r, 2) < 1e-12
 
     def test_constant_potential_unit_tangent(self, ctx):
-        model = constant_model(ctx["spec"], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]], check=False)
+        model = constant_model(ctx["spec"], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
         b = BasePoint("main", np.zeros(2), np.zeros(2))
         a_r = connection_rep(model, ctx["rep"], b, BaseTangent.of([1.0, 0.0]))
         assert np.linalg.norm(a_r - ctx["rep"].matrices[0], 2) < 1e-12
@@ -190,7 +191,7 @@ class TestQuadratureBatch:
     def test_batch_equals_quadrature_of_orbit_function(self, builder, two_j):
         spec = OrbitSpec(two_j)
         basis = build_basis(spec)
-        model = builder(spec, check=False)
+        model = builder(spec)
         rng = np.random.default_rng(40 + two_j)
         chart, q, dq, p = self.states(model, rng, 24)
         batch = connection_rep_batch(model, quadrature_rep(basis), chart, q, dq)
@@ -227,7 +228,7 @@ class TestPureGaugePotential:
 
     def test_matches_group_conjugation(self):
         r1, r2 = 0.7, 1.1
-        pot = pure_gauge_model(OrbitSpec(1), rates=(r1, r2), check=False).charts["gauged"].potential
+        pot = pure_gauge_model(OrbitSpec(1), rates=(r1, r2)).charts["gauged"].potential
         q = np.random.default_rng(41).uniform(-3, 3, (40, 2))
         out = pot(q)
         for k, qq in enumerate(q):
@@ -236,7 +237,7 @@ class TestPureGaugePotential:
             assert np.max(np.abs(out[k, 1] - r2 * (a_half @ TAU[1] @ a_half.conj().T))) <= 1e-14
 
     def test_rotation_sign_and_shapes(self):
-        pot = pure_gauge_model(OrbitSpec(1), rates=(1.0, 1.0), check=False).charts["gauged"].potential
+        pot = pure_gauge_model(OrbitSpec(1), rates=(1.0, 1.0)).charts["gauged"].potential
         # a quarter turn about tau_1 carries tau_2 to +tau_3
         assert np.max(np.abs(pot(np.array([np.pi / 2, 0.0]))[1] - TAU[2])) <= 1e-15
         assert pot(np.zeros(2)).shape == (2, 2, 2)
@@ -246,7 +247,7 @@ class TestPureGaugePotential:
 class TestGaugeLaw:
     def test_identity_transition(self, ctx):
         # zero gauge rates make both charts identical and the transition trivial
-        model = pure_gauge_model(ctx["spec"], rates=(0.0, 0.0), check=False)
+        model = pure_gauge_model(ctx["spec"], rates=(0.0, 0.0))
         rng = np.random.default_rng(33)
         for _ in range(5):
             b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
@@ -349,9 +350,13 @@ class TestModelConstruction:
             constant_model(OrbitSpec(1), np.ones((3, 3)))
 
     def test_construction_checks_run(self):
-        # full construction path incl. minimal-coupling enforcement
-        monopole_model(OrbitSpec(1))
-        trivial_model(OrbitSpec(0))
+        # full model check incl. minimal-coupling enforcement
+        for model in (monopole_model(OrbitSpec(1)), trivial_model(OrbitSpec(0))):
+            check_model(model, build_basis(model.spec))
+
+    def test_check_rejects_other_spin(self):
+        with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
+            check_model(monopole_model(OrbitSpec(3)), build_basis(OrbitSpec(1)))
 
     def test_assume_check_rejects_quadratic(self, ctx):
         quad = squared_hamiltonian(moment_hamiltonian(ctx["spec"], [0, 0, 1]))

@@ -40,9 +40,9 @@ def ctx():
         "spec": spec,
         "basis": basis,
         "rep": build_rep(basis),
-        "triv": trivial_model(spec, check=False),
-        "const": constant_model(spec, check=False),
-        "mono": monopole_model(spec, check=False),
+        "triv": trivial_model(spec),
+        "const": constant_model(spec),
+        "mono": monopole_model(spec),
     }
 
 
@@ -54,8 +54,7 @@ def subpath(path, t0, t1):
         dq, dp = path.velocity(chart, t0 + (t1 - t0) * np.asarray(t, dtype=float))
         return (t1 - t0) * dq, (t1 - t0) * dp
 
-    return BasePath(charts=path.charts, position=position, velocity=velocity,
-                    start_chart=path.start_chart)
+    return BasePath(position=position, velocity=velocity, start_chart=path.start_chart)
 
 
 class TestBasicTransport:
@@ -143,7 +142,7 @@ class TestMonopoleHolonomy:
         spec = OrbitSpec(1)
         basis = build_basis(spec)
         rep = build_rep(basis)
-        model = monopole_model(spec, strength=-1, check=False)
+        model = monopole_model(spec, strength=-1)
         hol, _ = wilson_loop(model, basis, latitude_path(np.pi / 3), rep=rep, steps=3000)
         m = np.array([0.5, -0.5])
         solid = 2 * np.pi * (1 - np.cos(np.pi / 3))
@@ -162,7 +161,7 @@ class TestMonopoleHolonomy:
         spec = OrbitSpec(1)
         basis = build_basis(spec)
         rep = build_rep(basis)
-        model = monopole_model(spec, check=False)
+        model = monopole_model(spec)
         hol, trace = wilson_loop(model, basis, meridian_path(), rep=rep, steps=4000)
         assert np.linalg.norm(hol + np.eye(2), 2) <= 1e-6
         assert trace == pytest.approx(-2.0, abs=1e-6)
@@ -240,7 +239,7 @@ class TestTotalSpaceReconstruction:
         spec = OrbitSpec(1)
         basis = build_basis(spec)
         rep = build_rep(basis)
-        model = monopole_model(spec, check=False)
+        model = monopole_model(spec)
         lat = latitude_path(np.pi / 3)
         stored = transport(model, basis, lat, rep=rep, steps=10000, store=True)
         res = covariant_residual_total_space(model, basis, lat, stored)
@@ -272,12 +271,28 @@ class TestTransportErrors:
     def test_unregistered_crossing_rejected(self, ctx):
         from fiberquant.errors import ChartError
 
-        stripped = GaugeModel(spec=ctx["spec"], kind="monopole", charts=ctx["mono"].charts,
-                              transitions={}, convert_point=ctx["mono"].convert_point,
-                              push_tangent=ctx["mono"].push_tangent,
-                              push_covector=ctx["mono"].push_covector)
+        stripped = GaugeModel(spec=ctx["spec"], kind="monopole", charts=ctx["mono"].charts)
         with pytest.raises(ChartError):
             transport(stripped, ctx["basis"], meridian_path(), rep=ctx["rep"], steps=500)
+
+    def test_model_of_other_spin_rejected(self):
+        basis = build_basis(OrbitSpec(1))
+        with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
+            transport(monopole_model(OrbitSpec(3)), basis, latitude_path(1.0), rep=build_rep(basis), steps=200)
+
+    def test_rep_of_other_spin_rejected(self, ctx):
+        basis = build_basis(OrbitSpec(1))
+        with pytest.raises(InvalidArgument, match="rep has two_j = 2 but the basis has two_j = 1"):
+            transport(monopole_model(OrbitSpec(1)), basis, latitude_path(1.0), rep=ctx["rep"], steps=200)
+
+    def test_residual_of_other_spin_model_rejected(self):
+        spec = OrbitSpec(1)
+        basis = build_basis(spec)
+        lat = latitude_path(1.0)
+        stored = transport(monopole_model(spec), basis, lat, rep=build_rep(basis), steps=2000, store=True)
+        assert covariant_residual_total_space(monopole_model(spec), basis, lat, stored) <= 1e-5
+        with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
+            covariant_residual_total_space(monopole_model(OrbitSpec(3)), basis, lat, stored)
 
     @pytest.mark.parametrize("steps", [0, -5])
     def test_non_positive_steps_rejected(self, ctx, steps):
