@@ -48,7 +48,6 @@ from .numerics import (
     central_difference,
     gauss_legendre,
     matrix_exp,
-    rk4_integrate,
     sphere_rule,
 )
 from .orbit import (

@@ -2,9 +2,10 @@
 
 A ``GaugeModel`` is base data over the plane or the two-chart sphere, with
 T*Q represented by (q, p) pairs: per chart a ``ChartData`` (su(2) potential
-and domain), per ordered chart pair an ``Overlap`` (transition and change
-of coordinates).  ``check_model`` tests it against the ``FiberBasis`` in
-use.  The connection on the quantum bundle is the potential contracted with
+and domain), per ordered chart pair an ``Overlap`` (transition and the
+change of coordinates (q, dq) -> (q', dq')).  The potential is pulled back
+from Q, so a connection value reads only q and dq, and no overlap maps p
+or dp.  ``check_model`` tests it against the ``FiberBasis`` in use.  The connection on the quantum bundle is the potential contracted with
 a ``LieAlgebraRep``, three generator matrices built from the ``FiberBasis``
 alone, in two independent ways:
 
@@ -31,6 +32,7 @@ from .fiberq import (
     prequant_matrix,
     quantize_transition,
 )
+from .numerics import central_difference
 from .orbit import (
     Chart,
     ChartPoint,
@@ -93,13 +95,11 @@ class ChartData:
 
 @dataclass(frozen=True)
 class Overlap:
-    """Ordered chart pair (i, j): the transition g(q) in SU(2) and the change of
-    coordinates i -> j with its maps of tangents and covectors, at the chart-i point q."""
+    """Ordered chart pair (i, j): the transition g(q) in SU(2) at the chart-i point q,
+    and the change of coordinates (q, dq) -> (q', dq') of a base point and tangent."""
 
     transition: Callable[[np.ndarray], np.ndarray]
-    convert_point: Callable[[np.ndarray], np.ndarray]
-    push_tangent: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    push_covector: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    convert: Callable[[np.ndarray, np.ndarray], tuple]
 
 
 @dataclass(frozen=True)
@@ -120,20 +120,6 @@ class GaugeModel:
     def other_chart(self, name: str) -> str | None:
         return next((j for i, j in self.overlaps if i == name), None)
 
-    def to_chart(self, b: BasePoint, target: str) -> BasePoint:
-        if target == b.chart:
-            return b
-        ov = self.overlaps.get((b.chart, target))
-        if ov is None:
-            raise ChartError(f"no conversion {b.chart!r} -> {target!r}")
-        return BasePoint(chart=target, q=ov.convert_point(b.q), p=ov.push_covector(b.q, b.p))
-
-    def push(self, b: BasePoint, v: BaseTangent, target: str) -> BaseTangent:
-        if target == b.chart:
-            return v
-        ov = self.overlaps[(b.chart, target)]
-        return BaseTangent(dq=ov.push_tangent(b.q, v.dq), dp=ov.push_covector(b.q, v.dp))
-
 
 def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
     """Raise InvalidArgument unless ``what`` (of spin ``two_j``) acts on the basis's fiber."""
@@ -142,11 +128,9 @@ def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
                               "build both from one OrbitSpec")
 
 
-def potential_contraction(model: GaugeModel, b: BasePoint, v: BaseTangent) -> np.ndarray:
-    """su(2) element <alpha_pot(q), Pi(v)> in the active chart."""
-    data = model.chart_data(b)
-    pot = data.potential(b.q)
-    return np.einsum("k,kij->ij", v.dq, pot)
+def potential_contraction(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """su(2) elements <alpha_pot(q), dq> in a chart, along arrays of points and tangents."""
+    return np.einsum("...k,...kij->...ij", dq, model.charts[chart].potential(q))
 
 
 def su2_coefficients_batch(xi: np.ndarray) -> np.ndarray:
@@ -164,7 +148,8 @@ _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 
 def orbit_function(model: GaugeModel, b: BasePoint, v: BaseTangent) -> FiberHamiltonian:
     """The fiber Hamiltonian induced by the potential at (b, v)."""
-    xi = potential_contraction(model, b, v)
+    model.chart_data(b)
+    xi = potential_contraction(model, b.chart, b.q, v.dq)
     return moment_hamiltonian(model.spec, su2_coefficients_batch(xi) * _MOMENT_TWIST)
 
 
@@ -193,14 +178,9 @@ def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
 
 def build_rep(basis: FiberBasis) -> LieAlgebraRep:
     """rho(tau_a) as the one-parameter derivative of the quantized transitions."""
-    h = constants.FD_STEP_REP
-    mats = []
-    for a in range(3):
-        unit = np.zeros(3)
-        unit[a] = 1.0
-        plus = quantize_transition(basis, su2_exp(h * unit))
-        minus = quantize_transition(basis, su2_exp(-h * unit))
-        mats.append((plus - minus) / (2.0 * h))
+    step = constants.FD_STEP_REP
+    mats = [central_difference(lambda s: quantize_transition(basis, su2_exp(s * unit)), 0.0, step)
+            for unit in np.eye(3)]
     return LieAlgebraRep(matrices=np.array(mats))
 
 
@@ -212,9 +192,7 @@ def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseT
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Vectorized connection values along arrays of points/tangents."""
-    pot = model.charts[chart].potential(q)
-    xi = np.einsum("...k,...kij->...ij", dq, pot)
-    coeffs = su2_coefficients_batch(xi)
+    coeffs = su2_coefficients_batch(potential_contraction(model, chart, q, dq))
     return np.einsum("...a,aij->...ij", coeffs, rep.matrices)
 
 
@@ -229,18 +207,18 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, b: BasePoint, v: BaseTa
     if target is None:
         raise ChartError(f"chart {b.chart!r} has no registered overlap")
     overlap = model.overlaps[(b.chart, target)]
-    if not model.charts[target].contains(overlap.convert_point(b.q)):
+    q_there, dq_there = overlap.convert(b.q, v.dq)
+    if not model.charts[target].contains(q_there):
         raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
 
     gens = quadrature_rep(basis)
     a_here = connection_rep(model, gens, b, v)
-    a_there = connection_rep(model, gens, model.to_chart(b, target), model.push(b, v, target))
+    a_there = connection_rep_batch(model, gens, target, q_there, dq_there)
 
     x_at = lambda q: quantize_transition(basis, overlap.transition(q))
-    h = constants.FD_STEP_GAUGE
     x = x_at(b.q)
     x_inv = x.conj().T
-    dx = (x_at(b.q + h * v.dq) - x_at(b.q - h * v.dq)) / (2.0 * h)
+    dx = central_difference(lambda s: x_at(b.q + s * v.dq), 0.0, constants.FD_STEP_GAUGE)
     law = x @ a_here @ x_inv + dx @ x_inv
     return float(np.linalg.norm(a_there - law, 2))
 
@@ -258,8 +236,8 @@ def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: BaseTange
     def a_at(q, v):
         return connection_rep(model, rep, BasePoint(b.chart, q, b.p), v)
 
-    d1 = (a_at(b.q + h * v1.dq, v2) - a_at(b.q - h * v1.dq, v2)) / (2.0 * h)
-    d2 = (a_at(b.q + h * v2.dq, v1) - a_at(b.q - h * v2.dq, v1)) / (2.0 * h)
+    d1 = central_difference(lambda s: a_at(b.q + s * v1.dq, v2), 0.0, h)
+    d2 = central_difference(lambda s: a_at(b.q + s * v2.dq, v1), 0.0, h)
     a1 = a_at(b.q, v1)
     a2 = a_at(b.q, v2)
     return d1 - d2 + a2 @ a1 - a1 @ a2
@@ -318,8 +296,8 @@ def lift_orthogonality_residual(
         )
         return complex(np.dot(alpha, vec))
 
-    d1 = (pairing(base + h * lift6, vert6) - pairing(base - h * lift6, vert6)) / (2.0 * h)
-    d2 = (pairing(base + h * vert6, lift6) - pairing(base - h * vert6, lift6)) / (2.0 * h)
+    d1 = central_difference(lambda s: pairing(base + s * lift6, vert6), 0.0, h)
+    d2 = central_difference(lambda s: pairing(base + s * vert6, lift6), 0.0, h)
     return abs(d1 - d2)
 
 
@@ -346,7 +324,10 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
     """Consistency of the chart potentials with the registered transitions.
 
     Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1} on 12 sampled overlap
-    points per transition; returns the worst absolute defect.
+    points per transition; returns the worst absolute defect.  dg is the
+    Richardson combination (4 D(h/2) - D(h)) / 3 of the central difference
+    D, so its O(h^2) truncation error, which grows with the transition's
+    rate of change, cancels.
     """
     h = constants.FD_STEP_GAUGE
     worst = 0.0
@@ -357,14 +338,11 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
             if q is None:
                 continue
             dq = rng.standard_normal(2)
-            b = BasePoint(i, q, np.zeros(2))
-            v = BaseTangent.of(dq)
-            xi_i = potential_contraction(model, b, v)
-            b_j = model.to_chart(b, j)
-            v_j = model.push(b, v, j)
-            xi_j = potential_contraction(model, b_j, v_j)
+            xi_i = potential_contraction(model, i, q, dq)
+            xi_j = potential_contraction(model, j, *overlap.convert(q, dq))
             g = g_fn(q)
-            dg = (g_fn(q + h * dq) - g_fn(q - h * dq)) / (2.0 * h)
+            d = lambda step: central_difference(lambda s: g_fn(q + s * dq), 0.0, step)
+            dg = (4.0 * d(0.5 * h) - d(h)) / 3.0
             g_inv = g.conj().T
             law = g @ xi_i @ g_inv + dg @ g_inv
             worst = max(worst, float(np.linalg.norm(xi_j - law, 2)))
@@ -382,7 +360,7 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
             q = rng.uniform(-1.0, 1.0, size=2)
         if model.charts[i].contains(q):
             overlap = model.overlaps.get((i, j))
-            if model.charts[j].contains(q if overlap is None else overlap.convert_point(q)):
+            if model.charts[j].contains(q if overlap is None else overlap.convert(q, np.zeros(2))[0]):
                 return q
     return None
 
@@ -444,28 +422,12 @@ def constant_model(spec: OrbitSpec, coefficients=None) -> GaugeModel:
     return GaugeModel(spec=spec, kind="constant", charts={"main": ChartData(potential)})
 
 
-def _sphere_convert(q: np.ndarray) -> np.ndarray:
-    zc = q[..., 0] + 1j * q[..., 1]
-    wc = 1.0 / zc
-    return np.stack([wc.real, wc.imag], axis=-1)
-
-
-def _sphere_push_tangent(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    zc = q[..., 0] + 1j * q[..., 1]
-    dz = dq[..., 0] + 1j * dq[..., 1]
-    dw = -dz / zc**2
-    return np.stack([dw.real, dw.imag], axis=-1)
-
-
-def _sphere_push_covector(q: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Covector components transform by the inverse-transpose Jacobian."""
-    zc = q[..., 0] + 1j * q[..., 1]
-    # Jacobian of w = 1/z as a real 2x2 block: dw = -dz/z^2 is the
-    # conformal map with complex derivative m = -1/z^2, i.e.
-    # J = [[Re m, -Im m], [Im m, Re m]]; covectors use J^{-T}.
-    m = -1.0 / zc**2
-    jac = np.array([[m.real, -m.imag], [m.imag, m.real]])
-    return np.linalg.solve(jac.T, p)
+def _sphere_convert(q: np.ndarray, dq: np.ndarray) -> tuple:
+    """w = 1/z between the stereographic charts, and its tangent map dw = -dz/z^2."""
+    z = q[..., 0] + 1j * q[..., 1]
+    w = 1.0 / z
+    dw = -(dq[..., 0] + 1j * dq[..., 1]) / z**2
+    return np.stack([w.real, w.imag], axis=-1), np.stack([dw.real, dw.imag], axis=-1)
 
 
 def monopole_model(spec: OrbitSpec, strength: int = 1) -> GaugeModel:
@@ -501,7 +463,7 @@ def monopole_model(spec: OrbitSpec, strength: int = 1) -> GaugeModel:
         return su2_exp(np.array([0.0, 0.0, -2.0 * strength * phi]))
 
     chart = ChartData(potential, boundary)
-    overlap = Overlap(transition, _sphere_convert, _sphere_push_tangent, _sphere_push_covector)
+    overlap = Overlap(transition, _sphere_convert)
     return GaugeModel(spec=spec, kind="monopole", charts={"north": chart, "south": chart},
                       overlaps={("north", "south"): overlap, ("south", "north"): overlap})
 
@@ -529,15 +491,13 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1)) -> GaugeModel:
         out[..., 1, :, :] = r2 * (np.multiply.outer(np.cos(s), TAU[1]) + np.multiply.outer(np.sin(s), TAU[2]))
         return out
 
-    identity = lambda q: np.asarray(q, dtype=float)
-    ident_tan = lambda q, dq: dq
-    ident_cov = lambda q, p: np.asarray(p, dtype=float)
+    same = lambda q, dq: (q, dq)
     return GaugeModel(
         spec=spec,
         kind="pure_gauge",
         charts={"flat": ChartData(_zero_potential), "gauged": ChartData(potential)},
         overlaps={
-            ("flat", "gauged"): Overlap(gauge, identity, ident_tan, ident_cov),
-            ("gauged", "flat"): Overlap(lambda q: gauge(q).conj().T, identity, ident_tan, ident_cov),
+            ("flat", "gauged"): Overlap(gauge, same),
+            ("gauged", "flat"): Overlap(lambda q: gauge(q).conj().T, same),
         },
     )

@@ -79,23 +79,6 @@ def sphere_rule(n_t: int, n_phi: int) -> QuadratureRule:
     return QuadratureRule(nodes=nodes, weights=ww.ravel(), n_t=n_t, n_phi=n_phi)
 
 
-def rk4_integrate(field, y0: np.ndarray, t_grid: np.ndarray) -> np.ndarray:
-    """Classical fixed-step RK4 for y' = field(t, y) on the given grid.
-
-    ``y0`` may be any complex array shape (scalars as 0-d arrays work);
-    returns the solution at the final grid time.
-    """
-    t_grid = np.asarray(t_grid, dtype=float)
-    if t_grid.ndim != 1 or t_grid.size < 2:
-        raise InvalidArgument("t_grid must contain at least two times")
-    if np.any(np.diff(t_grid) <= 0):
-        raise InvalidArgument("t_grid must be strictly increasing")
-    y = np.array(y0, dtype=complex)
-    for k in range(t_grid.size - 1):
-        y = rk4_step(field, t_grid[k], y, t_grid[k + 1] - t_grid[k])
-    return y
-
-
 def rk4_step(field, t: float, y, h: float):
     """One classical RK4 step of y' = field(t, y) from t to t + h.
 

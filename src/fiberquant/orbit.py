@@ -17,6 +17,7 @@ import numpy as np
 
 from . import constants
 from .errors import InvalidArgument, PoleNotInOverlap
+from .numerics import central_difference
 
 
 class Chart(enum.Enum):
@@ -78,8 +79,8 @@ class FiberHamiltonian:
 
         def gradient(pt: ChartPoint) -> np.ndarray:
             z, h = pt.z, constants.FD_STEP_GRADIENT
-            gx = (value(ChartPoint(pt.chart, z + h)) - value(ChartPoint(pt.chart, z - h))) / (2 * h)
-            gy = (value(ChartPoint(pt.chart, z + 1j * h)) - value(ChartPoint(pt.chart, z - 1j * h))) / (2 * h)
+            gx = central_difference(lambda s: value(ChartPoint(pt.chart, z + s)), 0.0, h)
+            gy = central_difference(lambda s: value(ChartPoint(pt.chart, z + 1j * s)), 0.0, h)
             return np.array([gx, gy])
 
         return cls(value=value, chart_gradient=gradient, label=label)

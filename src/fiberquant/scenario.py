@@ -113,6 +113,7 @@ def _is_reals(x, length: int) -> bool:
 _FIELD_TYPES = {
     "real": (_is_real, "a finite real"),
     "int": (_is_int, "an integer"),
+    "count": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
     "pair": (lambda x: _is_reals(x, 2), "a pair of finite reals"),
     "colatitude": (lambda x: _is_real(x) and 0.0 < x < np.pi, "a real strictly between 0 and pi"),
     "plane": (lambda x: _is_int(x) and x in (0, 1), "0 or 1"),
@@ -250,11 +251,9 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     _check_fields(params, "model", {}, _MODEL_FIELDS[kind])
 
     quadrature = data.get("quadrature", {})
-    if quadrature:
-        _require(isinstance(quadrature, dict), "quadrature: must be an object")
-        for key in ("n_t", "n_phi"):
-            val = quadrature.get(key)
-            _require(isinstance(val, int) and val >= 1, f"quadrature.{key}: must be a positive integer")
+    if "quadrature" in data:
+        _require(isinstance(quadrature, dict), f"quadrature: must be an object, got {quadrature!r}")
+        _check_fields(quadrature, "quadrature", {"n_t": "count", "n_phi": "count"}, {})
 
     path_specs = dict(_default_paths(kind))
     user_paths = data.get("paths", {})

@@ -1,6 +1,8 @@
 """Parallel transport of vector wavefunctions along base paths.
 
-The transported object is a column coefficient vector Psi; the solver
+A ``BasePath`` is one map per chart, t -> (q, p, dq, dp): the connection
+reads q and dq, the canonical-form pairing <alpha_B, v> = p . dq.  The
+transported object is a column coefficient vector Psi; the solver
 integrates W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I by fixed-step
 RK4, splitting the scalar phase from the unitary factor.  Chart crossings
 insert the quantized transition matrix of the registered overlap on the
@@ -35,33 +37,36 @@ _CHUNK_STEPS = 32768
 
 @dataclass(frozen=True)
 class BasePath:
-    """Curve t -> (q(t), p(t)) expressible in one or more base charts.
+    """Curve t -> (q(t), p(t)) on T*Q with its velocity, as one map per chart.
 
-    ``position``/``velocity`` accept a chart name and an array of
-    parameters and return a pair of arrays shaped (..., 2).
+    ``at(chart, t)`` takes a chart name and an array of parameters and
+    returns ``(q, p, dq, dp)``, each shaped t.shape + (2,); it raises
+    ChartError in a chart where the path is not defined.
     """
 
-    position: Callable[[str, np.ndarray], tuple]
-    velocity: Callable[[str, np.ndarray], tuple]
+    at: Callable[[str, np.ndarray], tuple]
     start_chart: str
 
 
 def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> BasePath:
     q0 = np.asarray(q_from, dtype=float)
-    q1 = np.asarray(q_to, dtype=float)
     p0 = np.zeros(2) if p_from is None else np.asarray(p_from, dtype=float)
-    p1 = p0 if p_to is None else np.asarray(p_to, dtype=float)
+    dq = np.asarray(q_to, dtype=float) - q0
+    dp = np.zeros(2) if p_to is None else np.asarray(p_to, dtype=float) - p0
 
-    def position(chart_name, t):
+    def at(chart_name, t):
         t = np.asarray(t, dtype=float)[..., None]
-        return q0 + t * (q1 - q0), p0 + t * (p1 - p0)
+        ones = np.ones_like(t)
+        return q0 + t * dq, p0 + t * dp, ones * dq, ones * dp
 
-    def velocity(chart_name, t):
-        t = np.asarray(t, dtype=float)
-        shape = t.shape + (2,)
-        return np.broadcast_to(q1 - q0, shape).copy(), np.broadcast_to(p1 - p0, shape).copy()
+    return BasePath(at=at, start_chart=chart)
 
-    return BasePath(position=position, velocity=velocity, start_chart=chart)
+
+def _sphere_sign(chart: str, what: str) -> float:
+    """+1 in the north chart, -1 in the south chart; ChartError elsewhere."""
+    if chart not in ("north", "south"):
+        raise ChartError(f"{what} path not defined in chart {chart!r}")
+    return 1.0 if chart == "north" else -1.0
 
 
 def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
@@ -69,86 +74,57 @@ def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
     if not 0.0 < theta < np.pi:
         raise InvalidArgument(f"latitude requires 0 < theta < pi, got {theta}")
     r_n = np.tan(theta / 2.0)
-    r_s = 1.0 / r_n
+    rate = 2.0 * np.pi * winds
 
-    def position(chart, t):
-        t = np.asarray(t, dtype=float)
-        phi = phi0 + 2.0 * np.pi * winds * t
-        if chart == "north":
-            q = np.stack([r_n * np.cos(phi), r_n * np.sin(phi)], axis=-1)
-        elif chart == "south":
-            q = np.stack([r_s * np.cos(phi), -r_s * np.sin(phi)], axis=-1)
-        else:
-            raise ChartError(f"latitude path not defined in chart {chart!r}")
-        return q, np.zeros_like(q)
-
-    def velocity(chart, t):
-        t = np.asarray(t, dtype=float)
-        phi = phi0 + 2.0 * np.pi * winds * t
-        rate = 2.0 * np.pi * winds
-        if chart == "north":
-            dq = np.stack([-r_n * np.sin(phi) * rate, r_n * np.cos(phi) * rate], axis=-1)
-        elif chart == "south":
-            dq = np.stack([-r_s * np.sin(phi) * rate, -r_s * np.cos(phi) * rate], axis=-1)
-        else:
-            raise ChartError(f"latitude path not defined in chart {chart!r}")
-        return dq, np.zeros_like(dq)
+    def at(chart, t):
+        s = _sphere_sign(chart, "latitude")
+        r = r_n if s > 0.0 else 1.0 / r_n
+        phi = phi0 + rate * np.asarray(t, dtype=float)
+        cos, sin = np.cos(phi), np.sin(phi)
+        q = np.stack([r * cos, s * r * sin], axis=-1)
+        dq = np.stack([-r * sin * rate, s * r * cos * rate], axis=-1)
+        return q, np.zeros_like(q), dq, np.zeros_like(dq)
 
     start = "north" if theta <= 3.0 * np.pi / 4.0 else "south"
-    return BasePath(position=position, velocity=velocity, start_chart=start)
+    return BasePath(at=at, start_chart=start)
 
 
 def meridian_path() -> BasePath:
     """Great-circle loop through both poles (down at azimuth 0, up at pi)."""
 
-    def position(chart, t):
-        u1 = np.tan(np.pi * np.asarray(t, dtype=float))
-        if chart == "north":
-            q = np.stack([u1, np.zeros_like(u1)], axis=-1)
-        elif chart == "south":
+    def at(chart, t):
+        angle = np.pi * np.asarray(t, dtype=float)
+        u1 = np.tan(angle)
+        if _sphere_sign(chart, "meridian") > 0.0:
+            d = np.pi / np.cos(angle) ** 2
+        else:
             with np.errstate(divide="ignore"):
-                q = np.stack([np.where(u1 != 0.0, 1.0 / u1, np.inf), np.zeros_like(u1)], axis=-1)
-        else:
-            raise ChartError(f"meridian path not defined in chart {chart!r}")
-        return q, np.zeros_like(q)
-
-    def velocity(chart, t):
-        t = np.asarray(t, dtype=float)
-        if chart == "north":
-            d = np.pi / np.cos(np.pi * t) ** 2
-        elif chart == "south":
-            d = -np.pi / np.sin(np.pi * t) ** 2
-        else:
-            raise ChartError(f"meridian path not defined in chart {chart!r}")
+                u1 = np.where(u1 != 0.0, 1.0 / u1, np.inf)
+            d = -np.pi / np.sin(angle) ** 2
+        q = np.stack([u1, np.zeros_like(u1)], axis=-1)
         dq = np.stack([d, np.zeros_like(d)], axis=-1)
-        return dq, np.zeros_like(dq)
+        return q, np.zeros_like(q), dq, np.zeros_like(dq)
 
-    return BasePath(position=position, velocity=velocity, start_chart="north")
+    return BasePath(at=at, start_chart="north")
 
 
 def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "main") -> BasePath:
     """Circle in one (q_k, p_k) phase plane; encloses area pi r^2."""
     c = np.asarray(center_q, dtype=float)
 
-    def position(chart_name, t):
+    def at(chart_name, t):
         t = np.asarray(t, dtype=float)
         ang = 2.0 * np.pi * t
+        cos, sin = np.cos(ang), np.sin(ang)
         q = np.broadcast_to(c, t.shape + (2,)).copy()
-        p = np.zeros(t.shape + (2,))
-        q[..., plane] = c[plane] + radius * np.cos(ang)
-        p[..., plane] = -radius * np.sin(ang)
-        return q, p
+        p, dq, dp = np.zeros((3,) + t.shape + (2,))
+        q[..., plane] = c[plane] + radius * cos
+        p[..., plane] = -radius * sin
+        dq[..., plane] = -2.0 * np.pi * radius * sin
+        dp[..., plane] = -2.0 * np.pi * radius * cos
+        return q, p, dq, dp
 
-    def velocity(chart_name, t):
-        t = np.asarray(t, dtype=float)
-        ang = 2.0 * np.pi * t
-        dq = np.zeros(t.shape + (2,))
-        dp = np.zeros(t.shape + (2,))
-        dq[..., plane] = -2.0 * np.pi * radius * np.sin(ang)
-        dp[..., plane] = -2.0 * np.pi * radius * np.cos(ang)
-        return dq, dp
-
-    return BasePath(position=position, velocity=velocity, start_chart=chart)
+    return BasePath(at=at, start_chart=chart)
 
 
 def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") -> BasePath:
@@ -156,21 +132,16 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
     q0 = np.asarray(q_fixed, dtype=float)
     pc = np.asarray(p_center, dtype=float)
 
-    def position(chart_name, t):
+    def at(chart_name, t):
         t = np.asarray(t, dtype=float)
         ang = 2.0 * np.pi * t
+        cos, sin = np.cos(ang), np.sin(ang)
         q = np.broadcast_to(q0, t.shape + (2,)).copy()
-        p = np.stack([pc[0] + radius * np.cos(ang), pc[1] + radius * np.sin(ang)], axis=-1)
-        return q, p
+        p = np.stack([pc[0] + radius * cos, pc[1] + radius * sin], axis=-1)
+        dp = 2.0 * np.pi * np.stack([-radius * sin, radius * cos], axis=-1)
+        return q, p, np.zeros(t.shape + (2,)), dp
 
-    def velocity(chart_name, t):
-        t = np.asarray(t, dtype=float)
-        ang = 2.0 * np.pi * t
-        dq = np.zeros(t.shape + (2,))
-        dp = 2.0 * np.pi * np.stack([-radius * np.sin(ang), radius * np.cos(ang)], axis=-1)
-        return dq, dp
-
-    return BasePath(position=position, velocity=velocity, start_chart=chart)
+    return BasePath(at=at, start_chart=chart)
 
 
 @dataclass(frozen=True)
@@ -202,8 +173,7 @@ def _generator_batch(model, rep, chart, path, ts):
     matrix ODE integrates the connection part alone; the full transport
     operator is exp(i alpha_phase) times the returned unitary.
     """
-    q, p = path.position(chart, ts)
-    dq, _ = path.velocity(chart, ts)
+    q, p, dq, _ = path.at(chart, ts)
     return connection_rep_batch(model, rep, chart, q, dq), np.einsum("...k,...k->...", p, dq)
 
 
@@ -298,16 +268,16 @@ def transport(
     integ = _Integrator(model, rep, path, store)
     chart_log = [(0.0, chart)]
 
-    def do_insert(t_cross: float, from_chart: str, to_chart: str) -> None:
+    def do_insert(t_cross: float, from_chart: str, target: str) -> None:
         nonlocal chart
-        overlap = model.overlaps.get((from_chart, to_chart))
+        overlap = model.overlaps.get((from_chart, target))
         if overlap is None:
-            raise ChartError(f"no registered transition {from_chart!r} -> {to_chart!r} at t = {t_cross:.6f}")
-        q_here = path.position(from_chart, np.array([t_cross]))[0][0]
+            raise ChartError(f"no registered transition {from_chart!r} -> {target!r} at t = {t_cross:.6f}")
+        q_here = path.at(from_chart, np.array([t_cross]))[0][0]
         x = quantize_transition(basis, overlap.transition(q_here))
-        integ.insert(x, to_chart)
-        chart = to_chart
-        chart_log.append((t_cross, to_chart))
+        integ.insert(x, target)
+        chart = target
+        chart_log.append((t_cross, target))
 
     boundary_tol = constants.CROSSING_BISECT_TOL
     stops = sorted(forced_switches) if forced_switches else []
@@ -320,7 +290,7 @@ def transport(
             boundary = model.charts[chart].boundary
             exit_idx = None
             if boundary is not None:
-                q_nodes = path.position(chart, ts)[0]
+                q_nodes = path.at(chart, ts)[0]
                 bvals = np.atleast_1d(boundary(q_nodes))
                 outside = np.nonzero(bvals > 0.0)[0]
                 if outside.size:
@@ -367,7 +337,7 @@ def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
     lo, hi = t_lo, t_hi
     while hi - lo > constants.CROSSING_BISECT_TOL:
         mid = 0.5 * (lo + hi)
-        q = path.position(chart, np.array([mid]))[0][0]
+        q = path.at(chart, np.array([mid]))[0][0]
         if float(boundary(q[None, :])[0]) <= 0.0:
             lo = mid
         else:
@@ -376,14 +346,11 @@ def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
 
 
 def reverse_path(path: BasePath) -> BasePath:
-    def position(chart, t):
-        return path.position(chart, 1.0 - np.asarray(t, dtype=float))
+    def at(chart, t):
+        q, p, dq, dp = path.at(chart, 1.0 - np.asarray(t, dtype=float))
+        return q, p, -dq, -dp
 
-    def velocity(chart, t):
-        dq, dp = path.velocity(chart, 1.0 - np.asarray(t, dtype=float))
-        return -dq, -dp
-
-    return BasePath(position=position, velocity=velocity, start_chart=path.start_chart)
+    return BasePath(at=at, start_chart=path.start_chart)
 
 
 def wilson_loop(
@@ -395,8 +362,8 @@ def wilson_loop(
     steps: int | None = None,
 ) -> tuple[np.ndarray, complex]:
     """Holonomy matrix and trace around a closed base loop."""
-    q0, p0 = loop.position(loop.start_chart, np.array([0.0]))
-    q1, p1 = loop.position(loop.start_chart, np.array([1.0]))
+    q0, p0, _, _ = loop.at(loop.start_chart, np.array([0.0]))
+    q1, p1, _, _ = loop.at(loop.start_chart, np.array([1.0]))
     gap = float(np.max(np.abs(q1 - q0)) + np.max(np.abs(p1 - p0)))
     if not gap <= 1e-12:
         raise InvalidArgument(f"loop is not closed (endpoint gap {gap:.2e})")
@@ -476,14 +443,12 @@ def covariant_residual_total_space(
         if abs(h_plus - h_minus) > 1e-12:
             continue
         h = h_plus
-        q, p = path.position(chart, np.array([t0]))
-        dq, dp = path.velocity(chart, np.array([t0]))
+        q, p, dq, dp = path.at(chart, np.array([t0]))
         w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent(dq=dq[0], dp=dp[0]))
         alpha_b = float(np.dot(p[0], dq[0]))
 
         def fiber_velocity(t, zz):
-            qq, pp = path.position(chart, np.array([t]))
-            dqq, dpp = path.velocity(chart, np.array([t]))
+            qq, pp, dqq, dpp = path.at(chart, np.array([t]))
             ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), BaseTangent(dq=dqq[0], dp=dpp[0]))
             return -hamiltonian_field_complex(spec, ww, ChartPoint(Chart.NORTH, zz))
 

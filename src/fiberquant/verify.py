@@ -36,7 +36,7 @@ from .gauge import (
     trivial_model,
     verify_gauge_data,
 )
-from .numerics import matrix_exp
+from .numerics import central_difference, matrix_exp
 from .orbit import (
     Chart,
     ChartPoint,
@@ -107,7 +107,7 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
         grad = w.chart_gradient(pt)
         worst = max(worst, abs(lhs + float(np.dot(grad, xi))))
     rows["orbit.hamiltonian_field_identity"] = worst
-    rows["orbit.potential_lie_chain"] = _lie_chain_residual(spec, rng, samples=25)
+    rows["orbit.potential_lie_chain"] = _lie_chain_residual(spec, rng)
 
     worst = 0.0
     for _ in range(50):
@@ -136,18 +136,18 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
         pt = _random_point(rng)
         worst = max(worst, abs(np.linalg.norm(embed_point(spec, pt)) - spec.j))
     rows["orbit.embed_radius"] = worst
-    rows["orbit.potential_curvature"] = _curl_vs_form_residual(spec, rng, samples=100)
+    rows["orbit.potential_curvature"] = _curl_vs_form_residual(spec, rng)
     return rows
 
 
-def _lie_chain_residual(spec: OrbitSpec, rng, samples: int = 25, h: float = 1e-5) -> float:
+def _lie_chain_residual(spec: OrbitSpec, rng) -> float:
     """The one-form identity behind the field definition, via stencils.
 
     Checks Omega(H_w, xi) = H_w<theta, xi> - xi<theta, H_w> - <theta,[H_w, xi]>
     for constant chart fields xi.
     """
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(25):
         a = rng.standard_normal(3)
         w = moment_hamiltonian(spec, a)
         pt = _random_point(rng)
@@ -168,10 +168,10 @@ def _lie_chain_residual(spec: OrbitSpec, rng, samples: int = 25, h: float = 1e-5
         def theta_dot_field(point: ChartPoint) -> complex:
             return theta_pair(point, field_at(point))
 
-        d_hw = (theta_pair(shift(pt, hw, h), xi) - theta_pair(shift(pt, hw, -h), xi)) / (2 * h)
-        d_xi = (theta_dot_field(shift(pt, xi, h)) - theta_dot_field(shift(pt, xi, -h))) / (2 * h)
+        d_hw = central_difference(lambda s: theta_pair(shift(pt, hw, s), xi), 0.0, 1e-5)
+        d_xi = central_difference(lambda s: theta_dot_field(shift(pt, xi, s)), 0.0, 1e-5)
         # [H_w, xi] = -(D H_w) xi for constant xi, by stencil on the field.
-        jac_xi = (field_at(shift(pt, xi, h)) - field_at(shift(pt, xi, -h))) / (2 * h)
+        jac_xi = central_difference(lambda s: field_at(shift(pt, xi, s)), 0.0, 1e-5)
         commutator = -jac_xi
         lhs = symplectic_form_at(spec, pt, hw, xi)
         rhs = d_hw - d_xi - theta_pair(pt, commutator)
@@ -179,17 +179,17 @@ def _lie_chain_residual(spec: OrbitSpec, rng, samples: int = 25, h: float = 1e-5
     return worst
 
 
-def _curl_vs_form_residual(spec: OrbitSpec, rng, samples: int = 100, h: float = 1e-5) -> float:
+def _curl_vs_form_residual(spec: OrbitSpec, rng) -> float:
     worst = 0.0
-    for _ in range(samples):
+    for _ in range(100):
         pt = _random_point(rng)
 
         def comp(point: ChartPoint, k: int) -> complex:
             return complex(kahler_potential_at(spec, point)[k])
 
         z = pt.z
-        d_x_theta_y = (comp(ChartPoint(pt.chart, z + h), 1) - comp(ChartPoint(pt.chart, z - h), 1)) / (2 * h)
-        d_y_theta_x = (comp(ChartPoint(pt.chart, z + 1j * h), 0) - comp(ChartPoint(pt.chart, z - 1j * h), 0)) / (2 * h)
+        d_x_theta_y = central_difference(lambda s: comp(ChartPoint(pt.chart, z + s), 1), 0.0, 1e-5)
+        d_y_theta_x = central_difference(lambda s: comp(ChartPoint(pt.chart, z + 1j * s), 0), 0.0, 1e-5)
         curl = d_x_theta_y - d_y_theta_x
         expected = symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))
         worst = max(worst, abs(curl - expected))

@@ -1,8 +1,10 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from fiberquant import scenario
 from fiberquant.cli import (
     EXIT_ACCURACY,
     EXIT_INVALID,
@@ -11,6 +13,7 @@ from fiberquant.cli import (
     run_command,
 )
 from fiberquant.errors import ParseError, ValidationError
+from fiberquant.gauge import ChartData, pure_gauge_model
 from fiberquant.scenario import default_scenario, load_scenario, validate_scenario_dict
 
 
@@ -233,20 +236,36 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert "--steps" in out
 
-    @pytest.mark.parametrize("argv", [
+    _CONTEXT_COMMANDS = [
         ["connection", "--point", "0.3,0.2", "--tangent", "1,0.5"],
         ["transport", "--path", "unit_y", "--steps", "300"],
         ["wilson", "--path", "phase_loop", "--steps", "300"],
         ["section"],
-    ])
-    def test_inconsistent_model_rejected_by_every_context_command(self, tmp_path, argv):
-        # at rates this large the model check's finite-difference derivative
-        # of the transition misses its bound
-        cfg = tmp_path / "pure50.json"
-        cfg.write_text(json.dumps({"orbit": {"two_j": 2}, "model": {"kind": "pure_gauge", "rates": [50, 50]}}))
+    ]
+
+    @pytest.mark.parametrize("argv", _CONTEXT_COMMANDS)
+    def test_inconsistent_model_rejected_by_every_context_command(self, tmp_path, monkeypatch, argv):
+        # the gauged chart's potential is 1% off (dg) g^{-1}, so the overlap law fails
+        def skewed_pure_gauge_model(spec, **params):
+            model = pure_gauge_model(spec, **params)
+            gauged = model.charts["gauged"]
+            charts = {**model.charts, "gauged": ChartData(lambda q: 1.01 * gauged.potential(q))}
+            return dataclasses.replace(model, charts=charts)
+
+        monkeypatch.setattr(scenario, "pure_gauge_model", skewed_pure_gauge_model)
+        cfg = tmp_path / "pure.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 2}, "model": {"kind": "pure_gauge"}}))
         code, out = run_command(argv + ["--config", str(cfg)])
         assert code == EXIT_INVALID
         assert out.startswith("error: chart potentials inconsistent")
+
+    @pytest.mark.parametrize("argv", _CONTEXT_COMMANDS)
+    def test_fast_pure_gauge_model_accepted_by_every_context_command(self, tmp_path, argv):
+        # the model is exactly consistent; the check must not reject it for its rates
+        cfg = tmp_path / "pure50.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 2}, "model": {"kind": "pure_gauge", "rates": [50, 50]}}))
+        code, out = run_command(argv + ["--config", str(cfg)])
+        assert code == EXIT_OK, out
 
     @pytest.mark.parametrize("model, paths, field", [
         ({"kind": "trivial"}, {"bad": {"kind": "segment", "q_to": [1.0, 0.0]}}, "paths.bad.q_from"),
@@ -264,6 +283,22 @@ class TestExitCodes:
         cfg = tmp_path / "bad.json"
         cfg.write_text(json.dumps({"orbit": {"two_j": 1}, "model": model, "paths": paths}))
         code, out = run_command(["transport", "--config", str(cfg), "--path", "bad"])
+        assert code == EXIT_INVALID
+        assert out.startswith(f"error: {field}:")
+
+    @pytest.mark.parametrize("quadrature, field", [
+        (None, "quadrature"),
+        (False, "quadrature"),
+        (0, "quadrature"),
+        ({}, "quadrature.n_t"),
+        ({"n_t": True, "n_phi": 9}, "quadrature.n_t"),
+        ({"n_t": 12, "n_phi": 0}, "quadrature.n_phi"),
+        ({"n_t": 12, "n_phi": 17, "n_tt": 12}, "quadrature.n_tt"),
+    ])
+    def test_malformed_quadrature_rejected(self, tmp_path, quadrature, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 1}, "model": {"kind": "trivial"}, "quadrature": quadrature}))
+        code, out = run_command(["transport", "--config", str(cfg), "--path", "unit_x"])
         assert code == EXIT_INVALID
         assert out.startswith(f"error: {field}:")
 

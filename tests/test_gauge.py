@@ -24,6 +24,7 @@ from fiberquant.gauge import (
     trivial_model,
     verify_gauge_data,
 )
+from fiberquant.numerics import central_difference
 from fiberquant.orbit import (
     Chart,
     ChartPoint,
@@ -242,6 +243,33 @@ class TestPureGaugePotential:
         assert np.max(np.abs(pot(np.array([np.pi / 2, 0.0]))[1] - TAU[2])) <= 1e-15
         assert pot(np.zeros(2)).shape == (2, 2, 2)
         assert pot(np.zeros((3, 4, 2))).shape == (3, 4, 2, 2, 2)
+
+
+class TestOverlapMaps:
+    """An overlap's dq' is the derivative of its point map, and the sphere charts invert each other."""
+
+    @pytest.mark.parametrize("builder", [monopole_model, pure_gauge_model])
+    def test_tangent_map_is_derivative_of_point_map(self, ctx, builder):
+        model = builder(ctx["spec"])
+        rng = np.random.default_rng(12)
+        for overlap in model.overlaps.values():
+            for _ in range(5):
+                r, phi = rng.uniform(0.6, 1.6), rng.uniform(0.0, 2.0 * np.pi)
+                q = r * np.array([np.cos(phi), np.sin(phi)])
+                dq = rng.standard_normal(2)
+                _, dq_there = overlap.convert(q, dq)
+                fd = central_difference(lambda s: overlap.convert(q + s * dq, dq)[0], 0.0, 1e-6)
+                assert np.max(np.abs(dq_there - fd)) <= 1e-6
+
+    def test_sphere_round_trip(self, ctx):
+        overlaps = ctx["mono"].overlaps
+        rng = np.random.default_rng(13)
+        r, phi = rng.uniform(0.6, 1.6, size=20), rng.uniform(0.0, 2.0 * np.pi, size=20)
+        q = r[:, None] * np.stack([np.cos(phi), np.sin(phi)], axis=-1)
+        dq = rng.standard_normal((20, 2))
+        q_back, dq_back = overlaps[("south", "north")].convert(*overlaps[("north", "south")].convert(q, dq))
+        assert np.max(np.abs(q_back - q)) <= 1e-14
+        assert np.max(np.abs(dq_back - dq)) <= 1e-13
 
 
 class TestGaugeLaw:

@@ -6,7 +6,6 @@ from fiberquant.numerics import (
     central_difference,
     gauss_legendre,
     matrix_exp,
-    rk4_integrate,
     rk4_step,
     sphere_rule,
 )
@@ -63,41 +62,11 @@ class TestSphereRule:
 
 
 class TestRK4:
-    def test_zero_field_returns_initial(self):
-        y0 = np.eye(3, dtype=complex)
-        out = rk4_integrate(lambda t, y: np.zeros_like(y), y0, np.linspace(0, 1, 11))
-        assert np.array_equal(out, y0)
-
-    def test_scalar_exponential(self):
-        out = rk4_integrate(lambda t, y: y, np.array(1.0 + 0j), np.linspace(0, 1, 101))
-        assert out == pytest.approx(np.e, abs=1e-9)
-
-    def test_order_four_convergence(self):
-        def err(n):
-            out = rk4_integrate(lambda t, y: y, np.array(1.0 + 0j), np.linspace(0, 1, n + 1))
-            return abs(out - np.e)
-
-        ratio = err(50) / err(100)
-        assert 12.0 <= ratio <= 20.0
-
-    def test_anti_hermitian_matches_matrix_exp(self):
-        rng = np.random.default_rng(2)
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        m = m - m.conj().T
-        out = rk4_integrate(lambda t, y: m @ y, np.eye(4, dtype=complex), np.linspace(0, 1, 1001))
-        assert np.linalg.norm(out - matrix_exp(m), 2) < 1e-10
-
     def test_step_either_sign(self):
         # one step of y' = y is the degree-4 Taylor polynomial of exp(h)
         for h in (0.1, -0.1):
             out = rk4_step(lambda t, y: y, 0.0, np.array(1.0 + 0j), h)
             assert out == pytest.approx(1 + h + h**2 / 2 + h**3 / 6 + h**4 / 24, abs=1e-15)
-
-    def test_bad_grid_rejected(self):
-        with pytest.raises(InvalidArgument):
-            rk4_integrate(lambda t, y: y, np.array(1.0 + 0j), np.array([0.0, 0.5, 0.4]))
-        with pytest.raises(InvalidArgument):
-            rk4_integrate(lambda t, y: y, np.array(1.0 + 0j), np.array([0.0]))
 
 
 class TestMatrixExp:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from fiberquant.constants import MONOPOLE_HOLONOMY_SIGN
-from fiberquant.errors import InvalidArgument
+from fiberquant import scenario
+from fiberquant.errors import ChartError, InvalidArgument
 from fiberquant.fiberq import build_basis
 from fiberquant.gauge import (
     BasePoint,
@@ -15,7 +16,7 @@ from fiberquant.gauge import (
     quadrature_rep,
     trivial_model,
 )
-from fiberquant.numerics import matrix_exp
+from fiberquant.numerics import central_difference, matrix_exp
 from fiberquant.orbit import OrbitSpec
 from fiberquant.transport import (
     BasePath,
@@ -47,14 +48,47 @@ def ctx():
 
 
 def subpath(path, t0, t1):
-    def position(chart, t):
-        return path.position(chart, t0 + (t1 - t0) * np.asarray(t, dtype=float))
+    def at(chart, t):
+        q, p, dq, dp = path.at(chart, t0 + (t1 - t0) * np.asarray(t, dtype=float))
+        return q, p, (t1 - t0) * dq, (t1 - t0) * dp
 
-    def velocity(chart, t):
-        dq, dp = path.velocity(chart, t0 + (t1 - t0) * np.asarray(t, dtype=float))
-        return (t1 - t0) * dq, (t1 - t0) * dp
+    return BasePath(at=at, start_chart=path.start_chart)
 
-    return BasePath(position=position, velocity=velocity, start_chart=path.start_chart)
+
+# One path of each scenario kind, with the charts it is defined in.
+_PATH_CASES = {
+    "latitude": (latitude_path(1.0, winds=2, phi0=0.3), ("north", "south")),
+    "meridian": (meridian_path(), ("north", "south")),
+    "segment": (segment_path([0.1, -0.2], [0.7, 0.4], [0.3, 0.0], [-0.5, 0.2]), ("main",)),
+    "phase_circle": (phase_circle_path([0.2, -0.1], 0.6, plane=1), ("main",)),
+    "momentum_circle": (momentum_circle_path([0.4, -0.1], [0.2, 0.3], 0.7), ("main",)),
+}
+
+
+class TestPathMaps:
+    """A path's (dq, dp) is the parameter derivative of its (q, p), in every chart."""
+
+    def test_every_scenario_kind_has_a_case(self):
+        assert set(_PATH_CASES) == set(scenario._PATHS)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", sorted(_PATH_CASES))
+    def test_velocity_is_derivative_of_position(self, kind, reverse):
+        path, charts = _PATH_CASES[kind]
+        if reverse:
+            path = reverse_path(path)
+        ts = np.array([0.1, 0.37, 0.62, 0.9])
+        for chart in charts:
+            q, p, dq, dp = path.at(chart, ts)
+            assert q.shape == p.shape == dq.shape == dp.shape == (4, 2)
+            for value, deriv in ((0, dq), (1, dp)):
+                fd = central_difference(lambda s: path.at(chart, ts + s)[value], 0.0, 1e-6)
+                assert np.max(np.abs(deriv - fd)) <= 1e-6, (chart, value)
+
+    @pytest.mark.parametrize("kind", ["latitude", "meridian"])
+    def test_sphere_path_rejects_other_chart(self, kind):
+        with pytest.raises(ChartError):
+            _PATH_CASES[kind][0].at("main", np.array([0.5]))
 
 
 class TestBasicTransport:
