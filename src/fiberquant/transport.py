@@ -98,9 +98,9 @@ def meridian_path() -> BasePath:
         if _sphere_sign(chart, "meridian") > 0.0:
             d = np.pi / np.cos(angle) ** 2
         else:
-            with np.errstate(divide="ignore"):
+            with np.errstate(divide="ignore"):  # the north pole, t = 0, is at infinity
                 u1 = np.where(u1 != 0.0, 1.0 / u1, np.inf)
-            d = -np.pi / np.sin(angle) ** 2
+                d = -np.pi / np.sin(angle) ** 2
         q = np.stack([u1, np.zeros_like(u1)], axis=-1)
         dq = np.stack([d, np.zeros_like(d)], axis=-1)
         return q, np.zeros_like(q), dq, np.zeros_like(dq)
