@@ -2,12 +2,13 @@
 
 A ``GaugeModel`` is base data over the plane or the two-chart sphere, with
 T*Q represented by (q, p) pairs: per chart a ``ChartData`` (su(2) potential
-and domain), per ordered chart pair an ``Overlap`` (transition and the
-change of coordinates (q, dq) -> (q', dq')).  The potential is pulled back
-from Q, so a connection value reads only q and dq, and no overlap maps p
-or dp.  ``check_model`` tests it against the ``FiberBasis`` in use.  The connection on the quantum bundle is the potential contracted with
-a ``LieAlgebraRep``, three generator matrices built from the ``FiberBasis``
-alone, in two independent ways:
+as tau-coefficients, and domain), per ordered chart pair an ``Overlap``
+(transition and the change of coordinates (q, dq) -> (q', dq')).  The
+potential is pulled back from Q, so a connection value reads only q and dq.
+``check_model`` tests a model against the ``FiberBasis`` in use.  The
+connection on the quantum bundle is the potential's tau-coefficients
+contracted with a ``LieAlgebraRep``, three generator matrices built from
+the ``FiberBasis`` alone, in two independent ways:
 
 * ``quadrature_rep`` takes i O(mu_a) of the three moment functions, with
   O the prequantum operator by quadrature (Kostant-Souriau), and
@@ -84,9 +85,11 @@ class LieAlgebraRep:
 
 @dataclass(frozen=True)
 class ChartData:
-    """A chart's potential and its domain, boundary(q) <= 0 (None: the whole plane)."""
+    """A chart's potential and its domain, boundary(q) <= 0 (None: the whole plane).
+    ``potential`` maps points (..., 2) to real tau-coefficients (..., 2, 3): [k, a]
+    multiplies TAU[a] in the dq_k component."""
 
-    potential: Callable[[np.ndarray], np.ndarray]  # (...,2) -> (...,2,2,2)
+    potential: Callable[[np.ndarray], np.ndarray]
     boundary: Callable[[np.ndarray], np.ndarray] | None = None
 
     def contains(self, q: np.ndarray) -> bool:
@@ -129,13 +132,8 @@ def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
 
 
 def potential_contraction(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """su(2) elements <alpha_pot(q), dq> in a chart, along arrays of points and tangents."""
-    return np.einsum("...k,...kij->...ij", dq, model.charts[chart].potential(q))
-
-
-def su2_coefficients_batch(xi: np.ndarray) -> np.ndarray:
-    """Generator coefficients of batched su(2) elements; shape (..., 3)."""
-    return -2.0 * np.einsum("...ij,aji->...a", xi, TAU).real
+    """tau-coefficients (..., 3) of <alpha_pot(q), dq> in a chart, along arrays of points and tangents."""
+    return np.einsum("...k,...ka->...a", dq, model.charts[chart].potential(q))
 
 
 # The fiber trivialization pairs the potential direction with the moment
@@ -149,8 +147,7 @@ _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 def orbit_function(model: GaugeModel, b: BasePoint, v: BaseTangent) -> FiberHamiltonian:
     """The fiber Hamiltonian induced by the potential at (b, v)."""
     model.chart_data(b)
-    xi = potential_contraction(model, b.chart, b.q, v.dq)
-    return moment_hamiltonian(model.spec, su2_coefficients_batch(xi) * _MOMENT_TWIST)
+    return moment_hamiltonian(model.spec, potential_contraction(model, b.chart, b.q, v.dq) * _MOMENT_TWIST)
 
 
 def horizontal_lift(model: GaugeModel, b: BasePoint, v: BaseTangent, f: ChartPoint) -> tuple[BaseTangent, np.ndarray]:
@@ -192,15 +189,15 @@ def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseT
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Vectorized connection values along arrays of points/tangents."""
-    coeffs = su2_coefficients_batch(potential_contraction(model, chart, q, dq))
-    return np.einsum("...a,aij->...ij", coeffs, rep.matrices)
+    return np.einsum("...a,aij->...ij", potential_contraction(model, chart, q, dq), rep.matrices)
 
 
-def gauge_residual(model: GaugeModel, basis: FiberBasis, b: BasePoint, v: BaseTangent) -> float:
+def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> float:
     """Defect of the gauge transformation law across the overlap at b.
 
     Compares A in the neighbour chart against
-    X A X^{-1} + (dX along v) X^{-1} with X the quantized transition.
+    X A X^{-1} + (dX along v) X^{-1}, with A the connection of ``rep`` and
+    X the quantized transition.
     """
     model.chart_data(b)
     target = model.other_chart(b.chart)
@@ -211,9 +208,8 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, b: BasePoint, v: BaseTa
     if not model.charts[target].contains(q_there):
         raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
 
-    gens = quadrature_rep(basis)
-    a_here = connection_rep(model, gens, b, v)
-    a_there = connection_rep_batch(model, gens, target, q_there, dq_there)
+    a_here = connection_rep(model, rep, b, v)
+    a_there = connection_rep_batch(model, rep, target, q_there, dq_there)
 
     x_at = lambda q: quantize_transition(basis, overlap.transition(q))
     x = x_at(b.q)
@@ -323,23 +319,25 @@ def assume_check(basis: FiberBasis, hamiltonians) -> float:
 def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
     """Consistency of the chart potentials with the registered transitions.
 
-    Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1} on 12 sampled overlap
-    points per transition; returns the worst absolute defect.  dg is the
-    Richardson combination (4 D(h/2) - D(h)) / 3 of the central difference
-    D, so its O(h^2) truncation error, which grows with the transition's
-    rate of change, cancels.
+    Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1}, potentials lifted to
+    matrices, on 12 sampled points per overlap (ConfigurationError if none
+    is found); returns the worst absolute defect.  dg is the Richardson
+    combination (4 D(h/2) - D(h)) / 3 of the central difference D, so its
+    O(h^2) truncation error, which grows with the transition's rate of
+    change, cancels.
     """
     h = constants.FD_STEP_GAUGE
+    lift = lambda c: np.einsum("...a,aij->...ij", c, TAU)
     worst = 0.0
     for (i, j), overlap in model.overlaps.items():
         g_fn = overlap.transition
         for _ in range(12):
             q = _sample_overlap_point(model, i, j, rng)
             if q is None:
-                continue
+                raise ConfigurationError(f"overlap ({i!r}, {j!r}): no sampled point lies in both charts")
             dq = rng.standard_normal(2)
-            xi_i = potential_contraction(model, i, q, dq)
-            xi_j = potential_contraction(model, j, *overlap.convert(q, dq))
+            xi_i = lift(potential_contraction(model, i, q, dq))
+            xi_j = lift(potential_contraction(model, j, *overlap.convert(q, dq)))
             g = g_fn(q)
             d = lambda step: central_difference(lambda s: g_fn(q + s * dq), 0.0, step)
             dg = (4.0 * d(0.5 * h) - d(h)) / 3.0
@@ -370,8 +368,7 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
 # ----------------------------------------------------------------------
 
 def _zero_potential(q: np.ndarray) -> np.ndarray:
-    shape = np.shape(q)[:-1] + (2, 2, 2)
-    return np.zeros(shape, dtype=complex)
+    return np.zeros(np.shape(q)[:-1] + (2, 3))
 
 
 def check_model(model: GaugeModel, basis: FiberBasis) -> None:
@@ -408,16 +405,12 @@ def constant_model(spec: OrbitSpec, coefficients=None) -> GaugeModel:
     """
     if coefficients is None:
         coefficients = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
-    coefficients = np.asarray(coefficients, dtype=float)
+    coefficients = np.array(coefficients, dtype=float)
     if coefficients.shape != (2, 3):
         raise InvalidArgument(f"coefficients must be shaped (2, 3), got {coefficients.shape}")
-    const = np.einsum("ka,aij->kij", coefficients, TAU)
 
     def potential(q: np.ndarray) -> np.ndarray:
-        shape = np.shape(q)[:-1]
-        out = np.empty(shape + (2, 2, 2), dtype=complex)
-        out[...] = const
-        return out
+        return np.broadcast_to(coefficients, np.shape(q)[:-1] + (2, 3))
 
     return GaugeModel(spec=spec, kind="constant", charts={"main": ChartData(potential)})
 
@@ -446,12 +439,8 @@ def monopole_model(spec: OrbitSpec, strength: int = 1) -> GaugeModel:
     def potential(q: np.ndarray) -> np.ndarray:
         u1, u2 = q[..., 0], q[..., 1]
         rho = 1.0 + u1**2 + u2**2
-        coeff1 = strength * 2.0 * (-u2) / rho
-        coeff2 = strength * 2.0 * u1 / rho
-        shape = np.shape(u1)
-        out = np.zeros(shape + (2, 2, 2), dtype=complex)
-        out[..., 0, :, :] = np.multiply.outer(coeff1, TAU[2])
-        out[..., 1, :, :] = np.multiply.outer(coeff2, TAU[2])
+        out = np.zeros(np.shape(q)[:-1] + (2, 3))
+        out[..., 2] = strength * 2.0 * np.stack([-u2, u1], axis=-1) / rho[..., None]
         return out
 
     def boundary(q: np.ndarray) -> np.ndarray:
@@ -486,9 +475,10 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1)) -> GaugeModel:
         # Ad_{exp(s tau_1)} tau_2 = cos(s) tau_2 + sin(s) tau_3 since
         # [tau_1, tau_2] = tau_3 and [tau_1, tau_3] = -tau_2.
         s = r1 * np.asarray(q, dtype=float)[..., 0]
-        out = np.empty(s.shape + (2, 2, 2), dtype=complex)
-        out[..., 0, :, :] = r1 * TAU[0]
-        out[..., 1, :, :] = r2 * (np.multiply.outer(np.cos(s), TAU[1]) + np.multiply.outer(np.sin(s), TAU[2]))
+        out = np.zeros(s.shape + (2, 3))
+        out[..., 0, 0] = r1
+        out[..., 1, 1] = r2 * np.cos(s)
+        out[..., 1, 2] = r2 * np.sin(s)
         return out
 
     same = lambda q, dq: (q, dq)

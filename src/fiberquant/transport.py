@@ -146,15 +146,17 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
 
 @dataclass(frozen=True)
 class TransportResult:
+    """Transport operator exp(i alpha_phase) unitary over [0, 1].  With store=True,
+    ``nodes`` holds one (t, W, phase, chart) per RK4 node from (0.0, I, 0.0, start
+    chart) to (1.0, unitary, alpha_phase, end chart); at a crossing, W and chart
+    are those after the inserted transition."""
+
     unitary: np.ndarray
     alpha_phase: float
     steps: int
     unitarity_deviation: float
     chart_log: tuple
-    times: np.ndarray | None = None
-    unitaries: np.ndarray | None = None
-    phases: np.ndarray | None = None
-    node_charts: tuple | None = None
+    nodes: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -189,53 +191,24 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
     return mats[0]
 
 
-class _Integrator:
-    """Stateful RK4 march with optional per-node storage."""
+def _step_maps(model, rep, path, chart, t0, t1, n_steps):
+    """RK4 step maps W(t) -> W(t + h) of n_steps equal steps over [t0, t1] in one chart.
 
-    def __init__(self, model, rep, path, store):
-        self.model = model
-        self.rep = rep
-        self.path = path
-        self.store = store
-        self.w = np.eye(model.spec.dim, dtype=complex)
-        self.phase = 0.0
-        self.times = [0.0]
-        self.mats = [self.w.copy()]
-        self.phases = [0.0]
-        self.node_charts = [path.start_chart]
-
-    def run_span(self, t0: float, t1: float, chart: str, n_steps: int) -> None:
-        n_steps = max(int(n_steps), 1)
-        h = (t1 - t0) / n_steps
-        eye = np.eye(self.w.shape[0], dtype=complex)
-        for c0 in range(0, n_steps, _CHUNK_STEPS):
-            c1 = min(c0 + _CHUNK_STEPS, n_steps)
-            ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
-            g, alpha = _generator_batch(self.model, self.rep, chart, self.path, ts)
-            g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
-            a1 = g0
-            a2 = g1 + (0.5 * h) * np.matmul(g1, a1)
-            a3 = g1 + (0.5 * h) * np.matmul(g1, a2)
-            a4 = g2 + h * np.matmul(g2, a3)
-            step_maps = eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-            step_phases = (h / 6.0) * (alpha[0:-1:2] + 4.0 * alpha[1::2] + alpha[2::2])
-            if self.store:
-                for k in range(step_maps.shape[0]):
-                    self.w = step_maps[k] @ self.w
-                    self.phase += float(step_phases[k])
-                    self.times.append(float(ts[2 * k + 2]))
-                    self.mats.append(self.w.copy())
-                    self.phases.append(self.phase)
-                    self.node_charts.append(chart)
-            else:
-                self.w = _ordered_product(step_maps) @ self.w
-                self.phase += float(np.sum(step_phases))
-
-    def insert(self, matrix: np.ndarray, chart: str) -> None:
-        self.w = matrix @ self.w
-        if self.store:
-            self.mats[-1] = self.w.copy()
-            self.node_charts[-1] = chart
+    Yields (step end times, step maps, Simpson phases) a chunk of at most
+    _CHUNK_STEPS steps at a time."""
+    n_steps = max(int(n_steps), 1)
+    h = (t1 - t0) / n_steps
+    eye = np.eye(model.spec.dim, dtype=complex)
+    for c0 in range(0, n_steps, _CHUNK_STEPS):
+        c1 = min(c0 + _CHUNK_STEPS, n_steps)
+        ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
+        g, alpha = _generator_batch(model, rep, chart, path, ts)
+        g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
+        a2 = g1 + (0.5 * h) * np.matmul(g1, g0)
+        a3 = g1 + (0.5 * h) * np.matmul(g1, a2)
+        a4 = g2 + h * np.matmul(g2, a3)
+        yield (ts[2::2], eye + (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
+               (h / 6.0) * (alpha[0:-1:2] + 4.0 * alpha[1::2] + alpha[2::2]))
 
 
 def transport(
@@ -265,25 +238,36 @@ def transport(
     if chart not in model.charts:
         raise ChartError(f"path start chart {chart!r} unknown to the model")
 
-    integ = _Integrator(model, rep, path, store)
+    w = np.eye(model.spec.dim, dtype=complex)
+    phase = 0.0
+    nodes = [(0.0, w, phase, chart)]
     chart_log = [(0.0, chart)]
 
+    def run_span(t0: float, t1: float, n_steps: int) -> None:
+        nonlocal w, phase
+        for times, maps, phases in _step_maps(model, rep, path, chart, t0, t1, n_steps):
+            if store:
+                for t, step_map, step_phase in zip(times, maps, phases):
+                    w = step_map @ w
+                    phase += float(step_phase)
+                    nodes.append((float(t), w, phase, chart))
+            else:
+                w = _ordered_product(maps) @ w
+                phase += float(np.sum(phases))
+
     def do_insert(t_cross: float, from_chart: str, target: str) -> None:
-        nonlocal chart
+        nonlocal chart, w
         overlap = model.overlaps.get((from_chart, target))
         if overlap is None:
             raise ChartError(f"no registered transition {from_chart!r} -> {target!r} at t = {t_cross:.6f}")
         q_here = path.at(from_chart, np.array([t_cross]))[0][0]
-        x = quantize_transition(basis, overlap.transition(q_here))
-        integ.insert(x, target)
+        w = quantize_transition(basis, overlap.transition(q_here)) @ w
+        nodes[-1] = (nodes[-1][0], w, phase, target)
         chart = target
         chart_log.append((t_cross, target))
 
-    boundary_tol = constants.CROSSING_BISECT_TOL
-    stops = sorted(forced_switches) if forced_switches else []
-    stops = stops + [(1.0, None)]
     t_now = 0.0
-    for t_stop, stop_chart in stops:
+    for t_stop, stop_chart in sorted(forced_switches or []) + [(1.0, None)]:
         while t_now < t_stop - 1e-15:
             n_span = max(int(np.ceil(steps * (t_stop - t_now))), 1)
             ts = np.linspace(t_now, t_stop, n_span + 1)
@@ -298,15 +282,15 @@ def transport(
                     if exit_idx == 0:
                         raise ChartError(f"path starts outside chart {chart!r}")
             if exit_idx is None:
-                integ.run_span(t_now, t_stop, chart, n_span)
+                run_span(t_now, t_stop, n_span)
                 t_now = t_stop
             else:
                 if exit_idx > 1:
-                    integ.run_span(t_now, ts[exit_idx - 1], chart, exit_idx - 1)
+                    run_span(t_now, ts[exit_idx - 1], exit_idx - 1)
                 t_in = ts[exit_idx - 1]
                 t_cross = _bisect_boundary(path, chart, boundary, t_in, ts[exit_idx])
-                if t_cross - t_in > boundary_tol:
-                    integ.run_span(t_in, t_cross, chart, 1)
+                if t_cross - t_in > constants.CROSSING_BISECT_TOL:
+                    run_span(t_in, t_cross, 1)
                 target = model.other_chart(chart)
                 if target is None:
                     raise ChartError(f"path leaves chart {chart!r} with no overlap registered")
@@ -315,21 +299,10 @@ def transport(
         if stop_chart is not None and stop_chart != chart:
             do_insert(t_stop, chart, stop_chart)
 
-    n = model.spec.dim
-    dev = float(np.linalg.norm(integ.w.conj().T @ integ.w - np.eye(n), 2))
+    dev = float(np.linalg.norm(w.conj().T @ w - np.eye(model.spec.dim), 2))
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
-    return TransportResult(
-        unitary=integ.w,
-        alpha_phase=integ.phase,
-        steps=steps,
-        unitarity_deviation=dev,
-        chart_log=tuple(chart_log),
-        times=np.array(integ.times) if store else None,
-        unitaries=np.array(integ.mats) if store else None,
-        phases=np.array(integ.phases) if store else None,
-        node_charts=tuple(integ.node_charts) if store else None,
-    )
+    return TransportResult(w, phase, steps, dev, tuple(chart_log), tuple(nodes) if store else None)
 
 
 def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
@@ -411,21 +384,22 @@ def covariant_residual_total_space(
     along the lift) against i <alpha_total, lift> psi.  Requires a
     transport result computed with store=True.
     """
-    if result.times is None:
+    nodes = result.nodes
+    if nodes is None:
         raise InvalidArgument("transport result must be computed with store=True")
     check_spin(basis, "model", model.spec.two_j)
     spec = basis.spec
     psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
 
-    times = result.times
-    count = len(times)
+    count = len(nodes)
     sample_idx = [int(frac * (count - 1)) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)]
     worst = 0.0
 
     def coeffs_at(idx: int) -> np.ndarray:
-        c = np.exp(1j * result.phases[idx]) * (result.unitaries[idx] @ psi0)
+        t, w, phase, _ = nodes[idx]
+        c = np.exp(1j * phase) * (w @ psi0)
         if corruption is not None:
-            c = corruption(float(times[idx])) * c
+            c = corruption(t) * c
         return c
 
     z0 = np.asarray(_FIBER_SAMPLES, dtype=complex)
@@ -434,15 +408,10 @@ def covariant_residual_total_space(
     for idx in sample_idx:
         if idx <= 0 or idx >= count - 1:
             continue
-        chart = result.node_charts[idx]
-        if result.node_charts[idx - 1] != chart or result.node_charts[idx + 1] != chart:
-            continue  # stencil must not straddle a chart crossing
-        t0 = float(times[idx])
-        h_minus = t0 - float(times[idx - 1])
-        h_plus = float(times[idx + 1]) - t0
-        if abs(h_plus - h_minus) > 1e-12:
-            continue
-        h = h_plus
+        (t_lo, _, _, chart_lo), (t0, _, _, chart), (t_hi, _, _, chart_hi) = nodes[idx - 1:idx + 2]
+        h = t_hi - t0
+        if not chart_lo == chart == chart_hi or abs(h - (t0 - t_lo)) > 1e-12:
+            continue  # the stencil must be even and must not straddle a chart crossing
         q, p, dq, dp = path.at(chart, np.array([t0]))
         w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent(dq=dq[0], dp=dp[0]))
         alpha_b = float(np.dot(p[0], dq[0]))

@@ -321,12 +321,12 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     worst = 0.0
     for _ in range(10):
         b, v = _sample_state(mono, rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, basis, b, v))
+        worst = max(worst, gauge_residual(mono, basis, quad_rep, b, v))
     for _ in range(10):
         q = rng.uniform(-1, 1, size=2)
         b = BasePoint("flat", q, np.zeros(2))
         v = BaseTangent.of(rng.standard_normal(2))
-        worst = max(worst, gauge_residual(pure, basis, b, v))
+        worst = max(worst, gauge_residual(pure, basis, quad_rep, b, v))
     rows["gauge.transformation_law"] = worst
 
     worst = 0.0

@@ -175,13 +175,14 @@ def test_criterion_06_gauge_law():
     ctx = fiber_ctx(2)
     mono = monopole_model(ctx["spec"])
     pure = pure_gauge_model(ctx["spec"])
+    quad = quadrature_rep(ctx["basis"])
     worst = 0.0
     for _ in range(25):
         b, v = monopole_sample(rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, ctx["basis"], b, v))
+        worst = max(worst, gauge_residual(mono, ctx["basis"], quad, b, v))
     for _ in range(25):
         b, v = plane_sample(rng, chart="flat")
-        worst = max(worst, gauge_residual(pure, ctx["basis"], b, v))
+        worst = max(worst, gauge_residual(pure, ctx["basis"], quad, b, v))
     verdict(6, worst <= 1e-6,
             f"gauge transformation law over 50 overlap samples: residual {worst:.2e} (tol 1e-6)")
 

@@ -1,5 +1,8 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -383,3 +386,22 @@ class TestDeterminism:
         assert _serialize(1.0 / 3.0) == format(1.0 / 3.0, ".17g")
         blob = _serialize({"b": [1.5, 2], "a": True, "c": None})
         assert blob.index('"a"') < blob.index('"b"') < blob.index('"c"')
+
+
+class TestRuntimeDependencies:
+    def test_verify_all_loads_only_stdlib_and_numpy(self):
+        # -S skips site's .pth hooks, so every loaded module is the program's doing
+        import fiberquant
+
+        src = os.path.dirname(os.path.dirname(fiberquant.__file__))
+        site = os.path.dirname(os.path.dirname(np.__file__))
+        script = ("import sys\n"
+                  "from fiberquant.cli import run_command\n"
+                  "print(run_command(['verify', 'all'])[0])\n"
+                  "print(' '.join(sorted({name.partition('.')[0] for name in sys.modules})))\n")
+        done = subprocess.run([sys.executable, "-S", "-c", script], capture_output=True, text=True, check=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join([src, site])})
+        code, modules = done.stdout.splitlines()
+        assert code == "0"
+        allowed = set(sys.stdlib_module_names) | {"__main__", "numpy", "fiberquant", "cython_runtime"}
+        assert [m for m in modules.split() if m not in allowed and not m.startswith("_cython_")] == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from fiberquant.fiberq import build_basis, prequant_matrix
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
+    ChartData,
     assume_check,
     build_rep,
     check_model,
@@ -42,11 +45,17 @@ def ctx():
         "spec": spec,
         "basis": basis,
         "rep": build_rep(basis),
+        "quad": quadrature_rep(basis),
         "mono": monopole_model(spec),
         "const": constant_model(spec),
         "pure": pure_gauge_model(spec),
         "triv": trivial_model(spec),
     }
+
+
+def lift(coeffs):
+    """su(2) matrices sum_a coeffs[..., a] TAU[a] of tau-coefficients."""
+    return np.einsum("...a,aij->...ij", coeffs, TAU)
 
 
 def monopole_state(rng, overlap=False):
@@ -231,7 +240,7 @@ class TestPureGaugePotential:
         r1, r2 = 0.7, 1.1
         pot = pure_gauge_model(OrbitSpec(1), rates=(r1, r2)).charts["gauged"].potential
         q = np.random.default_rng(41).uniform(-3, 3, (40, 2))
-        out = pot(q)
+        out = lift(pot(q))
         for k, qq in enumerate(q):
             a_half = su2_exp(np.array([r1 * qq[0], 0.0, 0.0]))
             assert np.max(np.abs(out[k, 0] - r1 * TAU[0])) <= 1e-14
@@ -240,9 +249,30 @@ class TestPureGaugePotential:
     def test_rotation_sign_and_shapes(self):
         pot = pure_gauge_model(OrbitSpec(1), rates=(1.0, 1.0)).charts["gauged"].potential
         # a quarter turn about tau_1 carries tau_2 to +tau_3
-        assert np.max(np.abs(pot(np.array([np.pi / 2, 0.0]))[1] - TAU[2])) <= 1e-15
-        assert pot(np.zeros(2)).shape == (2, 2, 2)
-        assert pot(np.zeros((3, 4, 2))).shape == (3, 4, 2, 2, 2)
+        assert np.max(np.abs(lift(pot(np.array([np.pi / 2, 0.0]))[1]) - TAU[2])) <= 1e-15
+        assert pot(np.zeros(2)).shape == (2, 3)
+        assert pot(np.zeros((3, 4, 2))).shape == (3, 4, 2, 3)
+
+
+class TestPotentialFormat:
+    """Chart potentials are real tau-coefficients, contracted with the generators as they are."""
+
+    @pytest.mark.parametrize("builder", [trivial_model, constant_model, monopole_model, pure_gauge_model])
+    def test_coefficients_match_matrix_round_trip(self, ctx, builder):
+        model = builder(ctx["spec"])
+        rng = np.random.default_rng(14)
+        q = rng.uniform(-1.0, 1.0, (4, 2))
+        dq = rng.standard_normal((4, 2))
+        for name, chart in model.charts.items():
+            for points, shape in ((q[0], (2, 3)), (q, (4, 2, 3))):
+                coeffs = chart.potential(points)
+                assert coeffs.shape == shape and coeffs.dtype == np.float64
+            # oracle: lift to matrices, contract with dq, read off -2 Re tr(xi tau_a)
+            xi = np.einsum("...k,...kij->...ij", dq, lift(chart.potential(q)))
+            back = -2.0 * np.einsum("...ij,aji->...a", xi, TAU).real
+            oracle = np.einsum("...a,aij->...ij", back, ctx["rep"].matrices)
+            got = connection_rep_batch(model, ctx["rep"], name, q, dq)
+            assert np.max(np.abs(got - oracle)) <= 1e-15
 
 
 class TestOverlapMaps:
@@ -280,25 +310,25 @@ class TestGaugeLaw:
         for _ in range(5):
             b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
             v = BaseTangent.of(rng.standard_normal(2))
-            assert gauge_residual(model, ctx["basis"], b, v) <= 1e-10
+            assert gauge_residual(model, ctx["basis"], ctx["quad"], b, v) <= 1e-10
 
     def test_monopole_overlap(self, ctx):
         rng = np.random.default_rng(34)
         for _ in range(10):
             b, v = monopole_state(rng, overlap=True)
-            assert gauge_residual(ctx["mono"], ctx["basis"], b, v) <= 1e-6
+            assert gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], b, v) <= 1e-6
 
     def test_pure_gauge(self, ctx):
         rng = np.random.default_rng(35)
         for _ in range(10):
             b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
             v = BaseTangent.of(rng.standard_normal(2))
-            assert gauge_residual(ctx["pure"], ctx["basis"], b, v) <= 1e-6
+            assert gauge_residual(ctx["pure"], ctx["basis"], ctx["quad"], b, v) <= 1e-6
 
     def test_point_outside_overlap_rejected(self, ctx):
         b = BasePoint("north", np.array([0.05, 0.0]), np.zeros(2))  # near north pole
         with pytest.raises(ChartError):
-            gauge_residual(ctx["mono"], ctx["basis"], b, BaseTangent.of([1.0, 0.0]))
+            gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], b, BaseTangent.of([1.0, 0.0]))
 
     def test_data_consistency(self, ctx):
         assert verify_gauge_data(ctx["mono"], np.random.default_rng(36)) <= 1e-8
@@ -381,6 +411,17 @@ class TestModelConstruction:
         # full model check incl. minimal-coupling enforcement
         for model in (monopole_model(OrbitSpec(1)), trivial_model(OrbitSpec(0))):
             check_model(model, build_basis(model.spec))
+
+    def test_check_rejects_untested_overlap(self):
+        # South chart shrunk to |q| < 0.1: no sampled point lies in both
+        # charts, so the inconsistent south potential would go unchecked.
+        model = monopole_model(OrbitSpec(1))
+        south = model.charts["south"]
+        shrunk = ChartData(lambda q: 5.0 * south.potential(q),
+                           lambda q: np.asarray(q)[..., 0] ** 2 + np.asarray(q)[..., 1] ** 2 - 0.01)
+        bad = dataclasses.replace(model, charts={**model.charts, "south": shrunk})
+        with pytest.raises(ConfigurationError, match=r"overlap \('north', 'south'\)"):
+            check_model(bad, build_basis(bad.spec))
 
     def test_check_rejects_other_spin(self):
         with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):

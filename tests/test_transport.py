@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fiberquant.constants import MONOPOLE_HOLONOMY_SIGN
+from fiberquant.constants import CROSSING_BISECT_TOL, MONOPOLE_HOLONOMY_SIGN
 from fiberquant import scenario
 from fiberquant.errors import ChartError, InvalidArgument
 from fiberquant.fiberq import build_basis
@@ -260,6 +260,28 @@ class TestCovariantSections:
         base_factor = np.cos(q_grid[:, 0])
         expected = base_factor[:, None, None] * fiber_vec[None, None, :]
         assert np.allclose(section.values, np.broadcast_to(expected, section.values.shape))
+
+
+class TestNodeRecord:
+    def test_meridian_nodes(self, ctx):
+        # the meridian leaves the north chart and later the south chart
+        path = meridian_path()
+        stored = transport(ctx["mono"], ctx["basis"], path, rep=ctx["rep"], steps=2000, store=True)
+        plain = transport(ctx["mono"], ctx["basis"], path, rep=ctx["rep"], steps=2000)
+        nodes = stored.nodes
+        t0, w0, phase0, chart0 = nodes[0]
+        assert (t0, phase0, chart0) == (0.0, 0.0, "north")
+        assert np.array_equal(w0, np.eye(ctx["spec"].dim))
+        assert nodes[-1][1] is stored.unitary
+        times = np.array([node[0] for node in nodes])
+        assert np.all(np.diff(times) > 0.0) and times[-1] == 1.0
+        # each chart change sits at a logged crossing, in the logged order
+        changes = [k for k in range(1, len(nodes)) if nodes[k][3] != nodes[k - 1][3]]
+        assert len(stored.chart_log) == 3
+        assert [nodes[k][3] for k in changes] == [name for _, name in stored.chart_log[1:]]
+        for k, (t_cross, _) in zip(changes, stored.chart_log[1:]):
+            assert abs(nodes[k][0] - t_cross) <= CROSSING_BISECT_TOL
+        assert np.max(np.abs(stored.unitary - plain.unitary)) <= 1e-12
 
 
 class TestTotalSpaceReconstruction:
