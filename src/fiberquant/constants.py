@@ -26,8 +26,10 @@ Calibration that fixed the signs:
   representation of SU(2); one-parameter phases for
   g = diag(e^{it/2}, e^{-it/2}) are e^{i m t}, m = j..-j down the basis.
 * Transport states are column coefficient vectors; the transport unitary
-  W satisfies Psi(1) = W Psi(0) and chart crossings insert the quantized
-  transition matrix on the left.
+  W satisfies Psi(1) = W Psi(0) and chart crossings insert the transition
+  on the left.  A march with a group action inserts g itself into the 2x2
+  transport U in SU(2) and returns W = X(U), the quantized transition's
+  lift X applied once to the product; any other march inserts X(g).
 """
 
 VERSION = "0.1.0"

@@ -164,34 +164,69 @@ def polarization_residual(basis: FiberBasis, w: FiberHamiltonian) -> float:
     return float(np.sqrt(np.maximum(norm_sq, 0.0)).max())
 
 
-def quantize_transition(basis: FiberBasis, g: np.ndarray) -> np.ndarray:
-    """Unitary action of g on polarized sections, lifted by the factor of
-    automorphy.
+_LIFT_CHUNK_TERMS = 1 << 14  # lift terms per stacked block: 1 MB of gathered powers
 
-    For g = [[a, b], [-conj(b), conj(a)]] the operator substitutes the
-    inverse Moebius map,
+
+@lru_cache(maxsize=None)
+def _lift_terms(two_j: int) -> tuple:
+    """Term table of the binomial convolution behind X(g), built once per spin.
+
+    The monomial z^k maps to (conj(a) z - b)^k (conj(b) z + a)^{two_j - k},
+    whose z^m coefficient sums, over i + l = m,
+    binom(k, i) binom(two_j - k, l) (-1)^(k-i) conj(a)^i conj(b)^l a^(two_j-k-l) b^(k-i).
+    Returns the signed coefficients, the four power indices of each term
+    into the table [conj(a)^p, conj(b)^p, a^p, b^p] (p = 0..two_j), and the
+    first term of each output entry m * n + k; terms are sorted by entry.
+    """
+    n = two_j + 1
+    rows = sorted((m * n + k, (-1) ** (k - i) * comb(k, i) * comb(two_j - k, m - i),
+                   i, n + m - i, 2 * n + two_j - k - m + i, 3 * n + k - i)
+                  for k in range(n) for m in range(n)
+                  for i in range(max(0, m - two_j + k), min(k, m) + 1))
+    entry, coef, *index = (np.array(col) for col in zip(*rows))
+    table = (coef.astype(float), np.stack(index, axis=-1), np.flatnonzero(np.diff(entry, prepend=-1)))
+    for arr in table:
+        arr.setflags(write=False)
+    return table
+
+
+def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
+    """X(u) on the basis's fiber, for a stack u (..., 2, 2) of quaternions [[a, b], [-conj(b), conj(a)]].
+
+    Reads a and b from the first row and checks nothing: a quaternion of
+    norm r lifts to r^{two_j} X(u / r).  For g in SU(2) the operator
+    substitutes the inverse Moebius map,
 
         (X(g) p)(z) = (conj(b) z + a)^{two_j} p((conj(a) z - b)/(conj(b) z + a)),
 
-    which composes as a true representation: X(g1 g2) = X(g1) X(g2).
-    On the monomial z^k the image is (conj(a) z - b)^k (conj(b) z + a)^{two_j - k},
-    expanded exactly by binomial convolution.
+    which composes as a true representation: X(g1 g2) = X(g1) X(g2).  On
+    the monomial z^k the image is (conj(a) z - b)^k (conj(b) z + a)^{two_j - k},
+    expanded exactly by binomial convolution, one ``_lift_terms`` sum per
+    entry.  Each stack element is computed alone, so a stacked call and
+    the single calls agree bit for bit.
     """
-    g = check_special_unitary(g)
-    a, b = g[0, 0], g[0, 1]
-    two_j = basis.spec.two_j
+    u = np.asarray(u, dtype=complex)
     n = basis.spec.dim
-    mono = np.zeros((n, n), dtype=complex)
-    for k in range(n):
-        p1 = np.zeros(k + 1, dtype=complex)          # (conj(a) z - b)^k
-        for i in range(k + 1):
-            p1[i] = comb(k, i) * np.conj(a) ** i * (-b) ** (k - i)
-        p2 = np.zeros(two_j - k + 1, dtype=complex)  # (conj(b) z + a)^{two_j - k}
-        for l in range(two_j - k + 1):
-            p2[l] = comb(two_j - k, l) * np.conj(b) ** l * a ** (two_j - k - l)
-        mono[:, k] = np.convolve(p1, p2)
-    matrix = basis.norms[:, None] * mono / basis.norms[None, :]
-    dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(n), 2)
+    coef, index, starts = _lift_terms(basis.spec.two_j)
+    first_rows = u[..., 0, :].reshape(-1, 2)
+    mono = np.empty((first_rows.shape[0], n * n), dtype=complex)
+    chunk = max(_LIFT_CHUNK_TERMS // coef.size, 1)
+    for c0 in range(0, first_rows.shape[0], chunk):
+        powers = (first_rows[c0:c0 + chunk, :, None] ** np.arange(n)).reshape(-1, 2 * n)
+        table = np.concatenate([powers.conj(), powers], axis=-1)
+        # np.take keeps each term's four factors contiguous, so .prod multiplies
+        # them in one order, with no fused multiply-add, whatever the stack size.
+        terms = coef * np.take(table, index, axis=-1).prod(axis=-1)
+        mono[c0:c0 + chunk] = np.add.reduceat(terms, starts, axis=-1)
+    mono = mono.reshape(u.shape[:-2] + (n, n))
+    return basis.norms[:, None] * mono / basis.norms[None, :]
+
+
+def quantize_transition(basis: FiberBasis, g: np.ndarray) -> np.ndarray:
+    """Unitary action X(g) of g in SU(2) on polarized sections (``spin_lift``),
+    checked to be unitary to 1e-9."""
+    matrix = spin_lift(basis, check_special_unitary(g))
+    dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(basis.spec.dim), 2)
     if not dev <= 1e-9:
         raise AccuracyFailure(f"quantized transition not unitary to tolerance ({dev:.2e})")
     return matrix

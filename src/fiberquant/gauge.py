@@ -71,9 +71,15 @@ class BaseTangent:
 
 @dataclass(frozen=True)
 class LieAlgebraRep:
-    """Anti-Hermitian images of the su(2) generators on the quantum fiber."""
+    """Anti-Hermitian images of the su(2) generators on the quantum fiber.
+
+    ``group_action`` is the basis whose ``quantize_transition`` the
+    generators differentiate, so that a path-ordered exponential of them
+    is the ``spin_lift`` of the 2x2 one; None when no group action is known.
+    """
 
     matrices: np.ndarray  # shape (3, n, n)
+    group_action: FiberBasis | None = None
 
     def commutator_residual(self) -> float:
         worst = 0.0
@@ -178,7 +184,7 @@ def build_rep(basis: FiberBasis) -> LieAlgebraRep:
     step = constants.FD_STEP_REP
     mats = [central_difference(lambda s: quantize_transition(basis, su2_exp(s * unit)), 0.0, step)
             for unit in np.eye(3)]
-    return LieAlgebraRep(matrices=np.array(mats))
+    return LieAlgebraRep(matrices=np.array(mats), group_action=basis)
 
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> np.ndarray:

@@ -4,10 +4,15 @@ A ``BasePath`` is one map per chart, t -> (q, p, dq, dp): the connection
 reads q and dq, the canonical-form pairing <alpha_B, v> = p . dq.  The
 transported object is a column coefficient vector Psi; the solver
 integrates W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I by fixed-step
-RK4, splitting the scalar phase from the unitary factor.  Chart crossings
-insert the quantized transition matrix of the registered overlap on the
-left.  Holonomy, covariant sections on T*Q with the vertical polarization,
-and the total-space reconstruction check live here too.
+RK4, splitting the scalar phase from the unitary factor.  A rep with a
+group action (``build_rep``) is the spin-j image of su(2), so W is the
+lift X(U) of the 2x2 solution of U' = A_tau(v(t)) U: that route marches U
+in 2x2, inserts the SU(2) transition g on the left at each chart crossing
+and lifts once at the end.  A rep without one (``quadrature_rep``) marches
+W in n x n and inserts X(g).  Step maps and their products are carried in
+offset form, M - I, so that near-identity factors do not round against I.
+Holonomy, covariant sections on T*Q with the vertical polarization, and
+the total-space reconstruction check live here too.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 
 from . import constants
 from .errors import AccuracyFailure, ChartError, InvalidArgument
-from .fiberq import FiberBasis, quantize_transition
+from .fiberq import FiberBasis, quantize_transition, spin_lift
 from .gauge import (
     BasePoint,
     BaseTangent,
@@ -31,8 +36,10 @@ from .gauge import (
 )
 from .numerics import rk4_step
 from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
+from .su2 import TAU, check_special_unitary
 
 _CHUNK_STEPS = 32768
+_TAU_REP = LieAlgebraRep(TAU)  # the 2x2 march of a rep with a group action
 
 
 @dataclass(frozen=True)
@@ -179,26 +186,26 @@ def _generator_batch(model, rep, chart, path, ts):
     return connection_rep_batch(model, rep, chart, q, dq), np.einsum("...k,...k->...", p, dq)
 
 
-def _ordered_product(mats: np.ndarray) -> np.ndarray:
-    """Pairwise-reduced product mats[-1] @ ... @ mats[0]."""
-    while mats.shape[0] > 1:
-        if mats.shape[0] % 2 == 1:
-            tail = mats[-1:]
-            paired = np.matmul(mats[1:-1:2], mats[0:-1:2])
-            mats = np.concatenate([paired, tail], axis=0)
-        else:
-            mats = np.matmul(mats[1::2], mats[0::2])
-    return mats[0]
+def _ordered_product(offsets: np.ndarray) -> np.ndarray:
+    """The offset D of I + D = (I + offsets[-1]) @ ... @ (I + offsets[0]), reduced pairwise.
+
+    A pair reduces as (I + a)(I + b) = I + (a + b + a @ b)."""
+    while offsets.shape[0] > 1:
+        odd = offsets.shape[0] % 2
+        later, earlier = offsets[1::2], offsets[0:offsets.shape[0] - odd:2]
+        paired = later + earlier + np.matmul(later, earlier)
+        offsets = np.concatenate([paired, offsets[-1:]], axis=0) if odd else paired
+    return offsets[0]
 
 
 def _step_maps(model, rep, path, chart, t0, t1, n_steps):
     """RK4 step maps W(t) -> W(t + h) of n_steps equal steps over [t0, t1] in one chart.
 
-    Yields (step end times, step maps, Simpson phases) a chunk of at most
-    _CHUNK_STEPS steps at a time."""
+    Yields (step end times, step-map offsets M - I, Simpson phases) a chunk
+    of at most _CHUNK_STEPS steps at a time; the maps act on the space of
+    ``rep.matrices``."""
     n_steps = max(int(n_steps), 1)
     h = (t1 - t0) / n_steps
-    eye = np.eye(model.spec.dim, dtype=complex)
     for c0 in range(0, n_steps, _CHUNK_STEPS):
         c1 = min(c0 + _CHUNK_STEPS, n_steps)
         ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
@@ -207,7 +214,7 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps):
         a2 = g1 + (0.5 * h) * np.matmul(g1, g0)
         a3 = g1 + (0.5 * h) * np.matmul(g1, a2)
         a4 = g2 + h * np.matmul(g2, a3)
-        yield (ts[2::2], eye + (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
+        yield (ts[2::2], (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
                (h / 6.0) * (alpha[0:-1:2] + 4.0 * alpha[1::2] + alpha[2::2]))
 
 
@@ -225,7 +232,12 @@ def transport(
 
     The connection is the potential contracted with ``rep``: the generators
     of ``gauge.build_rep`` or of ``gauge.quadrature_rep``.  The model, the
-    basis and the rep must share one spin.
+    basis and the rep must share one spin.  A rep with a group action
+    (``build_rep``) marches the 2x2 transport U of the tau generators,
+    inserts each transition g in SU(2) and returns the lift X(U), with
+    ``nodes`` lifted in one batched call; a rep without one marches
+    n x n and inserts X(g).  Each step applies its offset: W <- W + (M - I) W.
+    ``forced_switches`` lists (t, chart) chart changes at times t in [0, 1].
     """
     if steps is None:
         steps = constants.RK4_STEPS_PER_UNIT
@@ -234,25 +246,31 @@ def transport(
     check_spin(basis, "model", model.spec.two_j)
     check_spin(basis, "rep", rep.matrices.shape[-1] - 1)
 
+    switches = sorted(forced_switches or [])
+    for t_switch, _ in switches:
+        if not 0.0 <= t_switch <= 1.0:
+            raise InvalidArgument(f"forced switch time {t_switch} outside [0, 1]")
     chart = path.start_chart
     if chart not in model.charts:
         raise ChartError(f"path start chart {chart!r} unknown to the model")
 
-    w = np.eye(model.spec.dim, dtype=complex)
+    group = rep.group_action
+    march_rep = rep if group is None else _TAU_REP
+    w = np.eye(march_rep.matrices.shape[-1], dtype=complex)
     phase = 0.0
     nodes = [(0.0, w, phase, chart)]
     chart_log = [(0.0, chart)]
 
     def run_span(t0: float, t1: float, n_steps: int) -> None:
         nonlocal w, phase
-        for times, maps, phases in _step_maps(model, rep, path, chart, t0, t1, n_steps):
+        for times, offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps):
             if store:
-                for t, step_map, step_phase in zip(times, maps, phases):
-                    w = step_map @ w
+                for t, offset, step_phase in zip(times, offsets, phases):
+                    w = w + offset @ w
                     phase += float(step_phase)
                     nodes.append((float(t), w, phase, chart))
             else:
-                w = _ordered_product(maps) @ w
+                w = w + _ordered_product(offsets) @ w
                 phase += float(np.sum(phases))
 
     def do_insert(t_cross: float, from_chart: str, target: str) -> None:
@@ -261,13 +279,14 @@ def transport(
         if overlap is None:
             raise ChartError(f"no registered transition {from_chart!r} -> {target!r} at t = {t_cross:.6f}")
         q_here = path.at(from_chart, np.array([t_cross]))[0][0]
-        w = quantize_transition(basis, overlap.transition(q_here)) @ w
+        g = overlap.transition(q_here)
+        w = (quantize_transition(basis, g) if group is None else check_special_unitary(g)) @ w
         nodes[-1] = (nodes[-1][0], w, phase, target)
         chart = target
         chart_log.append((t_cross, target))
 
     t_now = 0.0
-    for t_stop, stop_chart in sorted(forced_switches or []) + [(1.0, None)]:
+    for t_stop, stop_chart in switches + [(1.0, None)]:
         while t_now < t_stop - 1e-15:
             n_span = max(int(np.ceil(steps * (t_stop - t_now))), 1)
             ts = np.linspace(t_now, t_stop, n_span + 1)
@@ -299,7 +318,14 @@ def transport(
         if stop_chart is not None and stop_chart != chart:
             do_insert(t_stop, chart, stop_chart)
 
-    dev = float(np.linalg.norm(w.conj().T @ w - np.eye(model.spec.dim), 2))
+    if group is not None:
+        if store:
+            lifted = spin_lift(group, np.array([node[1] for node in nodes]))
+            nodes = [(t, x, ph, name) for (t, _, ph, name), x in zip(nodes, lifted)]
+            w = nodes[-1][1]
+        else:
+            w = spin_lift(group, w)
+    dev = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[-1]), 2))
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
     return TransportResult(w, phase, steps, dev, tuple(chart_log), tuple(nodes) if store else None)

@@ -2,6 +2,7 @@ import importlib
 import inspect
 import pkgutil
 import warnings
+from math import comb
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from fiberquant.fiberq import (
     prequant_matrix,
     quantize_transition,
     rule_points,
+    spin_lift,
 )
 from fiberquant.numerics import sphere_rule
 from fiberquant.orbit import (
@@ -267,6 +269,49 @@ class TestQuantizedTransitions:
             minus = quantize_transition(basis, su2_exp(-h * unit))
             deriv = (plus - minus) / (2 * h)
             assert np.linalg.norm(deriv - expected[axis], 2) < 1e-9
+
+
+def convolution_lift(basis, g):
+    """X(g) by one binomial convolution per monomial, entry by entry in scalars."""
+    a, b = g[0, 0], g[0, 1]
+    two_j, n = basis.spec.two_j, basis.spec.dim
+    mono = np.zeros((n, n), dtype=complex)
+    for k in range(n):
+        p1 = [comb(k, i) * np.conj(a) ** i * (-b) ** (k - i) for i in range(k + 1)]
+        p2 = [comb(two_j - k, l) * np.conj(b) ** l * a ** (two_j - k - l) for l in range(two_j - k + 1)]
+        mono[:, k] = np.convolve(p1, p2)
+    return basis.norms[:, None] * mono / basis.norms[None, :]
+
+
+class TestSpinLift:
+    """The one lift X(u) of 2x2 quaternions, on single elements and on stacks."""
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 5, 10, 20])
+    def test_matches_convolution_oracle(self, two_j):
+        basis = build_basis(OrbitSpec(two_j))
+        rng = np.random.default_rng(70 + two_j)
+        for _ in range(25):
+            g = random_su2(rng)
+            assert np.max(np.abs(spin_lift(basis, g) - convolution_lift(basis, g))) <= 1e-13
+
+    @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
+    def test_stacked_equals_single_bit_for_bit(self, shape):
+        basis = build_basis(OrbitSpec(5))
+        rng = np.random.default_rng(71)
+        stack = np.array([random_su2(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (2, 2))
+        lifted = spin_lift(basis, stack)
+        assert lifted.shape == shape + (6, 6)
+        for idx in np.ndindex(*shape):
+            assert np.array_equal(lifted[idx], spin_lift(basis, stack[idx]))
+
+    @pytest.mark.parametrize("two_j", [1, 4])
+    def test_scaled_quaternion_lifts_to_power_of_scale(self, two_j):
+        # the transport unitarity guard reads a marched quaternion's norm through this
+        basis = build_basis(OrbitSpec(two_j))
+        g = random_su2(np.random.default_rng(72))
+        for r in (0.9, 1.0 + 1e-7, 1.3):
+            expected = r ** two_j * quantize_transition(basis, g)
+            assert np.max(np.abs(spin_lift(basis, r * g) - expected)) <= 1e-13
 
 
 class TestOneFiberHandle:

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from fiberquant.gauge import (
     constant_model,
     curvature,
     monopole_model,
+    pure_gauge_model,
     quadrature_rep,
     trivial_model,
 )
@@ -240,6 +243,100 @@ class TestMonopoleHolonomy:
         assert np.linalg.norm(hol - np.exp(1j * np.pi * 0.16) * np.eye(ctx["spec"].dim), 2) <= 1e-9
 
 
+# The package attribute "transport" is the function; this is the module.
+transport_module = importlib.import_module("fiberquant.transport")
+
+
+def closed_form_holonomy(spec, theta):
+    """Monopole (strength 1) latitude holonomy diag exp(i sign m solid_angle)."""
+    m = np.arange(spec.j, -spec.j - 1.0, -1.0)
+    return np.diag(np.exp(1j * MONOPOLE_HOLONOMY_SIGN * m * 2 * np.pi * (1 - np.cos(theta))))
+
+
+def spin_ctx(two_j):
+    spec = OrbitSpec(two_j)
+    basis = build_basis(spec)
+    return spec, basis, build_rep(basis), monopole_model(spec)
+
+
+class TestSpinLiftedMarch:
+    """The rep route marches the 2x2 transport in SU(2) and lifts it once."""
+
+    def test_only_build_rep_carries_a_group_action(self, ctx):
+        assert ctx["rep"].group_action is ctx["basis"]
+        assert quadrature_rep(ctx["basis"]).group_action is None
+
+    @pytest.mark.parametrize("two_j", [1, 3, 4])
+    def test_routes_agree_across_forced_crossings(self, two_j):
+        spec, basis, rep, mono = spin_ctx(two_j)
+        switches = [(0.25, "south"), (0.75, "north")]
+        lat = latitude_path(np.pi / 3)
+        lifted = transport(mono, basis, lat, rep=rep, steps=4000, forced_switches=switches)
+        marched = transport(mono, basis, lat, rep=quadrature_rep(basis), steps=4000, forced_switches=switches)
+        assert lifted.chart_log == marched.chart_log == ((0.0, "north"), (0.25, "south"), (0.75, "north"))
+        assert np.linalg.norm(lifted.unitary - marched.unitary, 2) <= 1e-9
+
+    @pytest.mark.parametrize("two_j", [1, 4])
+    def test_routes_agree_on_the_meridian_crossings(self, two_j):
+        # the monopole potential vanishes along the meridian: both routes are the transitions alone
+        spec, basis, rep, mono = spin_ctx(two_j)
+        lifted = transport(mono, basis, meridian_path(), rep=rep, steps=1000)
+        marched = transport(mono, basis, meridian_path(), rep=quadrature_rep(basis), steps=1000)
+        assert len(lifted.chart_log) == len(marched.chart_log) == 3
+        assert np.linalg.norm(lifted.unitary - marched.unitary, 2) <= 1e-13
+
+    @pytest.mark.parametrize("two_j", [8, 20, 40])
+    def test_closed_form_holonomy_at_large_spin(self, two_j):
+        spec, basis, rep, mono = spin_ctx(two_j)
+        hol, _ = wilson_loop(mono, basis, latitude_path(np.pi / 3), rep=rep, steps=20000)
+        assert np.max(np.abs(hol - closed_form_holonomy(spec, np.pi / 3))) <= 1e-12
+
+    @pytest.mark.parametrize("route", ["rep", "quad"])
+    def test_long_march_keeps_its_digits(self, ctx, route):
+        # offset-form step maps: 10^5 near-identity factors add no visible round-off
+        rep = ctx["rep"] if route == "rep" else quadrature_rep(ctx["basis"])
+        hol, _ = wilson_loop(ctx["mono"], ctx["basis"], latitude_path(2 * np.pi / 3), rep=rep, steps=100000)
+        assert np.linalg.norm(hol - closed_form_holonomy(ctx["spec"], 2 * np.pi / 3), 2) <= 1e-14
+
+    def test_no_n_by_n_step_map_on_the_rep_route(self, monkeypatch):
+        spec, basis, rep, mono = spin_ctx(4)
+        shapes, step_maps = [], transport_module._step_maps
+
+        def recording(*args):
+            for chunk in step_maps(*args):
+                shapes.append(chunk[1].shape[1:])
+                yield chunk
+
+        monkeypatch.setattr(transport_module, "_step_maps", recording)
+        transport(mono, basis, meridian_path(), rep=rep, steps=500)
+        transport(mono, basis, latitude_path(1.0), rep=rep, steps=500, store=True)
+        assert shapes and set(shapes) == {(2, 2)}
+        shapes.clear()
+        transport(mono, basis, latitude_path(1.0), rep=quadrature_rep(basis), steps=500)
+        assert set(shapes) == {(5, 5)}
+
+    @pytest.mark.parametrize("kind", ["monopole", "pure_gauge"])
+    def test_marched_transport_stays_quaternionic(self, monkeypatch, kind):
+        spec, basis, rep, mono = spin_ctx(2)
+        if kind == "monopole":  # abelian: U stays diagonal, the crossings insert g
+            model, path, switches = mono, meridian_path(), None
+        else:
+            model, path = pure_gauge_model(spec, rates=(5.0, 7.0)), segment_path([0.1, -0.2], [0.7, 0.4], chart="gauged")
+            switches = [(0.5, "flat")]
+        marched, lift = [], transport_module.spin_lift
+
+        def recording(group, u):
+            marched.append(u)
+            return lift(group, u)
+
+        monkeypatch.setattr(transport_module, "spin_lift", recording)
+        res = transport(model, basis, path, rep=rep, steps=2000, forced_switches=switches, store=True)
+        (u,) = marched
+        assert u.shape == (len(res.nodes), 2, 2) and len(res.chart_log) >= 2
+        assert np.max(np.abs(u[:, 1, 1] - u[:, 0, 0].conj())) <= 1e-14
+        assert np.max(np.abs(u[:, 1, 0] + u[:, 0, 1].conj())) <= 1e-14
+
+
 class TestCovariantSections:
     def test_constant_in_momentum(self, ctx):
         q_grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
@@ -349,6 +446,17 @@ class TestTransportErrors:
         assert covariant_residual_total_space(monopole_model(spec), basis, lat, stored) <= 1e-5
         with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
             covariant_residual_total_space(monopole_model(OrbitSpec(3)), basis, lat, stored)
+
+    @pytest.mark.parametrize("t_switch", [1.5, -0.5, np.nan, np.inf])
+    def test_forced_switch_outside_the_path_rejected(self, ctx, t_switch):
+        with pytest.raises(InvalidArgument, match="outside"):
+            transport(ctx["mono"], ctx["basis"], latitude_path(np.pi / 3), rep=ctx["rep"], steps=200,
+                      forced_switches=[(t_switch, "south")])
+
+    def test_forced_switches_at_the_ends_accepted(self, ctx):
+        res = transport(ctx["mono"], ctx["basis"], latitude_path(np.pi / 3), rep=ctx["rep"], steps=200,
+                        forced_switches=[(0.0, "south"), (1.0, "north")])
+        assert res.chart_log == ((0.0, "north"), (0.0, "south"), (1.0, "north"))
 
     @pytest.mark.parametrize("steps", [0, -5])
     def test_non_positive_steps_rejected(self, ctx, steps):
