@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constants
 from .errors import AccuracyFailure
-from .numerics import QuadratureRule, sphere_rule
+from .numerics import QuadratureRule, spectral_norm, sphere_rule
 from .orbit import (
     Chart,
     ChartPoint,
@@ -68,20 +68,19 @@ class FiberBasis:
 
     spec: OrbitSpec
     rule: QuadratureRule
-    degrees: np.ndarray
     norms: np.ndarray      # quadrature monomial norms, ||z^k||
     gram: np.ndarray       # quadrature Gram matrix of the monomials
 
     def eval(self, z: np.ndarray) -> np.ndarray:
         """Orthonormal basis values e_k(z); shape (n, len(z))."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        powers = z[None, :] ** self.degrees[:, None]
+        powers = z[None, :] ** np.arange(self.spec.dim)[:, None]
         return powers / self.norms[:, None]
 
     def eval_deriv(self, z: np.ndarray) -> np.ndarray:
         """Derivatives e_k'(z); shape (n, len(z))."""
         z = np.atleast_1d(np.asarray(z, dtype=complex))
-        k = self.degrees[1:, None]
+        k = np.arange(1, self.spec.dim)[:, None]
         out = np.zeros((self.spec.dim, z.size), dtype=complex)
         out[1:] = k * z[None, :] ** (k - 1) / self.norms[1:, None]
         return out
@@ -93,9 +92,8 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
         rule = default_rule(spec)
     z = rule_points(rule)
     w = measure_weights(spec, rule)
-    degrees = np.arange(spec.dim)
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = z[None, :] ** degrees[:, None]
+        powers = z[None, :] ** np.arange(spec.dim)[:, None]
     if not np.all(np.isfinite(powers)):
         raise AccuracyFailure(f"monomial powers z**k overflow on the quadrature nodes "
                               f"at two_j = {spec.two_j}")
@@ -109,7 +107,7 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
     rel = np.max(np.abs(diag - exact) / exact)
     if not rel <= 1e-8:
         raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e}; rule under-resolved")
-    return FiberBasis(spec=spec, rule=rule, degrees=degrees, norms=np.sqrt(diag), gram=gram)
+    return FiberBasis(spec=spec, rule=rule, norms=np.sqrt(diag), gram=gram)
 
 
 def _prequant_pointwise(spec: OrbitSpec, w: FiberHamiltonian, z: np.ndarray,
@@ -136,7 +134,7 @@ def prequant_matrix(basis: FiberBasis, w: FiberHamiltonian) -> np.ndarray:
     vals = basis.eval(z)
     applied = _prequant_pointwise(basis.spec, w, z, vals, basis.eval_deriv(z))
     matrix = (vals.conj() * wts[None, :]) @ applied.T
-    herm = np.linalg.norm(matrix - matrix.conj().T, 2)
+    herm = spectral_norm(matrix - matrix.conj().T)
     if not herm <= 1e-8:
         raise AccuracyFailure(f"prequantization matrix not Hermitian to tolerance ({herm:.2e})")
     return matrix

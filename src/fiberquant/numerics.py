@@ -1,4 +1,4 @@
-"""Shared numerical kernels: quadrature, RK4, matrix exponential, stencils.
+"""Shared numerical kernels: quadrature, RK4, matrix exponential, stencils, guard norms.
 
 All kernels are deterministic pure functions; identical inputs give
 bit-identical outputs.
@@ -36,8 +36,6 @@ class QuadratureRule:
 
     nodes: np.ndarray    # shape (N, 2): columns t, phi
     weights: np.ndarray  # shape (N,)
-    n_t: int
-    n_phi: int
 
     def __post_init__(self):
         if self.nodes.shape[0] < 1:
@@ -76,7 +74,7 @@ def sphere_rule(n_t: int, n_phi: int) -> QuadratureRule:
     tt, pp = np.meshgrid(gl.nodes, phis, indexing="ij")
     ww = np.outer(gl.weights, np.full(n_phi, w_phi))
     nodes = np.column_stack([tt.ravel(), pp.ravel()])
-    return QuadratureRule(nodes=nodes, weights=ww.ravel(), n_t=n_t, n_phi=n_phi)
+    return QuadratureRule(nodes=nodes, weights=ww.ravel())
 
 
 def rk4_step(field, t: float, y, h: float):
@@ -116,6 +114,11 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     for _ in range(squarings):
         result = result @ result
     return result
+
+
+def spectral_norm(m: np.ndarray) -> float:
+    """Largest singular value of m; inf when an entry is not finite, where the SVD would not converge."""
+    return float(np.linalg.norm(m, 2)) if np.all(np.isfinite(m)) else np.inf
 
 
 def central_difference(f, x: float, h: float):

@@ -71,10 +71,9 @@ class FiberHamiltonian:
 
     value: Callable[[ChartPoint], float]
     chart_gradient: Callable[[ChartPoint], np.ndarray]
-    label: str = ""
 
     @classmethod
-    def from_value(cls, value, label: str = ""):
+    def from_value(cls, value):
         """Wrap a plain value function, supplying a central-difference gradient."""
 
         def gradient(pt: ChartPoint) -> np.ndarray:
@@ -83,7 +82,7 @@ class FiberHamiltonian:
             gy = central_difference(lambda s: value(ChartPoint(pt.chart, z + 1j * s)), 0.0, h)
             return np.array([gx, gy])
 
-        return cls(value=value, chart_gradient=gradient, label=label)
+        return cls(value=value, chart_gradient=gradient)
 
 
 def _rho(z):
@@ -193,7 +192,7 @@ def moment_hamiltonian(spec: OrbitSpec, a) -> FiberHamiltonian:
     def gradient(pt: ChartPoint) -> np.ndarray:
         return _dot3(a, embed_gradient(spec, pt).swapaxes(0, 1))
 
-    return FiberHamiltonian(value=value, chart_gradient=gradient, label=f"moment{tuple(a)}")
+    return FiberHamiltonian(value=value, chart_gradient=gradient)
 
 
 def squared_hamiltonian(w: FiberHamiltonian) -> FiberHamiltonian:
@@ -205,7 +204,7 @@ def squared_hamiltonian(w: FiberHamiltonian) -> FiberHamiltonian:
     def gradient(pt: ChartPoint) -> np.ndarray:
         return 2.0 * w.value(pt) * w.chart_gradient(pt)
 
-    return FiberHamiltonian(value=value, chart_gradient=gradient, label=f"({w.label})^2")
+    return FiberHamiltonian(value=value, chart_gradient=gradient)
 
 
 def poisson_bracket(spec: OrbitSpec, w1: FiberHamiltonian, w2: FiberHamiltonian, pt: ChartPoint) -> float:

@@ -34,7 +34,7 @@ from .gauge import (
     connection_rep_batch,
     orbit_function,
 )
-from .numerics import rk4_step
+from .numerics import rk4_step, spectral_norm
 from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
 from .su2 import TAU, check_special_unitary
 
@@ -325,7 +325,7 @@ def transport(
             w = nodes[-1][1]
         else:
             w = spin_lift(group, w)
-    dev = float(np.linalg.norm(w.conj().T @ w - np.eye(w.shape[-1]), 2))
+    dev = spectral_norm(w.conj().T @ w - np.eye(w.shape[-1]))
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
     return TransportResult(w, phase, steps, dev, tuple(chart_log), tuple(nodes) if store else None)

@@ -319,6 +319,33 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert out.startswith(f"error: {flag}")
 
+    @pytest.mark.parametrize("scenario_doc, argv", [
+        ({"model": {"kind": "pure_gauge", "rates": [1e300, 1e300]}}, ["transport", "--path", "unit_x"]),
+        ({"model": {"kind": "trivial"},
+          "paths": {"big": {"kind": "segment", "q_from": [-1e308, 0], "q_to": [1e308, 0]}}},
+         ["transport", "--path", "big", "--steps", "10"]),
+        ({"model": {"kind": "constant"},
+          "paths": {"big": {"kind": "phase_circle", "center_q": [0, 0], "radius": 1e300}}},
+         ["transport", "--path", "big", "--steps", "10"]),
+        ({"model": {"kind": "constant", "coefficients": [[1e10, 0, 0], [0, 1e10, 0]]}},
+         ["transport", "--path", "unit_x", "--steps", "100"]),
+        (None, ["prequant", "--spin", "2", "--hamiltonian", "1e308,1e308,1e308"]),
+    ])
+    def test_non_finite_matrix_fails_its_guard(self, tmp_path, scenario_doc, argv):
+        # in a subprocess: in-process, pytest would turn numpy's overflow warnings into errors
+        if scenario_doc is not None:
+            cfg = tmp_path / "huge.json"
+            cfg.write_text(json.dumps({"orbit": {"two_j": 2}, **scenario_doc}))
+            argv = argv + ["--config", str(cfg)]
+        import fiberquant
+
+        src = os.path.dirname(os.path.dirname(fiberquant.__file__))
+        done = subprocess.run([sys.executable, "-m", "fiberquant", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src})
+        assert done.returncode in (EXIT_INVALID, EXIT_ACCURACY), done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stdout.count("\n") == 1 and "inf" in done.stdout
+
     def test_overflowing_spin_is_accuracy_failure(self):
         with np.errstate(all="ignore"):
             code, out = run_command(["gram", "--spin", "160"])

@@ -5,12 +5,11 @@ import pytest
 
 from fiberquant import gauge
 from fiberquant.errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
-from fiberquant.fiberq import build_basis, prequant_matrix
+from fiberquant.fiberq import build_basis, polarization_residual, prequant_matrix
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
     ChartData,
-    assume_check,
     build_rep,
     check_model,
     connection_rep,
@@ -20,6 +19,7 @@ from fiberquant.gauge import (
     gauge_residual,
     horizontal_lift,
     lift_orthogonality_residual,
+    moment_polarization_residual,
     monopole_model,
     orbit_function,
     pure_gauge_model,
@@ -33,7 +33,6 @@ from fiberquant.orbit import (
     ChartPoint,
     OrbitSpec,
     moment_hamiltonian,
-    squared_hamiltonian,
 )
 from fiberquant.su2 import TAU, su2_exp
 
@@ -427,11 +426,32 @@ class TestModelConstruction:
         with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
             check_model(monopole_model(OrbitSpec(3)), build_basis(OrbitSpec(1)))
 
-    def test_assume_check_rejects_quadratic(self, ctx):
-        quad = squared_hamiltonian(moment_hamiltonian(ctx["spec"], [0, 0, 1]))
-        with pytest.raises(ConfigurationError):
-            assume_check(ctx["basis"], [quad])
+    def test_check_rejects_leaking_generator(self, ctx, monkeypatch):
+        monkeypatch.setattr(gauge, "polarization_residual", lambda basis, w: 1e-3)
+        with pytest.raises(ConfigurationError, match=r"polarization at two_j = 2 \(residual 1.00e-03"):
+            check_model(ctx["mono"], ctx["basis"])
 
-    def test_assume_check_accepts_moments(self, ctx):
-        hams = [moment_hamiltonian(ctx["spec"], e) for e in np.eye(3)]
-        assert assume_check(ctx["basis"], hams) <= 1e-6
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 20])
+    def test_moment_generators_preserve_polarization(self, two_j):
+        assert moment_polarization_residual(build_basis(OrbitSpec(two_j))) <= 1e-6
+
+    @pytest.mark.parametrize("builder", [trivial_model, constant_model, monopole_model, pure_gauge_model])
+    def test_check_probes_the_three_moments_at_the_basis_spin(self, builder, monkeypatch):
+        spec = OrbitSpec(3)
+        basis = build_basis(spec)
+        probes = ChartPoint(Chart.NORTH, np.array([0.0, 0.4 - 0.7j, 1.3 + 0.2j]))
+        seen = []
+
+        def recording(basis_arg, w):
+            seen.append((basis_arg.spec.two_j, w.value(probes)))
+            return polarization_residual(basis_arg, w)
+
+        monkeypatch.setattr(gauge, "polarization_residual", recording)
+        check_model(builder(spec), basis)
+        assert [two_j for two_j, _ in seen] == [3, 3, 3]
+        for (_, values), e in zip(seen, np.eye(3)):
+            assert np.array_equal(values, moment_hamiltonian(spec, e).value(probes))
+
+    def test_check_is_independent_of_the_coefficient_scale(self, ctx):
+        coefficients = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # the builder's default
+        check_model(constant_model(ctx["spec"], 1e10 * coefficients), ctx["basis"])

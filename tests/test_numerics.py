@@ -7,6 +7,7 @@ from fiberquant.numerics import (
     gauss_legendre,
     matrix_exp,
     rk4_step,
+    spectral_norm,
     sphere_rule,
 )
 
@@ -96,6 +97,18 @@ class TestMatrixExp:
     def test_non_square_rejected(self):
         with pytest.raises(InvalidArgument):
             matrix_exp(np.zeros((2, 3)))
+
+
+class TestSpectralNorm:
+    def test_finite_matches_numpy(self):
+        m = np.random.default_rng(5).standard_normal((4, 4)) + 1j
+        assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+    def test_non_finite_entry_is_infinite(self, bad):
+        m = np.eye(3, dtype=complex)
+        m[1, 2] = bad
+        assert spectral_norm(m) == np.inf
 
 
 class TestCentralDifference:
