@@ -52,10 +52,9 @@ def residual_rule_sizes(two_j: int) -> tuple[int, int]:
 
 
 # Numerical step defaults; each stencil's error budget is noted at its use site.
+# The rep generators (``gauge.build_rep``) are exact and take no step.
 RK4_STEPS_PER_UNIT = 1000
 FD_STEP_GAUGE = 1.0e-5       # dX in the gauge-law residual
-FD_STEP_GRADIENT = 1.0e-6    # fallback gradients of user fiber Hamiltonians
-FD_STEP_REP = 1.0e-6         # one-parameter derivative building rho
 FD_STEP_FORM = 1.0e-5        # exterior-derivative stencils on the total space
 CROSSING_BISECT_TOL = 1.0e-10
 

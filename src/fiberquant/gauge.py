@@ -15,7 +15,8 @@ the ``FiberBasis`` alone, in two independent ways:
 
 * ``quadrature_rep`` takes i O(mu_a) of the three moment functions, with
   O the prequantum operator by quadrature (Kostant-Souriau), and
-* ``build_rep`` differentiates the quantized transitions.
+* ``build_rep`` takes the derivative of the group action X (``spin_lift``)
+  at the identity, in closed form.
 
 ``connection_rep_batch`` is the one contraction; the agreement of the two
 generator sets is the package's central cross-check.
@@ -76,8 +77,8 @@ class BaseTangent:
 class LieAlgebraRep:
     """Anti-Hermitian images of the su(2) generators on the quantum fiber.
 
-    ``group_action`` is the basis whose ``quantize_transition`` the
-    generators differentiate, so that a path-ordered exponential of them
+    ``group_action`` is the basis whose ``spin_lift`` the generators
+    differentiate, so that a path-ordered exponential of them
     is the ``spin_lift`` of the 2x2 one; None when no group action is known.
     """
 
@@ -183,11 +184,17 @@ def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
 
 
 def build_rep(basis: FiberBasis) -> LieAlgebraRep:
-    """rho(tau_a) as the one-parameter derivative of the quantized transitions."""
-    step = constants.FD_STEP_REP
-    mats = [central_difference(lambda s: quantize_transition(basis, su2_exp(s * unit)), 0.0, step)
-            for unit in np.eye(3)]
-    return LieAlgebraRep(matrices=np.array(mats), group_action=basis)
+    """rho(tau_a) = d/ds X(exp(s tau_a)) at s = 0, the derivative of ``spin_lift`` in closed form.
+
+    Along (a, b) = (1, 0) + s (a', b'), with (a', b') the first row of tau_a,
+    the monomial image (conj(a) z - b)^k (conj(b) z + a)^{two_j - k} has derivative
+    k (conj(a') z^k - b' z^{k-1}) + (two_j - k) (conj(b') z^{k+1} + a' z^k):
+    a tridiagonal matrix, carried to the orthonormal basis by the norms.
+    """
+    two_j, k = basis.spec.two_j, np.arange(basis.spec.dim)
+    mono = np.array([np.diag(k * np.conj(a) + (two_j - k) * a) - np.diag(k[1:] * b, 1)
+                     + np.diag((two_j - k[:-1]) * np.conj(b), -1) for a, b in TAU[:, 0]])
+    return LieAlgebraRep(matrices=basis.norms[:, None] * mono / basis.norms[None, :], group_action=basis)
 
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> np.ndarray:

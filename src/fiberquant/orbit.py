@@ -17,7 +17,6 @@ import numpy as np
 
 from . import constants
 from .errors import InvalidArgument, PoleNotInOverlap
-from .numerics import central_difference
 
 
 class Chart(enum.Enum):
@@ -71,18 +70,6 @@ class FiberHamiltonian:
 
     value: Callable[[ChartPoint], float]
     chart_gradient: Callable[[ChartPoint], np.ndarray]
-
-    @classmethod
-    def from_value(cls, value):
-        """Wrap a plain value function, supplying a central-difference gradient."""
-
-        def gradient(pt: ChartPoint) -> np.ndarray:
-            z, h = pt.z, constants.FD_STEP_GRADIENT
-            gx = central_difference(lambda s: value(ChartPoint(pt.chart, z + s)), 0.0, h)
-            gy = central_difference(lambda s: value(ChartPoint(pt.chart, z + 1j * s)), 0.0, h)
-            return np.array([gx, gy])
-
-        return cls(value=value, chart_gradient=gradient)
 
 
 def _rho(z):

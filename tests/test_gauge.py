@@ -1,11 +1,16 @@
 import dataclasses
+from functools import lru_cache
+from math import comb
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fiberquant import gauge
 from fiberquant.errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
-from fiberquant.fiberq import build_basis, polarization_residual, prequant_matrix
+from fiberquant.fiberq import build_basis, polarization_residual, prequant_matrix, quantize_transition
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
@@ -34,7 +39,7 @@ from fiberquant.orbit import (
     OrbitSpec,
     moment_hamiltonian,
 )
-from fiberquant.su2 import TAU, su2_exp
+from fiberquant.su2 import PAULI, TAU, su2_exp
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -111,6 +116,78 @@ class TestRepresentation:
         spec = OrbitSpec(two_j)
         rep = build_rep(build_basis(spec))
         assert rep.commutator_residual() <= 1e-9
+
+
+def finite_difference_rep(basis):
+    """rho(tau_a) by the central difference, at step 1e-6, of the quantized transitions exp(s tau_a)."""
+    return np.array([central_difference(lambda s: quantize_transition(basis, su2_exp(s * unit)), 0.0, 1e-6)
+                     for unit in np.eye(3)])
+
+
+def mpmath_rep(basis):
+    """rho(tau_a) at 60 digits: the central difference at s = 1e-25 of the expanded lift
+    polynomials of exp(s tau_a) = cos(s/2) I - i sin(s/2) sigma_a, scaled by the basis norms."""
+    two_j, n = basis.spec.two_j, basis.spec.dim
+
+    def monomial_images(a, b):
+        # [m, k]: the z^m coefficient of (conj(a) z - b)^k (conj(b) z + a)^(two_j - k)
+        out = [[mpmath.mpc(0)] * n for _ in range(n)]
+        for k in range(n):
+            for i in range(k + 1):
+                for l in range(two_j - k + 1):
+                    out[i + l][k] += (comb(k, i) * mpmath.conj(a) ** i * (-b) ** (k - i)
+                                      * comb(two_j - k, l) * mpmath.conj(b) ** l * a ** (two_j - k - l))
+        return out
+
+    mats = []
+    with mpmath.workdps(60):
+        h = mpmath.mpf("1e-25")
+        for sigma in PAULI:
+            s00, s01 = (mpmath.mpc(complex(x)) for x in sigma[0])
+            plus, minus = (monomial_images(mpmath.cos(s / 2) - 1j * mpmath.sin(s / 2) * s00,
+                                           -1j * mpmath.sin(s / 2) * s01) for s in (h, -h))
+            mats.append([[complex((p - m) / (2 * h)) for p, m in zip(rp, rm)] for rp, rm in zip(plus, minus)])
+    return basis.norms[:, None] * np.array(mats) / basis.norms[None, :]
+
+
+@lru_cache(maxsize=None)
+def rep_at(two_j):
+    return build_rep(build_basis(OrbitSpec(two_j)))
+
+
+class TestClosedFormGenerators:
+    """build_rep is the exact derivative of the group action, not a finite difference."""
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 5, 8])
+    def test_matches_finite_difference_of_transitions(self, two_j):
+        basis = build_basis(OrbitSpec(two_j))
+        assert np.max(np.abs(build_rep(basis).matrices - finite_difference_rep(basis))) <= 1e-10
+
+    @pytest.mark.parametrize("two_j", [3, 20])
+    def test_matches_mpmath_oracle(self, two_j):
+        basis = build_basis(OrbitSpec(two_j))
+        oracle = mpmath_rep(basis)
+        assert np.max(np.abs(build_rep(basis).matrices - oracle)) <= 1e-14 * np.max(np.abs(oracle))
+
+    @pytest.mark.parametrize("two_j", [20, 40, 80])
+    def test_commutator_residual_at_high_spin(self, two_j):
+        assert rep_at(two_j).commutator_residual() <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [1, 2, 3, 4, 8, 20])
+    def test_matches_quadrature_rep(self, two_j):
+        basis = build_basis(OrbitSpec(two_j))
+        gap = np.linalg.norm(build_rep(basis).matrices - quadrature_rep(basis).matrices, 2, axis=(1, 2))
+        assert np.max(gap) <= 1e-13
+
+    @settings(max_examples=25)
+    @given(two_j=st.integers(0, 80),
+           c=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3),
+           d=st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3))
+    def test_real_combinations_are_anti_hermitian_and_bracket_closed(self, two_j, c, d):
+        mats = rep_at(two_j).matrices
+        x, y, xy = (np.einsum("a,aij->ij", v, mats) for v in (c, d, np.cross(c, d)))
+        assert np.linalg.norm(x + x.conj().T, 2) <= 1e-11
+        assert np.linalg.norm(x @ y - y @ x - xy, 2) <= 1e-11
 
 
 class TestConnectionEquivalence:

@@ -140,7 +140,7 @@ class TestKahlerPotential:
 class TestHamiltonianField:
     def test_constant_function_gives_zero_field(self):
         spec = OrbitSpec(2)
-        w = FiberHamiltonian.from_value(lambda pt: 3.25)
+        w = FiberHamiltonian(value=lambda pt: 3.25, chart_gradient=lambda pt: np.zeros(2))
         assert hamiltonian_field(spec, w, north(0.4 - 0.2j)) == pytest.approx([0.0, 0.0], abs=1e-9)
 
     def test_axis_rotation_flow_is_circular(self):
@@ -258,7 +258,6 @@ class TestArrayChartPoints:
     def kernels(spec):
         moment = moment_hamiltonian(spec, [0.3, -1.1, 0.7])
         squared = squared_hamiltonian(moment)
-        wrapped = FiberHamiltonian.from_value(moment.value)
         return {
             "embed_point": lambda pt: embed_point(spec, pt),
             "embed_gradient": lambda pt: embed_gradient(spec, pt),
@@ -269,9 +268,6 @@ class TestArrayChartPoints:
             "moment.gradient": moment.chart_gradient,
             "squared.value": squared.value,
             "squared.gradient": squared.chart_gradient,
-            "from_value.value": wrapped.value,
-            "from_value.gradient": wrapped.chart_gradient,
-            "from_value.field": lambda pt: hamiltonian_field(spec, wrapped, pt),
         }
 
     @pytest.mark.parametrize("chart", [Chart.NORTH, Chart.SOUTH])
