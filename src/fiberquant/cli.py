@@ -321,8 +321,9 @@ def _cmd_verify(args, scenario: Scenario) -> tuple[dict, bool]:
     return {"suite": suite, "checks": rows, "all_pass": all_pass}, all_pass
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def run_command(argv) -> tuple[int, str]:
-    """Execute a CLI invocation; returns (exit_code, rendered output)."""
+    """Execute a CLI invocation; returns (exit_code, rendered output).  Non-finite values are left to the guards."""
     if not argv or argv[0] in ("-h", "--help", "help"):
         return (EXIT_OK if argv and argv[0] in ("-h", "--help", "help") else EXIT_USAGE, USAGE)
     if argv[0] not in _COMMANDS:

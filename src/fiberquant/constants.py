@@ -24,7 +24,8 @@ Calibration that fixed the signs:
 * Quantized transitions substitute the inverse group element, lifted by
   the factor of automorphy, so that the matrices form a true
   representation of SU(2); one-parameter phases for
-  g = diag(e^{it/2}, e^{-it/2}) are e^{i m t}, m = j..-j down the basis.
+  g = diag(e^{it/2}, e^{-it/2}) are e^{i m t}, m = j..-j down the basis, and X(g)
+  is their Wigner-D product with exp(-beta rho(tau_2)), rho as in ``gauge.build_rep``.
 * Transport states are column coefficient vectors; the transport unitary
   W satisfies Psi(1) = W Psi(0) and chart crossings insert the transition
   on the left.  A march with a group action inserts g itself into the 2x2
@@ -54,7 +55,7 @@ def residual_rule_sizes(two_j: int) -> tuple[int, int]:
 # Numerical step defaults; each stencil's error budget is noted at its use site.
 # The rep generators (``gauge.build_rep``) are exact and take no step.
 RK4_STEPS_PER_UNIT = 1000
-FD_STEP_GAUGE = 1.0e-5       # dX in the gauge-law residual
+FD_STEP_GAUGE = 1.0e-5       # Richardson step of dg and dX in the gauge laws
 FD_STEP_FORM = 1.0e-5        # exterior-derivative stencils on the total space
 CROSSING_BISECT_TOL = 1.0e-10
 

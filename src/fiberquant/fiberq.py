@@ -27,7 +27,7 @@ from .orbit import (
     hamiltonian_field_complex,
     theta_dz,
 )
-from .su2 import check_special_unitary
+from .su2 import TAU, check_special_unitary
 
 
 @lru_cache(maxsize=None)
@@ -162,27 +162,27 @@ def polarization_residual(basis: FiberBasis, w: FiberHamiltonian) -> float:
     return float(np.sqrt(np.maximum(norm_sq, 0.0)).max())
 
 
-_LIFT_CHUNK_TERMS = 1 << 14  # lift terms per stacked block: 1 MB of gathered powers
+def monomial_generators(spec: OrbitSpec) -> np.ndarray:
+    """rho(tau_a) on the monomials z^k, shape (3, n, n): the derivative of ``spin_lift`` at the identity.
+
+    Along (a, b) = (1, 0) + s (a', b'), with (a', b') the first row of tau_a,
+    the monomial image (conj(a) z - b)^k (conj(b) z + a)^{two_j - k} has derivative
+    k (conj(a') z^k - b' z^{k-1}) + (two_j - k) (conj(b') z^{k+1} + a' z^k):
+    a tridiagonal matrix.
+    """
+    two_j, k = spec.two_j, np.arange(spec.dim)
+    return np.array([np.diag(k * np.conj(a) + (two_j - k) * a) - np.diag(k[1:] * b, 1)
+                     + np.diag((two_j - k[:-1]) * np.conj(b), -1) for a, b in TAU[:, 0]])
 
 
 @lru_cache(maxsize=None)
-def _lift_terms(two_j: int) -> tuple:
-    """Term table of the binomial convolution behind X(g), built once per spin.
-
-    The monomial z^k maps to (conj(a) z - b)^k (conj(b) z + a)^{two_j - k},
-    whose z^m coefficient sums, over i + l = m,
-    binom(k, i) binom(two_j - k, l) (-1)^(k-i) conj(a)^i conj(b)^l a^(two_j-k-l) b^(k-i).
-    Returns the signed coefficients, the four power indices of each term
-    into the table [conj(a)^p, conj(b)^p, a^p, b^p] (p = 0..two_j), and the
-    first term of each output entry m * n + k; terms are sorted by entry.
-    """
-    n = two_j + 1
-    rows = sorted((m * n + k, (-1) ** (k - i) * comb(k, i) * comb(two_j - k, m - i),
-                   i, n + m - i, 2 * n + two_j - k - m + i, 3 * n + k - i)
-                  for k in range(n) for m in range(n)
-                  for i in range(max(0, m - two_j + k), min(k, m) + 1))
-    entry, coef, *index = (np.array(col) for col in zip(*rows))
-    table = (coef.astype(float), np.stack(index, axis=-1), np.flatnonzero(np.diff(entry, prepend=-1)))
+def _rotation_eigenbasis(spec: OrbitSpec) -> tuple:
+    """Exact monomial norms ||z^k||, the weights m = k - j, and the eigenvectors V of
+    i rho(tau_2) in the exact orthonormal monomial basis, built once per spin.
+    i rho(tau_2) is Hermitian with the simple spectrum m, ascending as ``eigh`` returns it."""
+    norms = np.sqrt(exact_monomial_norms_sq(spec))
+    _, vecs = np.linalg.eigh(1j * norms[:, None] * monomial_generators(spec)[1] / norms[None, :])
+    table = (norms, np.arange(spec.dim) - spec.j, vecs)
     for arr in table:
         arr.setflags(write=False)
     return table
@@ -197,27 +197,27 @@ def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
 
         (X(g) p)(z) = (conj(b) z + a)^{two_j} p((conj(a) z - b)/(conj(b) z + a)),
 
-    which composes as a true representation: X(g1 g2) = X(g1) X(g2).  On
-    the monomial z^k the image is (conj(a) z - b)^k (conj(b) z + a)^{two_j - k},
-    expanded exactly by binomial convolution, one ``_lift_terms`` sum per
-    entry.  Each stack element is computed alone, so a stacked call and
-    the single calls agree bit for bit.
+    a true representation: X(g1 g2) = X(g1) X(g2).  It is the Wigner-D product
+    of u / r = D(psi1) R(beta) D(psi2), with D(psi) = diag(e^{i psi}, e^{-i psi}),
+    R(beta) = exp(-beta tau_2), beta = 2 atan2(|b|, |a|) and psi1, psi2 = (arg a +- arg b) / 2.
+    D(psi) lifts to the phases e^{-2i psi m}, m = k - j, and R(beta) to exp(-beta rho(tau_2))
+    = I + V diag(expm1(i beta m)) V^dagger, so X is unitary to round-off at every spin.
+    Each stack element is computed alone, in place: stacked and single calls agree bit for bit,
+    and a stack of N lifts holds two (N, n, n) arrays at its peak.
     """
     u = np.asarray(u, dtype=complex)
-    n = basis.spec.dim
-    coef, index, starts = _lift_terms(basis.spec.two_j)
-    first_rows = u[..., 0, :].reshape(-1, 2)
-    mono = np.empty((first_rows.shape[0], n * n), dtype=complex)
-    chunk = max(_LIFT_CHUNK_TERMS // coef.size, 1)
-    for c0 in range(0, first_rows.shape[0], chunk):
-        powers = (first_rows[c0:c0 + chunk, :, None] ** np.arange(n)).reshape(-1, 2 * n)
-        table = np.concatenate([powers.conj(), powers], axis=-1)
-        # np.take keeps each term's four factors contiguous, so .prod multiplies
-        # them in one order, with no fused multiply-add, whatever the stack size.
-        terms = coef * np.take(table, index, axis=-1).prod(axis=-1)
-        mono[c0:c0 + chunk] = np.add.reduceat(terms, starts, axis=-1)
-    mono = mono.reshape(u.shape[:-2] + (n, n))
-    return basis.norms[:, None] * mono / basis.norms[None, :]
+    norms, m, vecs = _rotation_eigenbasis(basis.spec)
+    a, b = u[..., 0, 0], u[..., 0, 1]
+    arg_a, arg_b = np.angle(a)[..., None], np.angle(b)[..., None]
+    beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))[..., None]
+    left, right = np.exp(-1j * (arg_a + arg_b) * m), np.exp(-1j * (arg_a - arg_b) * m)
+    scale = np.hypot(np.abs(a), np.abs(b))[..., None] ** basis.spec.two_j
+    ratio = basis.norms / norms
+    lifted = (vecs * np.expm1(1j * beta * m)[..., None, :]) @ vecs.conj().T
+    lifted += np.eye(m.size)
+    lifted *= (scale * ratio * left)[..., :, None]
+    lifted *= (right / ratio)[..., None, :]
+    return lifted
 
 
 def quantize_transition(basis: FiberBasis, g: np.ndarray) -> np.ndarray:

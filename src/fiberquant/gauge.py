@@ -33,11 +33,12 @@ from . import constants
 from .errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
 from .fiberq import (
     FiberBasis,
+    monomial_generators,
     polarization_residual,
     prequant_matrix,
     quantize_transition,
 )
-from .numerics import central_difference, spectral_norm
+from .numerics import central_difference, richardson_difference, spectral_norm
 from .orbit import (
     Chart,
     ChartPoint,
@@ -184,16 +185,9 @@ def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
 
 
 def build_rep(basis: FiberBasis) -> LieAlgebraRep:
-    """rho(tau_a) = d/ds X(exp(s tau_a)) at s = 0, the derivative of ``spin_lift`` in closed form.
-
-    Along (a, b) = (1, 0) + s (a', b'), with (a', b') the first row of tau_a,
-    the monomial image (conj(a) z - b)^k (conj(b) z + a)^{two_j - k} has derivative
-    k (conj(a') z^k - b' z^{k-1}) + (two_j - k) (conj(b') z^{k+1} + a' z^k):
-    a tridiagonal matrix, carried to the orthonormal basis by the norms.
-    """
-    two_j, k = basis.spec.two_j, np.arange(basis.spec.dim)
-    mono = np.array([np.diag(k * np.conj(a) + (two_j - k) * a) - np.diag(k[1:] * b, 1)
-                     + np.diag((two_j - k[:-1]) * np.conj(b), -1) for a, b in TAU[:, 0]])
+    """rho(tau_a) = d/ds X(exp(s tau_a)) at s = 0, the derivative of ``spin_lift`` in closed form:
+    the tridiagonal ``monomial_generators``, carried to the orthonormal basis by the norms."""
+    mono = monomial_generators(basis.spec)
     return LieAlgebraRep(matrices=basis.norms[:, None] * mono / basis.norms[None, :], group_action=basis)
 
 
@@ -212,8 +206,9 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: 
     """Defect of the gauge transformation law across the overlap at b.
 
     Compares A in the neighbour chart against
-    X A X^{-1} + (dX along v) X^{-1}, with A the connection of ``rep`` and
-    X the quantized transition.
+    X A X^{-1} + (dX along v) X^{-1}, with A the connection of ``rep``,
+    X the quantized transition and dX its Richardson difference, as in
+    ``verify_gauge_data``.
     """
     model.chart_data(b)
     target = model.other_chart(b.chart)
@@ -230,7 +225,7 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: 
     x_at = lambda q: quantize_transition(basis, overlap.transition(q))
     x = x_at(b.q)
     x_inv = x.conj().T
-    dx = central_difference(lambda s: x_at(b.q + s * v.dq), 0.0, constants.FD_STEP_GAUGE)
+    dx = richardson_difference(lambda s: x_at(b.q + s * v.dq), 0.0, constants.FD_STEP_GAUGE)
     law = x @ a_here @ x_inv + dx @ x_inv
     return float(np.linalg.norm(a_there - law, 2))
 
@@ -329,11 +324,9 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
     Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1}, potentials lifted to
     matrices, on 12 sampled points per overlap (ConfigurationError if none
     is found); returns the worst absolute defect.  dg is the Richardson
-    combination (4 D(h/2) - D(h)) / 3 of the central difference D, so its
-    O(h^2) truncation error, which grows with the transition's rate of
-    change, cancels.
+    difference, whose truncation error, which grows with the transition's
+    rate of change, is O(h^4).
     """
-    h = constants.FD_STEP_GAUGE
     lift = lambda c: np.einsum("...a,aij->...ij", c, TAU)
     worst = 0.0
     for (i, j), overlap in model.overlaps.items():
@@ -346,8 +339,7 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
             xi_i = lift(potential_contraction(model, i, q, dq))
             xi_j = lift(potential_contraction(model, j, *overlap.convert(q, dq)))
             g = g_fn(q)
-            d = lambda step: central_difference(lambda s: g_fn(q + s * dq), 0.0, step)
-            dg = (4.0 * d(0.5 * h) - d(h)) / 3.0
+            dg = richardson_difference(lambda s: g_fn(q + s * dq), 0.0, constants.FD_STEP_GAUGE)
             g_inv = g.conj().T
             law = g @ xi_i @ g_inv + dg @ g_inv
             worst = max(worst, spectral_norm(xi_j - law))

@@ -2,10 +2,14 @@ import importlib
 import inspect
 import pkgutil
 import warnings
+from functools import lru_cache
 from math import comb
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fiberquant
 from fiberquant.errors import AccuracyFailure, InvalidArgument
@@ -283,8 +287,42 @@ def convolution_lift(basis, g):
     return basis.norms[:, None] * mono / basis.norms[None, :]
 
 
+@lru_cache(maxsize=None)
+def basis_at(two_j):
+    return build_basis(OrbitSpec(two_j))
+
+
 class TestSpinLift:
     """The one lift X(u) of 2x2 quaternions, on single elements and on stacks."""
+
+    @pytest.mark.parametrize("two_j", [40, 80])
+    def test_matches_mpmath_lift(self, two_j):
+        # the convolution oracle run on 60-digit scalars, where the float convolution has lost 1e-7 at 80
+        basis = basis_at(two_j)
+        g = random_su2(np.random.default_rng(73 + two_j))
+        with mpmath.workdps(60):
+            oracle = convolution_lift(basis, np.vectorize(mpmath.mpc, otypes=[object])(g))
+        assert np.max(np.abs(spin_lift(basis, g) - oracle)) <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [40, 60, 80])
+    def test_quantized_transitions_at_high_spin(self, two_j):
+        basis = basis_at(two_j)
+        rng = np.random.default_rng(74 + two_j)
+        for _ in range(5):
+            g1, g2 = random_su2(rng), random_su2(rng)
+            x1, x2 = quantize_transition(basis, g1), quantize_transition(basis, g2)
+            assert np.linalg.norm(x1.conj().T @ x1 - np.eye(basis.spec.dim), 2) <= 1e-12
+            assert np.linalg.norm(quantize_transition(basis, g1 @ g2) - x1 @ x2, 2) <= 1e-12
+
+    @settings(max_examples=25)
+    @given(two_j=st.integers(0, 80), seed=st.integers(0, 2**32 - 1))
+    def test_unitary_representation_at_every_spin(self, two_j, seed):
+        basis = basis_at(two_j)
+        rng = np.random.default_rng(seed)
+        g1, g2 = random_su2(rng), random_su2(rng)
+        x1, x2, x12 = spin_lift(basis, np.array([g1, g2, g1 @ g2]))
+        assert np.linalg.norm(x1.conj().T @ x1 - np.eye(basis.spec.dim), 2) <= 1e-12
+        assert np.linalg.norm(x12 - x1 @ x2, 2) <= 1e-12
 
     @pytest.mark.parametrize("two_j", [1, 2, 3, 5, 10, 20])
     def test_matches_convolution_oracle(self, two_j):

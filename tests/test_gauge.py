@@ -401,6 +401,16 @@ class TestGaugeLaw:
             v = BaseTangent.of(rng.standard_normal(2))
             assert gauge_residual(ctx["pure"], ctx["basis"], ctx["quad"], b, v) <= 1e-6
 
+    def test_monopole_law_resolved_past_the_stencil(self):
+        # dX by Richardson: the residual reads the law, not a central difference's O(h^2) error
+        spec = OrbitSpec(4)
+        basis = build_basis(spec)
+        model, rep = monopole_model(spec), build_rep(basis)
+        rng = np.random.default_rng(34)
+        for _ in range(10):
+            b, v = monopole_state(rng, overlap=True)
+            assert gauge_residual(model, basis, rep, b, v) <= 1e-9
+
     def test_point_outside_overlap_rejected(self, ctx):
         b = BasePoint("north", np.array([0.05, 0.0]), np.zeros(2))  # near north pole
         with pytest.raises(ChartError):

@@ -6,6 +6,7 @@ from fiberquant.numerics import (
     central_difference,
     gauss_legendre,
     matrix_exp,
+    richardson_difference,
     rk4_step,
     spectral_norm,
     sphere_rule,
@@ -129,6 +130,13 @@ class TestCentralDifference:
     def test_bad_step_rejected(self):
         with pytest.raises(InvalidArgument):
             central_difference(np.sin, 0.0, 0.0)
+
+
+class TestRichardsonDifference:
+    def test_cancels_the_second_order_error(self):
+        # at h = 1e-2 the central difference of exp is off by h^2/6; Richardson by h^4/480
+        assert abs(central_difference(np.exp, 0.0, 1e-2) - 1.0) > 1e-5
+        assert abs(richardson_difference(np.exp, 0.0, 1e-2) - 1.0) <= 1e-9
 
 
 def test_kernels_are_deterministic():
