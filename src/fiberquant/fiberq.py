@@ -191,9 +191,10 @@ def _rotation_eigenbasis(spec: OrbitSpec) -> tuple:
 def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
     """X(u) on the basis's fiber, for a stack u (..., 2, 2) of quaternions [[a, b], [-conj(b), conj(a)]].
 
-    Reads a and b from the first row and checks nothing: a quaternion of
-    norm r lifts to r^{two_j} X(u / r).  For g in SU(2) the operator
-    substitutes the inverse Moebius map,
+    Reads a and b from the first row and checks nothing, so a stack of
+    first rows (..., 1, 2) lifts alike: a quaternion of norm r lifts to
+    r^{two_j} X(u / r).  For g in SU(2) the operator substitutes the
+    inverse Moebius map,
 
         (X(g) p)(z) = (conj(b) z + a)^{two_j} p((conj(a) z - b)/(conj(b) z + a)),
 

@@ -198,8 +198,9 @@ def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseT
 
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Vectorized connection values along arrays of points/tangents."""
-    return np.einsum("...a,aij->...ij", potential_contraction(model, chart, q, dq), rep.matrices)
+    """Vectorized connection values along arrays of points/tangents, shaped like one rep matrix each."""
+    coeffs = potential_contraction(model, chart, q, dq)
+    return (coeffs @ rep.matrices.reshape(3, -1)).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])
 
 
 def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> float:

@@ -6,11 +6,14 @@ transported object is a column coefficient vector Psi; the solver
 integrates W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I by fixed-step
 RK4, splitting the scalar phase from the unitary factor.  A rep with a
 group action (``build_rep``) is the spin-j image of su(2), so W is the
-lift X(U) of the 2x2 solution of U' = A_tau(v(t)) U: that route marches U
-in 2x2, inserts the SU(2) transition g on the left at each chart crossing
-and lifts once at the end.  A rep without one (``quadrature_rep``) marches
-W in n x n and inserts X(g).  Step maps and their products are carried in
-offset form, M - I, so that near-identity factors do not round against I.
+lift X(U) of the 2x2 solution of U' = A_tau(v(t)) U.  U and every RK4
+stage, step map and product of that route are quaternions
+[[a, b], [-conj(b), conj(a)]], so the route marches the pair (a, b) with
+elementwise products, inserts the SU(2) transition g on the left at each
+chart crossing and lifts once at the end.  A rep without one
+(``quadrature_rep``) marches W in n x n with matmul and inserts X(g).  Step
+maps and their products are carried in offset form, M - I, so that
+near-identity factors do not round against I.
 Holonomy, covariant sections on T*Q with the vertical polarization, and
 the total-space reconstruction check live here too.
 """
@@ -39,7 +42,21 @@ from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
 from .su2 import TAU, check_special_unitary
 
 _CHUNK_STEPS = 32768
-_TAU_REP = LieAlgebraRep(TAU)  # the 2x2 march of a rep with a group action
+# The march of a rep with a group action: the first rows (a, b) of the tau
+# generators, so that connection values come out as quaternion pairs.
+_TAU_PAIRS = LieAlgebraRep(TAU[:, 0, :])
+
+
+def _pair_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Quaternion product on pairs (..., 2): (a1, b1)(a2, b2) = (a1 a2 - b1 conj(b2), a1 b2 + b1 conj(a2)),
+    the first row of [[a1, b1], [-conj(b1), conj(a1)]] @ [[a2, b2], [-conj(b2), conj(a2)]].
+
+    x and y are stacks of one shape, or one of them is a single pair.  The
+    components are read through the transpose, so that a single pair, as in
+    the stored march, costs scalar arithmetic rather than array calls."""
+    xt, yt = x.T, y.T
+    a1, b1, a2, b2 = xt[0], xt[1], yt[0], yt[1]
+    return np.array([a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)]).T
 
 
 @dataclass(frozen=True)
@@ -186,24 +203,24 @@ def _generator_batch(model, rep, chart, path, ts):
     return connection_rep_batch(model, rep, chart, q, dq), np.einsum("...k,...k->...", p, dq)
 
 
-def _ordered_product(offsets: np.ndarray) -> np.ndarray:
-    """The offset D of I + D = (I + offsets[-1]) @ ... @ (I + offsets[0]), reduced pairwise.
+def _ordered_product(offsets: np.ndarray, product) -> np.ndarray:
+    """The offset D of I + D = (I + offsets[-1]) ... (I + offsets[0]), reduced pairwise.
 
-    A pair reduces as (I + a)(I + b) = I + (a + b + a @ b)."""
+    A pair reduces as (I + a)(I + b) = I + (a + b + product(a, b))."""
     while offsets.shape[0] > 1:
         odd = offsets.shape[0] % 2
         later, earlier = offsets[1::2], offsets[0:offsets.shape[0] - odd:2]
-        paired = later + earlier + np.matmul(later, earlier)
+        paired = later + earlier + product(later, earlier)
         offsets = np.concatenate([paired, offsets[-1:]], axis=0) if odd else paired
     return offsets[0]
 
 
-def _step_maps(model, rep, path, chart, t0, t1, n_steps):
+def _step_maps(model, rep, path, chart, t0, t1, n_steps, product):
     """RK4 step maps W(t) -> W(t + h) of n_steps equal steps over [t0, t1] in one chart.
 
     Yields (step end times, step-map offsets M - I, Simpson phases) a chunk
-    of at most _CHUNK_STEPS steps at a time; the maps act on the space of
-    ``rep.matrices``."""
+    of at most _CHUNK_STEPS steps at a time.  The maps have the shape of one
+    of ``rep.matrices`` and ``product`` multiplies two stacks of them."""
     n_steps = max(int(n_steps), 1)
     h = (t1 - t0) / n_steps
     for c0 in range(0, n_steps, _CHUNK_STEPS):
@@ -211,9 +228,9 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps):
         ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
         g, alpha = _generator_batch(model, rep, chart, path, ts)
         g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
-        a2 = g1 + (0.5 * h) * np.matmul(g1, g0)
-        a3 = g1 + (0.5 * h) * np.matmul(g1, a2)
-        a4 = g2 + h * np.matmul(g2, a3)
+        a2 = g1 + (0.5 * h) * product(g1, g0)
+        a3 = g1 + (0.5 * h) * product(g1, a2)
+        a4 = g2 + h * product(g2, a3)
         yield (ts[2::2], (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
                (h / 6.0) * (alpha[0:-1:2] + 4.0 * alpha[1::2] + alpha[2::2]))
 
@@ -233,10 +250,11 @@ def transport(
     The connection is the potential contracted with ``rep``: the generators
     of ``gauge.build_rep`` or of ``gauge.quadrature_rep``.  The model, the
     basis and the rep must share one spin.  A rep with a group action
-    (``build_rep``) marches the 2x2 transport U of the tau generators,
-    inserts each transition g in SU(2) and returns the lift X(U), with
-    ``nodes`` lifted in one batched call; a rep without one marches
-    n x n and inserts X(g).  Each step applies its offset: W <- W + (M - I) W.
+    (``build_rep``) marches the 2x2 transport U of the tau generators as
+    its quaternion pair (a, b), inserts each transition g in SU(2) and
+    returns the lift X(U), with ``nodes`` lifted in one batched call; a rep
+    without one marches n x n and inserts X(g).  Each step applies its
+    offset: W <- W + (M - I) W.
     ``forced_switches`` lists (t, chart) chart changes at times t in [0, 1].
     """
     if steps is None:
@@ -255,22 +273,24 @@ def transport(
         raise ChartError(f"path start chart {chart!r} unknown to the model")
 
     group = rep.group_action
-    march_rep = rep if group is None else _TAU_REP
-    w = np.eye(march_rep.matrices.shape[-1], dtype=complex)
+    if group is None:
+        march_rep, product, w = rep, np.matmul, np.eye(rep.matrices.shape[-1], dtype=complex)
+    else:
+        march_rep, product, w = _TAU_PAIRS, _pair_product, np.array([1.0, 0.0], dtype=complex)
     phase = 0.0
     nodes = [(0.0, w, phase, chart)]
     chart_log = [(0.0, chart)]
 
     def run_span(t0: float, t1: float, n_steps: int) -> None:
         nonlocal w, phase
-        for times, offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps):
+        for times, offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product):
             if store:
                 for t, offset, step_phase in zip(times, offsets, phases):
-                    w = w + offset @ w
+                    w = w + product(offset, w)
                     phase += float(step_phase)
                     nodes.append((float(t), w, phase, chart))
             else:
-                w = w + _ordered_product(offsets) @ w
+                w = w + product(_ordered_product(offsets, product), w)
                 phase += float(np.sum(phases))
 
     def do_insert(t_cross: float, from_chart: str, target: str) -> None:
@@ -280,7 +300,7 @@ def transport(
             raise ChartError(f"no registered transition {from_chart!r} -> {target!r} at t = {t_cross:.6f}")
         q_here = path.at(from_chart, np.array([t_cross]))[0][0]
         g = overlap.transition(q_here)
-        w = (quantize_transition(basis, g) if group is None else check_special_unitary(g)) @ w
+        w = product(quantize_transition(basis, g) if group is None else check_special_unitary(g)[0], w)
         nodes[-1] = (nodes[-1][0], w, phase, target)
         chart = target
         chart_log.append((t_cross, target))
@@ -291,15 +311,9 @@ def transport(
             n_span = max(int(np.ceil(steps * (t_stop - t_now))), 1)
             ts = np.linspace(t_now, t_stop, n_span + 1)
             boundary = model.charts[chart].boundary
-            exit_idx = None
-            if boundary is not None:
-                q_nodes = path.at(chart, ts)[0]
-                bvals = np.atleast_1d(boundary(q_nodes))
-                outside = np.nonzero(bvals > 0.0)[0]
-                if outside.size:
-                    exit_idx = int(outside[0])
-                    if exit_idx == 0:
-                        raise ChartError(f"path starts outside chart {chart!r}")
+            exit_idx = None if boundary is None else _first_exit(path, chart, boundary, ts)
+            if exit_idx == 0:
+                raise ChartError(f"path starts outside chart {chart!r}")
             if exit_idx is None:
                 run_span(t_now, t_stop, n_span)
                 t_now = t_stop
@@ -320,15 +334,27 @@ def transport(
 
     if group is not None:
         if store:
-            lifted = spin_lift(group, np.array([node[1] for node in nodes]))
+            lifted = spin_lift(group, np.array([node[1] for node in nodes])[:, None, :])
             nodes = [(t, x, ph, name) for (t, _, ph, name), x in zip(nodes, lifted)]
             w = nodes[-1][1]
         else:
-            w = spin_lift(group, w)
+            w = spin_lift(group, w[None, :])
     dev = spectral_norm(w.conj().T @ w - np.eye(w.shape[-1]))
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
     return TransportResult(w, phase, steps, dev, tuple(chart_log), tuple(nodes) if store else None)
+
+
+def _first_exit(path, chart, boundary, ts):
+    """Index of the first node of ts outside the chart (boundary > 0), or None.
+
+    Scans _CHUNK_STEPS nodes at a time and stops at the first chunk that leaves."""
+    for c0 in range(0, ts.size, _CHUNK_STEPS):
+        q = path.at(chart, ts[c0:c0 + _CHUNK_STEPS])[0]
+        outside = np.nonzero(np.atleast_1d(boundary(q)) > 0.0)[0]
+        if outside.size:
+            return c0 + int(outside[0])
+    return None
 
 
 def _bisect_boundary(path, chart, boundary, t_lo, t_hi):

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,12 @@ import pytest
 from fiberquant.constants import CROSSING_BISECT_TOL, MONOPOLE_HOLONOMY_SIGN
 from fiberquant import scenario
 from fiberquant.errors import ChartError, InvalidArgument
-from fiberquant.fiberq import build_basis
+from fiberquant.fiberq import build_basis, spin_lift
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
     GaugeModel,
+    LieAlgebraRep,
     build_rep,
     constant_model,
     curvature,
@@ -21,6 +23,7 @@ from fiberquant.gauge import (
 )
 from fiberquant.numerics import central_difference, matrix_exp
 from fiberquant.orbit import OrbitSpec
+from fiberquant.su2 import TAU
 from fiberquant.transport import (
     BasePath,
     covariant_residual_total_space,
@@ -310,7 +313,7 @@ class TestSpinLiftedMarch:
         monkeypatch.setattr(transport_module, "_step_maps", recording)
         transport(mono, basis, meridian_path(), rep=rep, steps=500)
         transport(mono, basis, latitude_path(1.0), rep=rep, steps=500, store=True)
-        assert shapes and set(shapes) == {(2, 2)}
+        assert shapes and set(shapes) == {(2,)}  # quaternion pairs (a, b)
         shapes.clear()
         transport(mono, basis, latitude_path(1.0), rep=quadrature_rep(basis), steps=500)
         assert set(shapes) == {(5, 5)}
@@ -331,11 +334,91 @@ class TestSpinLiftedMarch:
 
         monkeypatch.setattr(transport_module, "spin_lift", recording)
         res = transport(model, basis, path, rep=rep, steps=2000, forced_switches=switches, store=True)
-        (u,) = marched
-        assert u.shape == (len(res.nodes), 2, 2) and len(res.chart_log) >= 2
-        assert np.max(np.abs(u[:, 1, 1] - u[:, 0, 0].conj())) <= 1e-14
-        assert np.max(np.abs(u[:, 1, 0] + u[:, 0, 1].conj())) <= 1e-14
+        (u,) = marched  # the first rows (a, b) of every node's U, lifted in one call
+        assert u.shape == (len(res.nodes), 1, 2) and len(res.chart_log) >= 2
+        assert np.max(np.abs(np.sum(np.abs(u) ** 2, axis=(1, 2)) - 1.0)) <= 1e-14  # |a|^2 + |b|^2 = 1
+        assert np.array_equal(np.array([node[1] for node in res.nodes]), lift(basis, u))
 
+
+def quaternion(pairs):
+    """[[a, b], [-conj(b), conj(a)]] for a stack of pairs (..., 2)."""
+    a, b = pairs[..., 0], pairs[..., 1]
+    return np.stack([pairs, np.stack([-b.conj(), a.conj()], axis=-1)], axis=-2)
+
+
+def matrix_march(monkeypatch, model, basis, path, steps, switches=None):
+    """The rep-route transport and the lift of its 2x2 np.matmul march on the full tau generators.
+
+    The pair march's spans and inserted transitions are recorded, then replayed
+    through the same _step_maps and _ordered_product on stacked 2x2 matrices."""
+    events, step_maps, check = [], transport_module._step_maps, transport_module.check_special_unitary
+
+    def spans(model, rep, path, chart, t0, t1, n_steps, product):
+        events.append((chart, t0, t1, n_steps))
+        yield from step_maps(model, rep, path, chart, t0, t1, n_steps, product)
+
+    def inserts(g):
+        events.append(g)
+        return check(g)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(transport_module, "_step_maps", spans)
+        patch.setattr(transport_module, "check_special_unitary", inserts)
+        res = transport(model, basis, path, rep=build_rep(basis), steps=steps, forced_switches=switches)
+    u, tau = np.eye(2, dtype=complex), LieAlgebraRep(TAU)
+    for event in events:
+        if isinstance(event, np.ndarray):
+            u = event @ u
+        else:
+            for _, offsets, _ in step_maps(model, tau, path, *event, np.matmul):
+                u = u + transport_module._ordered_product(offsets, np.matmul) @ u
+    return res.unitary, spin_lift(basis, u)
+
+
+class TestPairMarch:
+    """The rep route's quaternion pairs (a, b) against the stacked 2x2 np.matmul march."""
+
+    def test_pair_product_is_the_quaternion_product(self):
+        rng = np.random.default_rng(7)
+        x, y = (rng.standard_normal((64, 2)) + 1j * rng.standard_normal((64, 2)) for _ in range(2))
+        x, y = x / np.linalg.norm(x, axis=-1, keepdims=True), 2.0 * y / np.linalg.norm(y, axis=-1, keepdims=True)
+        product = transport_module._pair_product
+        assert product(x, y).shape == (64, 2)
+        assert np.max(np.abs(quaternion(product(x, y)) - quaternion(x) @ quaternion(y))) <= 1e-15
+        assert np.max(np.abs(quaternion(product(x, y[5])) - quaternion(x) @ quaternion(y[5]))) <= 1e-15
+        assert np.max(np.abs(quaternion(product(x[3], y[5])) - quaternion(x[3]) @ quaternion(y[5]))) <= 1e-15
+
+    @pytest.mark.parametrize("two_j", [1, 2, 8])
+    @pytest.mark.parametrize("path", [latitude_path(1.0), meridian_path()], ids=["latitude", "meridian"])
+    def test_bit_identical_on_the_monopole(self, monkeypatch, path, two_j):
+        spec, basis, rep, mono = spin_ctx(two_j)
+        lifted, reference = matrix_march(monkeypatch, mono, basis, path, 2000)
+        assert np.array_equal(lifted, reference)
+
+    @pytest.mark.parametrize("two_j", [1, 2, 8, 20])
+    @pytest.mark.parametrize("kind", ["constant", "pure_gauge"])
+    def test_within_round_off_on_non_abelian_models(self, monkeypatch, kind, two_j):
+        spec = OrbitSpec(two_j)
+        if kind == "constant":  # the scenario's phase_loop
+            model, path, switches = constant_model(spec), phase_circle_path([0.0, 0.0], 0.5), None
+        else:
+            model, switches = pure_gauge_model(spec, rates=(5.0, 7.0)), [(0.5, "flat")]
+            path = segment_path([0.1, -0.2], [0.7, 0.4], chart="gauged")
+        lifted, reference = matrix_march(monkeypatch, model, build_basis(spec), path, 2000, switches)
+        assert np.max(np.abs(lifted - reference)) <= 1e-14
+
+    def test_memory_does_not_grow_with_the_step_count(self):
+        spec, basis, rep, mono = spin_ctx(2)
+
+        def traced_peak(steps):
+            tracemalloc.start()
+            try:
+                transport(mono, basis, latitude_path(1.0), rep=rep, steps=steps)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(10**6) <= 1.5 * traced_peak(10**5)
 
 class TestCovariantSections:
     def test_constant_in_momentum(self, ctx):
