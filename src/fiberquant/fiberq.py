@@ -200,7 +200,8 @@ def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
 
     a true representation: X(g1 g2) = X(g1) X(g2).  It is the Wigner-D product
     of u / r = D(psi1) R(beta) D(psi2), with D(psi) = diag(e^{i psi}, e^{-i psi}),
-    R(beta) = exp(-beta tau_2), beta = 2 atan2(|b|, |a|) and psi1, psi2 = (arg a +- arg b) / 2.
+    R(beta) = exp(-beta tau_2), beta = 2 atan2(|b|, |a|) and psi1, psi2 = (arg a +- arg b) / 2,
+    with arg b = 0 where b == 0, so that the sign of a zero b does not reach the lift.
     D(psi) lifts to the phases e^{-2i psi m}, m = k - j, and R(beta) to exp(-beta rho(tau_2))
     = I + V diag(expm1(i beta m)) V^dagger, so X is unitary to round-off at every spin.
     Each stack element is computed alone, in place: stacked and single calls agree bit for bit,
@@ -209,7 +210,7 @@ def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
     u = np.asarray(u, dtype=complex)
     norms, m, vecs = _rotation_eigenbasis(basis.spec)
     a, b = u[..., 0, 0], u[..., 0, 1]
-    arg_a, arg_b = np.angle(a)[..., None], np.angle(b)[..., None]
+    arg_a, arg_b = np.angle(a)[..., None], np.where(b == 0.0, 0.0, np.angle(b))[..., None]
     beta = 2.0 * np.arctan2(np.abs(b), np.abs(a))[..., None]
     left, right = np.exp(-1j * (arg_a + arg_b) * m), np.exp(-1j * (arg_a - arg_b) * m)
     scale = np.hypot(np.abs(a), np.abs(b))[..., None] ** basis.spec.two_j
@@ -223,9 +224,9 @@ def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
 
 def quantize_transition(basis: FiberBasis, g: np.ndarray) -> np.ndarray:
     """Unitary action X(g) of g in SU(2) on polarized sections (``spin_lift``),
-    checked to be unitary to 1e-9."""
+    checked to be unitary to 1e-9 in the Frobenius norm, which bounds the 2-norm from above."""
     matrix = spin_lift(basis, check_special_unitary(g))
-    dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(basis.spec.dim), 2)
+    dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(basis.spec.dim))
     if not dev <= 1e-9:
-        raise AccuracyFailure(f"quantized transition not unitary to tolerance ({dev:.2e})")
+        raise AccuracyFailure(f"quantized transition not unitary to tolerance (Frobenius norm {dev:.2e})")
     return matrix

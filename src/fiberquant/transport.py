@@ -13,9 +13,12 @@ elementwise products, inserts the SU(2) transition g on the left at each
 chart crossing and lifts once at the end.  A rep without one
 (``quadrature_rep``) marches W in n x n with matmul and inserts X(g).  Step
 maps and their products are carried in offset form, M - I, so that
-near-identity factors do not round against I.
+near-identity factors do not round against I.  Either route is one march
+that keeps only its running product, so its memory does not grow with the
+step count.
 Holonomy, covariant sections on T*Q with the vertical polarization, and
-the total-space reconstruction check live here too.
+the total-space reconstruction check live here too; the check transports
+to its own stencil nodes along ``sub_path`` pieces of the path.
 """
 
 from __future__ import annotations
@@ -53,7 +56,8 @@ def _pair_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     x and y are stacks of one shape, or one of them is a single pair.  The
     components are read through the transpose, so that a single pair, as in
-    the stored march, costs scalar arithmetic rather than array calls."""
+    the crossing inserts and the last apply of a span, costs scalar
+    arithmetic rather than array calls."""
     xt, yt = x.T, y.T
     a1, b1, a2, b2 = xt[0], xt[1], yt[0], yt[1]
     return np.array([a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)]).T
@@ -170,17 +174,15 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
 
 @dataclass(frozen=True)
 class TransportResult:
-    """Transport operator exp(i alpha_phase) unitary over [0, 1].  With store=True,
-    ``nodes`` holds one (t, W, phase, chart) per RK4 node from (0.0, I, 0.0, start
-    chart) to (1.0, unitary, alpha_phase, end chart); at a crossing, W and chart
-    are those after the inserted transition."""
+    """Transport operator exp(i alpha_phase) unitary over [0, 1].  ``chart_log``
+    holds (0.0, start chart) and one (t, chart) per inserted transition, so its
+    last chart is the chart the path ends in."""
 
     unitary: np.ndarray
     alpha_phase: float
     steps: int
     unitarity_deviation: float
     chart_log: tuple
-    nodes: tuple | None = None
 
 
 @dataclass(frozen=True)
@@ -218,8 +220,8 @@ def _ordered_product(offsets: np.ndarray, product) -> np.ndarray:
 def _step_maps(model, rep, path, chart, t0, t1, n_steps, product):
     """RK4 step maps W(t) -> W(t + h) of n_steps equal steps over [t0, t1] in one chart.
 
-    Yields (step end times, step-map offsets M - I, Simpson phases) a chunk
-    of at most _CHUNK_STEPS steps at a time.  The maps have the shape of one
+    Yields (step-map offsets M - I, Simpson phases) a chunk of at most
+    _CHUNK_STEPS steps at a time.  The maps have the shape of one
     of ``rep.matrices`` and ``product`` multiplies two stacks of them."""
     n_steps = max(int(n_steps), 1)
     h = (t1 - t0) / n_steps
@@ -231,7 +233,7 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product):
         a2 = g1 + (0.5 * h) * product(g1, g0)
         a3 = g1 + (0.5 * h) * product(g1, a2)
         a4 = g2 + h * product(g2, a3)
-        yield (ts[2::2], (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
+        yield ((h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
                (h / 6.0) * (alpha[0:-1:2] + 4.0 * alpha[1::2] + alpha[2::2]))
 
 
@@ -243,7 +245,6 @@ def transport(
     rep: LieAlgebraRep,
     steps: int | None = None,
     forced_switches=None,
-    store: bool = False,
 ) -> TransportResult:
     """Path-ordered transport over [0, 1] with chart-crossing insertions.
 
@@ -252,9 +253,9 @@ def transport(
     basis and the rep must share one spin.  A rep with a group action
     (``build_rep``) marches the 2x2 transport U of the tau generators as
     its quaternion pair (a, b), inserts each transition g in SU(2) and
-    returns the lift X(U), with ``nodes`` lifted in one batched call; a rep
-    without one marches n x n and inserts X(g).  Each step applies its
-    offset: W <- W + (M - I) W.
+    returns the lift X(U), lifted once; a rep without one marches n x n
+    and inserts X(g).  Each span applies the ordered product of its step
+    offsets: W <- W + (M - I) W.
     ``forced_switches`` lists (t, chart) chart changes at times t in [0, 1].
     """
     if steps is None:
@@ -278,20 +279,13 @@ def transport(
     else:
         march_rep, product, w = _TAU_PAIRS, _pair_product, np.array([1.0, 0.0], dtype=complex)
     phase = 0.0
-    nodes = [(0.0, w, phase, chart)]
     chart_log = [(0.0, chart)]
 
     def run_span(t0: float, t1: float, n_steps: int) -> None:
         nonlocal w, phase
-        for times, offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product):
-            if store:
-                for t, offset, step_phase in zip(times, offsets, phases):
-                    w = w + product(offset, w)
-                    phase += float(step_phase)
-                    nodes.append((float(t), w, phase, chart))
-            else:
-                w = w + product(_ordered_product(offsets, product), w)
-                phase += float(np.sum(phases))
+        for offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product):
+            w = w + product(_ordered_product(offsets, product), w)
+            phase += float(np.sum(phases))
 
     def do_insert(t_cross: float, from_chart: str, target: str) -> None:
         nonlocal chart, w
@@ -301,7 +295,6 @@ def transport(
         q_here = path.at(from_chart, np.array([t_cross]))[0][0]
         g = overlap.transition(q_here)
         w = product(quantize_transition(basis, g) if group is None else check_special_unitary(g)[0], w)
-        nodes[-1] = (nodes[-1][0], w, phase, target)
         chart = target
         chart_log.append((t_cross, target))
 
@@ -333,16 +326,11 @@ def transport(
             do_insert(t_stop, chart, stop_chart)
 
     if group is not None:
-        if store:
-            lifted = spin_lift(group, np.array([node[1] for node in nodes])[:, None, :])
-            nodes = [(t, x, ph, name) for (t, _, ph, name), x in zip(nodes, lifted)]
-            w = nodes[-1][1]
-        else:
-            w = spin_lift(group, w[None, :])
+        w = spin_lift(group, w[None, :])
     dev = spectral_norm(w.conj().T @ w - np.eye(w.shape[-1]))
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
-    return TransportResult(w, phase, steps, dev, tuple(chart_log), tuple(nodes) if store else None)
+    return TransportResult(w, phase, steps, dev, tuple(chart_log))
 
 
 def _first_exit(path, chart, boundary, ts):
@@ -370,12 +358,16 @@ def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
     return 0.5 * (lo + hi)
 
 
-def reverse_path(path: BasePath) -> BasePath:
-    def at(chart, t):
-        q, p, dq, dp = path.at(chart, 1.0 - np.asarray(t, dtype=float))
-        return q, p, -dq, -dp
+def sub_path(path: BasePath, t0: float, t1: float, chart: str) -> BasePath:
+    """The piece of ``path`` from t0 to t1, reparametrized over [0, 1] and started in ``chart``.
 
-    return BasePath(at=at, start_chart=path.start_chart)
+    sub_path(path, 1.0, 0.0, path.start_chart) is the reversed path."""
+
+    def at(chart_name, s):
+        q, p, dq, dp = path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float))
+        return q, p, (t1 - t0) * dq, (t1 - t0) * dp
+
+    return BasePath(at=at, start_chart=chart)
 
 
 def wilson_loop(
@@ -425,7 +417,9 @@ def covariant_residual_total_space(
     model: GaugeModel,
     basis: FiberBasis,
     path: BasePath,
-    result: TransportResult,
+    *,
+    rep: LieAlgebraRep,
+    steps: int,
     corruption: Callable[[float], complex] | None = None,
 ) -> float:
     """Defect of the lifted-section equation along the transported path.
@@ -433,37 +427,38 @@ def covariant_residual_total_space(
     Reconstructs psi(t, f) = sum_mu Psi_mu(t) e_mu(f), for the uniform
     initial vector Psi(0), on the horizontal lift of five fixed fiber
     points and compares its parameter derivative (central differences
-    along the lift) against i <alpha_total, lift> psi.  Requires a
-    transport result computed with store=True.
+    along the lift) against i <alpha_total, lift> psi.  Psi is transported
+    to its own stencil knots t = k / steps, k = int(frac steps) + (-1, 0, 1)
+    for six fractions frac, by chaining ``transport`` over ``sub_path``
+    pieces between successive knots, each at ``steps`` steps per unit of t
+    and started in the chart the previous piece ended in.  A stencil whose
+    three knots are not all in one chart is skipped.
     """
-    nodes = result.nodes
-    if nodes is None:
-        raise InvalidArgument("transport result must be computed with store=True")
-    check_spin(basis, "model", model.spec.two_j)
     spec = basis.spec
     psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
+    centers = [k for k in (int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
+               if 0 < k < steps]
 
-    count = len(nodes)
-    sample_idx = [int(frac * (count - 1)) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)]
-    worst = 0.0
+    # (chart, coefficients Psi(k / steps)) at every knot, marched piece by piece
+    knots, unitary, phase, chart, k_prev = {}, np.eye(spec.dim, dtype=complex), 0.0, path.start_chart, 0
+    for k in sorted({k + d for k in centers for d in (-1, 0, 1)}):
+        if k > k_prev:
+            piece = transport(model, basis, sub_path(path, k_prev / steps, k / steps, chart),
+                              rep=rep, steps=k - k_prev)
+            unitary, phase, chart = piece.unitary @ unitary, phase + piece.alpha_phase, piece.chart_log[-1][1]
+        c = np.exp(1j * phase) * (unitary @ psi0)
+        knots[k], k_prev = (chart, c if corruption is None else corruption(k / steps) * c), k
 
-    def coeffs_at(idx: int) -> np.ndarray:
-        t, w, phase, _ = nodes[idx]
-        c = np.exp(1j * phase) * (w @ psi0)
-        if corruption is not None:
-            c = corruption(t) * c
-        return c
-
+    h = 1.0 / steps
     z0 = np.asarray(_FIBER_SAMPLES, dtype=complex)
     pt = ChartPoint(Chart.NORTH, z0)
     vals_mid = basis.eval(z0)
-    for idx in sample_idx:
-        if idx <= 0 or idx >= count - 1:
-            continue
-        (t_lo, _, _, chart_lo), (t0, _, _, chart), (t_hi, _, _, chart_hi) = nodes[idx - 1:idx + 2]
-        h = t_hi - t0
-        if not chart_lo == chart == chart_hi or abs(h - (t0 - t_lo)) > 1e-12:
-            continue  # the stencil must be even and must not straddle a chart crossing
+    worst = 0.0
+    for k in centers:
+        (chart_lo, c_lo), (chart, c_mid), (chart_hi, c_hi) = knots[k - 1], knots[k], knots[k + 1]
+        if not chart_lo == chart == chart_hi:
+            continue  # the stencil must not straddle a chart crossing
+        t0 = k / steps
         q, p, dq, dp = path.at(chart, np.array([t0]))
         w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent(dq=dq[0], dp=dp[0]))
         alpha_b = float(np.dot(p[0], dq[0]))
@@ -476,8 +471,8 @@ def covariant_residual_total_space(
         # All fiber points march together: one field evaluation per RK4 stage.
         z_plus = rk4_step(fiber_velocity, t0, z0, h)
         z_minus = rk4_step(fiber_velocity, t0, z0, -h)
-        psi_mid = coeffs_at(idx) @ vals_mid
-        deriv = (coeffs_at(idx + 1) @ basis.eval(z_plus) - coeffs_at(idx - 1) @ basis.eval(z_minus)) / (2.0 * h)
+        psi_mid = c_mid @ vals_mid
+        deriv = (c_hi @ basis.eval(z_plus) - c_lo @ basis.eval(z_minus)) / (2.0 * h)
         pairing = alpha_b + w.value(pt) - theta_dz(spec, pt) * hamiltonian_field_complex(spec, w, pt)
         worst = max(worst, float(np.max(np.abs(deriv - 1j * pairing * psi_mid), initial=0.0)))
     return worst

@@ -59,8 +59,8 @@ from .transport import (
     latitude_path,
     momentum_circle_path,
     phase_circle_path,
-    reverse_path,
     segment_path,
+    sub_path,
     transport,
     wilson_loop,
 )
@@ -397,7 +397,7 @@ def suite_transport(two_j: int) -> dict[str, float]:
 
     lat = latitude_path(np.pi / 3.0)
     fwd = transport(mono, basis, lat, rep=rep, steps=2000)
-    bwd = transport(mono, basis, reverse_path(lat), rep=rep, steps=2000)
+    bwd = transport(mono, basis, sub_path(lat, 1.0, 0.0, lat.start_chart), rep=rep, steps=2000)
     rows["transport.reversal"] = float(np.linalg.norm(bwd.unitary - fwd.unitary.conj().T, 2))
     rows["transport.unitarity"] = fwd.unitarity_deviation
 
@@ -426,11 +426,10 @@ def suite_transport(two_j: int) -> dict[str, float]:
     )
     rows["transport.section_constancy"] = section.residual
 
-    stored = transport(mono, basis, lat, rep=rep, steps=4000, store=True)
-    base_res = covariant_residual_total_space(mono, basis, lat, stored)
+    base_res = covariant_residual_total_space(mono, basis, lat, rep=rep, steps=4000)
     rows["transport.total_space_residual"] = base_res
     corrupted = covariant_residual_total_space(
-        mono, basis, lat, stored,
+        mono, basis, lat, rep=rep, steps=4000,
         corruption=lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t)))
     rows["transport.corruption_sensitivity"] = corrupted / max(base_res, 1e-300)
     return rows

@@ -250,10 +250,9 @@ def test_criterion_10_total_space_reconstruction():
         (const, segment_path([0, 0], [1, 0.5], p_from=[0.3, -0.2], p_to=[0.1, 0.4])),
     ]
     for model, path in cases:
-        stored = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=10000, store=True)
-        base = covariant_residual_total_space(model, ctx["basis"], path, stored)
+        base = covariant_residual_total_space(model, ctx["basis"], path, rep=ctx["rep"], steps=10000)
         bad = covariant_residual_total_space(
-            model, ctx["basis"], path, stored,
+            model, ctx["basis"], path, rep=ctx["rep"], steps=10000,
             corruption=lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t)))
         worst = max(worst, base)
         ratios.append(bad / max(base, 1e-300))

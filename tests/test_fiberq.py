@@ -252,6 +252,14 @@ class TestQuantizedTransitions:
         with pytest.raises(InvalidArgument):
             quantize_transition(basis, 1.1 * np.eye(2, dtype=complex))
 
+    def test_unitarity_guard_reads_the_frobenius_norm(self, monkeypatch):
+        # a lift off unitarity by 8e-10 in the 2-norm is off by 1.13e-9 in the Frobenius norm
+        basis = build_basis(OrbitSpec(2))
+        fiberq_module = importlib.import_module("fiberquant.fiberq")
+        monkeypatch.setattr(fiberq_module, "spin_lift", lambda basis, g: np.diag([1.0, 1.0 + 4e-10, 1.0 + 4e-10]))
+        with pytest.raises(AccuracyFailure, match="Frobenius norm 1.13e-09"):
+            quantize_transition(basis, np.eye(2, dtype=complex))
+
     @pytest.mark.parametrize("g", [np.full((2, 2), np.nan, dtype=complex),
                                    np.array([[np.nan, 0], [0, 1]], dtype=complex)])
     def test_non_finite_group_element_rejected(self, g):
@@ -350,6 +358,15 @@ class TestSpinLift:
         for r in (0.9, 1.0 + 1e-7, 1.3):
             expected = r ** two_j * quantize_transition(basis, g)
             assert np.max(np.abs(spin_lift(basis, r * g) - expected)) <= 1e-13
+
+    @pytest.mark.parametrize("two_j", [1, 2, 8])
+    def test_sign_of_a_zero_b_does_not_reach_the_lift(self, two_j):
+        # a diagonal quaternion whose b is +0.0 or -0.0, in either component, lifts bit for bit alike
+        basis = build_basis(OrbitSpec(two_j))
+        for a in (1.0 + 0.0j, np.exp(0.3j), -1.0 + 0.0j, np.exp(-2.1j)):
+            lifts = [spin_lift(basis, np.array([[a, complex(re, im)], [-complex(re, -im), np.conj(a)]]))
+                     for re in (0.0, -0.0) for im in (0.0, -0.0)]
+            assert all(lift.tobytes() == lifts[0].tobytes() for lift in lifts[1:])
 
 
 class TestOneFiberHandle:

@@ -25,15 +25,14 @@ from fiberquant.numerics import central_difference, matrix_exp
 from fiberquant.orbit import OrbitSpec
 from fiberquant.su2 import TAU
 from fiberquant.transport import (
-    BasePath,
     covariant_residual_total_space,
     covariant_section_solve,
     latitude_path,
     meridian_path,
     momentum_circle_path,
     phase_circle_path,
-    reverse_path,
     segment_path,
+    sub_path,
     transport,
     wilson_loop,
 )
@@ -51,14 +50,6 @@ def ctx():
         "const": constant_model(spec),
         "mono": monopole_model(spec),
     }
-
-
-def subpath(path, t0, t1):
-    def at(chart, t):
-        q, p, dq, dp = path.at(chart, t0 + (t1 - t0) * np.asarray(t, dtype=float))
-        return q, p, (t1 - t0) * dq, (t1 - t0) * dp
-
-    return BasePath(at=at, start_chart=path.start_chart)
 
 
 # One path of each scenario kind, with the charts it is defined in.
@@ -82,7 +73,7 @@ class TestPathMaps:
     def test_velocity_is_derivative_of_position(self, kind, reverse):
         path, charts = _PATH_CASES[kind]
         if reverse:
-            path = reverse_path(path)
+            path = sub_path(path, 1.0, 0.0, path.start_chart)
         ts = np.array([0.1, 0.37, 0.62, 0.9])
         for chart in charts:
             q, p, dq, dp = path.at(chart, ts)
@@ -144,15 +135,15 @@ class TestCompositionLaws:
     def test_reversal_inverts(self, ctx):
         lat = latitude_path(np.pi / 3)
         fwd = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=2000)
-        bwd = transport(ctx["mono"], ctx["basis"], reverse_path(lat), rep=ctx["rep"], steps=2000)
+        bwd = transport(ctx["mono"], ctx["basis"], sub_path(lat, 1.0, 0.0, lat.start_chart), rep=ctx["rep"], steps=2000)
         assert np.linalg.norm(bwd.unitary - fwd.unitary.conj().T, 2) <= 1e-8
         assert bwd.alpha_phase == pytest.approx(-fwd.alpha_phase, abs=1e-12)
 
     def test_concatenation_and_phase_additivity(self, ctx):
         seg = segment_path([0, 0], [1, 0.5], p_from=[0.2, -0.3], p_to=[0.4, 0.1])
         full = transport(ctx["const"], ctx["basis"], seg, rep=ctx["rep"], steps=1000)
-        h1 = transport(ctx["const"], ctx["basis"], subpath(seg, 0.0, 0.5), rep=ctx["rep"], steps=500)
-        h2 = transport(ctx["const"], ctx["basis"], subpath(seg, 0.5, 1.0), rep=ctx["rep"], steps=500)
+        h1 = transport(ctx["const"], ctx["basis"], sub_path(seg, 0.0, 0.5, "main"), rep=ctx["rep"], steps=500)
+        h2 = transport(ctx["const"], ctx["basis"], sub_path(seg, 0.5, 1.0, "main"), rep=ctx["rep"], steps=500)
         assert abs((h1.alpha_phase + h2.alpha_phase) - full.alpha_phase) <= 1e-13
         assert np.linalg.norm(h2.unitary @ h1.unitary - full.unitary, 2) <= 1e-12
 
@@ -307,12 +298,11 @@ class TestSpinLiftedMarch:
 
         def recording(*args):
             for chunk in step_maps(*args):
-                shapes.append(chunk[1].shape[1:])
+                shapes.append(chunk[0].shape[1:])
                 yield chunk
 
         monkeypatch.setattr(transport_module, "_step_maps", recording)
         transport(mono, basis, meridian_path(), rep=rep, steps=500)
-        transport(mono, basis, latitude_path(1.0), rep=rep, steps=500, store=True)
         assert shapes and set(shapes) == {(2,)}  # quaternion pairs (a, b)
         shapes.clear()
         transport(mono, basis, latitude_path(1.0), rep=quadrature_rep(basis), steps=500)
@@ -322,10 +312,9 @@ class TestSpinLiftedMarch:
     def test_marched_transport_stays_quaternionic(self, monkeypatch, kind):
         spec, basis, rep, mono = spin_ctx(2)
         if kind == "monopole":  # abelian: U stays diagonal, the crossings insert g
-            model, path, switches = mono, meridian_path(), None
+            model, path = mono, meridian_path()
         else:
             model, path = pure_gauge_model(spec, rates=(5.0, 7.0)), segment_path([0.1, -0.2], [0.7, 0.4], chart="gauged")
-            switches = [(0.5, "flat")]
         marched, lift = [], transport_module.spin_lift
 
         def recording(group, u):
@@ -333,11 +322,11 @@ class TestSpinLiftedMarch:
             return lift(group, u)
 
         monkeypatch.setattr(transport_module, "spin_lift", recording)
-        res = transport(model, basis, path, rep=rep, steps=2000, forced_switches=switches, store=True)
-        (u,) = marched  # the first rows (a, b) of every node's U, lifted in one call
-        assert u.shape == (len(res.nodes), 1, 2) and len(res.chart_log) >= 2
+        covariant_residual_total_space(model, basis, path, rep=rep, steps=2000)
+        # one pair (a, b), the first row of the piece's U, per piece between the 18 stencil knots
+        assert len(marched) == 18 and {u.shape for u in marched} == {(1, 2)}
+        u = np.array(marched)
         assert np.max(np.abs(np.sum(np.abs(u) ** 2, axis=(1, 2)) - 1.0)) <= 1e-14  # |a|^2 + |b|^2 = 1
-        assert np.array_equal(np.array([node[1] for node in res.nodes]), lift(basis, u))
 
 
 def quaternion(pairs):
@@ -370,7 +359,7 @@ def matrix_march(monkeypatch, model, basis, path, steps, switches=None):
         if isinstance(event, np.ndarray):
             u = event @ u
         else:
-            for _, offsets, _ in step_maps(model, tau, path, *event, np.matmul):
+            for offsets, _ in step_maps(model, tau, path, *event, np.matmul):
                 u = u + transport_module._ordered_product(offsets, np.matmul) @ u
     return res.unitary, spin_lift(basis, u)
 
@@ -442,33 +431,21 @@ class TestCovariantSections:
         assert np.allclose(section.values, np.broadcast_to(expected, section.values.shape))
 
 
-class TestNodeRecord:
-    def test_meridian_nodes(self, ctx):
-        # the meridian leaves the north chart and later the south chart
-        path = meridian_path()
-        stored = transport(ctx["mono"], ctx["basis"], path, rep=ctx["rep"], steps=2000, store=True)
-        plain = transport(ctx["mono"], ctx["basis"], path, rep=ctx["rep"], steps=2000)
-        nodes = stored.nodes
-        t0, w0, phase0, chart0 = nodes[0]
-        assert (t0, phase0, chart0) == (0.0, 0.0, "north")
-        assert np.array_equal(w0, np.eye(ctx["spec"].dim))
-        assert nodes[-1][1] is stored.unitary
-        times = np.array([node[0] for node in nodes])
-        assert np.all(np.diff(times) > 0.0) and times[-1] == 1.0
-        # each chart change sits at a logged crossing, in the logged order
-        changes = [k for k in range(1, len(nodes)) if nodes[k][3] != nodes[k - 1][3]]
-        assert len(stored.chart_log) == 3
-        assert [nodes[k][3] for k in changes] == [name for _, name in stored.chart_log[1:]]
-        for k, (t_cross, _) in zip(changes, stored.chart_log[1:]):
-            assert abs(nodes[k][0] - t_cross) <= CROSSING_BISECT_TOL
-        assert np.max(np.abs(stored.unitary - plain.unitary)) <= 1e-12
+class TestChartLog:
+    def test_meridian_crossings(self, ctx):
+        # the meridian is at colatitude 2 pi t; north keeps colatitude <= 3 pi / 4 and south
+        # keeps colatitude >= pi / 4, so it changes chart at t = 3/8 and at t = 7/8
+        res = transport(ctx["mono"], ctx["basis"], meridian_path(), rep=ctx["rep"], steps=2000)
+        assert [chart for _, chart in res.chart_log] == ["north", "south", "north"]
+        assert res.chart_log[0][0] == 0.0
+        for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
+            assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
 
 
 class TestTotalSpaceReconstruction:
     def test_trivial_model_near_zero(self, ctx):
         seg = segment_path([0, 0], [1, 0])
-        stored = transport(ctx["triv"], ctx["basis"], seg, rep=ctx["rep"], steps=2000, store=True)
-        res = covariant_residual_total_space(ctx["triv"], ctx["basis"], seg, stored)
+        res = covariant_residual_total_space(ctx["triv"], ctx["basis"], seg, rep=ctx["rep"], steps=2000)
         assert res <= 1e-10
 
     def test_monopole_latitude_within_budget(self):
@@ -477,30 +454,34 @@ class TestTotalSpaceReconstruction:
         rep = build_rep(basis)
         model = monopole_model(spec)
         lat = latitude_path(np.pi / 3)
-        stored = transport(model, basis, lat, rep=rep, steps=10000, store=True)
-        res = covariant_residual_total_space(model, basis, lat, stored)
+        res = covariant_residual_total_space(model, basis, lat, rep=rep, steps=10000)
         assert res <= 1e-5
 
     def test_constant_model_with_momentum(self, ctx):
         seg = segment_path([0, 0], [1, 0.5], p_from=[0.3, -0.2], p_to=[0.1, 0.4])
-        stored = transport(ctx["const"], ctx["basis"], seg, rep=ctx["rep"], steps=10000, store=True)
-        res = covariant_residual_total_space(ctx["const"], ctx["basis"], seg, stored)
+        res = covariant_residual_total_space(ctx["const"], ctx["basis"], seg, rep=ctx["rep"], steps=10000)
         assert res <= 1e-5
 
     def test_corruption_detected(self, ctx):
         lat = latitude_path(np.pi / 3)
-        stored = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=10000, store=True)
-        base = covariant_residual_total_space(ctx["mono"], ctx["basis"], lat, stored)
+        base = covariant_residual_total_space(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=10000)
         bad = covariant_residual_total_space(
-            ctx["mono"], ctx["basis"], lat, stored,
+            ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=10000,
             corruption=lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t)))
         assert bad >= 10.0 * base
 
-    def test_requires_stored_result(self, ctx):
-        lat = latitude_path(np.pi / 3)
-        plain = transport(ctx["mono"], ctx["basis"], lat, rep=ctx["rep"], steps=500)
-        with pytest.raises(InvalidArgument):
-            covariant_residual_total_space(ctx["mono"], ctx["basis"], lat, plain)
+    def test_memory_does_not_grow_with_the_spin(self):
+        # the residual keeps one n x n product and 18 coefficient vectors, not a lifted node per step
+        def traced_peak(two_j):
+            spec, basis, rep, mono = spin_ctx(two_j)
+            tracemalloc.start()
+            try:
+                covariant_residual_total_space(mono, basis, latitude_path(np.pi / 3), rep=rep, steps=10**5)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert traced_peak(40) <= 1.25 * traced_peak(2)
 
 
 class TestTransportErrors:
@@ -525,10 +506,10 @@ class TestTransportErrors:
         spec = OrbitSpec(1)
         basis = build_basis(spec)
         lat = latitude_path(1.0)
-        stored = transport(monopole_model(spec), basis, lat, rep=build_rep(basis), steps=2000, store=True)
-        assert covariant_residual_total_space(monopole_model(spec), basis, lat, stored) <= 1e-5
+        rep = build_rep(basis)
+        assert covariant_residual_total_space(monopole_model(spec), basis, lat, rep=rep, steps=2000) <= 1e-5
         with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
-            covariant_residual_total_space(monopole_model(OrbitSpec(3)), basis, lat, stored)
+            covariant_residual_total_space(monopole_model(OrbitSpec(3)), basis, lat, rep=rep, steps=2000)
 
     @pytest.mark.parametrize("t_switch", [1.5, -0.5, np.nan, np.inf])
     def test_forced_switch_outside_the_path_rejected(self, ctx, t_switch):
