@@ -14,8 +14,9 @@ chart crossing and lifts once at the end.  A rep without one
 (``quadrature_rep``) marches W in n x n with matmul and inserts X(g).  Step
 maps and their products are carried in offset form, M - I, so that
 near-identity factors do not round against I.  Either route is one march
-that keeps only its running product, so its memory does not grow with the
-step count.
+in chunks that evaluate each node once and stop at the first step endpoint
+outside the chart; it keeps one chunk and its running product, so its
+memory does not grow with the step count.
 Holonomy, covariant sections on T*Q with the vertical polarization, and
 the total-space reconstruction check live here too; the check transports
 to its own stencil nodes along ``sub_path`` pieces of the path.
@@ -44,7 +45,7 @@ from .numerics import rk4_step, spectral_norm
 from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
 from .su2 import TAU, check_special_unitary
 
-_CHUNK_STEPS = 32768
+_CHUNK_STEPS = 8192
 # The march of a rep with a group action: the first rows (a, b) of the tau
 # generators, so that connection values come out as quaternion pairs.
 _TAU_PAIRS = LieAlgebraRep(TAU[:, 0, :])
@@ -56,8 +57,8 @@ def _pair_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     x and y are stacks of one shape, or one of them is a single pair.  The
     components are read through the transpose, so that a single pair, as in
-    the crossing inserts and the last apply of a span, costs scalar
-    arithmetic rather than array calls."""
+    the crossing inserts and each chunk's apply, costs scalar arithmetic.
+    A stack comes out component-major: (2, N) viewed as (N, 2)."""
     xt, yt = x.T, y.T
     a1, b1, a2, b2 = xt[0], xt[1], yt[0], yt[1]
     return np.array([a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * np.conj(a2)]).T
@@ -84,8 +85,9 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
 
     def at(chart_name, t):
         t = np.asarray(t, dtype=float)[..., None]
-        ones = np.ones_like(t)
-        return q0 + t * dq, p0 + t * dp, ones * dq, ones * dp
+        q, p, dqs, dps = np.empty((4,) + t.shape[:-1] + (2,))
+        q[...], p[...], dqs[...], dps[...] = q0 + t * dq, p0 + t * dp, dq, dp
+        return q, p, dqs, dps
 
     return BasePath(at=at, start_chart=chart)
 
@@ -109,9 +111,10 @@ def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
         r = r_n if s > 0.0 else 1.0 / r_n
         phi = phi0 + rate * np.asarray(t, dtype=float)
         cos, sin = np.cos(phi), np.sin(phi)
-        q = np.stack([r * cos, s * r * sin], axis=-1)
-        dq = np.stack([-r * sin * rate, s * r * cos * rate], axis=-1)
-        return q, np.zeros_like(q), dq, np.zeros_like(dq)
+        q, p, dq, dp = np.zeros((4,) + phi.shape + (2,))
+        q[..., 0], q[..., 1] = r * cos, s * r * sin
+        dq[..., 0], dq[..., 1] = -r * sin * rate, s * r * cos * rate
+        return q, p, dq, dp
 
     start = "north" if theta <= 3.0 * np.pi / 4.0 else "south"
     return BasePath(at=at, start_chart=start)
@@ -129,9 +132,9 @@ def meridian_path() -> BasePath:
             with np.errstate(divide="ignore"):  # the north pole, t = 0, is at infinity
                 u1 = np.where(u1 != 0.0, 1.0 / u1, np.inf)
                 d = -np.pi / np.sin(angle) ** 2
-        q = np.stack([u1, np.zeros_like(u1)], axis=-1)
-        dq = np.stack([d, np.zeros_like(d)], axis=-1)
-        return q, np.zeros_like(q), dq, np.zeros_like(dq)
+        q, p, dq, dp = np.zeros((4,) + angle.shape + (2,))
+        q[..., 0], dq[..., 0] = u1, d
+        return q, p, dq, dp
 
     return BasePath(at=at, start_chart="north")
 
@@ -144,8 +147,8 @@ def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "mai
         t = np.asarray(t, dtype=float)
         ang = 2.0 * np.pi * t
         cos, sin = np.cos(ang), np.sin(ang)
-        q = np.broadcast_to(c, t.shape + (2,)).copy()
-        p, dq, dp = np.zeros((3,) + t.shape + (2,))
+        q, p, dq, dp = np.zeros((4,) + t.shape + (2,))
+        q[...] = c
         q[..., plane] = c[plane] + radius * cos
         p[..., plane] = -radius * sin
         dq[..., plane] = -2.0 * np.pi * radius * sin
@@ -164,10 +167,11 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
         t = np.asarray(t, dtype=float)
         ang = 2.0 * np.pi * t
         cos, sin = np.cos(ang), np.sin(ang)
-        q = np.broadcast_to(q0, t.shape + (2,)).copy()
-        p = np.stack([pc[0] + radius * cos, pc[1] + radius * sin], axis=-1)
-        dp = 2.0 * np.pi * np.stack([-radius * sin, radius * cos], axis=-1)
-        return q, p, np.zeros(t.shape + (2,)), dp
+        q, p, dq, dp = np.zeros((4,) + t.shape + (2,))
+        q[...] = q0
+        p[..., 0], p[..., 1] = pc[0] + radius * cos, pc[1] + radius * sin
+        dp[..., 0], dp[..., 1] = 2.0 * np.pi * (-radius * sin), 2.0 * np.pi * (radius * cos)
+        return q, p, dq, dp
 
     return BasePath(at=at, start_chart=chart)
 
@@ -193,18 +197,6 @@ class BundleSection:
     residual: float
 
 
-def _generator_batch(model, rep, chart, path, ts):
-    """Connection values A(v(t)) and canonical-form pairings along the path.
-
-    The scalar i <alpha_B, v> I part of the transport generator commutes
-    with everything, so its integral is accumulated separately and the
-    matrix ODE integrates the connection part alone; the full transport
-    operator is exp(i alpha_phase) times the returned unitary.
-    """
-    q, p, dq, _ = path.at(chart, ts)
-    return connection_rep_batch(model, rep, chart, q, dq), np.einsum("...k,...k->...", p, dq)
-
-
 def _ordered_product(offsets: np.ndarray, product) -> np.ndarray:
     """The offset D of I + D = (I + offsets[-1]) ... (I + offsets[0]), reduced pairwise.
 
@@ -217,24 +209,45 @@ def _ordered_product(offsets: np.ndarray, product) -> np.ndarray:
     return offsets[0]
 
 
-def _step_maps(model, rep, path, chart, t0, t1, n_steps, product):
+def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None):
     """RK4 step maps W(t) -> W(t + h) of n_steps equal steps over [t0, t1] in one chart.
 
-    Yields (step-map offsets M - I, Simpson phases) a chunk of at most
-    _CHUNK_STEPS steps at a time.  The maps have the shape of one
-    of ``rep.matrices`` and ``product`` multiplies two stacks of them."""
+    Yields (step-map offsets M - I, Simpson phases of the commuting
+    i <alpha_B, v> I part) a chunk of at most _CHUNK_STEPS steps at a time.
+    A chunk of k steps evaluates its 2k + 1 nodes t0 + (t1 - t0) j / (2 n_steps)
+    once, ordered [step endpoints; midpoints], so the stages read contiguous
+    blocks.  With a ``boundary``, a chunk reads it on its endpoints first and
+    stops the march before the first endpoint outside the chart.  The maps
+    have the shape of one of ``rep.matrices``, pairs stored component-major
+    as ``_pair_product`` returns them; ``product`` multiplies two stacks."""
     n_steps = max(int(n_steps), 1)
     h = (t1 - t0) / n_steps
     for c0 in range(0, n_steps, _CHUNK_STEPS):
-        c1 = min(c0 + _CHUNK_STEPS, n_steps)
-        ts = t0 + (t1 - t0) * np.arange(2 * c0, 2 * c1 + 1) / (2.0 * n_steps)
-        g, alpha = _generator_batch(model, rep, chart, path, ts)
-        g0, g1, g2 = g[0:-1:2], g[1::2], g[2::2]
+        k = min(_CHUNK_STEPS, n_steps - c0)
+        nodes = np.concatenate([np.arange(2 * c0, 2 * (c0 + k) + 1, 2), np.arange(2 * c0 + 1, 2 * (c0 + k), 2)])
+        q, p, dq, _ = path.at(chart, t0 + (t1 - t0) * nodes / (2.0 * n_steps))
+        marched = k
+        if boundary is not None:
+            outside = np.flatnonzero(boundary(q[:k + 1]) > 0.0)
+            if outside.size:
+                if outside[0] == 0:
+                    raise ChartError(f"path starts outside chart {chart!r}")
+                marched = int(outside[0]) - 1
+                if marched == 0:
+                    return
+                q, p, dq = (np.concatenate([x[:marched + 1], x[k + 1:k + 1 + marched]]) for x in (q, p, dq))
+        g = connection_rep_batch(model, rep, chart, q, dq)
+        if g.ndim == 2:
+            g = np.ascontiguousarray(g.T).T
+        alpha = np.einsum("...k,...k->...", p, dq)
+        g0, g1, g2 = g[:marched], g[marched + 1:], g[1:marched + 1]
         a2 = g1 + (0.5 * h) * product(g1, g0)
         a3 = g1 + (0.5 * h) * product(g1, a2)
         a4 = g2 + h * product(g2, a3)
         yield ((h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
-               (h / 6.0) * (alpha[0:-1:2] + 4.0 * alpha[1::2] + alpha[2::2]))
+               (h / 6.0) * (alpha[:marched] + 4.0 * alpha[marched + 1:] + alpha[1:marched + 1]))
+        if marched < k:
+            return
 
 
 def transport(
@@ -281,11 +294,15 @@ def transport(
     phase = 0.0
     chart_log = [(0.0, chart)]
 
-    def run_span(t0: float, t1: float, n_steps: int) -> None:
+    def run_span(t0: float, t1: float, n_steps: int, boundary=None) -> int:
+        """March n_steps steps over [t0, t1]; the number marched before the path left the chart."""
         nonlocal w, phase
-        for offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product):
+        marched = 0
+        for offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product, boundary):
             w = w + product(_ordered_product(offsets, product), w)
             phase += float(np.sum(phases))
+            marched += phases.shape[0]
+        return marched
 
     def do_insert(t_cross: float, from_chart: str, target: str) -> None:
         nonlocal chart, w
@@ -302,26 +319,21 @@ def transport(
     for t_stop, stop_chart in switches + [(1.0, None)]:
         while t_now < t_stop - 1e-15:
             n_span = max(int(np.ceil(steps * (t_stop - t_now))), 1)
-            ts = np.linspace(t_now, t_stop, n_span + 1)
             boundary = model.charts[chart].boundary
-            exit_idx = None if boundary is None else _first_exit(path, chart, boundary, ts)
-            if exit_idx == 0:
-                raise ChartError(f"path starts outside chart {chart!r}")
-            if exit_idx is None:
-                run_span(t_now, t_stop, n_span)
+            marched = run_span(t_now, t_stop, n_span, boundary)
+            if marched == n_span:
                 t_now = t_stop
-            else:
-                if exit_idx > 1:
-                    run_span(t_now, ts[exit_idx - 1], exit_idx - 1)
-                t_in = ts[exit_idx - 1]
-                t_cross = _bisect_boundary(path, chart, boundary, t_in, ts[exit_idx])
-                if t_cross - t_in > constants.CROSSING_BISECT_TOL:
-                    run_span(t_in, t_cross, 1)
-                target = model.other_chart(chart)
-                if target is None:
-                    raise ChartError(f"path leaves chart {chart!r} with no overlap registered")
-                do_insert(t_cross, chart, target)
-                t_now = t_cross
+                continue
+            # the march's last endpoint and the first one outside, at its node times
+            t_in, t_out = t_now + (t_stop - t_now) * np.array([2 * marched, 2 * marched + 2]) / (2.0 * n_span)
+            t_cross = _bisect_boundary(path, chart, boundary, t_in, t_out)
+            if t_cross - t_in > constants.CROSSING_BISECT_TOL:
+                run_span(t_in, t_cross, 1)
+            target = model.other_chart(chart)
+            if target is None:
+                raise ChartError(f"path leaves chart {chart!r} with no overlap registered")
+            do_insert(t_cross, chart, target)
+            t_now = t_cross
         if stop_chart is not None and stop_chart != chart:
             do_insert(t_stop, chart, stop_chart)
 
@@ -331,18 +343,6 @@ def transport(
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
     return TransportResult(w, phase, steps, dev, tuple(chart_log))
-
-
-def _first_exit(path, chart, boundary, ts):
-    """Index of the first node of ts outside the chart (boundary > 0), or None.
-
-    Scans _CHUNK_STEPS nodes at a time and stops at the first chunk that leaves."""
-    for c0 in range(0, ts.size, _CHUNK_STEPS):
-        q = path.at(chart, ts[c0:c0 + _CHUNK_STEPS])[0]
-        outside = np.nonzero(np.atleast_1d(boundary(q)) > 0.0)[0]
-        if outside.size:
-            return c0 + int(outside[0])
-    return None
 
 
 def _bisect_boundary(path, chart, boundary, t_lo, t_hi):

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import tracemalloc
 
@@ -11,6 +12,7 @@ from fiberquant.fiberq import build_basis, spin_lift
 from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
+    ChartData,
     GaugeModel,
     LieAlgebraRep,
     build_rep,
@@ -25,6 +27,7 @@ from fiberquant.numerics import central_difference, matrix_exp
 from fiberquant.orbit import OrbitSpec
 from fiberquant.su2 import TAU
 from fiberquant.transport import (
+    BasePath,
     covariant_residual_total_space,
     covariant_section_solve,
     latitude_path,
@@ -247,6 +250,18 @@ def closed_form_holonomy(spec, theta):
     return np.diag(np.exp(1j * MONOPOLE_HOLONOMY_SIGN * m * 2 * np.pi * (1 - np.cos(theta))))
 
 
+def north_line_path(model, q_from, q_to):
+    """A straight line in the north chart, mapped to the south chart by the model's overlap."""
+    line = segment_path(q_from, q_to)
+    to_south = model.overlaps[("north", "south")].convert
+
+    def at(chart, t):
+        q, p, dq, dp = line.at(chart, t)
+        return (q, p, dq, dp) if chart == "north" else (*to_south(q, dq), p, dp)
+
+    return BasePath(at=at, start_chart="north")
+
+
 def spin_ctx(two_j):
     spec = OrbitSpec(two_j)
     basis = build_basis(spec)
@@ -339,12 +354,14 @@ def matrix_march(monkeypatch, model, basis, path, steps, switches=None):
     """The rep-route transport and the lift of its 2x2 np.matmul march on the full tau generators.
 
     The pair march's spans and inserted transitions are recorded, then replayed
-    through the same _step_maps and _ordered_product on stacked 2x2 matrices."""
+    through the same _step_maps and _ordered_product on stacked 2x2 matrices.  A span
+    that reads the chart boundary is replayed with it, so the replay stops where the
+    pair march left the chart."""
     events, step_maps, check = [], transport_module._step_maps, transport_module.check_special_unitary
 
-    def spans(model, rep, path, chart, t0, t1, n_steps, product):
-        events.append((chart, t0, t1, n_steps))
-        yield from step_maps(model, rep, path, chart, t0, t1, n_steps, product)
+    def spans(model, rep, path, chart, t0, t1, n_steps, product, boundary=None):
+        events.append((chart, t0, t1, n_steps, boundary))
+        yield from step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary)
 
     def inserts(g):
         events.append(g)
@@ -359,7 +376,8 @@ def matrix_march(monkeypatch, model, basis, path, steps, switches=None):
         if isinstance(event, np.ndarray):
             u = event @ u
         else:
-            for offsets, _ in step_maps(model, tau, path, *event, np.matmul):
+            *span, boundary = event
+            for offsets, _ in step_maps(model, tau, path, *span, np.matmul, boundary):
                 u = u + transport_module._ordered_product(offsets, np.matmul) @ u
     return res.unitary, spin_lift(basis, u)
 
@@ -407,7 +425,28 @@ class TestPairMarch:
             finally:
                 tracemalloc.stop()
 
-        assert traced_peak(10**6) <= 1.5 * traced_peak(10**5)
+        assert traced_peak(10**6) <= 1.05 * traced_peak(10**5)
+
+    def test_each_node_is_evaluated_once(self, monkeypatch):
+        # a chunk of k steps evaluates its 2k + 1 nodes once; the chart scan reuses its endpoints
+        spec, basis, rep, mono = spin_ctx(2)
+        lat, at_sizes, batch_sizes, batch = latitude_path(1.0), [], [], transport_module.connection_rep_batch
+        assert mono.charts[lat.start_chart].boundary is not None
+
+        def counting_at(chart, t):
+            at_sizes.append(np.size(t))
+            return lat.at(chart, t)
+
+        def recording(model, rep, chart, q, dq):
+            batch_sizes.append(len(q))
+            return batch(model, rep, chart, q, dq)
+
+        monkeypatch.setattr(transport_module, "connection_rep_batch", recording)
+        chunk, steps = transport_module._CHUNK_STEPS, 20000
+        res = transport(mono, basis, BasePath(at=counting_at, start_chart=lat.start_chart), rep=rep, steps=steps)
+        assert len(res.chart_log) == 1
+        assert sum(at_sizes) == 2 * steps + -(-steps // chunk)
+        assert batch_sizes == [2 * chunk + 1, 2 * chunk + 1, 2 * (steps - 2 * chunk) + 1]
 
 class TestCovariantSections:
     def test_constant_in_momentum(self, ctx):
@@ -440,6 +479,43 @@ class TestChartLog:
         assert res.chart_log[0][0] == 0.0
         for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
             assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
+
+    @pytest.mark.parametrize("kind", ["meridian", "line"])
+    @pytest.mark.parametrize("where", ["first", "last", "middle"])
+    def test_crossings_at_chunk_edges(self, monkeypatch, ctx, kind, where):
+        # the first exit from the north chart on a chunk's first new endpoint, on its last one, and in
+        # mid-chunk: the meridian's at t = 3/8, and that of a line whose connection does not vanish there
+        model, steps = ctx["mono"], 2000
+        path = meridian_path() if kind == "meridian" else north_line_path(model, [0.4, 0.3], [2.5, 1.8])
+        marched, batch = [], transport_module.connection_rep_batch
+
+        def recording(model, rep, chart, q, dq):
+            marched.append((len(q) - 1) // 2)
+            return batch(model, rep, chart, q, dq)
+
+        monkeypatch.setattr(transport_module, "connection_rep_batch", recording)
+        reference = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=steps)
+        reference_steps, marched[:] = sum(marched), []
+        q_ends = path.at("north", 2 * np.arange(steps + 1) / (2.0 * steps))[0]
+        exit_step = int(np.flatnonzero(model.charts["north"].boundary(q_ends) > 0.0)[0])
+        chunk = {"first": exit_step - 1, "last": exit_step, "middle": 300}[where]
+        offset = exit_step % chunk
+        assert {"first": offset == 1, "last": offset == 0, "middle": offset > 1}[where]
+
+        monkeypatch.setattr(transport_module, "_CHUNK_STEPS", chunk)
+        res = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=steps)
+        assert [chart for _, chart in res.chart_log] == [chart for _, chart in reference.chart_log]
+        if kind == "meridian":
+            assert [chart for _, chart in res.chart_log] == ["north", "south", "north"]
+            for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
+                assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
+        assert sum(marched) == reference_steps
+        # and a march that never reads a boundary, with the crossings forced at the same times
+        free = dataclasses.replace(model, charts={name: ChartData(data.potential) for name, data in model.charts.items()})
+        forced = transport(free, ctx["basis"], path, rep=ctx["rep"], steps=steps, forced_switches=res.chart_log[1:])
+        hol = np.exp(1j * res.alpha_phase) * res.unitary
+        for other in (reference, forced):
+            assert np.max(np.abs(hol - np.exp(1j * other.alpha_phase) * other.unitary)) <= 1e-13
 
 
 class TestTotalSpaceReconstruction:
@@ -491,6 +567,12 @@ class TestTransportErrors:
         stripped = GaugeModel(spec=ctx["spec"], kind="monopole", charts=ctx["mono"].charts)
         with pytest.raises(ChartError):
             transport(stripped, ctx["basis"], meridian_path(), rep=ctx["rep"], steps=500)
+
+    def test_path_starting_outside_its_chart_rejected(self, ctx):
+        # |q|^2 = 9 exceeds the north chart's tan^2(3 pi / 8)
+        with pytest.raises(ChartError, match="path starts outside chart 'north'"):
+            transport(ctx["mono"], ctx["basis"], segment_path([3.0, 0.0], [3.1, 0.0], chart="north"),
+                      rep=ctx["rep"], steps=200)
 
     def test_model_of_other_spin_rejected(self):
         basis = build_basis(OrbitSpec(1))
