@@ -1,10 +1,10 @@
 """Bundle layer: base charts, gauge potentials, orbit functions, connections.
 
 A ``GaugeModel`` is base data over the plane or the two-chart sphere, with
-T*Q represented by (q, p) pairs: per chart a ``ChartData`` (su(2) potential
-as tau-coefficients, and domain), per ordered chart pair an ``Overlap``
-(transition and the change of coordinates (q, dq) -> (q', dq')).  The
-potential is pulled back from Q, so a connection value reads only q and dq.
+T*Q represented by (q, p) pairs: per chart a ``ChartData`` (su(2) potential,
+contracted with dq in closed form, and domain), per ordered chart pair an
+``Overlap`` (transition and the change of coordinates (q, dq) -> (q', dq')).
+The potential is pulled back from Q, so a connection value reads only q and dq.
 ``check_model`` tests a model against the ``FiberBasis`` in use: its
 potentials against its transitions, and minimal coupling, which holds for
 every potential at a spin once the three moment functions' operators
@@ -18,8 +18,8 @@ the ``FiberBasis`` alone, in two independent ways:
 * ``build_rep`` takes the derivative of the group action X (``spin_lift``)
   at the identity, in closed form.
 
-``connection_rep_batch`` is the one contraction; the agreement of the two
-generator sets is the package's central cross-check.
+``connection_rep_batch`` is the one contraction, a real matmul; the
+agreement of the two generator sets is the package's central cross-check.
 """
 
 from __future__ import annotations
@@ -97,10 +97,10 @@ class LieAlgebraRep:
 @dataclass(frozen=True)
 class ChartData:
     """A chart's potential and its domain, boundary(q) <= 0 (None: the whole plane).
-    ``potential`` maps points (..., 2) to real tau-coefficients (..., 2, 3): [k, a]
-    multiplies TAU[a] in the dq_k component."""
+    ``potential(q, dq)`` maps points and tangents (..., 2) to the real
+    tau-coefficients (..., 3) of <A(q), dq>: [a] multiplies TAU[a]."""
 
-    potential: Callable[[np.ndarray], np.ndarray]
+    potential: Callable[[np.ndarray, np.ndarray], np.ndarray]
     boundary: Callable[[np.ndarray], np.ndarray] | None = None
 
     def contains(self, q: np.ndarray) -> bool:
@@ -142,11 +142,6 @@ def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
                               "build both from one OrbitSpec")
 
 
-def potential_contraction(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """tau-coefficients (..., 3) of <alpha_pot(q), dq> in a chart, along arrays of points and tangents."""
-    return np.einsum("...k,...ka->...a", dq, model.charts[chart].potential(q))
-
-
 # The fiber trivialization pairs the potential direction with the moment
 # functions through a frozen orientation: generator coefficients
 # (c1, c2, c3) map to the moment direction (c1, -c2, -c3).  This is the
@@ -158,7 +153,7 @@ _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 def orbit_function(model: GaugeModel, b: BasePoint, v: BaseTangent) -> FiberHamiltonian:
     """The fiber Hamiltonian induced by the potential at (b, v)."""
     model.chart_data(b)
-    return moment_hamiltonian(model.spec, potential_contraction(model, b.chart, b.q, v.dq) * _MOMENT_TWIST)
+    return moment_hamiltonian(model.spec, model.charts[b.chart].potential(b.q, v.dq) * _MOMENT_TWIST)
 
 
 def horizontal_lift(model: GaugeModel, b: BasePoint, v: BaseTangent, f: ChartPoint) -> tuple[BaseTangent, np.ndarray]:
@@ -198,9 +193,11 @@ def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseT
 
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Vectorized connection values along arrays of points/tangents, shaped like one rep matrix each."""
-    coeffs = potential_contraction(model, chart, q, dq)
-    return (coeffs @ rep.matrices.reshape(3, -1)).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])
+    """Vectorized connection values along arrays of points/tangents, shaped like one rep matrix each:
+    the real coefficients times the float view (re, im interleaved) of the generators, read as complex."""
+    coeffs = model.charts[chart].potential(q, dq)
+    generators = rep.matrices.reshape(3, -1).view(np.float64)
+    return (coeffs @ generators).view(complex).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])
 
 
 def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> float:
@@ -337,8 +334,8 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
             if q is None:
                 raise ConfigurationError(f"overlap ({i!r}, {j!r}): no sampled point lies in both charts")
             dq = rng.standard_normal(2)
-            xi_i = lift(potential_contraction(model, i, q, dq))
-            xi_j = lift(potential_contraction(model, j, *overlap.convert(q, dq)))
+            xi_i = lift(model.charts[i].potential(q, dq))
+            xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
             g = g_fn(q)
             dg = richardson_difference(lambda s: g_fn(q + s * dq), 0.0, constants.FD_STEP_GAUGE)
             g_inv = g.conj().T
@@ -367,8 +364,13 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
 # Built-in models
 # ----------------------------------------------------------------------
 
-def _zero_potential(q: np.ndarray) -> np.ndarray:
-    return np.zeros(np.shape(q)[:-1] + (2, 3))
+def _constant_potential(coefficients: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+    """dq_1 coefficients[0] + dq_2 coefficients[1], whatever q; a non-finite dq stays visible
+    (inf * 0 is nan), so that it reaches the unitarity guards even through a zero potential."""
+    return lambda q, dq: dq[..., 0, None] * coefficients[0] + dq[..., 1, None] * coefficients[1]
+
+
+_ZERO_POTENTIAL = _constant_potential(np.zeros((2, 3)))
 
 
 def check_model(model: GaugeModel, basis: FiberBasis) -> None:
@@ -388,7 +390,7 @@ def check_model(model: GaugeModel, basis: FiberBasis) -> None:
 
 def trivial_model(spec: OrbitSpec) -> GaugeModel:
     """Zero potential over the plane, single global chart."""
-    return GaugeModel(spec=spec, kind="trivial", charts={"main": ChartData(_zero_potential)})
+    return GaugeModel(spec=spec, kind="trivial", charts={"main": ChartData(_ZERO_POTENTIAL)})
 
 
 def constant_model(spec: OrbitSpec, coefficients=None) -> GaugeModel:
@@ -402,11 +404,7 @@ def constant_model(spec: OrbitSpec, coefficients=None) -> GaugeModel:
     coefficients = np.array(coefficients, dtype=float)
     if coefficients.shape != (2, 3):
         raise InvalidArgument(f"coefficients must be shaped (2, 3), got {coefficients.shape}")
-
-    def potential(q: np.ndarray) -> np.ndarray:
-        return np.broadcast_to(coefficients, np.shape(q)[:-1] + (2, 3))
-
-    return GaugeModel(spec=spec, kind="constant", charts={"main": ChartData(potential)})
+    return GaugeModel(spec=spec, kind="constant", charts={"main": ChartData(_constant_potential(coefficients))})
 
 
 def _sphere_convert(q: np.ndarray, dq: np.ndarray) -> tuple:
@@ -430,11 +428,11 @@ def monopole_model(spec: OrbitSpec, strength: int = 1) -> GaugeModel:
         raise InvalidArgument(f"monopole strength must be a nonzero integer, got {strength}")
     strength = int(strength)
 
-    def potential(q: np.ndarray) -> np.ndarray:
+    def potential(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
         u1, u2 = q[..., 0], q[..., 1]
         rho = 1.0 + u1**2 + u2**2
-        out = np.zeros(np.shape(q)[:-1] + (2, 3))
-        out[..., 2] = strength * 2.0 * np.stack([-u2, u1], axis=-1) / rho[..., None]
+        out = np.zeros(np.shape(dq)[:-1] + (3,))
+        out[..., 2] = dq[..., 0] * (2.0 * strength * -u2 / rho) + dq[..., 1] * (2.0 * strength * u1 / rho)
         return out
 
     def boundary(q: np.ndarray) -> np.ndarray:
@@ -464,22 +462,18 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1)) -> GaugeModel:
     def gauge(q: np.ndarray) -> np.ndarray:
         return su2_exp(np.array([r1 * q[0], 0.0, 0.0])) @ su2_exp(np.array([0.0, r2 * q[1], 0.0]))
 
-    def potential(q: np.ndarray) -> np.ndarray:
+    def potential(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
         # (dg) g^{-1} = r1 tau_1 dq1 + r2 Ad_{exp(r1 q1 tau_1)} tau_2 dq2, and
         # Ad_{exp(s tau_1)} tau_2 = cos(s) tau_2 + sin(s) tau_3 since
         # [tau_1, tau_2] = tau_3 and [tau_1, tau_3] = -tau_2.
         s = r1 * np.asarray(q, dtype=float)[..., 0]
-        out = np.zeros(s.shape + (2, 3))
-        out[..., 0, 0] = r1
-        out[..., 1, 1] = r2 * np.cos(s)
-        out[..., 1, 2] = r2 * np.sin(s)
-        return out
+        return np.stack([dq[..., 0] * r1, dq[..., 1] * (r2 * np.cos(s)), dq[..., 1] * (r2 * np.sin(s))], axis=-1)
 
     same = lambda q, dq: (q, dq)
     return GaugeModel(
         spec=spec,
         kind="pure_gauge",
-        charts={"flat": ChartData(_zero_potential), "gauged": ChartData(potential)},
+        charts={"flat": ChartData(_ZERO_POTENTIAL), "gauged": ChartData(potential)},
         overlaps={
             ("flat", "gauged"): Overlap(gauge, same),
             ("gauged", "flat"): Overlap(lambda q: gauge(q).conj().T, same),

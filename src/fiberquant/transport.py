@@ -46,9 +46,9 @@ from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
 from .su2 import TAU, check_special_unitary
 
 _CHUNK_STEPS = 8192
-# The march of a rep with a group action: the first rows (a, b) of the tau
-# generators, so that connection values come out as quaternion pairs.
-_TAU_PAIRS = LieAlgebraRep(TAU[:, 0, :])
+# The march of a rep with a group action: the first rows (a, b) of the tau generators,
+# so that connection values come out as quaternion pairs; contiguous for their float view.
+_TAU_PAIRS = LieAlgebraRep(np.ascontiguousarray(TAU[:, 0, :]))
 
 
 def _pair_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -213,7 +213,8 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None)
     """RK4 step maps W(t) -> W(t + h) of n_steps equal steps over [t0, t1] in one chart.
 
     Yields (step-map offsets M - I, Simpson phases of the commuting
-    i <alpha_B, v> I part) a chunk of at most _CHUNK_STEPS steps at a time.
+    i <alpha_B, v> I part p . dq) a chunk of at most _CHUNK_STEPS steps at a
+    time, each from one ``connection_rep_batch`` call.
     A chunk of k steps evaluates its 2k + 1 nodes t0 + (t1 - t0) j / (2 n_steps)
     once, ordered [step endpoints; midpoints], so the stages read contiguous
     blocks.  With a ``boundary``, a chunk reads it on its endpoints first and
@@ -239,7 +240,7 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None)
         g = connection_rep_batch(model, rep, chart, q, dq)
         if g.ndim == 2:
             g = np.ascontiguousarray(g.T).T
-        alpha = np.einsum("...k,...k->...", p, dq)
+        alpha = p[:, 0] * dq[:, 0] + p[:, 1] * dq[:, 1]
         g0, g1, g2 = g[:marched], g[marched + 1:], g[1:marched + 1]
         a2 = g1 + (0.5 * h) * product(g1, g0)
         a3 = g1 + (0.5 * h) * product(g1, a2)
@@ -342,6 +343,8 @@ def transport(
     dev = spectral_norm(w.conj().T @ w - np.eye(w.shape[-1]))
     if not dev <= 1e-6:
         raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
+    if not np.isfinite(phase):
+        raise AccuracyFailure(f"transport alpha phase {phase} is not finite")
     return TransportResult(w, phase, steps, dev, tuple(chart_log))
 
 

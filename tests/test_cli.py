@@ -264,7 +264,7 @@ class TestExitCodes:
         def skewed_pure_gauge_model(spec, **params):
             model = pure_gauge_model(spec, **params)
             gauged = model.charts["gauged"]
-            charts = {**model.charts, "gauged": ChartData(lambda q: 1.01 * gauged.potential(q))}
+            charts = {**model.charts, "gauged": ChartData(lambda q, dq: 1.01 * gauged.potential(q, dq))}
             return dataclasses.replace(model, charts=charts)
 
         monkeypatch.setattr(scenario, "pure_gauge_model", skewed_pure_gauge_model)
@@ -342,6 +342,10 @@ class TestExitCodes:
         ({"model": {"kind": "constant", "coefficients": [[1e10, 0, 0], [0, 1e10, 0]]}},
          ["transport", "--path", "unit_x", "--steps", "100"]),
         (None, ["prequant", "--spin", "2", "--hamiltonian", "1e308,1e308,1e308"]),
+        # a finite transport whose phase p . dq overflows
+        ({"model": {"kind": "trivial"},
+          "paths": {"big": {"kind": "phase_circle", "center_q": [0, 0], "radius": 1e200}}},
+         ["transport", "--path", "big", "--steps", "10"]),
     ])
     def test_non_finite_matrix_fails_its_guard(self, tmp_path, scenario_doc, argv):
         # in a subprocess: in-process, pytest would turn numpy's overflow warnings into errors

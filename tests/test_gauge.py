@@ -40,6 +40,7 @@ from fiberquant.orbit import (
     moment_hamiltonian,
 )
 from fiberquant.su2 import PAULI, TAU, su2_exp
+from fiberquant.transport import _TAU_PAIRS
 
 @pytest.fixture(scope="module")
 def ctx():
@@ -316,18 +317,18 @@ class TestPureGaugePotential:
         r1, r2 = 0.7, 1.1
         pot = pure_gauge_model(OrbitSpec(1), rates=(r1, r2)).charts["gauged"].potential
         q = np.random.default_rng(41).uniform(-3, 3, (40, 2))
-        out = lift(pot(q))
+        along_e1, along_e2 = (lift(pot(q, np.broadcast_to(e, q.shape))) for e in np.eye(2))
         for k, qq in enumerate(q):
             a_half = su2_exp(np.array([r1 * qq[0], 0.0, 0.0]))
-            assert np.max(np.abs(out[k, 0] - r1 * TAU[0])) <= 1e-14
-            assert np.max(np.abs(out[k, 1] - r2 * (a_half @ TAU[1] @ a_half.conj().T))) <= 1e-14
+            assert np.max(np.abs(along_e1[k] - r1 * TAU[0])) <= 1e-14
+            assert np.max(np.abs(along_e2[k] - r2 * (a_half @ TAU[1] @ a_half.conj().T))) <= 1e-14
 
     def test_rotation_sign_and_shapes(self):
         pot = pure_gauge_model(OrbitSpec(1), rates=(1.0, 1.0)).charts["gauged"].potential
         # a quarter turn about tau_1 carries tau_2 to +tau_3
-        assert np.max(np.abs(lift(pot(np.array([np.pi / 2, 0.0]))[1]) - TAU[2])) <= 1e-15
-        assert pot(np.zeros(2)).shape == (2, 3)
-        assert pot(np.zeros((3, 4, 2))).shape == (3, 4, 2, 3)
+        assert np.max(np.abs(lift(pot(np.array([np.pi / 2, 0.0]), np.array([0.0, 1.0]))) - TAU[2])) <= 1e-15
+        assert pot(np.zeros(2), np.zeros(2)).shape == (3,)
+        assert pot(np.zeros((3, 4, 2)), np.zeros((3, 4, 2))).shape == (3, 4, 3)
 
 
 class TestPotentialFormat:
@@ -340,15 +341,48 @@ class TestPotentialFormat:
         q = rng.uniform(-1.0, 1.0, (4, 2))
         dq = rng.standard_normal((4, 2))
         for name, chart in model.charts.items():
-            for points, shape in ((q[0], (2, 3)), (q, (4, 2, 3))):
-                coeffs = chart.potential(points)
+            for points, tangents, shape in ((q[0], dq[0], (3,)), (q, dq, (4, 3))):
+                coeffs = chart.potential(points, tangents)
                 assert coeffs.shape == shape and coeffs.dtype == np.float64
-            # oracle: lift to matrices, contract with dq, read off -2 Re tr(xi tau_a)
-            xi = np.einsum("...k,...kij->...ij", dq, lift(chart.potential(q)))
+            # oracle: lift to matrices, read off -2 Re tr(xi tau_a)
+            xi = lift(chart.potential(q, dq))
             back = -2.0 * np.einsum("...ij,aji->...a", xi, TAU).real
             oracle = np.einsum("...a,aij->...ij", back, ctx["rep"].matrices)
             got = connection_rep_batch(model, ctx["rep"], name, q, dq)
             assert np.max(np.abs(got - oracle)) <= 1e-15
+
+    @pytest.mark.parametrize("builder", [trivial_model, constant_model, monopole_model, pure_gauge_model])
+    def test_linear_in_the_tangent(self, ctx, builder):
+        # <A(q), dq> = dq_1 <A(q), e_1> + dq_2 <A(q), e_2>, and a non-finite tangent is not absorbed
+        model = builder(ctx["spec"])
+        rng = np.random.default_rng(15)
+        q = rng.uniform(-1.0, 1.0, (16, 2))
+        dq = rng.standard_normal((16, 2))
+        for chart in model.charts.values():
+            along_e1, along_e2 = (chart.potential(q, np.broadcast_to(e, q.shape)) for e in np.eye(2))
+            assert np.max(np.abs(chart.potential(q, dq) - (dq[:, :1] * along_e1 + dq[:, 1:] * along_e2))) <= 1e-15
+            for bad in ([np.inf, 0.0], [0.0, -np.inf], [np.nan, 0.0], [0.0, np.nan]):
+                with np.errstate(invalid="ignore"):
+                    coeffs = chart.potential(q, np.broadcast_to(bad, q.shape))
+                assert not np.isfinite(coeffs).all(axis=-1).any()
+
+    @pytest.mark.parametrize("builder", [trivial_model, constant_model, monopole_model, pure_gauge_model])
+    def test_real_contraction_is_the_complex_one(self, ctx, builder):
+        # the real matmul on the generators' float view against the complex einsum of the same coefficients
+        model = builder(ctx["spec"])
+        rng = np.random.default_rng(16)
+        q = rng.uniform(-1.0, 1.0, (64, 2))
+        dq = rng.standard_normal((64, 2))
+        for name, chart in model.charts.items():
+            coeffs = chart.potential(q, dq)
+            for rep in (_TAU_PAIRS, ctx["rep"], ctx["quad"]):
+                oracle = np.einsum("na,a...->n...", coeffs, rep.matrices)
+                got = connection_rep_batch(model, rep, name, q, dq)
+                assert got.dtype == oracle.dtype and got.shape == oracle.shape
+                if rep is _TAU_PAIRS:
+                    assert got.tobytes() == oracle.tobytes()
+                else:
+                    assert np.max(np.abs(got - oracle)) <= 1e-15
 
 
 class TestOverlapMaps:
@@ -503,7 +537,7 @@ class TestModelConstruction:
         # charts, so the inconsistent south potential would go unchecked.
         model = monopole_model(OrbitSpec(1))
         south = model.charts["south"]
-        shrunk = ChartData(lambda q: 5.0 * south.potential(q),
+        shrunk = ChartData(lambda q, dq: 5.0 * south.potential(q, dq),
                            lambda q: np.asarray(q)[..., 0] ** 2 + np.asarray(q)[..., 1] ** 2 - 0.01)
         bad = dataclasses.replace(model, charts={**model.charts, "south": shrunk})
         with pytest.raises(ConfigurationError, match=r"overlap \('north', 'south'\)"):
