@@ -66,10 +66,8 @@ from .orbit import (
 from .scenario import Scenario, default_scenario, load_scenario
 from .transport import (
     BasePath,
-    BundleSection,
     TransportResult,
     covariant_residual_total_space,
-    covariant_section_solve,
     latitude_path,
     meridian_path,
     momentum_circle_path,

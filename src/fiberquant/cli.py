@@ -22,7 +22,7 @@ from .gauge import BasePoint, BaseTangent, connection_rep, quadrature_rep
 from .orbit import moment_hamiltonian
 from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
-from .transport import covariant_section_solve, transport, wilson_loop
+from .transport import transport, wilson_loop
 from .verify import run_suite
 
 USAGE = """usage: fiberquant COMMAND [options]
@@ -34,7 +34,6 @@ commands:
   connection  connection value at a base point and tangent
   transport   path-ordered transport along a named path
   wilson      holonomy matrix and trace around a named loop
-  section     covariant-constant section on a T*Q grid
   verify      run a verification suite (orbit|fiber|gauge|transport|all)
 
 common options: --config FILE --spin TWO_J --hamiltonian a1,a2,a3
@@ -45,9 +44,6 @@ common options: --config FILE --spin TWO_J --hamiltonian a1,a2,a3
   --tol X    set every tolerance key to X > 0; the min-mode witness
              floors of verify are not tolerances and stay fixed
 """
-
-_COMMANDS = ("gram", "prequant", "transition", "connection", "transport",
-             "wilson", "section", "verify")
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -296,29 +292,25 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
     }
 
 
-def _cmd_section(args, scenario: Scenario) -> dict:
-    ctx = scenario.build_context()
-    model = ctx["model"]
-    n = ctx["basis"].spec.dim
-    q_grid = np.stack(np.meshgrid(np.linspace(-1, 1, 5), np.linspace(-1, 1, 5),
-                                  indexing="ij"), axis=-1).reshape(-1, 2)
-    p_grid = np.stack(np.meshgrid(np.linspace(-1, 1, 3), np.linspace(-1, 1, 3),
-                                  indexing="ij"), axis=-1).reshape(-1, 2)
-    psi0 = lambda q: np.exp(1j * (q[0] + 0.5 * q[1])) * np.ones(n) / np.sqrt(n)
-    section = covariant_section_solve(model, psi0, q_grid, p_grid)
-    return {
-        "grid": {"q_points": int(q_grid.shape[0]), "p_points": int(p_grid.shape[0])},
-        "residual": section.residual,
-        **_bounded(scenario, "section", section.residual),
-    }
-
-
-def _cmd_verify(args, scenario: Scenario) -> tuple[dict, bool]:
+def _cmd_verify(args, scenario: Scenario) -> dict:
     suite = args.suite or "all"
     checks = run_suite(suite, scenario)
     rows = [{**dataclasses.asdict(c), "pass": c.passed} for c in checks]
-    all_pass = all(c.passed for c in checks)
-    return {"suite": suite, "checks": rows, "all_pass": all_pass}, all_pass
+    return {"suite": suite, "checks": rows, "all_pass": all(c.passed for c in checks)}
+
+
+# Every command and its handler, in the order USAGE lists them.  A handler
+# returns the payload; "pass" or "all_pass" false in it exits 3.
+_HANDLERS = {
+    "gram": _cmd_gram,
+    "prequant": _cmd_prequant,
+    "transition": _cmd_transition,
+    "connection": _cmd_connection,
+    "transport": _cmd_transport,
+    "wilson": _cmd_wilson,
+    "verify": _cmd_verify,
+}
+_COMMANDS = tuple(_HANDLERS)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -337,24 +329,9 @@ def run_command(argv) -> tuple[int, str]:
 
     try:
         scenario = _scenario_from_args(args)
-        exit_code = EXIT_OK
-        if args.command == "verify":
-            payload, all_pass = _cmd_verify(args, scenario)
-            if not all_pass:
-                exit_code = EXIT_ACCURACY
-        else:
-            handler = {
-                "gram": _cmd_gram,
-                "prequant": _cmd_prequant,
-                "transition": _cmd_transition,
-                "connection": _cmd_connection,
-                "transport": _cmd_transport,
-                "wilson": _cmd_wilson,
-                "section": _cmd_section,
-            }[args.command]
-            payload = handler(args, scenario)
-            if payload.get("pass") is False:
-                exit_code = EXIT_ACCURACY
+        payload = _HANDLERS[args.command](args, scenario)
+        failed = payload.get("pass") is False or payload.get("all_pass") is False
+        exit_code = EXIT_ACCURACY if failed else EXIT_OK
         doc = make_document(args.command, scenario, payload)
         output_mode = args.output or scenario.output
         rendered = render_table(doc) if output_mode == "table" else _serialize(doc)

@@ -99,14 +99,19 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
                               f"at two_j = {spec.two_j}")
     gram = (powers * w[None, :]) @ powers.conj().T
     gram = gram.T  # gram[k, l] = <z^k, z^l>
+    # The default rule resolves the Gram matrix at every spin; where it fails,
+    # z**k against the weight (1 + |z|^2)^-(2j+2) has lost the precision, and a
+    # finer rule does not bring it back.
+    cause = ("the monomial basis z**k loses precision at this spin" if rule is default_rule(spec)
+             else "rule under-resolved")
     diag = gram.diagonal().real
     off = gram - np.diag(diag)
     if not np.max(np.abs(off)) <= 1e-10:
-        raise AccuracyFailure("monomial Gram matrix has off-diagonal leakage; rule under-resolved")
+        raise AccuracyFailure(f"monomial Gram matrix has off-diagonal leakage at two_j = {spec.two_j}; {cause}")
     exact = exact_monomial_norms_sq(spec)
     rel = np.max(np.abs(diag - exact) / exact)
     if not rel <= 1e-8:
-        raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e}; rule under-resolved")
+        raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e} at two_j = {spec.two_j}; {cause}")
     return FiberBasis(spec=spec, rule=rule, norms=np.sqrt(diag), gram=gram)
 
 

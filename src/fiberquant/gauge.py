@@ -45,8 +45,8 @@ from .orbit import (
     FiberHamiltonian,
     OrbitSpec,
     hamiltonian_field,
+    kahler_potential_at,
     moment_hamiltonian,
-    theta_dz,
 )
 from .su2 import TAU, su2_exp
 
@@ -260,7 +260,8 @@ def alpha_total_components(
     Coordinates are (q1, q2, p1, p2, x, y); the returned covector pairs
     with real tangents in these coordinates.  Base components combine the
     canonical form with the orbit functions of the unit base directions;
-    fiber components are the holomorphic-frame potential.
+    fiber components are the holomorphic-frame potential
+    (``orbit.kahler_potential_at``).
     """
     b = BasePoint(chart, np.asarray(q, dtype=float), np.asarray(p, dtype=float))
     pt = ChartPoint(Chart.NORTH, complex(z))
@@ -270,9 +271,7 @@ def alpha_total_components(
         unit[k] = 1.0
         w_k = orbit_function(model, b, BaseTangent.of(unit))
         out[k] = b.p[k] + w_k.value(pt)
-    coeff = theta_dz(model.spec, pt)
-    out[4] = coeff
-    out[5] = 1j * coeff
+    out[4:] = kahler_potential_at(model.spec, pt)
     return out
 
 

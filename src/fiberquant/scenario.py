@@ -89,7 +89,6 @@ CHECKS = {
     "transport.monopole_holonomy": ("holonomy", 1e-6),
     "transport.chart_independence": ("chart_independence", 1e-6),
     "transport.source_independence": ("source_independence", 1e-6),
-    "transport.section_constancy": ("section", 1e-12),
     "transport.total_space_residual": ("total_space", 1e-5),
     "transport.corruption_sensitivity": (None, 10.0),
 }

@@ -1,13 +1,14 @@
 """Parallel transport of vector wavefunctions along base paths.
 
-A ``BasePath`` is one map per chart, t -> (q, p, dq, dp): the connection
-reads q and dq, the canonical-form pairing <alpha_B, v> = p . dq.  The
-transported object is a column coefficient vector Psi; the solver
-integrates W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I by fixed-step
-RK4, splitting the scalar phase from the unitary factor.  A rep with a
-group action (``build_rep``) is the spin-j image of su(2), so W is the
-lift X(U) of the 2x2 solution of U' = A_tau(v(t)) U.  U and every RK4
-stage, step map and product of that route are quaternions
+A ``BasePath`` is one map per chart, t -> (q, p, dq): the connection
+reads q and dq, the canonical-form pairing <alpha_B, v> = p . dq; the
+minimal-coupling form has no dp term, so a path carries no momentum
+velocity.  The transported object is a column coefficient vector Psi;
+the solver integrates W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I
+by fixed-step RK4, splitting the scalar phase from the unitary factor.
+A rep with a group action (``build_rep``) is the spin-j image of su(2),
+so W is the lift X(U) of the 2x2 solution of U' = A_tau(v(t)) U.  U and
+every RK4 stage, step map and product of that route are quaternions
 [[a, b], [-conj(b), conj(a)]], so the route marches the pair (a, b) with
 elementwise products, inserts the SU(2) transition g on the left at each
 chart crossing and lifts once at the end.  A rep without one
@@ -17,9 +18,9 @@ near-identity factors do not round against I.  Either route is one march
 in chunks that evaluate each node once and stop at the first step endpoint
 outside the chart; it keeps one chunk and its running product, so its
 memory does not grow with the step count.
-Holonomy, covariant sections on T*Q with the vertical polarization, and
-the total-space reconstruction check live here too; the check transports
-to its own stencil nodes along ``sub_path`` pieces of the path.
+Holonomy and the total-space reconstruction check live here too; the
+check transports to its own stencil nodes along ``sub_path`` pieces of the
+path.
 """
 
 from __future__ import annotations
@@ -66,10 +67,10 @@ def _pair_product(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BasePath:
-    """Curve t -> (q(t), p(t)) on T*Q with its velocity, as one map per chart.
+    """Curve t -> (q(t), p(t)) on T*Q with its base velocity, as one map per chart.
 
     ``at(chart, t)`` takes a chart name and an array of parameters and
-    returns ``(q, p, dq, dp)``, each shaped t.shape + (2,); it raises
+    returns ``(q, p, dq)``, each shaped t.shape + (2,); it raises
     ChartError in a chart where the path is not defined.
     """
 
@@ -85,9 +86,9 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
 
     def at(chart_name, t):
         t = np.asarray(t, dtype=float)[..., None]
-        q, p, dqs, dps = np.empty((4,) + t.shape[:-1] + (2,))
-        q[...], p[...], dqs[...], dps[...] = q0 + t * dq, p0 + t * dp, dq, dp
-        return q, p, dqs, dps
+        q, p, dqs = np.empty((3,) + t.shape[:-1] + (2,))
+        q[...], p[...], dqs[...] = q0 + t * dq, p0 + t * dp, dq
+        return q, p, dqs
 
     return BasePath(at=at, start_chart=chart)
 
@@ -111,10 +112,10 @@ def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
         r = r_n if s > 0.0 else 1.0 / r_n
         phi = phi0 + rate * np.asarray(t, dtype=float)
         cos, sin = np.cos(phi), np.sin(phi)
-        q, p, dq, dp = np.zeros((4,) + phi.shape + (2,))
+        q, p, dq = np.zeros((3,) + phi.shape + (2,))
         q[..., 0], q[..., 1] = r * cos, s * r * sin
         dq[..., 0], dq[..., 1] = -r * sin * rate, s * r * cos * rate
-        return q, p, dq, dp
+        return q, p, dq
 
     start = "north" if theta <= 3.0 * np.pi / 4.0 else "south"
     return BasePath(at=at, start_chart=start)
@@ -132,9 +133,9 @@ def meridian_path() -> BasePath:
             with np.errstate(divide="ignore"):  # the north pole, t = 0, is at infinity
                 u1 = np.where(u1 != 0.0, 1.0 / u1, np.inf)
                 d = -np.pi / np.sin(angle) ** 2
-        q, p, dq, dp = np.zeros((4,) + angle.shape + (2,))
+        q, p, dq = np.zeros((3,) + angle.shape + (2,))
         q[..., 0], dq[..., 0] = u1, d
-        return q, p, dq, dp
+        return q, p, dq
 
     return BasePath(at=at, start_chart="north")
 
@@ -147,13 +148,12 @@ def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "mai
         t = np.asarray(t, dtype=float)
         ang = 2.0 * np.pi * t
         cos, sin = np.cos(ang), np.sin(ang)
-        q, p, dq, dp = np.zeros((4,) + t.shape + (2,))
+        q, p, dq = np.zeros((3,) + t.shape + (2,))
         q[...] = c
         q[..., plane] = c[plane] + radius * cos
         p[..., plane] = -radius * sin
         dq[..., plane] = -2.0 * np.pi * radius * sin
-        dp[..., plane] = -2.0 * np.pi * radius * cos
-        return q, p, dq, dp
+        return q, p, dq
 
     return BasePath(at=at, start_chart=chart)
 
@@ -167,11 +167,10 @@ def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") 
         t = np.asarray(t, dtype=float)
         ang = 2.0 * np.pi * t
         cos, sin = np.cos(ang), np.sin(ang)
-        q, p, dq, dp = np.zeros((4,) + t.shape + (2,))
+        q, p, dq = np.zeros((3,) + t.shape + (2,))
         q[...] = q0
         p[..., 0], p[..., 1] = pc[0] + radius * cos, pc[1] + radius * sin
-        dp[..., 0], dp[..., 1] = 2.0 * np.pi * (-radius * sin), 2.0 * np.pi * (radius * cos)
-        return q, p, dq, dp
+        return q, p, dq
 
     return BasePath(at=at, start_chart=chart)
 
@@ -187,14 +186,6 @@ class TransportResult:
     steps: int
     unitarity_deviation: float
     chart_log: tuple
-
-
-@dataclass(frozen=True)
-class BundleSection:
-    q_grid: np.ndarray
-    p_grid: np.ndarray
-    values: np.ndarray
-    residual: float
 
 
 def _ordered_product(offsets: np.ndarray, product) -> np.ndarray:
@@ -226,7 +217,7 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None)
     for c0 in range(0, n_steps, _CHUNK_STEPS):
         k = min(_CHUNK_STEPS, n_steps - c0)
         nodes = np.concatenate([np.arange(2 * c0, 2 * (c0 + k) + 1, 2), np.arange(2 * c0 + 1, 2 * (c0 + k), 2)])
-        q, p, dq, _ = path.at(chart, t0 + (t1 - t0) * nodes / (2.0 * n_steps))
+        q, p, dq = path.at(chart, t0 + (t1 - t0) * nodes / (2.0 * n_steps))
         marched = k
         if boundary is not None:
             outside = np.flatnonzero(boundary(q[:k + 1]) > 0.0)
@@ -364,11 +355,12 @@ def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
 def sub_path(path: BasePath, t0: float, t1: float, chart: str) -> BasePath:
     """The piece of ``path`` from t0 to t1, reparametrized over [0, 1] and started in ``chart``.
 
+    Only the base velocity dq scales with the reparametrization.
     sub_path(path, 1.0, 0.0, path.start_chart) is the reversed path."""
 
     def at(chart_name, s):
-        q, p, dq, dp = path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float))
-        return q, p, (t1 - t0) * dq, (t1 - t0) * dp
+        q, p, dq = path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float))
+        return q, p, (t1 - t0) * dq
 
     return BasePath(at=at, start_chart=chart)
 
@@ -382,35 +374,14 @@ def wilson_loop(
     steps: int | None = None,
 ) -> tuple[np.ndarray, complex]:
     """Holonomy matrix and trace around a closed base loop."""
-    q0, p0, _, _ = loop.at(loop.start_chart, np.array([0.0]))
-    q1, p1, _, _ = loop.at(loop.start_chart, np.array([1.0]))
+    q0, p0, _ = loop.at(loop.start_chart, np.array([0.0]))
+    q1, p1, _ = loop.at(loop.start_chart, np.array([1.0]))
     gap = float(np.max(np.abs(q1 - q0)) + np.max(np.abs(p1 - p0)))
     if not gap <= 1e-12:
         raise InvalidArgument(f"loop is not closed (endpoint gap {gap:.2e})")
     result = transport(model, basis, loop, rep=rep, steps=steps)
     hol = np.exp(1j * result.alpha_phase) * result.unitary
     return hol, complex(np.trace(hol))
-
-
-def covariant_section_solve(model: GaugeModel, psi0, q_grid, p_grid) -> BundleSection:
-    """Covariant-constant extension along the vertical polarization of T*Q.
-
-    The potential is pulled back from Q, so vertical directions carry no
-    connection and no canonical-form pairing: the solution is constant in
-    p.  The reported residual is the grid derivative of the extension
-    along p, identically zero for this construction.
-    """
-    q_grid = np.asarray(q_grid, dtype=float)
-    p_grid = np.asarray(p_grid, dtype=float)
-    n = model.spec.dim
-    base_vals = np.array([np.asarray(psi0(q), dtype=complex) for q in q_grid])
-    if base_vals.shape[1:] != (n,):
-        raise InvalidArgument(f"boundary data must produce vectors of length {n}")
-    values = np.broadcast_to(base_vals[:, None, :], (q_grid.shape[0], p_grid.shape[0], n)).copy()
-    residual = 0.0
-    if p_grid.shape[0] > 1:
-        residual = float(np.max(np.abs(np.diff(values, axis=1))))
-    return BundleSection(q_grid=q_grid, p_grid=p_grid, values=values, residual=residual)
 
 
 _FIBER_SAMPLES = (0.3 + 0.2j, -0.5 + 0.1j, 0.8j, 1.2 - 0.7j, -0.2 - 0.4j)
@@ -462,13 +433,13 @@ def covariant_residual_total_space(
         if not chart_lo == chart == chart_hi:
             continue  # the stencil must not straddle a chart crossing
         t0 = k / steps
-        q, p, dq, dp = path.at(chart, np.array([t0]))
-        w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent(dq=dq[0], dp=dp[0]))
+        q, p, dq = path.at(chart, np.array([t0]))
+        w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent.of(dq[0]))
         alpha_b = float(np.dot(p[0], dq[0]))
 
         def fiber_velocity(t, zz):
-            qq, pp, dqq, dpp = path.at(chart, np.array([t]))
-            ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), BaseTangent(dq=dqq[0], dp=dpp[0]))
+            qq, pp, dqq = path.at(chart, np.array([t]))
+            ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), BaseTangent.of(dqq[0]))
             return -hamiltonian_field_complex(spec, ww, ChartPoint(Chart.NORTH, zz))
 
         # All fiber points march together: one field evaluation per RK4 stage.

@@ -55,7 +55,6 @@ from .orbit import (
 from .scenario import CHECKS, Scenario
 from .transport import (
     covariant_residual_total_space,
-    covariant_section_solve,
     latitude_path,
     momentum_circle_path,
     phase_circle_path,
@@ -365,7 +364,6 @@ def _sample_state(model, rng, overlap: bool = False):
 
 def suite_transport(two_j: int) -> dict[str, float]:
     """Transport rows, at two_j clamped to 1..2 (2 for two_j = 0)."""
-    rng = np.random.default_rng(404)
     rows = {}
     spec, basis, rep = _gauge_context(min(two_j, 2) or 2)
 
@@ -417,14 +415,6 @@ def suite_transport(two_j: int) -> dict[str, float]:
     quad = transport(mono, basis, lat, rep=quadrature_rep(basis), steps=300)
     repd = transport(mono, basis, lat, rep=rep, steps=300)
     rows["transport.source_independence"] = float(np.linalg.norm(quad.unitary - repd.unitary, 2))
-
-    section = covariant_section_solve(
-        triv,
-        lambda q: np.exp(1j * q[0]) * np.ones(spec.dim) / np.sqrt(spec.dim),
-        np.linspace(-1, 1, 5)[:, None] * np.array([1.0, 0.0]),
-        np.linspace(-1, 1, 4)[:, None] * np.array([0.0, 1.0]),
-    )
-    rows["transport.section_constancy"] = section.residual
 
     base_res = covariant_residual_total_space(mono, basis, lat, rep=rep, steps=4000)
     rows["transport.total_space_residual"] = base_res

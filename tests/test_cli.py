@@ -9,10 +9,12 @@ import pytest
 
 from fiberquant import scenario
 from fiberquant.cli import (
+    _COMMANDS,
     EXIT_ACCURACY,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_USAGE,
+    USAGE,
     run_command,
 )
 from fiberquant.errors import ParseError, ValidationError
@@ -60,12 +62,14 @@ class TestScenarioLoading:
                                     "tolerances": {"gram": -1.0}})
 
     def test_unknown_tolerance_key_rejected(self):
-        with pytest.raises(ValidationError) as err:
-            validate_scenario_dict({"orbit": {"two_j": 1}, "model": {"kind": "trivial"},
-                                    "tolerances": {"gramm": 1e-30}})
-        assert "tolerances.gramm" in str(err.value) and "chart_covariance" in str(err.value)
-        with pytest.raises(KeyError):
-            default_scenario().tolerance("gramm")
+        # a misspelt key, and the key of the deleted section command
+        for key in ("gramm", "section"):
+            with pytest.raises(ValidationError) as err:
+                validate_scenario_dict({"orbit": {"two_j": 1}, "model": {"kind": "trivial"},
+                                        "tolerances": {key: 1e-30}})
+            assert f"tolerances.{key}:" in str(err.value) and "chart_covariance" in str(err.value)
+            with pytest.raises(KeyError):
+                default_scenario().tolerance(key)
 
     def test_monopole_defaults_carry_paths(self, monopole_config):
         sc = load_scenario(monopole_config)
@@ -202,12 +206,6 @@ class TestCommands:
         expected = np.exp(1j * trans["alpha_phase"]) * as_matrix(trans["unitary"])
         assert np.array_equal(as_matrix(payloads["wilson"]["holonomy"]), expected)
 
-    def test_section_residual(self, trivial_config):
-        code, out = run_command(["section", "--config", trivial_config])
-        assert code == EXIT_OK
-        doc = json.loads(out)
-        assert doc["payload"]["residual"] == 0
-
     def test_verify_fiber_suite(self):
         code, out = run_command(["verify", "fiber", "--spin", "1"])
         assert code == EXIT_OK
@@ -224,9 +222,15 @@ class TestCommands:
 
 class TestExitCodes:
     def test_unknown_subcommand(self):
-        code, out = run_command(["frobnicate"])
-        assert code == EXIT_USAGE
-        assert "usage" in out
+        # a name never defined, and the deleted section command
+        for command in ("frobnicate", "section"):
+            code, out = run_command([command])
+            assert code == EXIT_USAGE
+            assert out == USAGE
+
+    def test_usage_lists_exactly_the_commands(self):
+        listed = USAGE.split("commands:\n", 1)[1].split("\n\n", 1)[0]
+        assert tuple(line.split()[0] for line in listed.splitlines()) == _COMMANDS
 
     def test_empty_invocation(self):
         code, _ = run_command([])
@@ -255,7 +259,6 @@ class TestExitCodes:
         ["connection", "--point", "0.3,0.2", "--tangent", "1,0.5"],
         ["transport", "--path", "unit_y", "--steps", "300"],
         ["wilson", "--path", "phase_loop", "--steps", "300"],
-        ["section"],
     ]
 
     @pytest.mark.parametrize("argv", _CONTEXT_COMMANDS)
@@ -361,6 +364,21 @@ class TestExitCodes:
         assert done.returncode in (EXIT_INVALID, EXIT_ACCURACY), done.stderr
         assert done.stderr == ""
         assert done.stdout.count("\n") == 1 and "inf" in done.stdout
+
+    def test_gram_failure_on_default_rule_names_spin_and_basis(self):
+        # from two_j = 84 the monomial basis, not the default rule, is what fails
+        code, out = run_command(["gram", "--spin", "84"])
+        assert code == EXIT_ACCURACY
+        assert "at two_j = 84;" in out and "monomial basis z**k loses precision" in out
+        assert "under-resolved" not in out
+
+    def test_gram_failure_on_user_rule_names_spin_and_rule(self, tmp_path):
+        cfg = tmp_path / "coarse.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 4}, "model": {"kind": "trivial"},
+                                   "quadrature": {"n_t": 3, "n_phi": 4}}))
+        code, out = run_command(["gram", "--config", str(cfg)])
+        assert code == EXIT_ACCURACY
+        assert "at two_j = 4;" in out and out.endswith("rule under-resolved")
 
     def test_overflowing_spin_is_accuracy_failure(self):
         with np.errstate(all="ignore"):

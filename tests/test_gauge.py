@@ -15,6 +15,7 @@ from fiberquant.gauge import (
     BasePoint,
     BaseTangent,
     ChartData,
+    alpha_total_components,
     build_rep,
     check_model,
     connection_rep,
@@ -38,6 +39,7 @@ from fiberquant.orbit import (
     ChartPoint,
     OrbitSpec,
     moment_hamiltonian,
+    theta_dz,
 )
 from fiberquant.su2 import PAULI, TAU, su2_exp
 from fiberquant.transport import _TAU_PAIRS
@@ -485,6 +487,19 @@ class TestHorizontalLift:
                 f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
                 xi = rng.standard_normal(2)
                 assert lift_orthogonality_residual(model, b, v, f, xi) <= 1e-8
+
+    @pytest.mark.parametrize("name", ["triv", "const", "mono", "pure"])
+    def test_total_potential_components(self, ctx, name):
+        # p dq + <mu, A(dq)> + theta: no dp component, and the fiber part is theta dz in (dx, dy)
+        model, z = ctx[name], 0.3 - 0.7j
+        chart = "gauged" if name == "pure" else next(iter(model.charts))
+        q, p = np.array([0.4, 0.1]), np.array([-0.6, 1.3])
+        alpha = alpha_total_components(model, chart, q, p, z)
+        pt = ChartPoint(Chart.NORTH, z)
+        coeff = theta_dz(ctx["spec"], pt)
+        base = [p[k] + orbit_function(model, BasePoint(chart, q, p), BaseTangent.of(np.eye(2)[k])).value(pt)
+                for k in range(2)]
+        assert np.array_equal(alpha, np.array([*base, 0.0, 0.0, coeff, 1j * coeff]))
 
 
 class TestCurvature:

@@ -29,7 +29,6 @@ from fiberquant.su2 import TAU
 from fiberquant.transport import (
     BasePath,
     covariant_residual_total_space,
-    covariant_section_solve,
     latitude_path,
     meridian_path,
     momentum_circle_path,
@@ -66,7 +65,7 @@ _PATH_CASES = {
 
 
 class TestPathMaps:
-    """A path's (dq, dp) is the parameter derivative of its (q, p), in every chart."""
+    """A path's dq is the parameter derivative of its q, in every chart."""
 
     def test_every_scenario_kind_has_a_case(self):
         assert set(_PATH_CASES) == set(scenario._PATHS)
@@ -79,11 +78,10 @@ class TestPathMaps:
             path = sub_path(path, 1.0, 0.0, path.start_chart)
         ts = np.array([0.1, 0.37, 0.62, 0.9])
         for chart in charts:
-            q, p, dq, dp = path.at(chart, ts)
-            assert q.shape == p.shape == dq.shape == dp.shape == (4, 2)
-            for value, deriv in ((0, dq), (1, dp)):
-                fd = central_difference(lambda s: path.at(chart, ts + s)[value], 0.0, 1e-6)
-                assert np.max(np.abs(deriv - fd)) <= 1e-6, (chart, value)
+            q, p, dq = path.at(chart, ts)
+            assert q.shape == p.shape == dq.shape == (4, 2)
+            fd = central_difference(lambda s: path.at(chart, ts + s)[0], 0.0, 1e-6)
+            assert np.max(np.abs(dq - fd)) <= 1e-6, chart
 
     @pytest.mark.parametrize("kind", ["latitude", "meridian"])
     def test_sphere_path_rejects_other_chart(self, kind):
@@ -256,8 +254,10 @@ def north_line_path(model, q_from, q_to):
     to_south = model.overlaps[("north", "south")].convert
 
     def at(chart, t):
-        q, p, dq, dp = line.at(chart, t)
-        return (q, p, dq, dp) if chart == "north" else (*to_south(q, dq), p, dp)
+        q, p, dq = line.at(chart, t)
+        if chart != "north":
+            q, dq = to_south(q, dq)
+        return q, p, dq
 
     return BasePath(at=at, start_chart="north")
 
@@ -447,27 +447,6 @@ class TestPairMarch:
         assert len(res.chart_log) == 1
         assert sum(at_sizes) == 2 * steps + -(-steps // chunk)
         assert batch_sizes == [2 * chunk + 1, 2 * chunk + 1, 2 * (steps - 2 * chunk) + 1]
-
-class TestCovariantSections:
-    def test_constant_in_momentum(self, ctx):
-        q_grid = np.array([[x, y] for x in np.linspace(-1, 1, 4) for y in np.linspace(-1, 1, 4)])
-        p_grid = np.array([[x, 0.5] for x in np.linspace(-1, 1, 5)])
-        n = ctx["spec"].dim
-        section = covariant_section_solve(ctx["const"], lambda q: np.exp(1j * q[0]) * np.ones(n),
-                                          q_grid, p_grid)
-        assert section.residual == 0.0
-        assert np.array_equal(section.values[:, 0, :], section.values[:, -1, :])
-
-    def test_tensor_factorization(self, ctx):
-        n = ctx["spec"].dim
-        fiber_vec = np.arange(1, n + 1, dtype=complex)
-        q_grid = np.linspace(-1, 1, 6)[:, None] * np.array([1.0, 0.0])
-        p_grid = np.linspace(-1, 1, 3)[:, None] * np.array([0.0, 1.0])
-        section = covariant_section_solve(ctx["triv"], lambda q: np.cos(q[0]) * fiber_vec,
-                                          q_grid, p_grid)
-        base_factor = np.cos(q_grid[:, 0])
-        expected = base_factor[:, None, None] * fiber_vec[None, None, :]
-        assert np.allclose(section.values, np.broadcast_to(expected, section.values.shape))
 
 
 class TestChartLog:
