@@ -27,7 +27,6 @@ from .fiberq import (
 )
 from .gauge import (
     BasePoint,
-    BaseTangent,
     GaugeModel,
     LieAlgebraRep,
     build_rep,
@@ -70,7 +69,6 @@ from .transport import (
     covariant_residual_total_space,
     latitude_path,
     meridian_path,
-    momentum_circle_path,
     phase_circle_path,
     segment_path,
     transport,

@@ -18,7 +18,7 @@ import numpy as np
 from . import constants
 from .errors import AccuracyFailure, FiberquantError, InvalidArgument, ValidationError
 from .fiberq import build_basis, prequant_matrix, quantize_transition
-from .gauge import BasePoint, BaseTangent, connection_rep, quadrature_rep
+from .gauge import BasePoint, connection_rep, quadrature_rep
 from .orbit import moment_hamiltonian
 from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
@@ -37,7 +37,7 @@ commands:
   verify      run a verification suite (orbit|fiber|gauge|transport|all)
 
 common options: --config FILE --spin TWO_J --hamiltonian a1,a2,a3
-  --point q1,q2[;p1,p2] --tangent dq1,dq2[;dp1,dp2] --chart NAME
+  --point q1,q2 --tangent dq1,dq2 --chart NAME
   --path NAME --source rep|quad --steps N --tol X --output json|table
 
   --steps N  RK4 steps per unit path parameter, N >= 1
@@ -125,13 +125,6 @@ def _parse_vector(text: str, length: int, flag: str) -> np.ndarray:
     if not all(map(math.isfinite, parts)):
         raise ValidationError(f"{flag}: components must be finite, got {text!r}")
     return np.array(parts)
-
-
-def _parse_phase_point(text: str, flag: str) -> tuple[np.ndarray, np.ndarray]:
-    if ";" in text:
-        q_text, p_text = text.split(";", 1)
-        return _parse_vector(q_text, 2, flag), _parse_vector(p_text, 2, flag)
-    return _parse_vector(text, 2, flag), np.zeros(2)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -241,12 +234,12 @@ def _generators(args, ctx: dict):
 def _cmd_connection(args, scenario: Scenario) -> dict:
     if args.point is None or args.tangent is None:
         raise ValidationError("connection requires --point and --tangent")
-    q, p = _parse_phase_point(args.point, "--point")
-    dq, dp = _parse_phase_point(args.tangent, "--tangent")
+    q = _parse_vector(args.point, 2, "--point")
+    dq = _parse_vector(args.tangent, 2, "--tangent")
     ctx = scenario.build_context()
     model = ctx["model"]
     chart = args.chart or next(iter(model.charts))
-    a_val = connection_rep(model, _generators(args, ctx), BasePoint(chart, q, p), BaseTangent(dq=dq, dp=dp))
+    a_val = connection_rep(model, _generators(args, ctx), BasePoint(chart, q, np.zeros(2)), dq)
     anti = float(np.linalg.norm(a_val + a_val.conj().T, 2))
     return {
         "source": args.source,

@@ -4,7 +4,10 @@ A ``GaugeModel`` is base data over the plane or the two-chart sphere, with
 T*Q represented by (q, p) pairs: per chart a ``ChartData`` (su(2) potential,
 contracted with dq in closed form, and domain), per ordered chart pair an
 ``Overlap`` (transition and the change of coordinates (q, dq) -> (q', dq')).
-The potential is pulled back from Q, so a connection value reads only q and dq.
+The total space carries the minimal-coupling form p dq + <mu, A(dq)> + theta,
+whose potential is pulled back from Q and which has no dp term: a connection
+value, orbit function or horizontal lift reads only q and dq, so a base
+tangent is its dq array, shape (2,).
 ``check_model`` tests a model against the ``FiberBasis`` in use: its
 potentials against its transitions, and minimal coupling, which holds for
 every potential at a spin once the three moment functions' operators
@@ -63,18 +66,6 @@ class BasePoint:
 
 
 @dataclass(frozen=True)
-class BaseTangent:
-    dq: np.ndarray
-    dp: np.ndarray
-
-    @classmethod
-    def of(cls, dq, dp=None) -> "BaseTangent":
-        dq = np.asarray(dq, dtype=float)
-        dp = np.zeros_like(dq) if dp is None else np.asarray(dp, dtype=float)
-        return cls(dq=dq, dp=dp)
-
-
-@dataclass(frozen=True)
 class LieAlgebraRep:
     """Anti-Hermitian images of the su(2) generators on the quantum fiber.
 
@@ -98,7 +89,8 @@ class LieAlgebraRep:
 class ChartData:
     """A chart's potential and its domain, boundary(q) <= 0 (None: the whole plane).
     ``potential(q, dq)`` maps points and tangents (..., 2) to the real
-    tau-coefficients (..., 3) of <A(q), dq>: [a] multiplies TAU[a]."""
+    tau-coefficients (..., 3) of <A(q), dq>: [a] multiplies TAU[a].  A tangent
+    is only its dq: the minimal-coupling form has no dp term."""
 
     potential: Callable[[np.ndarray, np.ndarray], np.ndarray]
     boundary: Callable[[np.ndarray], np.ndarray] | None = None
@@ -150,16 +142,18 @@ def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
 _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 
 
-def orbit_function(model: GaugeModel, b: BasePoint, v: BaseTangent) -> FiberHamiltonian:
-    """The fiber Hamiltonian induced by the potential at (b, v)."""
+def orbit_function(model: GaugeModel, b: BasePoint, dq: np.ndarray) -> FiberHamiltonian:
+    """The fiber Hamiltonian induced by the potential at b along the base tangent dq."""
     model.chart_data(b)
-    return moment_hamiltonian(model.spec, model.charts[b.chart].potential(b.q, v.dq) * _MOMENT_TWIST)
+    return moment_hamiltonian(model.spec, model.charts[b.chart].potential(b.q, dq) * _MOMENT_TWIST)
 
 
-def horizontal_lift(model: GaugeModel, b: BasePoint, v: BaseTangent, f: ChartPoint) -> tuple[BaseTangent, np.ndarray]:
-    """Horizontal lift (v, -H_w) of a base tangent at fiber point f."""
-    w = orbit_function(model, b, v)
-    return v, -hamiltonian_field(model.spec, w, f)
+def horizontal_lift(model: GaugeModel, b: BasePoint, dq: np.ndarray, f: ChartPoint) -> np.ndarray:
+    """Fiber part -H_w of the horizontal lift (dq, 0, -H_w) of a base tangent at fiber point f.
+
+    Its base part is dq itself, and its p-velocity is 0: the minimal-coupling
+    form has no dp term, so no p-velocity enters the lift."""
+    return -hamiltonian_field(model.spec, orbit_function(model, b, dq), f)
 
 
 def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
@@ -186,10 +180,10 @@ def build_rep(basis: FiberBasis) -> LieAlgebraRep:
     return LieAlgebraRep(matrices=basis.norms[:, None] * mono / basis.norms[None, :], group_action=basis)
 
 
-def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> np.ndarray:
-    """Connection value by contracting the potential with the representation."""
+def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, dq: np.ndarray) -> np.ndarray:
+    """Connection value at b along dq, by contracting the potential with the representation."""
     model.chart_data(b)
-    return connection_rep_batch(model, rep, b.chart, b.q, v.dq)
+    return connection_rep_batch(model, rep, b.chart, b.q, dq)
 
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -200,11 +194,11 @@ def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: n
     return (coeffs @ generators).view(complex).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])
 
 
-def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: BasePoint, v: BaseTangent) -> float:
+def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: BasePoint, dq: np.ndarray) -> float:
     """Defect of the gauge transformation law across the overlap at b.
 
     Compares A in the neighbour chart against
-    X A X^{-1} + (dX along v) X^{-1}, with A the connection of ``rep``,
+    X A X^{-1} + (dX along dq) X^{-1}, with A the connection of ``rep``,
     X the quantized transition and dX its Richardson difference, as in
     ``verify_gauge_data``.
     """
@@ -213,23 +207,23 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: 
     if target is None:
         raise ChartError(f"chart {b.chart!r} has no registered overlap")
     overlap = model.overlaps[(b.chart, target)]
-    q_there, dq_there = overlap.convert(b.q, v.dq)
+    q_there, dq_there = overlap.convert(b.q, dq)
     if not model.charts[target].contains(q_there):
         raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
 
-    a_here = connection_rep(model, rep, b, v)
+    a_here = connection_rep(model, rep, b, dq)
     a_there = connection_rep_batch(model, rep, target, q_there, dq_there)
 
     x_at = lambda q: quantize_transition(basis, overlap.transition(q))
     x = x_at(b.q)
     x_inv = x.conj().T
-    dx = richardson_difference(lambda s: x_at(b.q + s * v.dq), 0.0, constants.FD_STEP_GAUGE)
+    dx = richardson_difference(lambda s: x_at(b.q + s * dq), 0.0, constants.FD_STEP_GAUGE)
     law = x @ a_here @ x_inv + dx @ x_inv
     return float(np.linalg.norm(a_there - law, 2))
 
 
-def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: BaseTangent, v2: BaseTangent) -> np.ndarray:
-    """Field strength on (v1, v2) by small-displacement stencils.
+def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
+    """Field strength on the base tangents (v1, v2) by small-displacement stencils.
 
     Normalized to the small-loop law of the transport ordering: holonomy
     around the (v1, v2) square of side eps is I + eps^2 F + O(eps^3), so
@@ -241,8 +235,8 @@ def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: BaseTange
     def a_at(q, v):
         return connection_rep(model, rep, BasePoint(b.chart, q, b.p), v)
 
-    d1 = central_difference(lambda s: a_at(b.q + s * v1.dq, v2), 0.0, h)
-    d2 = central_difference(lambda s: a_at(b.q + s * v2.dq, v1), 0.0, h)
+    d1 = central_difference(lambda s: a_at(b.q + s * v1, v2), 0.0, h)
+    d2 = central_difference(lambda s: a_at(b.q + s * v2, v1), 0.0, h)
     a1 = a_at(b.q, v1)
     a2 = a_at(b.q, v2)
     return d1 - d2 + a2 @ a1 - a1 @ a2
@@ -267,10 +261,7 @@ def alpha_total_components(
     pt = ChartPoint(Chart.NORTH, complex(z))
     out = np.zeros(6, dtype=complex)
     for k in range(2):
-        unit = np.zeros(2)
-        unit[k] = 1.0
-        w_k = orbit_function(model, b, BaseTangent.of(unit))
-        out[k] = b.p[k] + w_k.value(pt)
+        out[k] = b.p[k] + orbit_function(model, b, np.eye(2)[k]).value(pt)
     out[4:] = kahler_potential_at(model.spec, pt)
     return out
 
@@ -278,18 +269,19 @@ def alpha_total_components(
 def lift_orthogonality_residual(
     model: GaugeModel,
     b: BasePoint,
-    v: BaseTangent,
+    dq: np.ndarray,
     f: ChartPoint,
     xi: np.ndarray,
 ) -> float:
-    """|Omega_total(lift(v), vertical xi)| by a central-difference stencil.
+    """|Omega_total(lift(dq), vertical xi)| by a central-difference stencil.
 
     The two-form is evaluated on constant coordinate extensions, for which
-    d alpha(V1, V2) = D_V1 <alpha, V2> - D_V2 <alpha, V1>.
+    d alpha(V1, V2) = D_V1 <alpha, V2> - D_V2 <alpha, V1>.  The lift has no
+    p-velocity: the minimal-coupling form has no dp term, so its p components
+    in ``alpha_total_components`` are 0.
     """
     h = constants.FD_STEP_FORM
-    _, fiber = horizontal_lift(model, b, v, f)
-    lift6 = np.concatenate([v.dq, v.dp, fiber])
+    lift6 = np.concatenate([dq, np.zeros(2), horizontal_lift(model, b, dq, f)])
     vert6 = np.concatenate([np.zeros(4), np.asarray(xi, dtype=float)])
 
     base = np.concatenate([b.q, b.p, [f.z.real, f.z.imag]])

@@ -41,7 +41,6 @@ from .transport import (
     BasePath,
     latitude_path,
     meridian_path,
-    momentum_circle_path,
     phase_circle_path,
     segment_path,
 )
@@ -74,16 +73,13 @@ CHECKS = {
     "gauge.connection_equivalence": ("equivalence", 1e-8),
     "gauge.anti_hermiticity": ("anti_hermiticity", 1e-9),
     "gauge.linearity": ("linearity", 1e-9),
-    "gauge.vertical_independence": ("vertical_independence", 1e-15),
     "gauge.transformation_law": ("gauge_law", 1e-6),
     "gauge.lift_orthogonality": ("lift_orthogonality", 1e-8),
     "gauge.pure_gauge_flatness": ("flatness", 1e-6),
     "gauge.constant_model_curvature": (None, 0.1),
-    "transport.trivial_identity": ("trivial_identity", 1e-12),
     "transport.constant_oracle": ("transport_oracle", 1e-8),
     "transport.noncommutativity": (None, 0.1),
     "transport.green_phase": ("green_phase", 1e-8),
-    "transport.vertical_loop": ("vertical_loop", 1e-10),
     "transport.reversal": ("reversal", 1e-8),
     "transport.unitarity": ("transport_unitarity", 1e-8),
     "transport.monopole_holonomy": ("holonomy", 1e-6),
@@ -139,8 +135,6 @@ _PATHS = {
                 {"p_from": "pair", "p_to": "pair", "chart": "chart"}),
     "phase_circle": (phase_circle_path, {"center_q": "pair", "radius": "real"},
                      {"plane": "plane", "chart": "chart"}),
-    "momentum_circle": (momentum_circle_path, {"q_fixed": "pair", "p_center": "pair", "radius": "real"},
-                        {"chart": "chart"}),
 }
 
 

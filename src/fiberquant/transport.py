@@ -2,10 +2,12 @@
 
 A ``BasePath`` is one map per chart, t -> (q, p, dq): the connection
 reads q and dq, the canonical-form pairing <alpha_B, v> = p . dq; the
-minimal-coupling form has no dp term, so a path carries no momentum
-velocity.  The transported object is a column coefficient vector Psi;
-the solver integrates W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I
-by fixed-step RK4, splitting the scalar phase from the unitary factor.
+minimal-coupling form p dq + <mu, A(dq)> + theta has no dp term, so a
+path carries no momentum velocity, and a loop in p alone over a fixed q
+has transport I and phase 0 on every model.  The transported object is
+a column coefficient vector Psi; the solver integrates
+W' = (i <alpha_B, v> I + A(v(t))) W with W(0) = I by fixed-step RK4,
+splitting the scalar phase from the unitary factor.
 A rep with a group action (``build_rep``) is the spin-j image of su(2),
 so W is the lift X(U) of the 2x2 solution of U' = A_tau(v(t)) U.  U and
 every RK4 stage, step map and product of that route are quaternions
@@ -35,7 +37,6 @@ from .errors import AccuracyFailure, ChartError, InvalidArgument
 from .fiberq import FiberBasis, quantize_transition, spin_lift
 from .gauge import (
     BasePoint,
-    BaseTangent,
     GaugeModel,
     LieAlgebraRep,
     check_spin,
@@ -153,23 +154,6 @@ def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "mai
         q[..., plane] = c[plane] + radius * cos
         p[..., plane] = -radius * sin
         dq[..., plane] = -2.0 * np.pi * radius * sin
-        return q, p, dq
-
-    return BasePath(at=at, start_chart=chart)
-
-
-def momentum_circle_path(q_fixed, p_center, radius: float, chart: str = "main") -> BasePath:
-    """Loop over a fixed configuration point with p tracing a circle."""
-    q0 = np.asarray(q_fixed, dtype=float)
-    pc = np.asarray(p_center, dtype=float)
-
-    def at(chart_name, t):
-        t = np.asarray(t, dtype=float)
-        ang = 2.0 * np.pi * t
-        cos, sin = np.cos(ang), np.sin(ang)
-        q, p, dq = np.zeros((3,) + t.shape + (2,))
-        q[...] = q0
-        p[..., 0], p[..., 1] = pc[0] + radius * cos, pc[1] + radius * sin
         return q, p, dq
 
     return BasePath(at=at, start_chart=chart)
@@ -434,12 +418,12 @@ def covariant_residual_total_space(
             continue  # the stencil must not straddle a chart crossing
         t0 = k / steps
         q, p, dq = path.at(chart, np.array([t0]))
-        w = orbit_function(model, BasePoint(chart, q[0], p[0]), BaseTangent.of(dq[0]))
+        w = orbit_function(model, BasePoint(chart, q[0], p[0]), dq[0])
         alpha_b = float(np.dot(p[0], dq[0]))
 
         def fiber_velocity(t, zz):
             qq, pp, dqq = path.at(chart, np.array([t]))
-            ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), BaseTangent.of(dqq[0]))
+            ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), dqq[0])
             return -hamiltonian_field_complex(spec, ww, ChartPoint(Chart.NORTH, zz))
 
         # All fiber points march together: one field evaluation per RK4 stage.

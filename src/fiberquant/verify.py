@@ -23,7 +23,6 @@ from .fiberq import (
 )
 from .gauge import (
     BasePoint,
-    BaseTangent,
     build_rep,
     connection_rep,
     constant_model,
@@ -56,7 +55,6 @@ from .scenario import CHECKS, Scenario
 from .transport import (
     covariant_residual_total_space,
     latitude_path,
-    momentum_circle_path,
     phase_circle_path,
     segment_path,
     sub_path,
@@ -294,7 +292,6 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     worst_eq = 0.0
     worst_ah = 0.0
     worst_lin = 0.0
-    worst_pi = 0.0
     for model in (mono, const):
         for _ in range(20):
             b, v = _sample_state(model, rng)
@@ -302,19 +299,16 @@ def suite_gauge(two_j: int) -> dict[str, float]:
             a_rep = connection_rep(model, rep, b, v)
             worst_eq = max(worst_eq, float(np.linalg.norm(a_quad - a_rep, 2)))
             worst_ah = max(worst_ah, float(np.linalg.norm(a_quad + a_quad.conj().T, 2)))
-            v2 = BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2))
+            v2 = rng.standard_normal(2)
+            rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
             c1, c2 = rng.standard_normal(2)
-            combo = BaseTangent.of(c1 * v.dq + c2 * v2.dq, c1 * v.dp + c2 * v2.dp)
-            lin = connection_rep(model, rep, b, combo) - c1 * a_rep - c2 * connection_rep(model, rep, b, v2)
+            lin = (connection_rep(model, rep, b, c1 * v + c2 * v2) - c1 * a_rep
+                   - c2 * connection_rep(model, rep, b, v2))
             worst_lin = max(worst_lin, float(np.linalg.norm(lin, 2)))
-            vert = BaseTangent.of(np.zeros(2), rng.standard_normal(2))
-            shifted = BaseTangent.of(v.dq, v.dp + vert.dp)
-            worst_pi = max(worst_pi, float(np.linalg.norm(
-                connection_rep(model, rep, b, shifted) - a_rep, 2)))
+            rng.standard_normal(2)  # the retired vertical shift, kept for the same reason
     rows["gauge.connection_equivalence"] = worst_eq
     rows["gauge.anti_hermiticity"] = worst_ah
     rows["gauge.linearity"] = worst_lin
-    rows["gauge.vertical_independence"] = worst_pi
 
     worst = 0.0
     for _ in range(10):
@@ -323,8 +317,7 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     for _ in range(10):
         q = rng.uniform(-1, 1, size=2)
         b = BasePoint("flat", q, np.zeros(2))
-        v = BaseTangent.of(rng.standard_normal(2))
-        worst = max(worst, gauge_residual(pure, basis, quad_rep, b, v))
+        worst = max(worst, gauge_residual(pure, basis, quad_rep, b, rng.standard_normal(2)))
     rows["gauge.transformation_law"] = worst
 
     worst = 0.0
@@ -338,11 +331,11 @@ def suite_gauge(two_j: int) -> dict[str, float]:
 
     b = BasePoint("gauged", np.array([0.3, -0.2]), np.zeros(2))
     rows["gauge.pure_gauge_flatness"] = float(np.linalg.norm(
-        curvature(pure, rep, b, BaseTangent.of([1, 0]), BaseTangent.of([0, 1])), 2))
+        curvature(pure, rep, b, *np.eye(2)), 2))
 
     b = BasePoint("main", np.zeros(2), np.zeros(2))
     rows["gauge.constant_model_curvature"] = float(np.linalg.norm(
-        curvature(const, rep, b, BaseTangent.of([1, 0]), BaseTangent.of([0, 1])), 2))
+        curvature(const, rep, b, *np.eye(2)), 2))
     return rows
 
 
@@ -358,8 +351,9 @@ def _sample_state(model, rng, overlap: bool = False):
         q = rng.uniform(-1.0, 1.0, size=2)
         chart = next(iter(model.charts))
     b = BasePoint(chart, q, rng.standard_normal(2))
-    v = BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2))
-    return b, v
+    dq = rng.standard_normal(2)
+    rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
+    return b, dq
 
 
 def suite_transport(two_j: int) -> dict[str, float]:
@@ -372,10 +366,6 @@ def suite_transport(two_j: int) -> dict[str, float]:
     mono = monopole_model(spec)
 
     seg = segment_path([0.0, 0.0], [1.0, 0.0])
-    res = transport(triv, basis, seg, rep=rep, steps=200)
-    rows["transport.trivial_identity"] = (float(np.linalg.norm(res.unitary - np.eye(spec.dim), 2))
-                                          + abs(res.alpha_phase))
-
     res = transport(const, basis, seg, rep=rep, steps=2000)
     rows["transport.constant_oracle"] = float(np.linalg.norm(res.unitary - matrix_exp(rep.matrices[0]), 2))
 
@@ -387,11 +377,6 @@ def suite_transport(two_j: int) -> dict[str, float]:
     res = transport(triv, basis, loop, rep=rep, steps=2000)
     area_err = abs(res.alpha_phase - np.pi * 0.25)
     rows["transport.green_phase"] = area_err + float(np.linalg.norm(res.unitary - np.eye(spec.dim), 2))
-
-    fixed = momentum_circle_path([0.4, -0.1], [0.0, 0.0], 0.7)
-    res = transport(const, basis, fixed, rep=rep, steps=500)
-    rows["transport.vertical_loop"] = abs(res.alpha_phase) + float(
-        np.linalg.norm(res.unitary - np.eye(spec.dim), 2))
 
     lat = latitude_path(np.pi / 3.0)
     fwd = transport(mono, basis, lat, rep=rep, steps=2000)

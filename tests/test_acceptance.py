@@ -17,7 +17,6 @@ from fiberquant.fiberq import (
 )
 from fiberquant.gauge import (
     BasePoint,
-    BaseTangent,
     build_rep,
     connection_rep,
     constant_model,
@@ -65,19 +64,24 @@ def verdict(number: int, passed: bool, detail: str) -> None:
     assert passed, f"criterion {number}: {detail}"
 
 
+def _tangent(rng):
+    """A base tangent dq."""
+    dq = rng.standard_normal(2)
+    rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
+    return dq
+
+
 def monopole_sample(rng, overlap=False):
     lo, hi = (np.pi / 3, 2 * np.pi / 3) if overlap else (np.pi / 8, 2 * np.pi / 3)
     theta = rng.uniform(lo, hi)
     phi = rng.uniform(0, 2 * np.pi)
     r = np.tan(theta / 2)
     q = np.array([r * np.cos(phi), r * np.sin(phi)])
-    return (BasePoint("north", q, rng.standard_normal(2)),
-            BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2)))
+    return BasePoint("north", q, rng.standard_normal(2)), _tangent(rng)
 
 
 def plane_sample(rng, chart="main"):
-    return (BasePoint(chart, rng.uniform(-1, 1, 2), rng.standard_normal(2)),
-            BaseTangent.of(rng.standard_normal(2), rng.standard_normal(2)))
+    return BasePoint(chart, rng.uniform(-1, 1, 2), rng.standard_normal(2)), _tangent(rng)
 
 
 def test_criterion_01_gram_oracle():

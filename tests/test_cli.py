@@ -1,8 +1,11 @@
 import dataclasses
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -62,8 +65,8 @@ class TestScenarioLoading:
                                     "tolerances": {"gram": -1.0}})
 
     def test_unknown_tolerance_key_rejected(self):
-        # a misspelt key, and the key of the deleted section command
-        for key in ("gramm", "section"):
+        # a misspelt key, and the keys of the deleted section command and zero-by-construction rows
+        for key in ("gramm", "section", "vertical_independence", "vertical_loop", "trivial_identity"):
             with pytest.raises(ValidationError) as err:
                 validate_scenario_dict({"orbit": {"two_j": 1}, "model": {"kind": "trivial"},
                                         "tolerances": {key: 1e-30}})
@@ -152,7 +155,7 @@ class TestCommands:
         outs = {}
         for source in ("rep", "quad"):
             code, out = run_command(["connection", "--config", monopole_config,
-                                     "--point", "0.4,0.1;0.0,0.0", "--tangent", "0.3,-0.2",
+                                     "--point", "0.4,0.1", "--tangent", "0.3,-0.2",
                                      "--chart", "north", "--source", source])
             assert code == EXIT_OK
             doc = json.loads(out)
@@ -291,11 +294,13 @@ class TestExitCodes:
          "paths.bad.winds"),
         ({"kind": "trivial"}, {"bad": {"kind": "phase_circle", "center_q": [0, 0], "radius": 0.5,
                                        "plane": 2}}, "paths.bad.plane"),
-        ({"kind": "trivial"}, {"bad": {"kind": "momentum_circle", "q_fixed": [0, 0],
-                                       "p_center": [0, 0]}}, "paths.bad.radius"),
+        ({"kind": "trivial"}, {"bad": {"kind": "phase_circle", "center_q": [0, 0]}}, "paths.bad.radius"),
         ({"kind": "pure_gauge", "rates": ["x", 1]}, {}, "model.rates"),
         ({"kind": "constant", "coefficients": [[1, 0, "a"], [0, 1, 0]]}, {}, "model.coefficients"),
         ({"kind": "monopole", "strenght": 2}, {}, "model.strenght"),
+        # a loop in p alone, which the minimal-coupling form cannot see, is no path kind
+        ({"kind": "constant"}, {"bad": {"kind": "momentum_circle", "q_fixed": [0, 0], "p_center": [0, 0],
+                                        "radius": 0.7}}, "paths.bad.kind"),
     ])
     def test_malformed_fields_rejected(self, tmp_path, model, paths, field):
         cfg = tmp_path / "bad.json"
@@ -325,9 +330,12 @@ class TestExitCodes:
         (["transition", "--axis", "0,0,1", "--angle", "nan"], "--angle"),
         (["transition", "--axis", "inf,0,1", "--angle", "0.3"], "--axis"),
         (["connection", "--point", "0.1,0.2", "--tangent", "inf,0"], "--tangent"),
-        (["connection", "--point", "0.1,0.2;nan,0", "--tangent", "1,0"], "--point"),
+        (["connection", "--point", "0.1,nan", "--tangent", "1,0"], "--point"),
         (["verify", "orbit", "--tol", "inf"], "--tol"),
         (["verify", "orbit", "--tol", "nan"], "--tol"),
+        # the retired ";p" and ";dp" parts: a point is q, a tangent dq
+        (["connection", "--point", "0.1,0.2;0,0", "--tangent", "1,0"], "--point"),
+        (["connection", "--point", "0.1,0.2", "--tangent", "1,0;0.5,0"], "--tangent"),
     ])
     def test_non_finite_numbers_rejected(self, argv, flag):
         code, out = run_command(argv + ["--spin", "1"])
@@ -429,6 +437,22 @@ class TestToleranceOverrides:
         code, out = run_command(argv + ["--config", monopole_config, "--tol", "0.25"])
         assert code == EXIT_OK
         assert json.loads(out)["payload"]["tolerance"] == 0.25
+
+
+class TestReadmeUsage:
+    def test_every_usage_line_exits_zero(self, tmp_path, monkeypatch):
+        # the README's CLI block, run against its scenario-file example saved as monopole.json
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        section = text.split("\n## CLI\n", 1)[1]
+        usage = re.search(r"```\n(.*?)```", section, re.S).group(1)
+        example = re.search(r"```json\n(.*?)```", section, re.S).group(1)
+        (tmp_path / "monopole.json").write_text(example)
+        monkeypatch.chdir(tmp_path)
+        lines = [line for line in usage.splitlines() if line.startswith("fiberquant ")]
+        assert len(lines) == 7
+        for line in lines:
+            code, out = run_command(shlex.split(line)[1:])
+            assert code == EXIT_OK, (line, out)
 
 
 class TestDeterminism:

@@ -11,7 +11,6 @@ from fiberquant.errors import ChartError, InvalidArgument
 from fiberquant.fiberq import build_basis, spin_lift
 from fiberquant.gauge import (
     BasePoint,
-    BaseTangent,
     ChartData,
     GaugeModel,
     LieAlgebraRep,
@@ -31,7 +30,6 @@ from fiberquant.transport import (
     covariant_residual_total_space,
     latitude_path,
     meridian_path,
-    momentum_circle_path,
     phase_circle_path,
     segment_path,
     sub_path,
@@ -60,7 +58,6 @@ _PATH_CASES = {
     "meridian": (meridian_path(), ("north", "south")),
     "segment": (segment_path([0.1, -0.2], [0.7, 0.4], [0.3, 0.0], [-0.5, 0.2]), ("main",)),
     "phase_circle": (phase_circle_path([0.2, -0.1], 0.6, plane=1), ("main",)),
-    "momentum_circle": (momentum_circle_path([0.4, -0.1], [0.2, 0.3], 0.7), ("main",)),
 }
 
 
@@ -123,13 +120,6 @@ class TestBasicTransport:
                         rep=ctx["rep"], steps=2000)
         assert np.linalg.norm(res.unitary - np.eye(ctx["spec"].dim), 2) <= 1e-12
         assert res.alpha_phase == pytest.approx(np.pi * 0.25, abs=1e-10)
-
-    def test_momentum_circle_is_trivial(self, ctx):
-        res = transport(ctx["const"], ctx["basis"],
-                        momentum_circle_path([0.4, -0.1], [0.0, 0.0], 0.7),
-                        rep=ctx["rep"], steps=500)
-        assert np.linalg.norm(res.unitary - np.eye(ctx["spec"].dim), 2) == 0.0
-        assert res.alpha_phase == 0.0
 
 
 class TestCompositionLaws:
@@ -209,7 +199,7 @@ class TestMonopoleHolonomy:
 
     def test_small_square_curvature_expansion(self, ctx):
         base = BasePoint("main", np.zeros(2), np.zeros(2))
-        f_mat = curvature(ctx["const"], ctx["rep"], base, BaseTangent.of([1, 0]), BaseTangent.of([0, 1]))
+        f_mat = curvature(ctx["const"], ctx["rep"], base, *np.eye(2))
 
         def square_holonomy(eps):
             w = np.eye(ctx["spec"].dim, dtype=complex)
