@@ -26,7 +26,6 @@ from .fiberq import (
     quantize_transition,
 )
 from .gauge import (
-    BasePoint,
     GaugeModel,
     LieAlgebraRep,
     build_rep,

@@ -18,7 +18,7 @@ import numpy as np
 from . import constants
 from .errors import AccuracyFailure, FiberquantError, InvalidArgument, ValidationError
 from .fiberq import build_basis, prequant_matrix, quantize_transition
-from .gauge import BasePoint, connection_rep, quadrature_rep
+from .gauge import connection_rep, quadrature_rep
 from .orbit import moment_hamiltonian
 from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
@@ -37,7 +37,7 @@ commands:
   verify      run a verification suite (orbit|fiber|gauge|transport|all)
 
 common options: --config FILE --spin TWO_J --hamiltonian a1,a2,a3
-  --point q1,q2 --tangent dq1,dq2 --chart NAME
+  --point q1,q2 --tangent dq1,dq2 --chart NAME --axis x,y,z --angle t
   --path NAME --source rep|quad --steps N --tol X --output json|table
 
   --steps N  RK4 steps per unit path parameter, N >= 1
@@ -127,8 +127,13 @@ def _parse_vector(text: str, length: int, flag: str) -> np.ndarray:
     return np.array(parts)
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # stray arguments, ambiguous prefixes: raised, not written to stderr
+        raise argparse.ArgumentError(None, message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="fiberquant", add_help=False, exit_on_error=False)
+    parser = _Parser(prog="fiberquant", add_help=False)
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("suite", nargs="?", default=None)
     parser.add_argument("--config", default=None)
@@ -239,7 +244,7 @@ def _cmd_connection(args, scenario: Scenario) -> dict:
     ctx = scenario.build_context()
     model = ctx["model"]
     chart = args.chart or next(iter(model.charts))
-    a_val = connection_rep(model, _generators(args, ctx), BasePoint(chart, q, np.zeros(2)), dq)
+    a_val = connection_rep(model, _generators(args, ctx), chart, q, dq)
     anti = float(np.linalg.norm(a_val + a_val.conj().T, 2))
     return {
         "source": args.source,
@@ -314,11 +319,12 @@ def run_command(argv) -> tuple[int, str]:
     if argv[0] not in _COMMANDS:
         return EXIT_USAGE, USAGE
 
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-    except (argparse.ArgumentError, SystemExit):
+        args = _build_parser().parse_args(argv)
+    except argparse.ArgumentError:
         return EXIT_USAGE, USAGE
+    if args.suite is not None and args.command != "verify":
+        return EXIT_USAGE, USAGE  # only verify takes a positional
 
     try:
         scenario = _scenario_from_args(args)

@@ -7,7 +7,9 @@ contracted with dq in closed form, and domain), per ordered chart pair an
 The total space carries the minimal-coupling form p dq + <mu, A(dq)> + theta,
 whose potential is pulled back from Q and which has no dp term: a connection
 value, orbit function or horizontal lift reads only q and dq, so a base
-tangent is its dq array, shape (2,).
+point is its chart name and q array and a base tangent is its dq array,
+each q or dq of shape (2,).  Only the canonical term p dq reads p
+(``alpha_total_components``).
 ``check_model`` tests a model against the ``FiberBasis`` in use: its
 potentials against its transitions, and minimal coupling, which holds for
 every potential at a spin once the three moment functions' operators
@@ -56,13 +58,6 @@ from .su2 import TAU, su2_exp
 # Chart validity for the sphere base: north keeps colatitude <= 3*pi/4,
 # south keeps colatitude >= pi/4 (stereographic radius tan(theta/2)).
 _SPHERE_CHART_RADIUS_SQ = float(np.tan(3.0 * np.pi / 8.0) ** 2)
-
-
-@dataclass(frozen=True)
-class BasePoint:
-    chart: str
-    q: np.ndarray
-    p: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -115,12 +110,13 @@ class GaugeModel:
     charts: dict  # name -> ChartData
     overlaps: dict = field(default_factory=dict)  # (from chart, to chart) -> Overlap
 
-    def chart_data(self, b: BasePoint) -> ChartData:
-        if b.chart not in self.charts:
-            raise ChartError(f"unknown chart {b.chart!r}")
-        data = self.charts[b.chart]
-        if not data.contains(b.q):
-            raise ChartError(f"point {b.q} outside chart {b.chart!r}")
+    def chart_data(self, chart: str, q: np.ndarray) -> ChartData:
+        """The data of ``chart``, checked to be a chart of the model whose domain holds q (else ChartError)."""
+        if chart not in self.charts:
+            raise ChartError(f"unknown chart {chart!r}")
+        data = self.charts[chart]
+        if not data.contains(q):
+            raise ChartError(f"point {q} outside chart {chart!r}")
         return data
 
     def other_chart(self, name: str) -> str | None:
@@ -142,18 +138,17 @@ def check_spin(basis: FiberBasis, what: str, two_j: int) -> None:
 _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 
 
-def orbit_function(model: GaugeModel, b: BasePoint, dq: np.ndarray) -> FiberHamiltonian:
-    """The fiber Hamiltonian induced by the potential at b along the base tangent dq."""
-    model.chart_data(b)
-    return moment_hamiltonian(model.spec, model.charts[b.chart].potential(b.q, dq) * _MOMENT_TWIST)
+def orbit_function(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray) -> FiberHamiltonian:
+    """The fiber Hamiltonian induced by the potential at the chart point q along the base tangent dq."""
+    return moment_hamiltonian(model.spec, model.chart_data(chart, q).potential(q, dq) * _MOMENT_TWIST)
 
 
-def horizontal_lift(model: GaugeModel, b: BasePoint, dq: np.ndarray, f: ChartPoint) -> np.ndarray:
+def horizontal_lift(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray, f: ChartPoint) -> np.ndarray:
     """Fiber part -H_w of the horizontal lift (dq, 0, -H_w) of a base tangent at fiber point f.
 
     Its base part is dq itself, and its p-velocity is 0: the minimal-coupling
     form has no dp term, so no p-velocity enters the lift."""
-    return -hamiltonian_field(model.spec, orbit_function(model, b, dq), f)
+    return -hamiltonian_field(model.spec, orbit_function(model, chart, q, dq), f)
 
 
 def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
@@ -180,10 +175,11 @@ def build_rep(basis: FiberBasis) -> LieAlgebraRep:
     return LieAlgebraRep(matrices=basis.norms[:, None] * mono / basis.norms[None, :], group_action=basis)
 
 
-def connection_rep(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, dq: np.ndarray) -> np.ndarray:
-    """Connection value at b along dq, by contracting the potential with the representation."""
-    model.chart_data(b)
-    return connection_rep_batch(model, rep, b.chart, b.q, dq)
+def connection_rep(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
+    """Connection value at the chart point q along dq, checked against its chart: the one row of a
+    one-point ``connection_rep_batch``, the contraction the march uses."""
+    model.chart_data(chart, q)
+    return connection_rep_batch(model, rep, chart, np.reshape(q, (1, 2)), np.reshape(dq, (1, 2)))[0]
 
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -194,36 +190,37 @@ def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: n
     return (coeffs @ generators).view(complex).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])
 
 
-def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, b: BasePoint, dq: np.ndarray) -> float:
-    """Defect of the gauge transformation law across the overlap at b.
+def _gauge_law_defect(a_here: np.ndarray, a_there: np.ndarray, g_at: Callable, q: np.ndarray, dq: np.ndarray) -> float:
+    """||a_there - (g a_here g^{-1} + (dg along dq) g^{-1})||_2 for the unitary g = g_at(q), dg by the
+    Richardson difference, whose truncation error, which grows with g's rate of change, is O(h^4)."""
+    g = g_at(q)
+    g_inv = g.conj().T
+    dg = richardson_difference(lambda s: g_at(q + s * dq), 0.0, constants.FD_STEP_GAUGE)
+    return spectral_norm(a_there - (g @ a_here @ g_inv + dg @ g_inv))
+
+
+def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, chart: str, q: np.ndarray,
+                   dq: np.ndarray) -> float:
+    """Defect of the gauge transformation law across the overlap at the chart point q (ChartError outside it).
 
     Compares A in the neighbour chart against
-    X A X^{-1} + (dX along dq) X^{-1}, with A the connection of ``rep``,
-    X the quantized transition and dX its Richardson difference, as in
-    ``verify_gauge_data``.
+    X A X^{-1} + (dX along dq) X^{-1}, with A the connection of ``rep`` and
+    X the quantized transition: the law ``verify_gauge_data`` checks on the
+    2x2 potentials, here on the quantum fiber.
     """
-    model.chart_data(b)
-    target = model.other_chart(b.chart)
+    target = model.other_chart(chart)
     if target is None:
-        raise ChartError(f"chart {b.chart!r} has no registered overlap")
-    overlap = model.overlaps[(b.chart, target)]
-    q_there, dq_there = overlap.convert(b.q, dq)
-    if not model.charts[target].contains(q_there):
-        raise ChartError(f"point {b.q} not in the {b.chart!r}/{target!r} overlap")
-
-    a_here = connection_rep(model, rep, b, dq)
-    a_there = connection_rep_batch(model, rep, target, q_there, dq_there)
-
-    x_at = lambda q: quantize_transition(basis, overlap.transition(q))
-    x = x_at(b.q)
-    x_inv = x.conj().T
-    dx = richardson_difference(lambda s: x_at(b.q + s * dq), 0.0, constants.FD_STEP_GAUGE)
-    law = x @ a_here @ x_inv + dx @ x_inv
-    return float(np.linalg.norm(a_there - law, 2))
+        raise ChartError(f"chart {chart!r} has no registered overlap")
+    overlap = model.overlaps[(chart, target)]
+    q_there, dq_there = overlap.convert(q, dq)
+    return _gauge_law_defect(connection_rep(model, rep, chart, q, dq),
+                             connection_rep(model, rep, target, q_there, dq_there),
+                             lambda x: quantize_transition(basis, overlap.transition(x)), q, dq)
 
 
-def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: np.ndarray, v2: np.ndarray) -> np.ndarray:
-    """Field strength on the base tangents (v1, v2) by small-displacement stencils.
+def curvature(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, v1: np.ndarray,
+              v2: np.ndarray) -> np.ndarray:
+    """Field strength at the chart point q on the base tangents (v1, v2) by small-displacement stencils.
 
     Normalized to the small-loop law of the transport ordering: holonomy
     around the (v1, v2) square of side eps is I + eps^2 F + O(eps^3), so
@@ -232,13 +229,13 @@ def curvature(model: GaugeModel, rep: LieAlgebraRep, b: BasePoint, v1: np.ndarra
     """
     h = 1.0e-5
 
-    def a_at(q, v):
-        return connection_rep(model, rep, BasePoint(b.chart, q, b.p), v)
+    def a_at(x, v):
+        return connection_rep(model, rep, chart, x, v)
 
-    d1 = central_difference(lambda s: a_at(b.q + s * v1, v2), 0.0, h)
-    d2 = central_difference(lambda s: a_at(b.q + s * v2, v1), 0.0, h)
-    a1 = a_at(b.q, v1)
-    a2 = a_at(b.q, v2)
+    d1 = central_difference(lambda s: a_at(q + s * v1, v2), 0.0, h)
+    d2 = central_difference(lambda s: a_at(q + s * v2, v1), 0.0, h)
+    a1 = a_at(q, v1)
+    a2 = a_at(q, v2)
     return d1 - d2 + a2 @ a1 - a1 @ a2
 
 
@@ -257,23 +254,25 @@ def alpha_total_components(
     fiber components are the holomorphic-frame potential
     (``orbit.kahler_potential_at``).
     """
-    b = BasePoint(chart, np.asarray(q, dtype=float), np.asarray(p, dtype=float))
+    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
     pt = ChartPoint(Chart.NORTH, complex(z))
     out = np.zeros(6, dtype=complex)
     for k in range(2):
-        out[k] = b.p[k] + orbit_function(model, b, np.eye(2)[k]).value(pt)
+        out[k] = p[k] + orbit_function(model, chart, q, np.eye(2)[k]).value(pt)
     out[4:] = kahler_potential_at(model.spec, pt)
     return out
 
 
 def lift_orthogonality_residual(
     model: GaugeModel,
-    b: BasePoint,
+    chart: str,
+    q: np.ndarray,
+    p: np.ndarray,
     dq: np.ndarray,
     f: ChartPoint,
     xi: np.ndarray,
 ) -> float:
-    """|Omega_total(lift(dq), vertical xi)| by a central-difference stencil.
+    """|Omega_total(lift(dq), vertical xi)| at the total-space point (q, p, f) by a central-difference stencil.
 
     The two-form is evaluated on constant coordinate extensions, for which
     d alpha(V1, V2) = D_V1 <alpha, V2> - D_V2 <alpha, V1>.  The lift has no
@@ -281,15 +280,13 @@ def lift_orthogonality_residual(
     in ``alpha_total_components`` are 0.
     """
     h = constants.FD_STEP_FORM
-    lift6 = np.concatenate([dq, np.zeros(2), horizontal_lift(model, b, dq, f)])
+    lift6 = np.concatenate([dq, np.zeros(2), horizontal_lift(model, chart, q, dq, f)])
     vert6 = np.concatenate([np.zeros(4), np.asarray(xi, dtype=float)])
 
-    base = np.concatenate([b.q, b.p, [f.z.real, f.z.imag]])
+    base = np.concatenate([q, p, [f.z.real, f.z.imag]])
 
     def pairing(coords: np.ndarray, vec: np.ndarray) -> complex:
-        alpha = alpha_total_components(
-            model, b.chart, coords[0:2], coords[2:4], complex(coords[4], coords[5])
-        )
+        alpha = alpha_total_components(model, chart, coords[0:2], coords[2:4], complex(coords[4], coords[5]))
         return complex(np.dot(alpha, vec))
 
     d1 = central_difference(lambda s: pairing(base + s * lift6, vert6), 0.0, h)
@@ -312,14 +309,11 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
 
     Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1}, potentials lifted to
     matrices, on 12 sampled points per overlap (ConfigurationError if none
-    is found); returns the worst absolute defect.  dg is the Richardson
-    difference, whose truncation error, which grows with the transition's
-    rate of change, is O(h^4).
+    is found); returns the worst absolute defect.
     """
     lift = lambda c: np.einsum("...a,aij->...ij", c, TAU)
     worst = 0.0
     for (i, j), overlap in model.overlaps.items():
-        g_fn = overlap.transition
         for _ in range(12):
             q = _sample_overlap_point(model, i, j, rng)
             if q is None:
@@ -327,11 +321,7 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
             dq = rng.standard_normal(2)
             xi_i = lift(model.charts[i].potential(q, dq))
             xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
-            g = g_fn(q)
-            dg = richardson_difference(lambda s: g_fn(q + s * dq), 0.0, constants.FD_STEP_GAUGE)
-            g_inv = g.conj().T
-            law = g @ xi_i @ g_inv + dg @ g_inv
-            worst = max(worst, spectral_norm(xi_j - law))
+            worst = max(worst, _gauge_law_defect(xi_i, xi_j, overlap.transition, q, dq))
     return worst
 
 

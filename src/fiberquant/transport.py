@@ -36,7 +36,6 @@ from . import constants
 from .errors import AccuracyFailure, ChartError, InvalidArgument
 from .fiberq import FiberBasis, quantize_transition, spin_lift
 from .gauge import (
-    BasePoint,
     GaugeModel,
     LieAlgebraRep,
     check_spin,
@@ -418,12 +417,12 @@ def covariant_residual_total_space(
             continue  # the stencil must not straddle a chart crossing
         t0 = k / steps
         q, p, dq = path.at(chart, np.array([t0]))
-        w = orbit_function(model, BasePoint(chart, q[0], p[0]), dq[0])
+        w = orbit_function(model, chart, q[0], dq[0])
         alpha_b = float(np.dot(p[0], dq[0]))
 
         def fiber_velocity(t, zz):
-            qq, pp, dqq = path.at(chart, np.array([t]))
-            ww = orbit_function(model, BasePoint(chart, qq[0], pp[0]), dqq[0])
+            qq, _, dqq = path.at(chart, np.array([t]))
+            ww = orbit_function(model, chart, qq[0], dqq[0])
             return -hamiltonian_field_complex(spec, ww, ChartPoint(Chart.NORTH, zz))
 
         # All fiber points march together: one field evaluation per RK4 stage.

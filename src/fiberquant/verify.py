@@ -22,7 +22,6 @@ from .fiberq import (
     quantize_transition,
 )
 from .gauge import (
-    BasePoint,
     build_rep,
     connection_rep,
     constant_model,
@@ -294,16 +293,16 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     worst_lin = 0.0
     for model in (mono, const):
         for _ in range(20):
-            b, v = _sample_state(model, rng)
-            a_quad = connection_rep(model, quad_rep, b, v)
-            a_rep = connection_rep(model, rep, b, v)
+            chart, q, _, v = _sample_state(model, rng)
+            a_quad = connection_rep(model, quad_rep, chart, q, v)
+            a_rep = connection_rep(model, rep, chart, q, v)
             worst_eq = max(worst_eq, float(np.linalg.norm(a_quad - a_rep, 2)))
             worst_ah = max(worst_ah, float(np.linalg.norm(a_quad + a_quad.conj().T, 2)))
             v2 = rng.standard_normal(2)
             rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
             c1, c2 = rng.standard_normal(2)
-            lin = (connection_rep(model, rep, b, c1 * v + c2 * v2) - c1 * a_rep
-                   - c2 * connection_rep(model, rep, b, v2))
+            lin = (connection_rep(model, rep, chart, q, c1 * v + c2 * v2) - c1 * a_rep
+                   - c2 * connection_rep(model, rep, chart, q, v2))
             worst_lin = max(worst_lin, float(np.linalg.norm(lin, 2)))
             rng.standard_normal(2)  # the retired vertical shift, kept for the same reason
     rows["gauge.connection_equivalence"] = worst_eq
@@ -312,34 +311,31 @@ def suite_gauge(two_j: int) -> dict[str, float]:
 
     worst = 0.0
     for _ in range(10):
-        b, v = _sample_state(mono, rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, basis, quad_rep, b, v))
+        chart, q, _, v = _sample_state(mono, rng, overlap=True)
+        worst = max(worst, gauge_residual(mono, basis, quad_rep, chart, q, v))
     for _ in range(10):
         q = rng.uniform(-1, 1, size=2)
-        b = BasePoint("flat", q, np.zeros(2))
-        worst = max(worst, gauge_residual(pure, basis, quad_rep, b, rng.standard_normal(2)))
+        worst = max(worst, gauge_residual(pure, basis, quad_rep, "flat", q, rng.standard_normal(2)))
     rows["gauge.transformation_law"] = worst
 
     worst = 0.0
     for model in (mono, const):
         for _ in range(10):
-            b, v = _sample_state(model, rng)
+            chart, q, p, v = _sample_state(model, rng)
             f = _random_point(rng)
             xi = rng.standard_normal(2)
-            worst = max(worst, lift_orthogonality_residual(model, b, v, f, xi))
+            worst = max(worst, lift_orthogonality_residual(model, chart, q, p, v, f, xi))
     rows["gauge.lift_orthogonality"] = worst
 
-    b = BasePoint("gauged", np.array([0.3, -0.2]), np.zeros(2))
     rows["gauge.pure_gauge_flatness"] = float(np.linalg.norm(
-        curvature(pure, rep, b, *np.eye(2)), 2))
-
-    b = BasePoint("main", np.zeros(2), np.zeros(2))
+        curvature(pure, rep, "gauged", np.array([0.3, -0.2]), *np.eye(2)), 2))
     rows["gauge.constant_model_curvature"] = float(np.linalg.norm(
-        curvature(const, rep, b, *np.eye(2)), 2))
+        curvature(const, rep, "main", np.zeros(2), *np.eye(2)), 2))
     return rows
 
 
 def _sample_state(model, rng, overlap: bool = False):
+    """A sampled (chart, q, p, dq); p is read only by the total-space form."""
     if model.kind == "monopole":
         lo, hi = (np.pi / 3, 2 * np.pi / 3) if overlap else (np.pi / 6, 2 * np.pi / 3)
         theta = rng.uniform(lo, hi)
@@ -350,10 +346,10 @@ def _sample_state(model, rng, overlap: bool = False):
     else:
         q = rng.uniform(-1.0, 1.0, size=2)
         chart = next(iter(model.charts))
-    b = BasePoint(chart, q, rng.standard_normal(2))
+    p = rng.standard_normal(2)
     dq = rng.standard_normal(2)
     rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
-    return b, dq
+    return chart, q, p, dq
 
 
 def suite_transport(two_j: int) -> dict[str, float]:

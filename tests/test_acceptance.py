@@ -16,7 +16,6 @@ from fiberquant.fiberq import (
     quantize_transition,
 )
 from fiberquant.gauge import (
-    BasePoint,
     build_rep,
     connection_rep,
     constant_model,
@@ -77,11 +76,11 @@ def monopole_sample(rng, overlap=False):
     phi = rng.uniform(0, 2 * np.pi)
     r = np.tan(theta / 2)
     q = np.array([r * np.cos(phi), r * np.sin(phi)])
-    return BasePoint("north", q, rng.standard_normal(2)), _tangent(rng)
+    return "north", q, rng.standard_normal(2), _tangent(rng)
 
 
 def plane_sample(rng, chart="main"):
-    return BasePoint(chart, rng.uniform(-1, 1, 2), rng.standard_normal(2)), _tangent(rng)
+    return chart, rng.uniform(-1, 1, 2), rng.standard_normal(2), _tangent(rng)
 
 
 def test_criterion_01_gram_oracle():
@@ -147,10 +146,10 @@ def test_criterion_04_lift_orthogonality():
     worst = 0.0
     for model in (mono, const):
         for _ in range(50):
-            b, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
+            chart, q, p, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
             f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
             xi = rng.standard_normal(2)
-            worst = max(worst, lift_orthogonality_residual(model, b, v, f, xi))
+            worst = max(worst, lift_orthogonality_residual(model, chart, q, p, v, f, xi))
     verdict(4, worst <= 1e-8,
             f"horizontal-lift orthogonality over 100 samples: residual {worst:.2e} (tol 1e-8)")
 
@@ -182,11 +181,11 @@ def test_criterion_06_gauge_law():
     quad = quadrature_rep(ctx["basis"])
     worst = 0.0
     for _ in range(25):
-        b, v = monopole_sample(rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, ctx["basis"], quad, b, v))
+        chart, q, _, v = monopole_sample(rng, overlap=True)
+        worst = max(worst, gauge_residual(mono, ctx["basis"], quad, chart, q, v))
     for _ in range(25):
-        b, v = plane_sample(rng, chart="flat")
-        worst = max(worst, gauge_residual(pure, ctx["basis"], quad, b, v))
+        chart, q, _, v = plane_sample(rng, chart="flat")
+        worst = max(worst, gauge_residual(pure, ctx["basis"], quad, chart, q, v))
     verdict(6, worst <= 1e-6,
             f"gauge transformation law over 50 overlap samples: residual {worst:.2e} (tol 1e-6)")
 
@@ -200,9 +199,9 @@ def test_criterion_07_connection_equivalence():
         const = constant_model(ctx["spec"])
         for model in (mono, const):
             for _ in range(13):
-                b, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
-                a_q = connection_rep(model, quadrature_rep(ctx["basis"]), b, v)
-                a_r = connection_rep(model, ctx["rep"], b, v)
+                chart, q, _, v = monopole_sample(rng) if model.kind == "monopole" else plane_sample(rng)
+                a_q = connection_rep(model, quadrature_rep(ctx["basis"]), chart, q, v)
+                a_r = connection_rep(model, ctx["rep"], chart, q, v)
                 worst = max(worst, float(np.linalg.norm(a_q - a_r, 2)))
     verdict(7, worst <= 1e-8,
             f"quadrature connection equals representation connection: {worst:.2e} "

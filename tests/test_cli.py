@@ -13,6 +13,7 @@ import pytest
 from fiberquant import scenario
 from fiberquant.cli import (
     _COMMANDS,
+    _build_parser,
     EXIT_ACCURACY,
     EXIT_INVALID,
     EXIT_OK,
@@ -235,9 +236,25 @@ class TestExitCodes:
         listed = USAGE.split("commands:\n", 1)[1].split("\n\n", 1)[0]
         assert tuple(line.split()[0] for line in listed.splitlines()) == _COMMANDS
 
+    def test_usage_lists_every_flag(self):
+        flags = [flag for action in _build_parser()._actions for flag in action.option_strings]
+        assert flags and [f for f in flags if not re.search(rf"(?<![\w-]){re.escape(f)}(?![\w-])", USAGE)] == []
+
     def test_empty_invocation(self):
         code, _ = run_command([])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("argv", [["gram", "foo"], ["gram", "--bogus", "1"], ["verify", "all", "all"],
+                                      ["gram", "--s", "1"], ["gram", "-h"]])
+    def test_stray_arguments_exit_usage_quietly(self, argv):
+        # a positional on a command other than verify, an unknown flag, a second positional,
+        # an ambiguous flag prefix, and help after a command: USAGE on stdout, nothing on stderr
+        import fiberquant
+
+        src = os.path.dirname(os.path.dirname(fiberquant.__file__))
+        done = subprocess.run([sys.executable, "-m", "fiberquant", *argv], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+        assert (done.returncode, done.stdout, done.stderr) == (EXIT_USAGE, USAGE + "\n", "")
 
     def test_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"

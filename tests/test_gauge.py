@@ -12,7 +12,6 @@ from fiberquant import gauge
 from fiberquant.errors import AccuracyFailure, ChartError, ConfigurationError, InvalidArgument
 from fiberquant.fiberq import build_basis, polarization_residual, prequant_matrix, quantize_transition
 from fiberquant.gauge import (
-    BasePoint,
     ChartData,
     alpha_total_components,
     build_rep,
@@ -70,16 +69,15 @@ def monopole_state(rng, overlap=False):
     phi = rng.uniform(0, 2 * np.pi)
     r = np.tan(theta / 2)
     q = np.array([r * np.cos(phi), r * np.sin(phi)])
-    b = BasePoint("north", q, rng.standard_normal(2))
+    p = rng.standard_normal(2)
     dq = rng.standard_normal(2)
     rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
-    return b, dq
+    return "north", q, p, dq
 
 
 class TestOrbitFunction:
     def test_zero_potential(self, ctx):
-        b = BasePoint("main", np.array([0.4, -0.2]), np.zeros(2))
-        w = orbit_function(ctx["triv"], b, np.array([1.0, 0.5]))
+        w = orbit_function(ctx["triv"], "main", np.array([0.4, -0.2]), np.array([1.0, 0.5]))
         pt = ChartPoint(Chart.NORTH, 0.3 + 0.7j)
         assert w.value(pt) == 0.0
 
@@ -87,8 +85,7 @@ class TestOrbitFunction:
         # tau_1 dq_1 contracted with d/dq_1 gives the first-axis moment function
         spec = ctx["spec"]
         model = constant_model(spec, [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        b = BasePoint("main", np.zeros(2), np.zeros(2))
-        w = orbit_function(model, b, np.array([1.0, 0.0]))
+        w = orbit_function(model, "main", np.zeros(2), np.array([1.0, 0.0]))
         oracle = moment_hamiltonian(spec, [1.0, 0.0, 0.0])
         rng = np.random.default_rng(30)
         for _ in range(20):
@@ -96,9 +93,8 @@ class TestOrbitFunction:
             assert w.value(pt) == pytest.approx(oracle.value(pt), abs=1e-12)
 
     def test_outside_chart_rejected(self, ctx):
-        b = BasePoint("north", np.array([10.0, 0.0]), np.zeros(2))
         with pytest.raises(ChartError):
-            orbit_function(ctx["mono"], b, np.array([1.0, 0.0]))
+            orbit_function(ctx["mono"], "north", np.array([10.0, 0.0]), np.array([1.0, 0.0]))
 
 
 class TestRepresentation:
@@ -190,17 +186,15 @@ class TestClosedFormGenerators:
 
 class TestConnectionEquivalence:
     def test_zero_potential_vanishes(self, ctx):
-        b = BasePoint("main", np.array([0.1, 0.2]), np.array([1.0, 0.0]))
-        v = np.array([1.0, 2.0])
-        a_q = connection_rep(ctx["triv"], quadrature_rep(ctx["basis"]), b, v)
-        a_r = connection_rep(ctx["triv"], ctx["rep"], b, v)
+        q, v = np.array([0.1, 0.2]), np.array([1.0, 2.0])
+        a_q = connection_rep(ctx["triv"], quadrature_rep(ctx["basis"]), "main", q, v)
+        a_r = connection_rep(ctx["triv"], ctx["rep"], "main", q, v)
         assert np.linalg.norm(a_q, 2) < 1e-12
         assert np.linalg.norm(a_r, 2) < 1e-12
 
     def test_constant_potential_unit_tangent(self, ctx):
         model = constant_model(ctx["spec"], [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        b = BasePoint("main", np.zeros(2), np.zeros(2))
-        a_r = connection_rep(model, ctx["rep"], b, np.array([1.0, 0.0]))
+        a_r = connection_rep(model, ctx["rep"], "main", np.zeros(2), np.array([1.0, 0.0]))
         assert np.linalg.norm(a_r - ctx["rep"].matrices[0], 2) < 1e-12
 
     def test_monopole_diagonal_form(self, ctx):
@@ -208,9 +202,8 @@ class TestConnectionEquivalence:
         theta = np.pi / 3
         r = np.tan(theta / 2)
         q = np.array([r, 0.0])
-        b = BasePoint("north", q, np.zeros(2))
         v = np.array([0.0, r])  # d/dphi at phi = 0
-        a_r = connection_rep(ctx["mono"], ctx["rep"], b, v)
+        a_r = connection_rep(ctx["mono"], ctx["rep"], "north", q, v)
         m = np.arange(ctx["spec"].j, -ctx["spec"].j - 1.0, -1.0)
         expected = np.diag(-1j * m * (1 - np.cos(theta)))
         assert np.linalg.norm(a_r - expected, 2) < 1e-10
@@ -221,27 +214,28 @@ class TestConnectionEquivalence:
         for model in (ctx["mono"], ctx["const"]):
             for _ in range(15):
                 if model.kind == "monopole":
-                    b, v = monopole_state(rng)
+                    chart, q, _, v = monopole_state(rng)
                 else:
-                    b = BasePoint("main", rng.standard_normal(2), rng.standard_normal(2))
+                    chart, q = "main", rng.standard_normal(2)
+                    rng.standard_normal(2)  # the p draw, which the connection does not read
                     v = rng.standard_normal(2)
                     rng.standard_normal(2)  # the retired dp draw
-                a_q = connection_rep(model, quadrature_rep(ctx["basis"]), b, v)
-                a_r = connection_rep(model, ctx["rep"], b, v)
+                a_q = connection_rep(model, quadrature_rep(ctx["basis"]), chart, q, v)
+                a_r = connection_rep(model, ctx["rep"], chart, q, v)
                 worst = max(worst, np.linalg.norm(a_q - a_r, 2))
         assert worst <= 1e-8
 
     def test_anti_hermitian_linear_and_vertical_independent(self, ctx):
         rng = np.random.default_rng(32)
         for _ in range(20):
-            b, v = monopole_state(rng)
-            a_v = connection_rep(ctx["mono"], ctx["rep"], b, v)
+            chart, q, _, v = monopole_state(rng)
+            a_v = connection_rep(ctx["mono"], ctx["rep"], chart, q, v)
             assert np.linalg.norm(a_v + a_v.conj().T, 2) <= 1e-9
             v2 = rng.standard_normal(2)
             rng.standard_normal(2)  # the retired dp draw
             c1, c2 = rng.standard_normal(2)
-            lin = connection_rep(ctx["mono"], ctx["rep"], b, c1 * v + c2 * v2) \
-                - c1 * a_v - c2 * connection_rep(ctx["mono"], ctx["rep"], b, v2)
+            lin = connection_rep(ctx["mono"], ctx["rep"], chart, q, c1 * v + c2 * v2) \
+                - c1 * a_v - c2 * connection_rep(ctx["mono"], ctx["rep"], chart, q, v2)
             assert np.linalg.norm(lin, 2) <= 1e-9
             rng.standard_normal(2)  # the retired vertical shift
 
@@ -260,7 +254,7 @@ class TestQuadratureBatch:
         else:
             q = rng.uniform(-1, 1, (count, 2))
             chart = "gauged" if model.kind == "pure_gauge" else "main"
-        # p[:, 1] is the retired dp draw, kept so that the samples stay the same
+        # dq, then the (p, dp) draws that no connection reads, kept so that the samples stay the same
         return chart, q, rng.standard_normal((count, 2)), rng.standard_normal((count, 2, 2))
 
     @pytest.mark.parametrize("two_j", [1, 2, 4])
@@ -270,15 +264,29 @@ class TestQuadratureBatch:
         basis = build_basis(spec)
         model = builder(spec)
         rng = np.random.default_rng(40 + two_j)
-        chart, q, dq, p = self.states(model, rng, 24)
+        chart, q, dq, _ = self.states(model, rng, 24)
         batch = connection_rep_batch(model, quadrature_rep(basis), chart, q, dq)
         assert batch.shape == (24, spec.dim, spec.dim)
         for k in range(24):
-            b = BasePoint(chart, q[k], p[k, 0])
-            oracle = 1j * prequant_matrix(basis, orbit_function(model, b, dq[k]))
+            oracle = 1j * prequant_matrix(basis, orbit_function(model, chart, q[k], dq[k]))
             assert np.linalg.norm(batch[k] - oracle, 2) <= 1e-12
-            single = connection_rep(model, quadrature_rep(basis), b, dq[k])
+            single = connection_rep(model, quadrature_rep(basis), chart, q[k], dq[k])
             assert np.linalg.norm(single - oracle, 2) <= 1e-12
+
+    @pytest.mark.parametrize("two_j", [2, 8])
+    @pytest.mark.parametrize("builder", [monopole_model, constant_model, pure_gauge_model])
+    @pytest.mark.parametrize("route", [build_rep, quadrature_rep])
+    def test_single_point_is_its_batch_row(self, route, builder, two_j):
+        # A one-point batch is numpy's vector-matrix product, a larger one its matrix product: they
+        # may round a sum of three products apart, never by more than the rounding bound of the sum.
+        spec = OrbitSpec(two_j)
+        rep, model = route(build_basis(spec)), builder(spec)
+        chart, q, dq, _ = self.states(model, np.random.default_rng(60 + two_j), 64)
+        rows = connection_rep_batch(model, rep, chart, q, dq)
+        singles = np.array([connection_rep(model, rep, chart, q[k], dq[k]) for k in range(64)])
+        terms = np.abs(model.charts[chart].potential(q, dq)) @ np.abs(rep.matrices.reshape(3, -1).view(np.float64))
+        gap = np.abs(singles.reshape(64, -1).view(np.float64) - rows.reshape(64, -1).view(np.float64))
+        assert np.all(gap <= 3.0 * np.finfo(float).eps * terms)
 
     def test_non_anti_hermitian_value_rejected(self, ctx, monkeypatch):
         def skewed(basis, w):
@@ -407,22 +415,20 @@ class TestGaugeLaw:
         model = pure_gauge_model(ctx["spec"], rates=(0.0, 0.0))
         rng = np.random.default_rng(33)
         for _ in range(5):
-            b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
-            v = rng.standard_normal(2)
-            assert gauge_residual(model, ctx["basis"], ctx["quad"], b, v) <= 1e-10
+            q, v = rng.uniform(-1, 1, 2), rng.standard_normal(2)
+            assert gauge_residual(model, ctx["basis"], ctx["quad"], "flat", q, v) <= 1e-10
 
     def test_monopole_overlap(self, ctx):
         rng = np.random.default_rng(34)
         for _ in range(10):
-            b, v = monopole_state(rng, overlap=True)
-            assert gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], b, v) <= 1e-6
+            chart, q, _, v = monopole_state(rng, overlap=True)
+            assert gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], chart, q, v) <= 1e-6
 
     def test_pure_gauge(self, ctx):
         rng = np.random.default_rng(35)
         for _ in range(10):
-            b = BasePoint("flat", rng.uniform(-1, 1, 2), np.zeros(2))
-            v = rng.standard_normal(2)
-            assert gauge_residual(ctx["pure"], ctx["basis"], ctx["quad"], b, v) <= 1e-6
+            q, v = rng.uniform(-1, 1, 2), rng.standard_normal(2)
+            assert gauge_residual(ctx["pure"], ctx["basis"], ctx["quad"], "flat", q, v) <= 1e-6
 
     def test_monopole_law_resolved_past_the_stencil(self):
         # dX by Richardson: the residual reads the law, not a central difference's O(h^2) error
@@ -431,13 +437,13 @@ class TestGaugeLaw:
         model, rep = monopole_model(spec), build_rep(basis)
         rng = np.random.default_rng(34)
         for _ in range(10):
-            b, v = monopole_state(rng, overlap=True)
-            assert gauge_residual(model, basis, rep, b, v) <= 1e-9
+            chart, q, _, v = monopole_state(rng, overlap=True)
+            assert gauge_residual(model, basis, rep, chart, q, v) <= 1e-9
 
     def test_point_outside_overlap_rejected(self, ctx):
-        b = BasePoint("north", np.array([0.05, 0.0]), np.zeros(2))  # near north pole
+        q = np.array([0.05, 0.0])  # near north pole
         with pytest.raises(ChartError):
-            gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], b, np.array([1.0, 0.0]))
+            gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], "north", q, np.array([1.0, 0.0]))
 
     def test_data_consistency(self, ctx):
         assert verify_gauge_data(ctx["mono"], np.random.default_rng(36)) <= 1e-8
@@ -446,19 +452,18 @@ class TestGaugeLaw:
 
 class TestHorizontalLift:
     def test_zero_potential_flat_lift(self, ctx):
-        b = BasePoint("main", np.zeros(2), np.zeros(2))
-        fiber = horizontal_lift(ctx["triv"], b, np.array([1.0, -0.5]), ChartPoint(Chart.NORTH, 0.4j))
+        fiber = horizontal_lift(ctx["triv"], "main", np.zeros(2), np.array([1.0, -0.5]), ChartPoint(Chart.NORTH, 0.4j))
         assert np.allclose(fiber, 0.0)
 
     def test_equator_orthogonality(self, ctx):
         # defining property at the equator along the azimuthal direction
-        b = BasePoint("north", np.array([1.0, 0.0]), np.zeros(2))  # theta = pi/2
+        q, p = np.array([1.0, 0.0]), np.zeros(2)  # theta = pi/2
         v = np.array([0.0, 1.0])  # d/dphi
         rng = np.random.default_rng(37)
         for _ in range(100):
             f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
             xi = rng.standard_normal(2)
-            res = lift_orthogonality_residual(ctx["mono"], b, v, f, xi)
+            res = lift_orthogonality_residual(ctx["mono"], "north", q, p, v, f, xi)
             assert res <= 1e-8
 
     def test_random_states_both_models(self, ctx):
@@ -466,14 +471,14 @@ class TestHorizontalLift:
         for model in (ctx["mono"], ctx["const"]):
             for _ in range(20):
                 if model.kind == "monopole":
-                    b, v = monopole_state(rng)
+                    chart, q, p, v = monopole_state(rng)
                 else:
-                    b = BasePoint("main", rng.standard_normal(2), rng.standard_normal(2))
+                    chart, q, p = "main", rng.standard_normal(2), rng.standard_normal(2)
                     v = rng.standard_normal(2)
                     rng.standard_normal(2)  # the retired dp draw
                 f = ChartPoint(Chart.NORTH, complex(rng.normal(), rng.normal()))
                 xi = rng.standard_normal(2)
-                assert lift_orthogonality_residual(model, b, v, f, xi) <= 1e-8
+                assert lift_orthogonality_residual(model, chart, q, p, v, f, xi) <= 1e-8
 
     @pytest.mark.parametrize("name", ["triv", "const", "mono", "pure"])
     def test_total_potential_components(self, ctx, name):
@@ -484,37 +489,34 @@ class TestHorizontalLift:
         alpha = alpha_total_components(model, chart, q, p, z)
         pt = ChartPoint(Chart.NORTH, z)
         coeff = theta_dz(ctx["spec"], pt)
-        base = [p[k] + orbit_function(model, BasePoint(chart, q, p), np.eye(2)[k]).value(pt)
+        base = [p[k] + orbit_function(model, chart, q, np.eye(2)[k]).value(pt)
                 for k in range(2)]
         assert np.array_equal(alpha, np.array([*base, 0.0, 0.0, coeff, 1j * coeff]))
 
 
 class TestCurvature:
     def test_zero_potential(self, ctx):
-        b = BasePoint("main", np.zeros(2), np.zeros(2))
-        f = curvature(ctx["triv"], ctx["rep"], b, *np.eye(2))
+        f = curvature(ctx["triv"], ctx["rep"], "main", np.zeros(2), *np.eye(2))
         assert np.linalg.norm(f, 2) < 1e-12
 
     def test_pure_gauge_is_flat(self, ctx):
         rng = np.random.default_rng(39)
         for _ in range(5):
-            b = BasePoint("gauged", rng.uniform(-1, 1, 2), np.zeros(2))
-            f = curvature(ctx["pure"], ctx["rep"], b, *np.eye(2))
+            f = curvature(ctx["pure"], ctx["rep"], "gauged", rng.uniform(-1, 1, 2), *np.eye(2))
             assert np.linalg.norm(f, 2) <= 1e-6
 
     def test_constant_potential_commutator(self, ctx):
-        b = BasePoint("main", np.zeros(2), np.zeros(2))
-        f = curvature(ctx["const"], ctx["rep"], b, *np.eye(2))
+        f = curvature(ctx["const"], ctx["rep"], "main", np.zeros(2), *np.eye(2))
         rep = ctx["rep"].matrices
         comm = rep[1] @ rep[0] - rep[0] @ rep[1]
         assert np.linalg.norm(f - comm, 2) <= 1e-8
         assert np.linalg.norm(f, 2) > 0.1
 
     def test_antisymmetry(self, ctx):
-        b = BasePoint("main", np.array([0.2, 0.1]), np.zeros(2))
+        q = np.array([0.2, 0.1])
         v1, v2 = np.array([1, 0.3]), np.array([-0.2, 1])
-        f12 = curvature(ctx["const"], ctx["rep"], b, v1, v2)
-        f21 = curvature(ctx["const"], ctx["rep"], b, v2, v1)
+        f12 = curvature(ctx["const"], ctx["rep"], "main", q, v1, v2)
+        f21 = curvature(ctx["const"], ctx["rep"], "main", q, v2, v1)
         assert np.linalg.norm(f12 + f21, 2) <= 1e-9
 
 

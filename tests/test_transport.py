@@ -10,7 +10,6 @@ from fiberquant import scenario
 from fiberquant.errors import ChartError, InvalidArgument
 from fiberquant.fiberq import build_basis, spin_lift
 from fiberquant.gauge import (
-    BasePoint,
     ChartData,
     GaugeModel,
     LieAlgebraRep,
@@ -198,8 +197,7 @@ class TestMonopoleHolonomy:
         assert np.linalg.norm(a.unitary - b.unitary, 2) <= 1e-6
 
     def test_small_square_curvature_expansion(self, ctx):
-        base = BasePoint("main", np.zeros(2), np.zeros(2))
-        f_mat = curvature(ctx["const"], ctx["rep"], base, *np.eye(2))
+        f_mat = curvature(ctx["const"], ctx["rep"], "main", np.zeros(2), *np.eye(2))
 
         def square_holonomy(eps):
             w = np.eye(ctx["spec"].dim, dtype=complex)
