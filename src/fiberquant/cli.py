@@ -128,12 +128,12 @@ def _parse_vector(text: str, length: int, flag: str) -> np.ndarray:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # stray arguments, ambiguous prefixes: raised, not written to stderr
+    def error(self, message):  # stray arguments, flag prefixes: raised, not written to stderr
         raise argparse.ArgumentError(None, message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="fiberquant", add_help=False)
+    parser = _Parser(prog="fiberquant", add_help=False, allow_abbrev=False)  # a flag is only its full name
     parser.add_argument("command", choices=_COMMANDS)
     parser.add_argument("suite", nargs="?", default=None)
     parser.add_argument("--config", default=None)

@@ -228,10 +228,11 @@ def spin_lift(basis: FiberBasis, u: np.ndarray) -> np.ndarray:
 
 
 def quantize_transition(basis: FiberBasis, g: np.ndarray) -> np.ndarray:
-    """Unitary action X(g) of g in SU(2) on polarized sections (``spin_lift``),
-    checked to be unitary to 1e-9 in the Frobenius norm, which bounds the 2-norm from above."""
+    """X(g) (``spin_lift``) for each element of a stack g (..., 2, 2) in SU(2), shaped (..., n, n); a single
+    element is the stack of shape ().  Each lift is checked unitary to 1e-9 in the Frobenius norm, which
+    bounds the 2-norm from above; the message gives the worst element's deviation."""
     matrix = spin_lift(basis, check_special_unitary(g))
-    dev = np.linalg.norm(matrix.conj().T @ matrix - np.eye(basis.spec.dim))
-    if not dev <= 1e-9:
-        raise AccuracyFailure(f"quantized transition not unitary to tolerance (Frobenius norm {dev:.2e})")
+    dev = np.linalg.norm(matrix.conj().swapaxes(-1, -2) @ matrix - np.eye(basis.spec.dim), axis=(-2, -1))
+    if not np.all(dev <= 1e-9):
+        raise AccuracyFailure(f"quantized transition not unitary to tolerance (Frobenius norm {np.max(dev):.2e})")
     return matrix

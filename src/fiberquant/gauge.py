@@ -190,12 +190,15 @@ def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: n
     return (coeffs @ generators).view(complex).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])
 
 
-def _gauge_law_defect(a_here: np.ndarray, a_there: np.ndarray, g_at: Callable, q: np.ndarray, dq: np.ndarray) -> float:
-    """||a_there - (g a_here g^{-1} + (dg along dq) g^{-1})||_2 for the unitary g = g_at(q), dg by the
-    Richardson difference, whose truncation error, which grows with g's rate of change, is O(h^4)."""
-    g = g_at(q)
+def _gauge_law_defect(a_here: np.ndarray, a_there: np.ndarray, transition: Callable, lift: Callable,
+                      q: np.ndarray, dq: np.ndarray) -> float:
+    """||a_there - (g a_here g^{-1} + (dg along dq) g^{-1})||_2 for g = lift(transition(q)), dg by the Richardson
+    difference, whose truncation error, which grows with g's rate of change, is O(h^4).  ``lift`` maps a stack
+    (..., 2, 2) of SU(2) elements to their unitaries: it is called on g, then once on the stencil's four."""
+    g = lift(transition(q))
     g_inv = g.conj().T
-    dg = richardson_difference(lambda s: g_at(q + s * dq), 0.0, constants.FD_STEP_GAUGE)
+    stencil = lambda s: lift(np.array([transition(q + t * dq) for t in s]))
+    dg = richardson_difference(stencil, 0.0, constants.FD_STEP_GAUGE)
     return spectral_norm(a_there - (g @ a_here @ g_inv + dg @ g_inv))
 
 
@@ -215,7 +218,7 @@ def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, cha
     q_there, dq_there = overlap.convert(q, dq)
     return _gauge_law_defect(connection_rep(model, rep, chart, q, dq),
                              connection_rep(model, rep, target, q_there, dq_there),
-                             lambda x: quantize_transition(basis, overlap.transition(x)), q, dq)
+                             overlap.transition, lambda g: quantize_transition(basis, g), q, dq)
 
 
 def curvature(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, v1: np.ndarray,
@@ -321,7 +324,7 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
             dq = rng.standard_normal(2)
             xi_i = lift(model.charts[i].potential(q, dq))
             xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
-            worst = max(worst, _gauge_law_defect(xi_i, xi_j, overlap.transition, q, dq))
+            worst = max(worst, _gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq))
     return worst
 
 

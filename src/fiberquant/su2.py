@@ -31,14 +31,15 @@ def su2_exp(c: np.ndarray) -> np.ndarray:
 
 
 def check_special_unitary(g: np.ndarray) -> np.ndarray:
-    """g as a complex array, once it is a 2x2 unitary of determinant 1 to 1e-10."""
+    """g as a complex array, once every element of the stack g (..., 2, 2) is a unitary of determinant 1
+    to 1e-10; a single element is the stack of shape ()."""
     tol = 1e-10
     g = np.asarray(g, dtype=complex)
-    if g.shape != (2, 2):
+    if g.shape[-2:] != (2, 2):
         raise InvalidArgument(f"group element must be 2x2, got {g.shape}")
-    if not np.linalg.norm(g.conj().T @ g - np.eye(2)) <= tol:
+    if not np.all(np.linalg.norm(g.conj().swapaxes(-1, -2) @ g - np.eye(2), axis=(-2, -1)) <= tol):
         raise InvalidArgument("group element is not unitary")
-    if not abs(np.linalg.det(g) - 1.0) <= tol:
+    if not np.all(abs(np.linalg.det(g) - 1.0) <= tol):
         raise InvalidArgument("group element is not unimodular")
     return g
 

@@ -245,10 +245,11 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
     @pytest.mark.parametrize("argv", [["gram", "foo"], ["gram", "--bogus", "1"], ["verify", "all", "all"],
-                                      ["gram", "--s", "1"], ["gram", "-h"]])
+                                      ["gram", "--s", "1"], ["gram", "-h"], ["gram", "--sp", "2"]])
     def test_stray_arguments_exit_usage_quietly(self, argv):
         # a positional on a command other than verify, an unknown flag, a second positional,
-        # an ambiguous flag prefix, and help after a command: USAGE on stdout, nothing on stderr
+        # an ambiguous flag prefix, help after a command, and a prefix of one flag only (flags are not
+        # abbreviated): USAGE on stdout, nothing on stderr
         import fiberquant
 
         src = os.path.dirname(os.path.dirname(fiberquant.__file__))

@@ -1,6 +1,7 @@
 import importlib
 import inspect
 import pkgutil
+import re
 import warnings
 from functools import lru_cache
 from math import comb
@@ -31,7 +32,7 @@ from fiberquant.orbit import (
     moment_hamiltonian,
     squared_hamiltonian,
 )
-from fiberquant.su2 import random_su2, su2_exp
+from fiberquant.su2 import check_special_unitary, random_su2, su2_exp
 
 
 def spin_matrices(two_j: int):
@@ -260,6 +261,16 @@ class TestQuantizedTransitions:
         with pytest.raises(AccuracyFailure, match="Frobenius norm 1.13e-09"):
             quantize_transition(basis, np.eye(2, dtype=complex))
 
+    def test_unitarity_guard_reads_the_frobenius_norm_on_a_stack(self, monkeypatch):
+        # the same lift, once in a stack of four: the same message
+        basis = build_basis(OrbitSpec(2))
+        fiberq_module = importlib.import_module("fiberquant.fiberq")
+        off = np.diag([1.0, 1.0 + 4e-10, 1.0 + 4e-10])
+        lifts = lambda basis, g: np.stack([np.eye(3), np.eye(3), off, np.eye(3)])
+        monkeypatch.setattr(fiberq_module, "spin_lift", lifts)
+        with pytest.raises(AccuracyFailure, match="Frobenius norm 1.13e-09"):
+            quantize_transition(basis, np.broadcast_to(np.eye(2, dtype=complex), (4, 2, 2)))
+
     @pytest.mark.parametrize("g", [np.full((2, 2), np.nan, dtype=complex),
                                    np.array([[np.nan, 0], [0, 1]], dtype=complex)])
     def test_non_finite_group_element_rejected(self, g):
@@ -281,6 +292,48 @@ class TestQuantizedTransitions:
             minus = quantize_transition(basis, su2_exp(-h * unit))
             deriv = (plus - minus) / (2 * h)
             assert np.linalg.norm(deriv - expected[axis], 2) < 1e-9
+
+
+def su2_stack(shape, seed=75):
+    rng = np.random.default_rng(seed)
+    return np.array([random_su2(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (2, 2))
+
+
+class TestStackedTransitions:
+    """``check_special_unitary`` and ``quantize_transition`` on stacks (..., 2, 2): one implementation,
+    a single element being the stack of shape ()."""
+
+    @pytest.mark.parametrize("shape", [(), (5,), (2, 3)])
+    def test_stacked_equals_single_bit_for_bit(self, shape):
+        basis = build_basis(OrbitSpec(4))
+        stack = su2_stack(shape)
+        lifted, checked = quantize_transition(basis, stack), check_special_unitary(stack)
+        assert lifted.shape == shape + (5, 5) and checked.shape == shape + (2, 2)
+        for idx in np.ndindex(*shape):
+            assert np.array_equal(lifted[idx], quantize_transition(basis, stack[idx]))
+            assert np.array_equal(checked[idx], check_special_unitary(stack[idx]))
+
+    @pytest.mark.parametrize("bad", [np.array([[1.0, 1e-6], [0.0, 1.0]]), np.exp(0.1j) * np.eye(2),
+                                     np.array([[np.nan, 0.0], [0.0, 1.0]])],
+                             ids=["non-unitary", "non-unimodular", "nan"])
+    def test_one_bad_element_rejects_the_stack(self, bad):
+        basis = build_basis(OrbitSpec(2))
+        with pytest.raises(InvalidArgument) as single:
+            quantize_transition(basis, bad)
+        stack = su2_stack((2, 3))
+        stack[1, 2] = bad
+        for call in (check_special_unitary, lambda g: quantize_transition(basis, g)):
+            with pytest.raises(InvalidArgument) as stacked:
+                call(stack)
+            assert str(stacked.value) == str(single.value)
+
+    @pytest.mark.parametrize("shape", [(2, 3), (5, 2, 3), (5, 3, 3), (2,)])
+    def test_wrong_trailing_shape_rejected(self, shape):
+        with pytest.raises(InvalidArgument, match=re.escape(f"group element must be 2x2, got {shape}")):
+            quantize_transition(build_basis(OrbitSpec(1)), np.zeros(shape, dtype=complex))
+
+    def test_empty_stack(self):
+        assert quantize_transition(build_basis(OrbitSpec(3)), np.zeros((0, 2, 2), dtype=complex)).shape == (0, 4, 4)
 
 
 def convolution_lift(basis, g):

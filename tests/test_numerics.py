@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fiberquant.errors import InvalidArgument
+from fiberquant.fiberq import build_basis, quantize_transition
 from fiberquant.numerics import (
     central_difference,
     gauss_legendre,
@@ -11,6 +12,8 @@ from fiberquant.numerics import (
     spectral_norm,
     sphere_rule,
 )
+from fiberquant.orbit import OrbitSpec
+from fiberquant.su2 import su2_exp
 
 
 class TestGaussLegendre:
@@ -137,6 +140,33 @@ class TestRichardsonDifference:
         # at h = 1e-2 the central difference of exp is off by h^2/6; Richardson by h^4/480
         assert abs(central_difference(np.exp, 0.0, 1e-2) - 1.0) > 1e-5
         assert abs(richardson_difference(np.exp, 0.0, 1e-2) - 1.0) <= 1e-9
+
+    @staticmethod
+    def two_central_differences(f, x, h):
+        return (4.0 * central_difference(f, x, 0.5 * h) - central_difference(f, x, h)) / 3.0
+
+    @pytest.mark.parametrize("x,h", [(0.0, 1e-2), (0.3, 1e-4), (-1.7, 0.25)])
+    def test_one_stacked_call_equals_two_central_differences_on_exp(self, x, h):
+        assert richardson_difference(np.exp, x, h) == self.two_central_differences(np.exp, x, h)
+
+    def test_one_stacked_call_equals_two_central_differences_on_a_transition_stencil(self):
+        # the gauge-law stencil: quantized transitions along a one-parameter path, stacked or one at a time
+        basis = build_basis(OrbitSpec(3))
+        c = np.array([0.4, -1.1, 0.7])
+        calls = []
+
+        def transitions(s):
+            calls.append(np.shape(s))
+            g = np.reshape([su2_exp((0.2 + t) * c) for t in np.ravel(s)], np.shape(s) + (2, 2))
+            return quantize_transition(basis, g)
+
+        stacked = richardson_difference(transitions, 0.0, 1e-4)
+        assert calls == [(4,)]
+        assert np.array_equal(stacked, self.two_central_differences(transitions, 0.0, 1e-4))
+
+    def test_bad_step_rejected(self):
+        with pytest.raises(InvalidArgument):
+            richardson_difference(np.sin, 0.0, 0.0)
 
 
 def test_kernels_are_deterministic():

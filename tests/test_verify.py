@@ -2,11 +2,15 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from fiberquant import verify
 from fiberquant.errors import FiberquantError
+from fiberquant.fiberq import build_basis, prequant_matrix, quantize_transition
+from fiberquant.orbit import OrbitSpec, moment_hamiltonian
 from fiberquant.scenario import CHECKS, default_scenario
+from fiberquant.su2 import random_su2
 from fiberquant.verify import run_suite
 
 
@@ -110,3 +114,53 @@ class TestCheckTable:
         floors = dict(re.findall(r"`([\w.]+)`\s+>=\s+([\d.e+-]+)", section))
         assert {row: float(v) for row, v in floors.items()} == {
             row: bound for row, (key, bound) in CHECKS.items() if key is None}
+
+
+def per_sample_fiber_rows() -> dict:
+    """The Dirac and transition rows of ``suite_fiber``, one sample at a time, from the suite's seed and draws."""
+    rng = np.random.default_rng(202)
+    rng.standard_normal((4 * 5, 3))  # the hermiticity rows' 5 directions at each of 4 spins
+    worst = 0.0
+    for two_j in (1, 2, 3, 4, 5):
+        spec = OrbitSpec(two_j)
+        basis = build_basis(spec)
+        ops = [prequant_matrix(basis, moment_hamiltonian(spec, e)) for e in np.eye(3)]
+        for _ in range(20):
+            a = rng.standard_normal(3)
+            b = rng.standard_normal(3)
+            oa = np.einsum("k,kij->ij", a, np.array(ops))
+            ob = np.einsum("k,kij->ij", b, np.array(ops))
+            oc = np.einsum("k,kij->ij", np.cross(a, b), np.array(ops))
+            comm = oa @ ob - ob @ oa
+            worst = max(worst, float(np.linalg.norm(comm - (-1j) * oc, 2)))
+    rows = {"fiber.dirac_condition": worst}
+    worst_hom = 0.0
+    worst_uni = 0.0
+    for two_j in (1, 2, 3):
+        spec = OrbitSpec(two_j)
+        basis = build_basis(spec)
+        for _ in range(34):
+            g1 = random_su2(rng)
+            g2 = random_su2(rng)
+            x1 = quantize_transition(basis, g1)
+            x2 = quantize_transition(basis, g2)
+            x12 = quantize_transition(basis, g1 @ g2)
+            worst_hom = max(worst_hom, float(np.linalg.norm(x12 - x1 @ x2, 2)))
+            worst_uni = max(worst_uni, float(np.linalg.norm(x1.conj().T @ x1 - np.eye(spec.dim), 2)))
+    rows["fiber.transition_homomorphism"] = worst_hom
+    rows["fiber.transition_unitarity"] = worst_uni
+    return rows
+
+
+class TestStackedFiberRows:
+    def test_stacked_rows_equal_the_per_sample_loops(self):
+        rows = verify.suite_fiber(2)
+        expected = per_sample_fiber_rows()
+        assert {name: rows[name] for name in expected} == expected
+
+    def test_one_quantize_call_per_spin_and_operand(self, monkeypatch):
+        # 3 spins x (g1, g2, g1 g2), each a stack of 34; a per-sample loop would make 3 x 34 x 3 = 306 calls
+        shapes, lift = [], verify.quantize_transition
+        monkeypatch.setattr(verify, "quantize_transition", lambda basis, g: shapes.append(g.shape) or lift(basis, g))
+        verify.suite_fiber(2)
+        assert shapes == [(34, 2, 2)] * 9
