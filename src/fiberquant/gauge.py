@@ -97,7 +97,8 @@ class ChartData:
 @dataclass(frozen=True)
 class Overlap:
     """Ordered chart pair (i, j): the transition g(q) in SU(2) at the chart-i point q,
-    and the change of coordinates (q, dq) -> (q', dq') of a base point and tangent."""
+    and the change of coordinates (q, dq) -> (q', dq') of a base point and tangent; both take
+    stacks, ``transition`` mapping points (..., 2) to elements (..., 2, 2)."""
 
     transition: Callable[[np.ndarray], np.ndarray]
     convert: Callable[[np.ndarray, np.ndarray], tuple]
@@ -191,34 +192,41 @@ def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: n
 
 
 def _gauge_law_defect(a_here: np.ndarray, a_there: np.ndarray, transition: Callable, lift: Callable,
-                      q: np.ndarray, dq: np.ndarray) -> float:
+                      q: np.ndarray, dq: np.ndarray) -> float | np.ndarray:
     """||a_there - (g a_here g^{-1} + (dg along dq) g^{-1})||_2 for g = lift(transition(q)), dg by the Richardson
-    difference, whose truncation error, which grows with g's rate of change, is O(h^4).  ``lift`` maps a stack
-    (..., 2, 2) of SU(2) elements to their unitaries: it is called on g, then once on the stencil's four."""
+    difference, whose truncation error, which grows with g's rate of change, is O(h^4).  q and dq are stacks (..., 2),
+    a_here and a_there (..., n, n), the defects (...), inf where not finite (``spectral_norm``).  ``lift`` maps SU(2)
+    stacks (..., 2, 2) to their unitaries; it and ``transition`` are called on g, then once on every stencil point."""
     g = lift(transition(q))
-    g_inv = g.conj().T
-    stencil = lambda s: lift(np.array([transition(q + t * dq) for t in s]))
+    g_inv = g.conj().swapaxes(-1, -2)
+    stencil = lambda s: lift(transition(q + np.multiply.outer(s, dq)))
     dg = richardson_difference(stencil, 0.0, constants.FD_STEP_GAUGE)
     return spectral_norm(a_there - (g @ a_here @ g_inv + dg @ g_inv))
 
 
 def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, chart: str, q: np.ndarray,
-                   dq: np.ndarray) -> float:
-    """Defect of the gauge transformation law across the overlap at the chart point q (ChartError outside it).
+                   dq: np.ndarray) -> float | np.ndarray:
+    """Defects (...) of the gauge transformation law across the overlap at the chart points q (..., 2) along dq
+    (..., 2); a float for one point, the stack of shape ().  ChartError if any point lies outside the overlap.
 
     Compares A in the neighbour chart against
     X A X^{-1} + (dX along dq) X^{-1}, with A the connection of ``rep`` and
     X the quantized transition: the law ``verify_gauge_data`` checks on the
-    2x2 potentials, here on the quantum fiber.
+    2x2 potentials, here on the quantum fiber.  A is the single-point
+    ``connection_rep`` of each point; X is one stacked ``_gauge_law_defect``.
     """
     target = model.other_chart(chart)
     if target is None:
         raise ChartError(f"chart {chart!r} has no registered overlap")
     overlap = model.overlaps[(chart, target)]
-    q_there, dq_there = overlap.convert(q, dq)
-    return _gauge_law_defect(connection_rep(model, rep, chart, q, dq),
-                             connection_rep(model, rep, target, q_there, dq_there),
-                             overlap.transition, lambda g: quantize_transition(basis, g), q, dq)
+    q, dq = np.asarray(q, dtype=float), np.asarray(dq, dtype=float)
+    here, there = [], []
+    for x, v in zip(q.reshape(-1, 2), dq.reshape(-1, 2)):
+        here.append(connection_rep(model, rep, chart, x, v))
+        there.append(connection_rep(model, rep, target, *overlap.convert(x, v)))
+    shape = q.shape[:-1] + rep.matrices.shape[1:]
+    return _gauge_law_defect(np.reshape(here, shape), np.reshape(there, shape), overlap.transition,
+                             lambda g: quantize_transition(basis, g), q, dq)
 
 
 def curvature(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, v1: np.ndarray,
@@ -312,19 +320,23 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
 
     Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1}, potentials lifted to
     matrices, on 12 sampled points per overlap (ConfigurationError if none
-    is found); returns the worst absolute defect.
+    is found); returns the worst absolute defect.  Points are drawn and
+    converted one at a time (a stacked complex product rounds otherwise),
+    then checked by one stacked ``_gauge_law_defect`` call per overlap.
     """
     lift = lambda c: np.einsum("...a,aij->...ij", c, TAU)
     worst = 0.0
     for (i, j), overlap in model.overlaps.items():
-        for _ in range(12):
-            q = _sample_overlap_point(model, i, j, rng)
-            if q is None:
+        q, dq, q_j, dq_j = np.empty((4, 12, 2))
+        for k in range(12):
+            point = _sample_overlap_point(model, i, j, rng)
+            if point is None:
                 raise ConfigurationError(f"overlap ({i!r}, {j!r}): no sampled point lies in both charts")
-            dq = rng.standard_normal(2)
-            xi_i = lift(model.charts[i].potential(q, dq))
-            xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
-            worst = max(worst, _gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq))
+            q[k], dq[k] = point, rng.standard_normal(2)
+            q_j[k], dq_j[k] = overlap.convert(q[k], dq[k])
+        xi_i = lift(model.charts[i].potential(q, dq))
+        xi_j = lift(model.charts[j].potential(q_j, dq_j))
+        worst = max(worst, float(np.max(_gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq))))
     return worst
 
 
@@ -424,8 +436,8 @@ def monopole_model(spec: OrbitSpec, strength: int = 1) -> GaugeModel:
         return q[..., 0] ** 2 + q[..., 1] ** 2 - _SPHERE_CHART_RADIUS_SQ
 
     def transition(q: np.ndarray) -> np.ndarray:
-        phi = np.arctan2(q[1], q[0])
-        return su2_exp(np.array([0.0, 0.0, -2.0 * strength * phi]))
+        phi = np.arctan2(q[..., 1], q[..., 0])
+        return su2_exp(np.stack([np.zeros_like(phi), np.zeros_like(phi), -2.0 * strength * phi], -1))
 
     chart = ChartData(potential, boundary)
     overlap = Overlap(transition, _sphere_convert)
@@ -444,7 +456,8 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1)) -> GaugeModel:
     r1, r2 = float(rates[0]), float(rates[1])
 
     def gauge(q: np.ndarray) -> np.ndarray:
-        return su2_exp(np.array([r1 * q[0], 0.0, 0.0])) @ su2_exp(np.array([0.0, r2 * q[1], 0.0]))
+        zero = np.zeros(np.shape(q)[:-1])
+        return su2_exp(np.stack([r1 * q[..., 0], zero, zero], -1)) @ su2_exp(np.stack([zero, r2 * q[..., 1], zero], -1))
 
     def potential(q: np.ndarray, dq: np.ndarray) -> np.ndarray:
         # (dg) g^{-1} = r1 tau_1 dq1 + r2 Ad_{exp(r1 q1 tau_1)} tau_2 dq2, and
@@ -460,6 +473,6 @@ def pure_gauge_model(spec: OrbitSpec, rates=(0.7, 1.1)) -> GaugeModel:
         charts={"flat": ChartData(_ZERO_POTENTIAL), "gauged": ChartData(potential)},
         overlaps={
             ("flat", "gauged"): Overlap(gauge, same),
-            ("gauged", "flat"): Overlap(lambda q: gauge(q).conj().T, same),
+            ("gauged", "flat"): Overlap(lambda q: gauge(q).conj().swapaxes(-1, -2), same),
         },
     )

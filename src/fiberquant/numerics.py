@@ -116,9 +116,12 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
     return result
 
 
-def spectral_norm(m: np.ndarray) -> float:
-    """Largest singular value of m; inf when an entry is not finite, where the SVD would not converge."""
-    return float(np.linalg.norm(m, 2)) if np.all(np.isfinite(m)) else np.inf
+def spectral_norm(m: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of each matrix of the stack m (..., rows, cols), a float for one matrix; inf for each
+    one with an entry that is not finite, where the SVD would not converge."""
+    finite = np.all(np.isfinite(m), axis=(-2, -1))
+    norms = np.where(finite, np.linalg.norm(np.where(finite[..., None, None], m, 0.0), 2, axis=(-2, -1)), np.inf)
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def central_difference(f, x: float, h: float):

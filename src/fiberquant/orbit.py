@@ -99,8 +99,9 @@ def embed_gradient(spec: OrbitSpec, pt: ChartPoint) -> np.ndarray:
 
 
 def chart_transition(pt: ChartPoint) -> ChartPoint:
-    """Switch chart via z -> 1/z; the embedded point is unchanged."""
-    if pt.z == 0:
+    """Switch chart via z -> 1/z, for a point or a block of points; the embedded points are unchanged.
+    PoleNotInOverlap if any z is 0."""
+    if np.any(pt.z == 0):
         raise PoleNotInOverlap("z = 0 is not in the chart overlap")
     other = Chart.SOUTH if pt.chart is Chart.NORTH else Chart.NORTH
     return ChartPoint(other, 1.0 / pt.z)

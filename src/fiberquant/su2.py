@@ -20,14 +20,17 @@ TAU = -0.5j * PAULI
 
 
 def su2_exp(c: np.ndarray) -> np.ndarray:
-    """exp(sum_a c_a TAU[a]) in closed form, c a real 3-vector."""
+    """exp(sum_a c_a TAU[a]) in closed form for each real 3-vector of the stack c (..., 3), shaped (..., 2, 2); a single
+    vector is the stack of shape (), and one of norm below 1e-300 gives the identity.  The norm sqrt(vecdot(c, c))
+    rounds as ``np.linalg.norm`` of one vector, so a stack is bit-identical to its single calls."""
     c = np.asarray(c, dtype=float)
-    angle = np.linalg.norm(c)
-    if angle < 1e-300:
-        return np.eye(2, dtype=complex)
-    axis = c / angle
-    sigma_n = np.einsum("a,aij->ij", axis, PAULI)
-    return np.cos(angle / 2.0) * np.eye(2) - 1.0j * np.sin(angle / 2.0) * sigma_n
+    angle = np.sqrt(np.vecdot(c, c))
+    identity = angle < 1e-300
+    axis = c / np.where(identity, 1.0, angle)[..., None]
+    sigma_n = np.einsum("...a,aij->...ij", axis, PAULI)
+    half = (angle / 2.0)[..., None, None]
+    g = np.cos(half) * np.eye(2) - 1.0j * np.sin(half) * sigma_n
+    return np.where(identity[..., None, None], np.eye(2, dtype=complex), g)
 
 
 def check_special_unitary(g: np.ndarray) -> np.ndarray:

@@ -76,13 +76,25 @@ class CheckResult:
         return self.value <= self.tolerance
 
 
-def _random_point(rng, scale: float = 1.2) -> ChartPoint:
-    z = complex(rng.normal(scale=scale), rng.normal(scale=scale))
-    return ChartPoint(Chart.NORTH, z)
+def _random_points(normals: np.ndarray) -> ChartPoint:
+    """The north-chart points z = 1.2 (x + iy) of standard normals (..., 2); one point for the shape (2,)."""
+    return ChartPoint(Chart.NORTH, 1.2 * normals[..., 0] + 1j * (1.2 * normals[..., 1]))
+
+
+def _complex_difference(f, h: float):
+    """``central_difference`` of a complex stack by its real and imaginary parts, each divided by 2h as a
+    Python complex is, so that a stacked stencil rounds like the per-sample one."""
+    return central_difference(lambda s: f(s).view(float), 0.0, h).view(complex)
+
+
+def _rowdot(u: np.ndarray, v: np.ndarray):
+    """u . v over the leading (component) axis, per sample; ``np.vecdot`` rounds as ``np.dot`` of each pair."""
+    return np.vecdot(np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1))
 
 
 def suite_orbit(_two_j: int) -> dict[str, float]:
-    """Orbit rows, at fixed spins."""
+    """Orbit rows, at fixed spins.  Each sampled row draws its samples as one ``rng.standard_normal((n, k))``
+    block, the stream of a per-sample loop, and evaluates the orbit kernels once on the whole block."""
     rng = np.random.default_rng(101)
     rows = {}
 
@@ -94,46 +106,30 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
     rows["orbit.area_oracle"] = worst_area
 
     spec = OrbitSpec(2)
-    worst = 0.0
-    for _ in range(100):
-        a = rng.standard_normal(3)
-        w = moment_hamiltonian(spec, a)
-        pt = _random_point(rng)
-        xi = rng.standard_normal(2)
-        field = hamiltonian_field(spec, w, pt)
-        lhs = symplectic_form_at(spec, pt, field, xi)
-        grad = w.chart_gradient(pt)
-        worst = max(worst, abs(lhs + float(np.dot(grad, xi))))
-    rows["orbit.hamiltonian_field_identity"] = worst
+    a, xy, xi = np.split(rng.standard_normal((100, 7)), [3, 5], axis=1)
+    w = moment_hamiltonian(spec, a.T)
+    pt = _random_points(xy)
+    lhs = symplectic_form_at(spec, pt, hamiltonian_field(spec, w, pt), xi.T)
+    rows["orbit.hamiltonian_field_identity"] = float(np.max(np.abs(lhs + _rowdot(w.chart_gradient(pt), xi.T))))
     rows["orbit.potential_lie_chain"] = _lie_chain_residual(spec, rng)
 
-    worst = 0.0
-    for _ in range(50):
-        a = rng.standard_normal(3)
-        w = moment_hamiltonian(spec, a)
-        pt = _random_point(rng)
-        other = chart_transition(pt)
-        worst = max(worst, abs(w.value(pt) - w.value(other)))
-    rows["orbit.chart_covariance"] = worst
+    a, xy = np.split(rng.standard_normal((50, 5)), [3], axis=1)
+    w = moment_hamiltonian(spec, a.T)
+    pt = _random_points(xy)
+    rows["orbit.chart_covariance"] = float(np.max(np.abs(w.value(pt) - w.value(chart_transition(pt)))))
 
     worst = 0.0
     for two_j in (1, 2, 3, 4):
         spec_j = OrbitSpec(two_j)
-        for _ in range(25):
-            a = rng.standard_normal(3)
-            b = rng.standard_normal(3)
-            pt = _random_point(rng)
-            bracket = poisson_bracket(spec_j, moment_hamiltonian(spec_j, a),
-                                      moment_hamiltonian(spec_j, b), pt)
-            expected = moment_hamiltonian(spec_j, np.cross(a, b)).value(pt)
-            worst = max(worst, abs(bracket - expected))
+        a, b, xy = np.split(rng.standard_normal((25, 8)), [3, 6], axis=1)
+        pt = _random_points(xy)
+        bracket = poisson_bracket(spec_j, moment_hamiltonian(spec_j, a.T), moment_hamiltonian(spec_j, b.T), pt)
+        expected = moment_hamiltonian(spec_j, np.cross(a, b).T).value(pt)
+        worst = max(worst, float(np.max(np.abs(bracket - expected))))
     rows["orbit.poisson_sign_global"] = worst
 
-    worst = 0.0
-    for _ in range(100):
-        pt = _random_point(rng)
-        worst = max(worst, abs(np.linalg.norm(embed_point(spec, pt)) - spec.j))
-    rows["orbit.embed_radius"] = worst
+    embedded = embed_point(spec, _random_points(rng.standard_normal((100, 2))))
+    rows["orbit.embed_radius"] = float(np.max(np.abs(np.sqrt(_rowdot(embedded, embedded)) - spec.j)))
     rows["orbit.potential_curvature"] = _curl_vs_form_residual(spec, rng)
     return rows
 
@@ -142,56 +138,42 @@ def _lie_chain_residual(spec: OrbitSpec, rng) -> float:
     """The one-form identity behind the field definition, via stencils.
 
     Checks Omega(H_w, xi) = H_w<theta, xi> - xi<theta, H_w> - <theta,[H_w, xi]>
-    for constant chart fields xi.
+    for constant chart fields xi, on a block of 25 samples.
     """
-    worst = 0.0
-    for _ in range(25):
-        a = rng.standard_normal(3)
-        w = moment_hamiltonian(spec, a)
-        pt = _random_point(rng)
-        xi = rng.standard_normal(2)
+    a, xy, xi = np.split(rng.standard_normal((25, 7)), [3, 5], axis=1)
+    w = moment_hamiltonian(spec, a.T)
+    pt = _random_points(xy)
+    xi = xi.T
 
-        def theta_pair(point: ChartPoint, vec) -> complex:
-            return complex(np.dot(kahler_potential_at(spec, point), vec))
+    def theta_pair(point: ChartPoint, vec) -> np.ndarray:
+        return _rowdot(vec.astype(complex), kahler_potential_at(spec, point))
 
-        def field_at(point: ChartPoint) -> np.ndarray:
-            return hamiltonian_field(spec, w, point)
+    def field_at(point: ChartPoint) -> np.ndarray:
+        return hamiltonian_field(spec, w, point)
 
-        hw = field_at(pt)
+    def shift(direction, step) -> ChartPoint:
+        return ChartPoint(pt.chart, pt.z + step * (direction[0] + 1j * direction[1]))
 
-        def shift(point: ChartPoint, direction, step) -> ChartPoint:
-            return ChartPoint(point.chart, point.z + step * (direction[0] + 1j * direction[1]))
-
-        # <theta, H_w> is a function of the point through both factors.
-        def theta_dot_field(point: ChartPoint) -> complex:
-            return theta_pair(point, field_at(point))
-
-        d_hw = central_difference(lambda s: theta_pair(shift(pt, hw, s), xi), 0.0, 1e-5)
-        d_xi = central_difference(lambda s: theta_dot_field(shift(pt, xi, s)), 0.0, 1e-5)
-        # [H_w, xi] = -(D H_w) xi for constant xi, by stencil on the field.
-        jac_xi = central_difference(lambda s: field_at(shift(pt, xi, s)), 0.0, 1e-5)
-        commutator = -jac_xi
-        lhs = symplectic_form_at(spec, pt, hw, xi)
-        rhs = d_hw - d_xi - theta_pair(pt, commutator)
-        worst = max(worst, abs(lhs - rhs))
-    return worst
+    hw = field_at(pt)
+    d_hw = _complex_difference(lambda s: theta_pair(shift(hw, s), xi), 1e-5)
+    # <theta, H_w> is a function of the point through both factors.
+    d_xi = _complex_difference(lambda s: theta_pair(shift(xi, s), field_at(shift(xi, s))), 1e-5)
+    # [H_w, xi] = -(D H_w) xi for constant xi, by stencil on the field.
+    commutator = -central_difference(lambda s: field_at(shift(xi, s)), 0.0, 1e-5)
+    lhs = symplectic_form_at(spec, pt, hw, xi)
+    return float(np.max(np.abs(lhs - (d_hw - d_xi - theta_pair(pt, commutator)))))
 
 
 def _curl_vs_form_residual(spec: OrbitSpec, rng) -> float:
-    worst = 0.0
-    for _ in range(100):
-        pt = _random_point(rng)
+    pt = _random_points(rng.standard_normal((100, 2)))
 
-        def comp(point: ChartPoint, k: int) -> complex:
-            return complex(kahler_potential_at(spec, point)[k])
+    def comp(z, k: int) -> np.ndarray:
+        return kahler_potential_at(spec, ChartPoint(pt.chart, z))[k]
 
-        z = pt.z
-        d_x_theta_y = central_difference(lambda s: comp(ChartPoint(pt.chart, z + s), 1), 0.0, 1e-5)
-        d_y_theta_x = central_difference(lambda s: comp(ChartPoint(pt.chart, z + 1j * s), 0), 0.0, 1e-5)
-        curl = d_x_theta_y - d_y_theta_x
-        expected = symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))
-        worst = max(worst, abs(curl - expected))
-    return worst
+    d_x_theta_y = _complex_difference(lambda s: comp(pt.z + s, 1), 1e-5)
+    d_y_theta_x = _complex_difference(lambda s: comp(pt.z + 1j * s, 0), 1e-5)
+    expected = symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))
+    return float(np.max(np.abs(d_x_theta_y - d_y_theta_x - expected)))
 
 
 def suite_fiber(_two_j: int) -> dict[str, float]:
@@ -300,20 +282,18 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     rows["gauge.anti_hermiticity"] = worst_ah
     rows["gauge.linearity"] = worst_lin
 
-    worst = 0.0
-    for _ in range(10):
-        chart, q, _, v = _sample_state(mono, rng, overlap=True)
-        worst = max(worst, gauge_residual(mono, basis, quad_rep, chart, q, v))
-    for _ in range(10):
-        q = rng.uniform(-1, 1, size=2)
-        worst = max(worst, gauge_residual(pure, basis, quad_rep, "flat", q, rng.standard_normal(2)))
-    rows["gauge.transformation_law"] = worst
+    # drawn one sample at a time, then checked by one stacked gauge_residual call per model
+    charts, mono_q, _, mono_v = zip(*(_sample_state(mono, rng, overlap=True) for _ in range(10)))
+    pure_q, pure_v = zip(*((rng.uniform(-1, 1, size=2), rng.standard_normal(2)) for _ in range(10)))
+    rows["gauge.transformation_law"] = float(max(
+        np.max(gauge_residual(mono, basis, quad_rep, charts[0], np.array(mono_q), np.array(mono_v))),
+        np.max(gauge_residual(pure, basis, quad_rep, "flat", np.array(pure_q), np.array(pure_v)))))
 
     worst = 0.0
     for model in (mono, const):
         for _ in range(10):
             chart, q, p, v = _sample_state(model, rng)
-            f = _random_point(rng)
+            f = _random_points(rng.standard_normal(2))
             xi = rng.standard_normal(2)
             worst = max(worst, lift_orthogonality_residual(model, chart, q, p, v, f, xi))
     rows["gauge.lift_orthogonality"] = worst

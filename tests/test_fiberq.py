@@ -32,7 +32,7 @@ from fiberquant.orbit import (
     moment_hamiltonian,
     squared_hamiltonian,
 )
-from fiberquant.su2 import check_special_unitary, random_su2, su2_exp
+from fiberquant.su2 import PAULI, check_special_unitary, random_su2, su2_exp
 
 
 def spin_matrices(two_j: int):
@@ -334,6 +334,45 @@ class TestStackedTransitions:
 
     def test_empty_stack(self):
         assert quantize_transition(build_basis(OrbitSpec(3)), np.zeros((0, 2, 2), dtype=complex)).shape == (0, 4, 4)
+
+
+def su2_exp_of_one_vector(c):
+    """The closed form of one vector, its angle ``np.linalg.norm(c)``: the formula ``su2_exp`` must round as."""
+    angle = np.linalg.norm(c)
+    if angle < 1e-300:
+        return np.eye(2, dtype=complex)
+    sigma_n = np.einsum("a,aij->ij", c / angle, PAULI)
+    return np.cos(angle / 2.0) * np.eye(2) - 1.0j * np.sin(angle / 2.0) * sigma_n
+
+
+class TestStackedSu2Exp:
+    """``su2_exp`` on a stack (..., 3) equals its single calls, and the one-vector closed form, bit for bit."""
+
+    @staticmethod
+    def assert_stack_is_its_single_calls(c):
+        stacked = su2_exp(c)
+        for one in (su2_exp, su2_exp_of_one_vector):
+            single = np.array([one(v) for v in c.reshape(-1, 3)]).reshape(c.shape[:-1] + (2, 2))
+            assert np.array_equal(stacked, single)
+            assert stacked.tobytes() == single.tobytes()  # the signs of zero entries too
+
+    def test_general_axes(self):
+        rng = np.random.default_rng(76)
+        c = rng.standard_normal((10**4, 3)) * rng.choice([1e-3, 1.0, 30.0], size=(10**4, 1))
+        self.assert_stack_is_its_single_calls(c)
+        self.assert_stack_is_its_single_calls(c[:12].reshape(3, 4, 3))
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_single_axes(self, axis):
+        c = np.zeros((200, 3))
+        c[:, axis] = np.random.default_rng(77 + axis).uniform(-8.0, 8.0, size=200)
+        self.assert_stack_is_its_single_calls(c)
+
+    def test_zero_vector_is_the_identity_inside_a_stack(self):
+        c = np.array([[0.3, -0.2, 0.9], [0.0, 0.0, 0.0], [0.0, -0.0, 1e-310], [0.0, 0.0, 2.0]])
+        self.assert_stack_is_its_single_calls(c)
+        assert np.array_equal(su2_exp(c)[1:3], np.array([np.eye(2, dtype=complex)] * 2))
+        assert np.array_equal(su2_exp(np.zeros(3)), np.eye(2, dtype=complex))
 
 
 def convolution_lift(basis, g):

@@ -450,6 +450,76 @@ class TestGaugeLaw:
         assert verify_gauge_data(ctx["pure"], np.random.default_rng(36)) <= 1e-8
 
 
+OVERLAP_MODELS = {
+    "monopole": monopole_model,
+    "monopole_-2": lambda spec: monopole_model(spec, strength=-2),
+    "pure_gauge": pure_gauge_model,
+    "pure_gauge_rates": lambda spec: pure_gauge_model(spec, rates=(-1.3, 2.4)),
+}
+
+
+def overlap_samples(model, rng, count):
+    """``count`` chart points of the model's first chart that lie in its overlap, with tangents."""
+    chart = next(iter(model.overlaps))[0]
+    if model.kind == "monopole":
+        q, v = zip(*(monopole_state(rng, overlap=True)[1::2] for _ in range(count)))
+    else:
+        q, v = zip(*((rng.uniform(-1, 1, 2), rng.standard_normal(2)) for _ in range(count)))
+    return chart, np.array(q), np.array(v)
+
+
+class TestStackedGaugeLaw:
+    """Transitions, ``gauge_residual`` and ``verify_gauge_data`` on stacks equal their per-point calls."""
+
+    @pytest.mark.parametrize("name", sorted(OVERLAP_MODELS))
+    def test_stacked_transition_equals_per_point_calls(self, ctx, name):
+        model = OVERLAP_MODELS[name](ctx["spec"])
+        q = np.random.default_rng(37).uniform(-1.5, 1.5, size=(4, 5, 2))
+        q[0, 0], q[0, 1] = [0.7, 0.0], [0.0, -0.4]  # on the axes, where one coordinate is exactly 0
+        for overlap in model.overlaps.values():
+            stacked = overlap.transition(q)
+            single = np.array([overlap.transition(x) for x in q.reshape(-1, 2)]).reshape(4, 5, 2, 2)
+            assert stacked.tobytes() == single.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(OVERLAP_MODELS))
+    @pytest.mark.parametrize("source", ["rep", "quad"])
+    def test_stacked_residual_equals_per_point_calls(self, ctx, name, source):
+        model = OVERLAP_MODELS[name](ctx["spec"])
+        chart, q, v = overlap_samples(model, np.random.default_rng(38), 8)
+        stacked = gauge_residual(model, ctx["basis"], ctx[source], chart, q, v)
+        single = [gauge_residual(model, ctx["basis"], ctx[source], chart, x, u) for x, u in zip(q, v)]
+        assert all(type(value) is float for value in single)
+        assert stacked.shape == (8,) and np.array_equal(stacked, single)
+        block = gauge_residual(model, ctx["basis"], ctx[source], chart, q.reshape(2, 4, 2), v.reshape(2, 4, 2))
+        assert np.array_equal(block, stacked.reshape(2, 4))
+
+    def test_any_point_outside_the_overlap_rejects_the_stack(self, ctx):
+        chart, q, v = overlap_samples(ctx["mono"], np.random.default_rng(39), 6)
+        q[4] = [0.05, 0.0]  # near the north pole
+        with pytest.raises(ChartError):
+            gauge_residual(ctx["mono"], ctx["basis"], ctx["quad"], chart, q, v)
+
+    @pytest.mark.parametrize("name", sorted(OVERLAP_MODELS))
+    def test_data_check_equals_the_per_sample_loop(self, ctx, name, monkeypatch):
+        model = OVERLAP_MODELS[name](ctx["spec"])
+        rng = np.random.default_rng(40)
+        per_sample = []
+        for (i, j), overlap in model.overlaps.items():
+            per_sample.append([])
+            for _ in range(12):
+                q = gauge._sample_overlap_point(model, i, j, rng)
+                dq = rng.standard_normal(2)
+                xi_i = lift(model.charts[i].potential(q, dq))
+                xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
+                per_sample[-1].append(gauge._gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq))
+        stacked, defect = [], gauge._gauge_law_defect
+        monkeypatch.setattr(gauge, "_gauge_law_defect", lambda *args: stacked.append(defect(*args)) or stacked[-1])
+        assert verify_gauge_data(model, np.random.default_rng(40)) == np.max(per_sample)
+        # one stacked call per overlap, each sample's defect bit for bit
+        assert len(stacked) == len(model.overlaps)
+        assert all(np.array_equal(s, p) for s, p in zip(stacked, per_sample))
+
+
 class TestHorizontalLift:
     def test_zero_potential_flat_lift(self, ctx):
         fiber = horizontal_lift(ctx["triv"], "main", np.zeros(2), np.array([1.0, -0.5]), ChartPoint(Chart.NORTH, 0.4j))

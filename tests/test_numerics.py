@@ -114,6 +114,16 @@ class TestSpectralNorm:
         m[1, 2] = bad
         assert spectral_norm(m) == np.inf
 
+    def test_stack_is_its_single_calls(self):
+        rng = np.random.default_rng(6)
+        m = rng.standard_normal((2, 3, 4, 5)) + 1j * rng.standard_normal((2, 3, 4, 5))
+        m[0, 1, 2, 3], m[1, 2, 0, 0] = np.nan, -np.inf  # the SVD of either would not converge
+        norms = spectral_norm(m)
+        assert norms.shape == (2, 3)
+        assert np.array_equal(norms, [[spectral_norm(x) for x in row] for row in m])
+        assert np.isinf(norms).sum() == 2 and norms[0, 1] == norms[1, 2] == np.inf
+        assert type(spectral_norm(m[0, 0])) is float
+
 
 class TestCentralDifference:
     def test_quadratic_exact(self):

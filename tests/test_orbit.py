@@ -88,6 +88,20 @@ class TestChartTransition:
         with pytest.raises(PoleNotInOverlap):
             chart_transition(north(0))
 
+    def test_block_maps_each_point(self):
+        z = np.random.default_rng(10).normal(scale=1.3, size=(3, 4)) * np.exp(1j * np.arange(12).reshape(3, 4))
+        out = chart_transition(ChartPoint(Chart.SOUTH, z))
+        assert out.chart is Chart.NORTH and out.z.shape == (3, 4)
+        for idx in np.ndindex(3, 4):
+            assert out.z[idx] == pytest.approx(chart_transition(south(complex(z[idx]))).z, rel=1e-15)
+
+    @pytest.mark.parametrize("pole", [(0, 0), (2, 3)])
+    def test_block_with_a_pole_rejected(self, pole):
+        z = np.full((3, 4), 0.5 - 0.25j)
+        z[pole] = 0.0
+        with pytest.raises(PoleNotInOverlap):
+            chart_transition(ChartPoint(Chart.NORTH, z))
+
 
 class TestSymplecticForm:
     def test_antisymmetry(self):

@@ -5,10 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberquant import verify
+from fiberquant import gauge, verify
 from fiberquant.errors import FiberquantError
 from fiberquant.fiberq import build_basis, prequant_matrix, quantize_transition
-from fiberquant.orbit import OrbitSpec, moment_hamiltonian
+from fiberquant.numerics import central_difference
+from fiberquant.orbit import (
+    Chart,
+    ChartPoint,
+    OrbitSpec,
+    chart_transition,
+    embed_point,
+    hamiltonian_field,
+    kahler_potential_at,
+    moment_hamiltonian,
+    poisson_bracket,
+    symplectic_form_at,
+)
 from fiberquant.scenario import CHECKS, default_scenario
 from fiberquant.su2 import random_su2
 from fiberquant.verify import run_suite
@@ -164,3 +176,111 @@ class TestStackedFiberRows:
         monkeypatch.setattr(verify, "quantize_transition", lambda basis, g: shapes.append(g.shape) or lift(basis, g))
         verify.suite_fiber(2)
         assert shapes == [(34, 2, 2)] * 9
+
+
+def per_sample_orbit_rows() -> dict:
+    """The sampled rows of ``suite_orbit``, one sample per kernel call, from the suite's seed and draws."""
+    rng = np.random.default_rng(101)
+    spec = OrbitSpec(2)
+
+    def point():
+        return ChartPoint(Chart.NORTH, complex(rng.normal(scale=1.2), rng.normal(scale=1.2)))
+
+    def theta_pair(pt, vec):
+        return complex(np.dot(kahler_potential_at(spec, pt), vec))
+
+    def shift(pt, direction, step):
+        return ChartPoint(pt.chart, pt.z + step * (direction[0] + 1j * direction[1]))
+
+    rows = {}
+    worst = 0.0
+    for _ in range(100):
+        w = moment_hamiltonian(spec, rng.standard_normal(3))
+        pt = point()
+        xi = rng.standard_normal(2)
+        lhs = symplectic_form_at(spec, pt, hamiltonian_field(spec, w, pt), xi)
+        worst = max(worst, abs(lhs + float(np.dot(w.chart_gradient(pt), xi))))
+    rows["orbit.hamiltonian_field_identity"] = worst
+
+    worst = 0.0
+    for _ in range(25):
+        w = moment_hamiltonian(spec, rng.standard_normal(3))
+        pt = point()
+        xi = rng.standard_normal(2)
+        field_at = lambda p: hamiltonian_field(spec, w, p)
+        hw = field_at(pt)
+        d_hw = central_difference(lambda s: theta_pair(shift(pt, hw, s), xi), 0.0, 1e-5)
+        d_xi = central_difference(lambda s: theta_pair(shift(pt, xi, s), field_at(shift(pt, xi, s))), 0.0, 1e-5)
+        jac_xi = central_difference(lambda s: field_at(shift(pt, xi, s)), 0.0, 1e-5)
+        rhs = d_hw - d_xi - theta_pair(pt, -jac_xi)
+        worst = max(worst, abs(symplectic_form_at(spec, pt, hw, xi) - rhs))
+    rows["orbit.potential_lie_chain"] = worst
+
+    worst = 0.0
+    for _ in range(50):
+        w = moment_hamiltonian(spec, rng.standard_normal(3))
+        pt = point()
+        worst = max(worst, abs(w.value(pt) - w.value(chart_transition(pt))))
+    rows["orbit.chart_covariance"] = worst
+
+    worst = 0.0
+    for two_j in (1, 2, 3, 4):
+        spec_j = OrbitSpec(two_j)
+        for _ in range(25):
+            a = rng.standard_normal(3)
+            b = rng.standard_normal(3)
+            pt = point()
+            bracket = poisson_bracket(spec_j, moment_hamiltonian(spec_j, a), moment_hamiltonian(spec_j, b), pt)
+            worst = max(worst, abs(bracket - moment_hamiltonian(spec_j, np.cross(a, b)).value(pt)))
+    rows["orbit.poisson_sign_global"] = worst
+
+    worst = 0.0
+    for _ in range(100):
+        worst = max(worst, abs(np.linalg.norm(embed_point(spec, point())) - spec.j))
+    rows["orbit.embed_radius"] = worst
+
+    worst = 0.0
+    for _ in range(100):
+        pt = point()
+        comp = lambda z, k: complex(kahler_potential_at(spec, ChartPoint(pt.chart, z))[k])
+        curl = (central_difference(lambda s: comp(pt.z + s, 1), 0.0, 1e-5)
+                - central_difference(lambda s: comp(pt.z + 1j * s, 0), 0.0, 1e-5))
+        worst = max(worst, abs(curl - symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))))
+    rows["orbit.potential_curvature"] = worst
+    return rows
+
+
+class TestStackedOrbitRows:
+    def test_stacked_rows_equal_the_per_sample_loops(self):
+        rows = verify.suite_orbit(2)
+        expected = per_sample_orbit_rows()
+        assert {name: rows[name] for name in expected} == expected
+
+    def test_one_stencil_call_per_derivative(self, monkeypatch):
+        # 3 derivatives in the Lie chain and 2 in the curl, each over its whole block; the per-sample
+        # loops made 3 x 25 + 2 x 100 = 275 calls
+        calls = []
+        monkeypatch.setattr(verify, "central_difference",
+                            lambda f, x, h: calls.append(np.shape(f(x))) or central_difference(f, x, h))
+        verify.suite_orbit(2)
+        assert calls == [(50,), (50,), (2, 25), (200,), (200,)]
+
+
+class TestStackedGaugeRows:
+    def test_su2_exp_calls_in_verify_all(self, monkeypatch):
+        # 12 in verify_gauge_data (monopole 2 overlaps x (g, stencil), pure gauge twice that, its transition
+        # being two exponentials), 6 in the gauge_residual stacks, 2 at the transport suite's forced switches;
+        # the per-sample loops made 512
+        calls, su2_exp = [], gauge.su2_exp
+        monkeypatch.setattr(gauge, "su2_exp", lambda c: calls.append(np.shape(c)) or su2_exp(c))
+        run_suite("all", default_scenario(2, "monopole", strength=1))
+        assert len(calls) == 20
+        assert Counter(calls) == {(12, 3): 6, (4, 12, 3): 6, (10, 3): 3, (4, 10, 3): 3, (3,): 2}
+
+    def test_one_gauge_residual_call_per_model(self, monkeypatch):
+        shapes, residual = [], verify.gauge_residual
+        monkeypatch.setattr(verify, "gauge_residual",
+                            lambda model, basis, rep, chart, q, dq: shapes.append(q.shape)
+                            or residual(model, basis, rep, chart, q, dq))
+        verify.suite_gauge(2)
+        assert shapes == [(10, 2), (10, 2)]
