@@ -178,7 +178,7 @@ def _cmd_gram(args, scenario: Scenario) -> dict:
     from .fiberq import exact_monomial_norms_sq
 
     spec = scenario.spec()
-    basis = build_basis(spec, scenario.rule())
+    basis = build_basis(spec)
     exact = exact_monomial_norms_sq(spec)
     rel = float(np.max(np.abs(basis.norms**2 - exact) / exact))
     return {
@@ -194,7 +194,7 @@ def _cmd_prequant(args, scenario: Scenario) -> dict:
         raise ValidationError("prequant requires --hamiltonian a1,a2,a3")
     a = _parse_vector(args.hamiltonian, 3, "--hamiltonian")
     spec = scenario.spec()
-    op = prequant_matrix(build_basis(spec, scenario.rule()), moment_hamiltonian(spec, a))
+    op = prequant_matrix(build_basis(spec), moment_hamiltonian(spec, a))
     herm = float(np.linalg.norm(op - op.conj().T, 2))
     return {
         "two_j": spec.two_j,
@@ -218,7 +218,7 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
         raise ValidationError(f"--angle must be finite, got {args.angle}")
     g = su2_exp(axis / norm * args.angle)
     spec = scenario.spec()
-    trans = quantize_transition(build_basis(spec, scenario.rule()), g)
+    trans = quantize_transition(build_basis(spec), g)
     dev = float(np.linalg.norm(trans.conj().T @ trans - np.eye(spec.dim), 2))
     return {
         "two_j": spec.two_j,
@@ -332,8 +332,7 @@ def run_command(argv) -> tuple[int, str]:
         failed = payload.get("pass") is False or payload.get("all_pass") is False
         exit_code = EXIT_ACCURACY if failed else EXIT_OK
         doc = make_document(args.command, scenario, payload)
-        output_mode = args.output or scenario.output
-        rendered = render_table(doc) if output_mode == "table" else _serialize(doc)
+        rendered = render_table(doc) if args.output == "table" else _serialize(doc)
         return exit_code, rendered
     except AccuracyFailure as exc:
         return EXIT_ACCURACY, f"accuracy failure: {exc}"

@@ -3,9 +3,10 @@
 Wavefunctions are polynomials of degree <= two_j in the chart coordinate,
 square-integrable against d nu = ((two_j+1)/pi)(1+|z|^2)^(-(two_j+2)) dA.
 Monomials are orthogonal with ||z^k||^2 = 1/binom(two_j, k); everything
-downstream works in the orthonormalized monomial basis.  A ``FiberBasis``
-carries the spin and the quadrature rule its Gram matrix was built on, and
-every operator here is assembled from the basis alone.
+downstream works in the orthonormalized monomial basis.  The fiber is a
+function of its spin alone: a ``FiberBasis`` is built on the spin's default
+rule, which integrates every Gram and operator integrand exactly, and every
+operator here is assembled from the basis alone.
 """
 
 from __future__ import annotations
@@ -64,10 +65,9 @@ def exact_monomial_norms_sq(spec: OrbitSpec) -> np.ndarray:
 
 @dataclass(frozen=True)
 class FiberBasis:
-    """Orthonormalized monomials of the weight ``spec`` fiber, built on ``rule``."""
+    """Orthonormalized monomials of the weight ``spec`` fiber, built on ``default_rule(spec)``."""
 
     spec: OrbitSpec
-    rule: QuadratureRule
     norms: np.ndarray      # quadrature monomial norms, ||z^k||
     gram: np.ndarray       # quadrature Gram matrix of the monomials
 
@@ -86,10 +86,14 @@ class FiberBasis:
         return out
 
 
-def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBasis:
-    """Monomial Gram matrix by quadrature, checked against the Beta oracle."""
-    if rule is None:
-        rule = default_rule(spec)
+def build_basis(spec: OrbitSpec) -> FiberBasis:
+    """Monomial Gram matrix by quadrature on the default rule, checked against the Beta oracle.
+
+    That rule resolves the Gram matrix at every spin; where the check fails,
+    z**k against the weight (1 + |z|^2)^-(2j+2) has lost the precision, and a
+    finer rule does not bring it back.
+    """
+    rule = default_rule(spec)
     z = rule_points(rule)
     w = measure_weights(spec, rule)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -99,20 +103,16 @@ def build_basis(spec: OrbitSpec, rule: QuadratureRule | None = None) -> FiberBas
                               f"at two_j = {spec.two_j}")
     gram = (powers * w[None, :]) @ powers.conj().T
     gram = gram.T  # gram[k, l] = <z^k, z^l>
-    # The default rule resolves the Gram matrix at every spin; where it fails,
-    # z**k against the weight (1 + |z|^2)^-(2j+2) has lost the precision, and a
-    # finer rule does not bring it back.
-    cause = ("the monomial basis z**k loses precision at this spin" if rule is default_rule(spec)
-             else "rule under-resolved")
+    cause = f"at two_j = {spec.two_j}; the monomial basis z**k loses precision at this spin"
     diag = gram.diagonal().real
     off = gram - np.diag(diag)
     if not np.max(np.abs(off)) <= 1e-10:
-        raise AccuracyFailure(f"monomial Gram matrix has off-diagonal leakage at two_j = {spec.two_j}; {cause}")
+        raise AccuracyFailure(f"monomial Gram matrix has off-diagonal leakage {cause}")
     exact = exact_monomial_norms_sq(spec)
     rel = np.max(np.abs(diag - exact) / exact)
     if not rel <= 1e-8:
-        raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e} at two_j = {spec.two_j}; {cause}")
-    return FiberBasis(spec=spec, rule=rule, norms=np.sqrt(diag), gram=gram)
+        raise AccuracyFailure(f"Gram deviates from the closed form by {rel:.2e} {cause}")
+    return FiberBasis(spec=spec, norms=np.sqrt(diag), gram=gram)
 
 
 def _prequant_pointwise(spec: OrbitSpec, w: FiberHamiltonian, z: np.ndarray,
@@ -133,9 +133,10 @@ def _prequant_pointwise(spec: OrbitSpec, w: FiberHamiltonian, z: np.ndarray,
 
 
 def prequant_matrix(basis: FiberBasis, w: FiberHamiltonian) -> np.ndarray:
-    """Matrix elements <e_nu | O(w) e_mu> by quadrature on the basis's rule."""
-    z = rule_points(basis.rule)
-    wts = measure_weights(basis.spec, basis.rule)
+    """Matrix elements <e_nu | O(w) e_mu> by quadrature on the basis's default rule."""
+    rule = default_rule(basis.spec)
+    z = rule_points(rule)
+    wts = measure_weights(basis.spec, rule)
     vals = basis.eval(z)
     applied = _prequant_pointwise(basis.spec, w, z, vals, basis.eval_deriv(z))
     matrix = (vals.conj() * wts[None, :]) @ applied.T
@@ -149,7 +150,7 @@ def polarization_residual(basis: FiberBasis, w: FiberHamiltonian) -> float:
     """Largest leakage of O(w) e_k outside the polarized subspace.
 
     The leakage integrand is not polynomial, so it is integrated on the
-    oversized residual rule, not on the basis's rule.  The component
+    oversized residual rule, not on the default rule.  The component
     orthogonal to the polarized span is formed pointwise on its nodes
     (avoiding norm-difference cancellation) and its L^2(d nu) norm is
     returned, maximized over basis columns.

@@ -1,19 +1,20 @@
 """Scenario ingestion: JSON schema, validation, model construction.
 
-A scenario file declares the orbit, the gauge model, optional quadrature
-sizes, named paths, and tolerance overrides:
+A scenario file declares only what the code cannot work out: the orbit,
+the gauge model, named paths, and tolerance overrides.  The fiber and its
+quadrature follow from the spin, and the output format is the ``--output``
+flag's:
 
     {
       "orbit": {"two_j": 2},
       "model": {"kind": "monopole", "strength": 1},
-      "quadrature": {"n_t": 12, "n_phi": 17},
       "paths": {"lat60": {"kind": "latitude", "theta": 1.0471975511965976}},
-      "tolerances": {"gauge_law": 1e-6},
-      "output": "json"
+      "tolerances": {"gauge_law": 1e-6}
     }
 
-Validation happens before any computation.  ``Scenario.build_context``
-checks the model against the scenario's basis (``gauge.check_model``).
+Validation happens before any computation, and an unknown field at any
+level is rejected.  ``Scenario.build_context`` checks the model against
+the scenario's basis (``gauge.check_model``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParseError, ValidationError
-from .fiberq import build_basis, default_rule
+from .fiberq import build_basis
 from .gauge import (
     build_rep,
     check_model,
@@ -35,7 +36,6 @@ from .gauge import (
     pure_gauge_model,
     trivial_model,
 )
-from .numerics import sphere_rule
 from .orbit import OrbitSpec
 from .transport import (
     BasePath,
@@ -108,7 +108,7 @@ def _is_reals(x, length: int) -> bool:
 _FIELD_TYPES = {
     "real": (_is_real, "a finite real"),
     "int": (_is_int, "an integer"),
-    "count": (lambda x: _is_int(x) and x >= 1, "a positive integer"),
+    "spin": (lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
     "pair": (lambda x: _is_reals(x, 2), "a pair of finite reals"),
     "colatitude": (lambda x: _is_real(x) and 0.0 < x < np.pi, "a real strictly between 0 and pi"),
     "plane": (lambda x: _is_int(x) and x in (0, 1), "0 or 1"),
@@ -117,6 +117,9 @@ _FIELD_TYPES = {
     "coefficients": (lambda x: isinstance(x, list) and len(x) == 2 and all(_is_reals(r, 3) for r in x),
                      "a 2x3 array of finite reals"),
 }
+
+# The top-level fields of a scenario document; any other is rejected.
+_TOP_FIELDS = ("orbit", "model", "paths", "tolerances")
 
 # Optional fields of each model kind.  Every field is the keyword of the
 # same name of the kind's builder, which supplies its default.
@@ -143,22 +146,15 @@ class Scenario:
     two_j: int
     model_kind: str
     model_params: dict
-    quadrature: dict
     path_specs: dict
     tolerances: dict
-    output: str
 
     def spec(self) -> OrbitSpec:
         return OrbitSpec(self.two_j)
 
-    def rule(self):
-        if self.quadrature:
-            return sphere_rule(self.quadrature["n_t"], self.quadrature["n_phi"])
-        return default_rule(self.spec())
-
     def build_context(self) -> dict:
         """Everything the commands need, constructed once; the model is checked on this basis."""
-        basis = build_basis(self.spec(), self.rule())
+        basis = build_basis(self.spec())
         # Builders are looked up by module name on each call, so that
         # wrappers installed on those names (benchmark tracing) see it.
         builders = {"trivial": trivial_model, "constant": constant_model,
@@ -182,7 +178,6 @@ class Scenario:
         return {
             "orbit": {"two_j": self.two_j},
             "model": {"kind": self.model_kind, **self.model_params},
-            "quadrature": self.quadrature or None,
             "paths": sorted(self.path_specs),
             "tolerances": {k: float(v) for k, v in sorted(self.tolerances.items())},
         }
@@ -229,12 +224,11 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     ``source`` names the document for callers that pass it; it is not used.
     """
     _require(isinstance(data, dict), "scenario: top level must be an object")
+    for name in data:
+        _require(name in _TOP_FIELDS, f"{name}: unknown field; valid fields: {', '.join(_TOP_FIELDS)}")
     orbit = data.get("orbit")
     _require(isinstance(orbit, dict), "orbit: required object with field two_j")
-    two_j = orbit.get("two_j")
-    _require(isinstance(two_j, int) and not isinstance(two_j, bool),
-             "orbit.two_j: required integer")
-    _require(two_j >= 0, f"orbit.two_j: must be non-negative, got {two_j}")
+    _check_fields(orbit, "orbit", {"two_j": "spin"}, {})
 
     model = data.get("model")
     _require(isinstance(model, dict), "model: required object with field kind")
@@ -242,11 +236,6 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     _require(kind in _MODEL_FIELDS, f"model.kind: must be one of {tuple(_MODEL_FIELDS)}, got {kind!r}")
     params = {k: v for k, v in model.items() if k != "kind"}
     _check_fields(params, "model", {}, _MODEL_FIELDS[kind])
-
-    quadrature = data.get("quadrature", {})
-    if "quadrature" in data:
-        _require(isinstance(quadrature, dict), f"quadrature: must be an object, got {quadrature!r}")
-        _check_fields(quadrature, "quadrature", {"n_t": "count", "n_phi": "count"}, {})
 
     path_specs = dict(_default_paths(kind))
     user_paths = data.get("paths", {})
@@ -265,17 +254,12 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
                  f"tolerances.{name}: unknown key; valid keys: {', '.join(DEFAULT_TOLERANCES)}")
         _require(_is_real(tol) and tol > 0, f"tolerances.{name}: must be a positive real, got {tol!r}")
 
-    output = data.get("output", "json")
-    _require(output in ("json", "table"), f"output: must be 'json' or 'table', got {output!r}")
-
     return Scenario(
-        two_j=two_j,
+        two_j=orbit["two_j"],
         model_kind=kind,
         model_params=params,
-        quadrature=dict(quadrature),
         path_specs=path_specs,
         tolerances=dict(tolerances),
-        output=output,
     )
 
 

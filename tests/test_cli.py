@@ -19,6 +19,7 @@ from fiberquant.cli import (
     EXIT_OK,
     EXIT_USAGE,
     USAGE,
+    main,
     run_command,
 )
 from fiberquant.errors import ParseError, ValidationError
@@ -192,14 +193,8 @@ class TestCommands:
                                      "--steps", "200"])
             assert code == EXIT_OK, (name, out)
 
-    def test_wilson_uses_scenario_quadrature(self, tmp_path):
-        cfg = tmp_path / "quad.json"
-        cfg.write_text(json.dumps({
-            "orbit": {"two_j": 2},
-            "model": {"kind": "monopole", "strength": 1},
-            "quadrature": {"n_t": 30, "n_phi": 41},
-        }))
-        argv = ["--config", str(cfg), "--source", "quad", "--path", "lat60", "--steps", "200"]
+    def test_wilson_holonomy_is_phased_transport_on_quad_source(self, monopole_config):
+        argv = ["--config", monopole_config, "--source", "quad", "--path", "lat60", "--steps", "200"]
         payloads = {}
         for command in ("wilson", "transport"):
             code, out = run_command([command] + argv)
@@ -327,20 +322,22 @@ class TestExitCodes:
         assert code == EXIT_INVALID
         assert out.startswith(f"error: {field}:")
 
-    @pytest.mark.parametrize("quadrature, field", [
-        (None, "quadrature"),
-        (False, "quadrature"),
-        (0, "quadrature"),
-        ({}, "quadrature.n_t"),
-        ({"n_t": True, "n_phi": 9}, "quadrature.n_t"),
-        ({"n_t": 12, "n_phi": 0}, "quadrature.n_phi"),
-        ({"n_t": 12, "n_phi": 17, "n_tt": 12}, "quadrature.n_tt"),
+    @pytest.mark.parametrize("extra, orbit, field", [
+        ({"tolerance": {"gram": 1e-30}}, {"two_j": 1}, "tolerance"),
+        # the fiber's rule follows from the spin, and the format is --output's
+        ({"quadrature": {"n_t": 12, "n_phi": 17}}, {"two_j": 1}, "quadrature"),
+        ({"output": "table"}, {"two_j": 1}, "output"),
+        ({}, {"two_j": 1, "spin": 3}, "orbit.spin"),
+        ({}, {"two_j": True}, "orbit.two_j"),
+        ({}, {"two_j": -1}, "orbit.two_j"),
+        ({}, {}, "orbit.two_j"),
     ])
-    def test_malformed_quadrature_rejected(self, tmp_path, quadrature, field):
+    def test_unknown_or_malformed_scenario_fields_rejected(self, tmp_path, capsys, extra, orbit, field):
         cfg = tmp_path / "bad.json"
-        cfg.write_text(json.dumps({"orbit": {"two_j": 1}, "model": {"kind": "trivial"}, "quadrature": quadrature}))
-        code, out = run_command(["transport", "--config", str(cfg), "--path", "unit_x"])
-        assert code == EXIT_INVALID
+        cfg.write_text(json.dumps({"orbit": orbit, "model": {"kind": "trivial"}, **extra}))
+        code = main(["gram", "--config", str(cfg)])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_INVALID, "")
         assert out.startswith(f"error: {field}:")
 
     @pytest.mark.parametrize("argv, flag", [
@@ -397,14 +394,6 @@ class TestExitCodes:
         assert code == EXIT_ACCURACY
         assert "at two_j = 84;" in out and "monomial basis z**k loses precision" in out
         assert "under-resolved" not in out
-
-    def test_gram_failure_on_user_rule_names_spin_and_rule(self, tmp_path):
-        cfg = tmp_path / "coarse.json"
-        cfg.write_text(json.dumps({"orbit": {"two_j": 4}, "model": {"kind": "trivial"},
-                                   "quadrature": {"n_t": 3, "n_phi": 4}}))
-        code, out = run_command(["gram", "--config", str(cfg)])
-        assert code == EXIT_ACCURACY
-        assert "at two_j = 4;" in out and out.endswith("rule under-resolved")
 
     def test_overflowing_spin_is_accuracy_failure(self):
         with np.errstate(all="ignore"):

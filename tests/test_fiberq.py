@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import fiberquant
 from fiberquant.errors import AccuracyFailure, InvalidArgument
 from fiberquant.fiberq import (
+    FiberBasis,
     build_basis,
     default_rule,
     exact_monomial_norms_sq,
@@ -66,10 +68,6 @@ class TestBasis:
         basis = build_basis(spec)
         exact = exact_monomial_norms_sq(spec)
         assert np.max(np.abs(basis.norms**2 - exact) / exact) <= 1e-10
-
-    def test_under_resolved_rule_rejected(self):
-        with pytest.raises(AccuracyFailure):
-            build_basis(OrbitSpec(8), sphere_rule(2, 3))
 
     def test_overflowing_spin_rejected(self):
         # z**160 overflows at the outer nodes: the error names it, and numpy warns of nothing.
@@ -462,7 +460,7 @@ class TestSpinLift:
 
 
 class TestOneFiberHandle:
-    """The basis alone carries the spin and the quadrature rule of the fiber."""
+    """The basis alone carries the spin of the fiber, and its rule follows from the spin."""
 
     @staticmethod
     def public_functions():
@@ -481,6 +479,8 @@ class TestOneFiberHandle:
                  if "basis" in params and {"spec", "geom", "rule"} & set(params)]
         assert mixed == []
 
-    def test_basis_keeps_its_rule(self):
-        rule = sphere_rule(30, 41)
-        assert build_basis(OrbitSpec(3), rule).rule is rule
+    def test_basis_is_its_spin(self):
+        # the fiber takes no rule: build_basis reads only the spin, and a basis holds no rule
+        signatures = dict(self.public_functions())
+        assert list(signatures["fiberquant.fiberq.build_basis"]) == ["spec"]
+        assert [field.name for field in dataclasses.fields(FiberBasis)] == ["spec", "norms", "gram"]

@@ -1,3 +1,4 @@
+import importlib
 import re
 from collections import Counter
 from pathlib import Path
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from fiberquant import gauge, verify
+from fiberquant.cli import EXIT_ACCURACY, run_command
 from fiberquant.errors import FiberquantError
 from fiberquant.fiberq import build_basis, prequant_matrix, quantize_transition
 from fiberquant.numerics import central_difference
@@ -70,6 +72,34 @@ def test_min_mode_checks_report_floor():
     checks = run_suite("fiber", default_scenario(1, "trivial"))
     ratio = next(c for c in checks if c.name == "fiber.polarization_counterexample_ratio")
     assert ratio.mode == "min" and ratio.passed
+
+
+transport_module = importlib.import_module("fiberquant.transport")
+
+
+class TestMarchOrderFaults:
+    """Two one-line faults of the pair product that the transport rows must catch.
+
+    Both routes share ``_ordered_product``, so a fault in its order is not
+    seen by ``transport.source_independence``."""
+
+    def test_swapped_operands_fail_source_independence(self, monkeypatch):
+        product = transport_module._pair_product
+        monkeypatch.setattr(transport_module, "_pair_product", lambda x, y: product(y, x))
+        rows = {c.name: c for c in run_suite("transport", default_scenario(2, "monopole", strength=1))}
+        assert rows["transport.source_independence"].value > 0.1
+        assert not rows["transport.source_independence"].passed
+
+    def test_dropped_conjugate_fails_the_transport_unitarity_guard(self, monkeypatch):
+        def product(x, y):  # b1 a2 in place of b1 conj(a2)
+            xt, yt = x.T, y.T
+            a1, b1, a2, b2 = xt[0], xt[1], yt[0], yt[1]
+            return np.array([a1 * a2 - b1 * np.conj(b2), a1 * b2 + b1 * a2]).T
+
+        monkeypatch.setattr(transport_module, "_pair_product", product)
+        code, out = run_command(["verify", "transport", "--spin", "2"])
+        assert code == EXIT_ACCURACY
+        assert out.startswith("accuracy failure:") and "unitar" in out
 
 
 class TestCheckTable:
