@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import math
+import os
 import sys
 
 import numpy as np
@@ -342,7 +343,12 @@ def run_command(argv) -> tuple[int, str]:
 
 def main(argv=None) -> int:
     code, output = run_command(sys.argv[1:] if argv is None else list(argv))
-    print(output)
+    try:
+        print(output, flush=True)
+    except BrokenPipeError:
+        # The reader closed stdout: the output is dropped, the exit code stays the command's, and stdout
+        # goes to the null device so that the flush at interpreter exit does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return code
 
 

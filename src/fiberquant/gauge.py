@@ -8,7 +8,9 @@ The total space carries the minimal-coupling form p dq + <mu, A(dq)> + theta,
 whose potential is pulled back from Q and which has no dp term: a connection
 value, orbit function or horizontal lift reads only q and dq, so a base
 point is its chart name and q array and a base tangent is its dq array,
-each q or dq of shape (2,).  Only the canonical term p dq reads p
+each q or dq of shape (2,), or (..., 2) for a stack.  Connection values,
+residuals and total-space components compute a single point as a stack
+of length 1.  Only the canonical term p dq reads p
 (``alpha_total_components``).
 ``check_model`` tests a model against the ``FiberBasis`` in use: its
 potentials against its transitions, and minimal coupling, which holds for
@@ -91,7 +93,7 @@ class ChartData:
     boundary: Callable[[np.ndarray], np.ndarray] | None = None
 
     def contains(self, q: np.ndarray) -> bool:
-        return self.boundary is None or bool(self.boundary(q) <= 0.0)
+        return self.boundary is None or bool(np.all(self.boundary(q) <= 0.0))
 
 
 @dataclass(frozen=True)
@@ -112,12 +114,14 @@ class GaugeModel:
     overlaps: dict = field(default_factory=dict)  # (from chart, to chart) -> Overlap
 
     def chart_data(self, chart: str, q: np.ndarray) -> ChartData:
-        """The data of ``chart``, checked to be a chart of the model whose domain holds q (else ChartError)."""
+        """The data of ``chart``, checked to be a chart of the model whose domain holds q (..., 2) (else ChartError,
+        naming the first point outside)."""
         if chart not in self.charts:
             raise ChartError(f"unknown chart {chart!r}")
         data = self.charts[chart]
         if not data.contains(q):
-            raise ChartError(f"point {q} outside chart {chart!r}")
+            outside = np.reshape(q, (-1, 2))[~(np.ravel(data.boundary(q)) <= 0.0)]
+            raise ChartError(f"point {outside[0]} outside chart {chart!r}")
         return data
 
     def other_chart(self, name: str) -> str | None:
@@ -140,12 +144,14 @@ _MOMENT_TWIST = np.array([1.0, -1.0, -1.0])
 
 
 def orbit_function(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray) -> FiberHamiltonian:
-    """The fiber Hamiltonian induced by the potential at the chart point q along the base tangent dq."""
-    return moment_hamiltonian(model.spec, model.chart_data(chart, q).potential(q, dq) * _MOMENT_TWIST)
+    """The fiber Hamiltonian induced by the potential at the chart points q (..., 2) along the base tangents dq
+    (..., 2); on a stack, its values at fiber points of the stack's shape are one per point."""
+    coeffs = model.chart_data(chart, q).potential(q, dq) * _MOMENT_TWIST
+    return moment_hamiltonian(model.spec, np.moveaxis(coeffs, -1, 0))
 
 
 def horizontal_lift(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray, f: ChartPoint) -> np.ndarray:
-    """Fiber part -H_w of the horizontal lift (dq, 0, -H_w) of a base tangent at fiber point f.
+    """Fiber part -H_w, shaped (2,) + f.z.shape, of the horizontal lift (dq, 0, -H_w) of a base tangent at f.
 
     Its base part is dq itself, and its p-velocity is 0: the minimal-coupling
     form has no dp term, so no p-velocity enters the lift."""
@@ -177,10 +183,12 @@ def build_rep(basis: FiberBasis) -> LieAlgebraRep:
 
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
-    """Connection value at the chart point q along dq, checked against its chart: the one row of a
-    one-point ``connection_rep_batch``, the contraction the march uses."""
+    """Connection values (..., n, n) at the chart points q (..., 2) along dq (..., 2), checked against their chart.
+    Each point is the one row of a one-point ``connection_rep_batch``, the contraction the march uses, so a
+    stack equals its per-point calls bit for bit on either route."""
+    q, dq = np.asarray(q, dtype=float), np.asarray(dq, dtype=float)
     model.chart_data(chart, q)
-    return connection_rep_batch(model, rep, chart, np.reshape(q, (1, 2)), np.reshape(dq, (1, 2)))[0]
+    return connection_rep_batch(model, rep, chart, q[..., None, :], dq[..., None, :])[..., 0, :, :]
 
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
@@ -192,7 +200,7 @@ def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: n
 
 
 def _gauge_law_defect(a_here: np.ndarray, a_there: np.ndarray, transition: Callable, lift: Callable,
-                      q: np.ndarray, dq: np.ndarray) -> float | np.ndarray:
+                      q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """||a_there - (g a_here g^{-1} + (dg along dq) g^{-1})||_2 for g = lift(transition(q)), dg by the Richardson
     difference, whose truncation error, which grows with g's rate of change, is O(h^4).  q and dq are stacks (..., 2),
     a_here and a_there (..., n, n), the defects (...), inf where not finite (``spectral_norm``).  ``lift`` maps SU(2)
@@ -207,26 +215,25 @@ def _gauge_law_defect(a_here: np.ndarray, a_there: np.ndarray, transition: Calla
 def gauge_residual(model: GaugeModel, basis: FiberBasis, rep: LieAlgebraRep, chart: str, q: np.ndarray,
                    dq: np.ndarray) -> float | np.ndarray:
     """Defects (...) of the gauge transformation law across the overlap at the chart points q (..., 2) along dq
-    (..., 2); a float for one point, the stack of shape ().  ChartError if any point lies outside the overlap.
+    (..., 2); a float for one point.  ChartError if any point lies outside the overlap.
 
     Compares A in the neighbour chart against
     X A X^{-1} + (dX along dq) X^{-1}, with A the connection of ``rep`` and
     X the quantized transition: the law ``verify_gauge_data`` checks on the
-    2x2 potentials, here on the quantum fiber.  A is the single-point
-    ``connection_rep`` of each point; X is one stacked ``_gauge_law_defect``.
+    2x2 potentials, here on the quantum fiber.  The points are one flat
+    stack, a single point one of length 1: one ``overlap.convert``, one
+    stacked ``connection_rep`` per chart and one ``_gauge_law_defect``.
     """
     target = model.other_chart(chart)
     if target is None:
         raise ChartError(f"chart {chart!r} has no registered overlap")
     overlap = model.overlaps[(chart, target)]
-    q, dq = np.asarray(q, dtype=float), np.asarray(dq, dtype=float)
-    here, there = [], []
-    for x, v in zip(q.reshape(-1, 2), dq.reshape(-1, 2)):
-        here.append(connection_rep(model, rep, chart, x, v))
-        there.append(connection_rep(model, rep, target, *overlap.convert(x, v)))
-    shape = q.shape[:-1] + rep.matrices.shape[1:]
-    return _gauge_law_defect(np.reshape(here, shape), np.reshape(there, shape), overlap.transition,
-                             lambda g: quantize_transition(basis, g), q, dq)
+    shape = np.shape(q)[:-1]
+    q, dq = np.reshape(np.asarray(q, dtype=float), (-1, 2)), np.reshape(np.asarray(dq, dtype=float), (-1, 2))
+    here = connection_rep(model, rep, chart, q, dq)
+    there = connection_rep(model, rep, target, *overlap.convert(q, dq))
+    defects = _gauge_law_defect(here, there, overlap.transition, lambda g: quantize_transition(basis, g), q, dq)
+    return defects.reshape(shape) if shape else float(defects[0])
 
 
 def curvature(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, v1: np.ndarray,
@@ -250,59 +257,55 @@ def curvature(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, 
     return d1 - d2 + a2 @ a1 - a1 @ a2
 
 
-def alpha_total_components(
-    model: GaugeModel,
-    chart: str,
-    q: np.ndarray,
-    p: np.ndarray,
-    z: complex,
-) -> np.ndarray:
-    """Chart components of the total-space potential at (q, p, z).
+def alpha_total_components(model: GaugeModel, chart: str, q: np.ndarray, p: np.ndarray,
+                           z: complex | np.ndarray) -> np.ndarray:
+    """Chart components (..., 6) of the total-space potential at the points (q, p, z), q and p (..., 2), z (...).
 
     Coordinates are (q1, q2, p1, p2, x, y); the returned covector pairs
     with real tangents in these coordinates.  Base components combine the
     canonical form with the orbit functions of the unit base directions;
     fiber components are the holomorphic-frame potential
-    (``orbit.kahler_potential_at``).
+    (``orbit.kahler_potential_at``).  The points are one flat stack, a
+    single point one of length 1.
     """
-    q, p = np.asarray(q, dtype=float), np.asarray(p, dtype=float)
-    pt = ChartPoint(Chart.NORTH, complex(z))
-    out = np.zeros(6, dtype=complex)
+    z = np.asarray(z, dtype=complex)
+    q, p = (np.reshape(np.asarray(x, dtype=float), (-1, 2)) for x in (q, p))
+    pt = ChartPoint(Chart.NORTH, z.reshape(-1))
+    out = np.zeros((len(q), 6), dtype=complex)
     for k in range(2):
-        out[k] = p[k] + orbit_function(model, chart, q, np.eye(2)[k]).value(pt)
-    out[4:] = kahler_potential_at(model.spec, pt)
-    return out
+        out[:, k] = p[:, k] + orbit_function(model, chart, q, np.broadcast_to(np.eye(2)[k], q.shape)).value(pt)
+    out[:, 4:] = kahler_potential_at(model.spec, pt).T
+    return out.reshape(z.shape + (6,))
 
 
-def lift_orthogonality_residual(
-    model: GaugeModel,
-    chart: str,
-    q: np.ndarray,
-    p: np.ndarray,
-    dq: np.ndarray,
-    f: ChartPoint,
-    xi: np.ndarray,
-) -> float:
-    """|Omega_total(lift(dq), vertical xi)| at the total-space point (q, p, f) by a central-difference stencil.
+def lift_orthogonality_residual(model: GaugeModel, chart: str, q: np.ndarray, p: np.ndarray, dq: np.ndarray,
+                                f: ChartPoint, xi: np.ndarray) -> float | np.ndarray:
+    """|Omega_total(lift(dq), vertical xi)| at the total-space points (q, p, f) by a central-difference stencil;
+    q, p, dq and the fiber tangents xi (..., 2), f.z (...), the residuals (...), a float for one point.
 
     The two-form is evaluated on constant coordinate extensions, for which
     d alpha(V1, V2) = D_V1 <alpha, V2> - D_V2 <alpha, V1>.  The lift has no
     p-velocity: the minimal-coupling form has no dp term, so its p components
-    in ``alpha_total_components`` are 0.
+    in ``alpha_total_components`` are 0.  The points are one flat stack, a
+    single point one of length 1, and each stencil is one call on it.
     """
     h = constants.FD_STEP_FORM
-    lift6 = np.concatenate([dq, np.zeros(2), horizontal_lift(model, chart, q, dq, f)])
-    vert6 = np.concatenate([np.zeros(4), np.asarray(xi, dtype=float)])
+    shape = np.shape(f.z)
+    z = np.reshape(np.asarray(f.z, dtype=complex), -1)
+    q, p, dq, xi = (np.reshape(np.asarray(x, dtype=float), (-1, 2)) for x in (q, p, dq, xi))
+    fiber = horizontal_lift(model, chart, q, dq, ChartPoint(f.chart, z)).T
+    lift6 = np.concatenate([dq, np.zeros_like(dq), fiber], axis=-1)
+    vert6 = np.concatenate([np.zeros((len(z), 4)), xi], axis=-1)
+    base = np.concatenate([q, p, np.stack([z.real, z.imag], axis=-1)], axis=-1)
 
-    base = np.concatenate([q, p, [f.z.real, f.z.imag]])
-
-    def pairing(coords: np.ndarray, vec: np.ndarray) -> complex:
-        alpha = alpha_total_components(model, chart, coords[0:2], coords[2:4], complex(coords[4], coords[5]))
-        return complex(np.dot(alpha, vec))
+    def pairing(coords: np.ndarray, vec: np.ndarray) -> np.ndarray:
+        alpha = alpha_total_components(model, chart, coords[:, 0:2], coords[:, 2:4], coords[:, 4] + 1j * coords[:, 5])
+        return np.sum(alpha * vec, axis=-1)
 
     d1 = central_difference(lambda s: pairing(base + s * lift6, vert6), 0.0, h)
     d2 = central_difference(lambda s: pairing(base + s * vert6, lift6), 0.0, h)
-    return abs(d1 - d2)
+    residuals = np.abs(d1 - d2)
+    return residuals.reshape(shape) if shape else float(residuals[0])
 
 
 def moment_polarization_residual(basis: FiberBasis) -> float:
@@ -320,22 +323,21 @@ def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
 
     Checks alpha_j = g alpha_i g^{-1} + (dg) g^{-1}, potentials lifted to
     matrices, on 12 sampled points per overlap (ConfigurationError if none
-    is found); returns the worst absolute defect.  Points are drawn and
-    converted one at a time (a stacked complex product rounds otherwise),
-    then checked by one stacked ``_gauge_law_defect`` call per overlap.
+    is found); returns the worst absolute defect.  Points are drawn one at a
+    time by rejection, then converted by one stacked ``overlap.convert`` and
+    checked by one stacked ``_gauge_law_defect`` call per overlap.
     """
     lift = lambda c: np.einsum("...a,aij->...ij", c, TAU)
     worst = 0.0
     for (i, j), overlap in model.overlaps.items():
-        q, dq, q_j, dq_j = np.empty((4, 12, 2))
+        q, dq = np.empty((2, 12, 2))
         for k in range(12):
             point = _sample_overlap_point(model, i, j, rng)
             if point is None:
                 raise ConfigurationError(f"overlap ({i!r}, {j!r}): no sampled point lies in both charts")
             q[k], dq[k] = point, rng.standard_normal(2)
-            q_j[k], dq_j[k] = overlap.convert(q[k], dq[k])
         xi_i = lift(model.charts[i].potential(q, dq))
-        xi_j = lift(model.charts[j].potential(q_j, dq_j))
+        xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
         worst = max(worst, float(np.max(_gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq))))
     return worst
 

@@ -81,20 +81,9 @@ def _random_points(normals: np.ndarray) -> ChartPoint:
     return ChartPoint(Chart.NORTH, 1.2 * normals[..., 0] + 1j * (1.2 * normals[..., 1]))
 
 
-def _complex_difference(f, h: float):
-    """``central_difference`` of a complex stack by its real and imaginary parts, each divided by 2h as a
-    Python complex is, so that a stacked stencil rounds like the per-sample one."""
-    return central_difference(lambda s: f(s).view(float), 0.0, h).view(complex)
-
-
-def _rowdot(u: np.ndarray, v: np.ndarray):
-    """u . v over the leading (component) axis, per sample; ``np.vecdot`` rounds as ``np.dot`` of each pair."""
-    return np.vecdot(np.moveaxis(u, 0, -1), np.moveaxis(v, 0, -1))
-
-
 def suite_orbit(_two_j: int) -> dict[str, float]:
     """Orbit rows, at fixed spins.  Each sampled row draws its samples as one ``rng.standard_normal((n, k))``
-    block, the stream of a per-sample loop, and evaluates the orbit kernels once on the whole block."""
+    block and evaluates the orbit kernels once on the whole block; a component axis is summed in order."""
     rng = np.random.default_rng(101)
     rows = {}
 
@@ -110,7 +99,7 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
     w = moment_hamiltonian(spec, a.T)
     pt = _random_points(xy)
     lhs = symplectic_form_at(spec, pt, hamiltonian_field(spec, w, pt), xi.T)
-    rows["orbit.hamiltonian_field_identity"] = float(np.max(np.abs(lhs + _rowdot(w.chart_gradient(pt), xi.T))))
+    rows["orbit.hamiltonian_field_identity"] = float(np.max(np.abs(lhs + np.sum(w.chart_gradient(pt) * xi.T, axis=0))))
     rows["orbit.potential_lie_chain"] = _lie_chain_residual(spec, rng)
 
     a, xy = np.split(rng.standard_normal((50, 5)), [3], axis=1)
@@ -129,7 +118,7 @@ def suite_orbit(_two_j: int) -> dict[str, float]:
     rows["orbit.poisson_sign_global"] = worst
 
     embedded = embed_point(spec, _random_points(rng.standard_normal((100, 2))))
-    rows["orbit.embed_radius"] = float(np.max(np.abs(np.sqrt(_rowdot(embedded, embedded)) - spec.j)))
+    rows["orbit.embed_radius"] = float(np.max(np.abs(np.sqrt(np.sum(embedded * embedded, axis=0)) - spec.j)))
     rows["orbit.potential_curvature"] = _curl_vs_form_residual(spec, rng)
     return rows
 
@@ -146,7 +135,7 @@ def _lie_chain_residual(spec: OrbitSpec, rng) -> float:
     xi = xi.T
 
     def theta_pair(point: ChartPoint, vec) -> np.ndarray:
-        return _rowdot(vec.astype(complex), kahler_potential_at(spec, point))
+        return np.sum(vec * kahler_potential_at(spec, point), axis=0)
 
     def field_at(point: ChartPoint) -> np.ndarray:
         return hamiltonian_field(spec, w, point)
@@ -155,9 +144,9 @@ def _lie_chain_residual(spec: OrbitSpec, rng) -> float:
         return ChartPoint(pt.chart, pt.z + step * (direction[0] + 1j * direction[1]))
 
     hw = field_at(pt)
-    d_hw = _complex_difference(lambda s: theta_pair(shift(hw, s), xi), 1e-5)
+    d_hw = central_difference(lambda s: theta_pair(shift(hw, s), xi), 0.0, 1e-5)
     # <theta, H_w> is a function of the point through both factors.
-    d_xi = _complex_difference(lambda s: theta_pair(shift(xi, s), field_at(shift(xi, s))), 1e-5)
+    d_xi = central_difference(lambda s: theta_pair(shift(xi, s), field_at(shift(xi, s))), 0.0, 1e-5)
     # [H_w, xi] = -(D H_w) xi for constant xi, by stencil on the field.
     commutator = -central_difference(lambda s: field_at(shift(xi, s)), 0.0, 1e-5)
     lhs = symplectic_form_at(spec, pt, hw, xi)
@@ -170,15 +159,16 @@ def _curl_vs_form_residual(spec: OrbitSpec, rng) -> float:
     def comp(z, k: int) -> np.ndarray:
         return kahler_potential_at(spec, ChartPoint(pt.chart, z))[k]
 
-    d_x_theta_y = _complex_difference(lambda s: comp(pt.z + s, 1), 1e-5)
-    d_y_theta_x = _complex_difference(lambda s: comp(pt.z + 1j * s, 0), 1e-5)
+    d_x_theta_y = central_difference(lambda s: comp(pt.z + s, 1), 0.0, 1e-5)
+    d_y_theta_x = central_difference(lambda s: comp(pt.z + 1j * s, 0), 0.0, 1e-5)
     expected = symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))
     return float(np.max(np.abs(d_x_theta_y - d_y_theta_x - expected)))
 
 
 def suite_fiber(_two_j: int) -> dict[str, float]:
-    """Fiber rows, at fixed spins.  The Dirac and transition rows take each spin's samples as one stack,
-    drawn in the order of a per-sample loop: one ``quantize_transition`` call per spin and operand."""
+    """Fiber rows, at fixed spins.  Each sampled row takes a spin's samples as one stack: O(w) of a moment
+    function is the ``einsum`` of its direction with the spin's three generator operators O(mu_a), built once,
+    and the transition rows make one ``quantize_transition`` call per spin and operand."""
     rng = np.random.default_rng(202)
     rows = {}
 
@@ -190,28 +180,26 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
         worst = max(worst, float(np.max(np.abs(basis.norms**2 - exact) / exact)))
     rows["fiber.gram_oracle"] = worst
 
+    generators = {}  # two_j -> O(mu_a), shape (3, n, n)
+    for two_j in (1, 2, 3, 4, 5):
+        spec = OrbitSpec(two_j)
+        basis = build_basis(spec)
+        generators[two_j] = np.array([prequant_matrix(basis, moment_hamiltonian(spec, e)) for e in np.eye(3)])
+
     worst_h = 0.0
     worst_s = 0.0
     for two_j in (1, 2, 3, 4):
-        spec = OrbitSpec(two_j)
-        basis = build_basis(spec)
-        for _ in range(5):
-            a = rng.standard_normal(3)
-            a /= np.linalg.norm(a)
-            op = prequant_matrix(basis, moment_hamiltonian(spec, a))
-            worst_h = max(worst_h, float(np.linalg.norm(op - op.conj().T, 2)))
-            eig = np.sort(np.linalg.eigvalsh(op))
-            expected = np.arange(-spec.j, spec.j + 1.0)
-            worst_s = max(worst_s, float(np.max(np.abs(eig - expected))))
+        a = rng.standard_normal((5, 3))
+        op = np.einsum("rk,kij->rij", a / np.linalg.norm(a, axis=-1, keepdims=True), generators[two_j])
+        worst_h = max(worst_h, float(np.max(np.linalg.norm(op - op.conj().swapaxes(-1, -2), 2, axis=(-2, -1)))))
+        expected = np.arange(-0.5 * two_j, 0.5 * two_j + 1.0)
+        worst_s = max(worst_s, float(np.max(np.abs(np.linalg.eigvalsh(op) - expected))))
     rows["fiber.hermiticity"] = worst_h
     rows["fiber.spectrum_no_half_form"] = worst_s
 
     worst = 0.0
-    for two_j in (1, 2, 3, 4, 5):
-        spec = OrbitSpec(two_j)
-        basis = build_basis(spec)
-        ops = np.array([prequant_matrix(basis, moment_hamiltonian(spec, e)) for e in np.eye(3)])
-        a, b = rng.standard_normal((20, 2, 3)).swapaxes(0, 1)  # 20 rounds of a then b, as drawn one by one
+    for two_j, ops in generators.items():
+        a, b = rng.standard_normal((20, 2, 3)).swapaxes(0, 1)  # 20 rounds of a then b
         oa, ob, oc = (np.einsum("rk,kij->rij", c, ops) for c in (a, b, np.cross(a, b)))
         comm = oa @ ob - ob @ oa
         worst = max(worst, float(np.max(np.linalg.norm(comm - (-1j) * oc, 2, axis=(-2, -1)))))
@@ -246,7 +234,9 @@ def _gauge_context(two_j: int):
 
 
 def suite_gauge(two_j: int) -> dict[str, float]:
-    """Gauge rows, at two_j clamped to 1..4 (2 for two_j = 0)."""
+    """Gauge rows, at two_j clamped to 1..4 (2 for two_j = 0).  Each sampled row draws its states as blocks
+    (``_sample_states``) and makes one stacked call per model and route: ``connection_rep`` for the connection
+    rows, ``gauge_residual`` for the law and ``lift_orthogonality_residual`` for the lift."""
     rng = np.random.default_rng(303)
     rows = {}
 
@@ -261,41 +251,36 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     rows["gauge.data_consistency"] = max(verify_gauge_data(mono, np.random.default_rng(7)),
                                          verify_gauge_data(pure, np.random.default_rng(8)))
 
+    norm = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
     worst_eq = 0.0
     worst_ah = 0.0
     worst_lin = 0.0
     for model in (mono, const):
-        for _ in range(20):
-            chart, q, _, v = _sample_state(model, rng)
-            a_quad = connection_rep(model, quad_rep, chart, q, v)
-            a_rep = connection_rep(model, rep, chart, q, v)
-            worst_eq = max(worst_eq, float(np.linalg.norm(a_quad - a_rep, 2)))
-            worst_ah = max(worst_ah, float(np.linalg.norm(a_quad + a_quad.conj().T, 2)))
-            v2 = rng.standard_normal(2)
-            rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
-            c1, c2 = rng.standard_normal(2)
-            lin = (connection_rep(model, rep, chart, q, c1 * v + c2 * v2) - c1 * a_rep
-                   - c2 * connection_rep(model, rep, chart, q, v2))
-            worst_lin = max(worst_lin, float(np.linalg.norm(lin, 2)))
-            rng.standard_normal(2)  # the retired vertical shift, kept for the same reason
+        chart, q, _, v = _sample_states(model, rng, 20)
+        v2 = rng.standard_normal((20, 2))
+        c1, c2 = rng.standard_normal((2, 20, 1))
+        a_quad = connection_rep(model, quad_rep, chart, q, v)
+        a_rep, a_v2, a_mix = connection_rep(model, rep, chart, np.broadcast_to(q, (3, 20, 2)),
+                                            np.stack([v, v2, c1 * v + c2 * v2]))
+        worst_eq = max(worst_eq, float(np.max(norm(a_quad - a_rep))))
+        worst_ah = max(worst_ah, float(np.max(norm(a_quad + a_quad.conj().swapaxes(-1, -2)))))
+        lin = a_mix - c1[..., None] * a_rep - c2[..., None] * a_v2
+        worst_lin = max(worst_lin, float(np.max(norm(lin))))
     rows["gauge.connection_equivalence"] = worst_eq
     rows["gauge.anti_hermiticity"] = worst_ah
     rows["gauge.linearity"] = worst_lin
 
-    # drawn one sample at a time, then checked by one stacked gauge_residual call per model
-    charts, mono_q, _, mono_v = zip(*(_sample_state(mono, rng, overlap=True) for _ in range(10)))
-    pure_q, pure_v = zip(*((rng.uniform(-1, 1, size=2), rng.standard_normal(2)) for _ in range(10)))
-    rows["gauge.transformation_law"] = float(max(
-        np.max(gauge_residual(mono, basis, quad_rep, charts[0], np.array(mono_q), np.array(mono_v))),
-        np.max(gauge_residual(pure, basis, quad_rep, "flat", np.array(pure_q), np.array(pure_v)))))
+    chart, mono_q, _, mono_v = _sample_states(mono, rng, 10, overlap=True)
+    pure_q, pure_v = rng.uniform(-1, 1, (10, 2)), rng.standard_normal((10, 2))
+    rows["gauge.transformation_law"] = float(max(np.max(gauge_residual(mono, basis, quad_rep, chart, mono_q, mono_v)),
+                                                 np.max(gauge_residual(pure, basis, quad_rep, "flat", pure_q, pure_v))))
 
     worst = 0.0
     for model in (mono, const):
-        for _ in range(10):
-            chart, q, p, v = _sample_state(model, rng)
-            f = _random_points(rng.standard_normal(2))
-            xi = rng.standard_normal(2)
-            worst = max(worst, lift_orthogonality_residual(model, chart, q, p, v, f, xi))
+        chart, q, p, v = _sample_states(model, rng, 10)
+        f = _random_points(rng.standard_normal((10, 2)))
+        xi = rng.standard_normal((10, 2))
+        worst = max(worst, float(np.max(lift_orthogonality_residual(model, chart, q, p, v, f, xi))))
     rows["gauge.lift_orthogonality"] = worst
 
     rows["gauge.pure_gauge_flatness"] = float(np.linalg.norm(
@@ -305,21 +290,19 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     return rows
 
 
-def _sample_state(model, rng, overlap: bool = False):
-    """A sampled (chart, q, p, dq); p is read only by the total-space form."""
+def _sample_states(model, rng, count: int, overlap: bool = False):
+    """``count`` sampled states (chart, q, p, dq), q, p and dq (count, 2) blocks; p is read only by the
+    total-space form.  Monopole points lie in the north chart, in the overlap with ``overlap``."""
     if model.kind == "monopole":
         lo, hi = (np.pi / 3, 2 * np.pi / 3) if overlap else (np.pi / 6, 2 * np.pi / 3)
-        theta = rng.uniform(lo, hi)
-        phi = rng.uniform(0, 2 * np.pi)
-        r = np.tan(theta / 2.0)
-        q = np.array([r * np.cos(phi), r * np.sin(phi)])
+        r = np.tan(rng.uniform(lo, hi, count) / 2.0)
+        phi = rng.uniform(0, 2 * np.pi, count)
+        q = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
         chart = "north"
     else:
-        q = rng.uniform(-1.0, 1.0, size=2)
+        q = rng.uniform(-1.0, 1.0, size=(count, 2))
         chart = next(iter(model.charts))
-    p = rng.standard_normal(2)
-    dq = rng.standard_normal(2)
-    rng.standard_normal(2)  # the retired dp draw, kept so that every later sample stays the same
+    p, dq = rng.standard_normal((2, count, 2))
     return chart, q, p, dq
 
 

@@ -252,6 +252,22 @@ class TestExitCodes:
                               env={**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
         assert (done.returncode, done.stdout, done.stderr) == (EXIT_USAGE, USAGE + "\n", "")
 
+    def test_closed_stdout_exits_with_the_command_code_quietly(self):
+        # the reader of stdout is gone before the document is written, as under `| head -1`: the exit
+        # code is the command's own (0 here, where the interpreter's would be 1) and stderr stays empty
+        import fiberquant
+
+        src = os.path.dirname(os.path.dirname(fiberquant.__file__))
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            path = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+            done = subprocess.run([sys.executable, "-m", "fiberquant", "verify", "orbit"], stdout=write_end,
+                                  stderr=subprocess.PIPE, text=True, env={**os.environ, "PYTHONPATH": path})
+        finally:
+            os.close(write_end)
+        assert (done.returncode, done.stderr) == (EXIT_OK, "")
+
     def test_validation_error(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"orbit": {"two_j": -1}, "model": {"kind": "trivial"}}))

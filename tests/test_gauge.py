@@ -506,18 +506,111 @@ class TestStackedGaugeLaw:
         per_sample = []
         for (i, j), overlap in model.overlaps.items():
             per_sample.append([])
-            for _ in range(12):
-                q = gauge._sample_overlap_point(model, i, j, rng)
-                dq = rng.standard_normal(2)
+            for _ in range(12):  # each sample a stack of length 1
+                q = gauge._sample_overlap_point(model, i, j, rng)[None]
+                dq = rng.standard_normal((1, 2))
                 xi_i = lift(model.charts[i].potential(q, dq))
                 xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
-                per_sample[-1].append(gauge._gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq))
+                per_sample[-1].append(gauge._gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq)[0])
         stacked, defect = [], gauge._gauge_law_defect
         monkeypatch.setattr(gauge, "_gauge_law_defect", lambda *args: stacked.append(defect(*args)) or stacked[-1])
         assert verify_gauge_data(model, np.random.default_rng(40)) == np.max(per_sample)
         # one stacked call per overlap, each sample's defect bit for bit
         assert len(stacked) == len(model.overlaps)
         assert all(np.array_equal(s, p) for s, p in zip(stacked, per_sample))
+
+
+class TestStackedEntryPoints:
+    """A stack of points, (k, 2) or (2, 4, 2), equals its calls on stacks of length 1 and on single points,
+    bit for bit: a single point is computed as a stack of length 1."""
+
+    MODELS = {"monopole": (monopole_model, "north"), "constant": (constant_model, "main"),
+              "pure_gauge": (pure_gauge_model, "gauged")}
+
+    @staticmethod
+    def states(model, rng, count=8):
+        """``count`` chart points of the monopole's north chart or of the plane, with q, p, dq, z and xi."""
+        if model.kind == "monopole":
+            r, phi = np.tan(rng.uniform(np.pi / 8, 2 * np.pi / 3, count) / 2), rng.uniform(0, 2 * np.pi, count)
+            q = np.stack([r * np.cos(phi), r * np.sin(phi)], axis=-1)
+        else:
+            q = rng.uniform(-1, 1, (count, 2))
+        p, dq, xy, xi = rng.standard_normal((4, count, 2))
+        return q, p, dq, xy[:, 0] + 1j * xy[:, 1], xi
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    @pytest.mark.parametrize("route", ["rep", "quad"])
+    def test_connection_rep(self, ctx, name, route):
+        builder, chart = self.MODELS[name]
+        model = builder(ctx["spec"])
+        q, _, dq, _, _ = self.states(model, np.random.default_rng(50))
+        stacked = connection_rep(model, ctx[route], chart, q, dq)
+        assert stacked.shape == (8, 3, 3)
+        for k in range(8):
+            one = connection_rep(model, ctx[route], chart, q[k:k + 1], dq[k:k + 1])
+            assert one.tobytes() == stacked[k].tobytes()
+            assert connection_rep(model, ctx[route], chart, q[k], dq[k]).tobytes() == stacked[k].tobytes()
+        block = connection_rep(model, ctx[route], chart, q.reshape(2, 4, 2), dq.reshape(2, 4, 2))
+        assert block.shape == (2, 4, 3, 3) and block.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_orbit_function(self, ctx, name):
+        builder, chart = self.MODELS[name]
+        model = builder(ctx["spec"])
+        q, _, dq, z, _ = self.states(model, np.random.default_rng(51))
+        w, pt = orbit_function(model, chart, q, dq), ChartPoint(Chart.NORTH, z)
+        values, gradients = w.value(pt), w.chart_gradient(pt)
+        assert values.shape == (8,) and gradients.shape == (2, 8)
+        for k in range(8):
+            one, at = orbit_function(model, chart, q[k:k + 1], dq[k:k + 1]), ChartPoint(Chart.NORTH, z[k:k + 1])
+            assert one.value(at).tobytes() == values[k:k + 1].tobytes()
+            assert one.chart_gradient(at).tobytes() == gradients[:, k:k + 1].tobytes()
+        block = orbit_function(model, chart, q.reshape(2, 4, 2), dq.reshape(2, 4, 2))
+        assert block.value(ChartPoint(Chart.NORTH, z.reshape(2, 4))).tobytes() == values.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_alpha_total_components(self, ctx, name):
+        builder, chart = self.MODELS[name]
+        model = builder(ctx["spec"])
+        q, p, _, z, _ = self.states(model, np.random.default_rng(52))
+        stacked = alpha_total_components(model, chart, q, p, z)
+        assert stacked.shape == (8, 6)
+        for k in range(8):
+            one = alpha_total_components(model, chart, q[k:k + 1], p[k:k + 1], z[k:k + 1])
+            assert one.tobytes() == stacked[k].tobytes()
+            assert alpha_total_components(model, chart, q[k], p[k], complex(z[k])).tobytes() == stacked[k].tobytes()
+        block = alpha_total_components(model, chart, q.reshape(2, 4, 2), p.reshape(2, 4, 2), z.reshape(2, 4))
+        assert block.shape == (2, 4, 6) and block.tobytes() == stacked.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_lift_orthogonality_residual(self, ctx, name):
+        builder, chart = self.MODELS[name]
+        model = builder(ctx["spec"])
+        q, p, dq, z, xi = self.states(model, np.random.default_rng(53))
+        stacked = lift_orthogonality_residual(model, chart, q, p, dq, ChartPoint(Chart.NORTH, z), xi)
+        assert stacked.shape == (8,) and np.all(stacked <= 1e-8)
+        for k in range(8):
+            one = lift_orthogonality_residual(model, chart, q[k:k + 1], p[k:k + 1], dq[k:k + 1],
+                                              ChartPoint(Chart.NORTH, z[k:k + 1]), xi[k:k + 1])
+            single = lift_orthogonality_residual(model, chart, q[k], p[k], dq[k],
+                                                 ChartPoint(Chart.NORTH, complex(z[k])), xi[k])
+            assert type(single) is float and one.tobytes() == stacked[k:k + 1].tobytes() and single == stacked[k]
+        block = lift_orthogonality_residual(model, chart, *(x.reshape(2, 4, 2) for x in (q, p, dq)),
+                                            ChartPoint(Chart.NORTH, z.reshape(2, 4)), xi.reshape(2, 4, 2))
+        assert block.shape == (2, 4) and block.tobytes() == stacked.tobytes()
+
+    def test_any_point_outside_the_chart_rejects_the_stack(self, ctx):
+        model = ctx["mono"]
+        q, p, dq, z, xi = self.states(model, np.random.default_rng(54))
+        q[5] = [10.0, 0.0]  # beyond the north chart's colatitude 3 pi / 4
+        calls = [lambda: connection_rep(model, ctx["rep"], "north", q, dq),
+                 lambda: connection_rep(model, ctx["quad"], "north", q.reshape(2, 4, 2), dq.reshape(2, 4, 2)),
+                 lambda: orbit_function(model, "north", q, dq),
+                 lambda: alpha_total_components(model, "north", q, p, z),
+                 lambda: lift_orthogonality_residual(model, "north", q, p, dq, ChartPoint(Chart.NORTH, z), xi)]
+        for call in calls:  # the message names the point, not the whole stack
+            with pytest.raises(ChartError, match=r"^point \[10\. +0\.\] outside chart 'north'$"):
+                call()
 
 
 class TestHorizontalLift:

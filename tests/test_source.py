@@ -1,4 +1,5 @@
-"""Source hygiene that a linter would check: every name a module imports is read in it."""
+"""Source hygiene that a linter would check: every name a module imports is read in it, and every
+module-level symbol is read somewhere in the package or exported by it."""
 
 import ast
 from pathlib import Path
@@ -7,7 +8,8 @@ import pytest
 
 import fiberquant
 
-MODULES = sorted(p for p in Path(fiberquant.__file__).parent.glob("*.py") if p.name != "__init__.py")
+PACKAGE = Path(fiberquant.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
 def unread_imports(source: str) -> list[str]:
@@ -33,3 +35,41 @@ def test_every_import_is_read(path):
 
 def test_an_unread_import_is_caught():
     assert unread_imports("from .gauge import ChartData, connection_rep\nconnection_rep()\n") == ["ChartData"]
+
+
+def defined_symbols(source: str) -> list[str]:
+    """The module-level functions, classes and constants that ``source`` defines."""
+    names = []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [target.id for target in targets if isinstance(target, ast.Name)]
+    return names
+
+
+def unused_symbols(sources: dict[str, str], exported: set[str]) -> list[str]:
+    """``module.symbol`` for each module-level symbol of ``sources`` (module name -> source) that no
+    expression in any of them reads, by name or as an attribute, and that is not ``exported``."""
+    read = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    return [f"{module}.{name}" for module, source in sources.items() for name in defined_symbols(source)
+            if name not in read | exported]
+
+
+def test_every_symbol_is_read_or_exported():
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {alias.name for node in init.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert unused_symbols({p.stem: p.read_text() for p in MODULES}, exported) == []
+
+
+def test_an_unused_symbol_is_caught():
+    sources = {"a": "LIMIT = 3\n_SPARE = 4\ndef f():\n    return LIMIT\n\ndef _g():\n    return 0\n",
+               "b": "from . import a\nclass C:\n    x = a._g()\n"}
+    assert unused_symbols(sources, exported={"f"}) == ["a._SPARE", "b.C"]

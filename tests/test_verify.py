@@ -200,6 +200,16 @@ class TestStackedFiberRows:
         expected = per_sample_fiber_rows()
         assert {name: rows[name] for name in expected} == expected
 
+    def test_prequant_calls_in_verify_all(self, monkeypatch):
+        # the fiber suite's 3 generator operators at each of 5 spins, and quadrature_rep's 3 in the gauge and
+        # transport suites; the hermiticity rows built one operator per sample, 41 in all
+        calls = []
+        for module in (verify, gauge):
+            monkeypatch.setattr(module, "prequant_matrix", lambda basis, w, original=module.prequant_matrix:
+                                calls.append(basis.spec.two_j) or original(basis, w))
+        run_suite("all", default_scenario(2, "monopole", strength=1))
+        assert Counter(calls) == {1: 3, 2: 9, 3: 3, 4: 3, 5: 3}
+
     def test_one_quantize_call_per_spin_and_operand(self, monkeypatch):
         # 3 spins x (g1, g2, g1 g2), each a stack of 34; a per-sample loop would make 3 x 34 x 3 = 306 calls
         shapes, lift = [], verify.quantize_transition
@@ -209,15 +219,20 @@ class TestStackedFiberRows:
 
 
 def per_sample_orbit_rows() -> dict:
-    """The sampled rows of ``suite_orbit``, one sample per kernel call, from the suite's seed and draws."""
+    """The sampled rows of ``suite_orbit``, one sample per kernel call, from the suite's seed and draws.
+
+    Each sample is a stack of length 1: a point a length-1 ``z``, a vector a column (k, 1)."""
     rng = np.random.default_rng(101)
     spec = OrbitSpec(2)
 
     def point():
-        return ChartPoint(Chart.NORTH, complex(rng.normal(scale=1.2), rng.normal(scale=1.2)))
+        return ChartPoint(Chart.NORTH, np.array([complex(rng.normal(scale=1.2), rng.normal(scale=1.2))]))
+
+    def column(size):
+        return rng.standard_normal(size)[:, None]
 
     def theta_pair(pt, vec):
-        return complex(np.dot(kahler_potential_at(spec, pt), vec))
+        return np.sum(vec * kahler_potential_at(spec, pt), axis=0)
 
     def shift(pt, direction, step):
         return ChartPoint(pt.chart, pt.z + step * (direction[0] + 1j * direction[1]))
@@ -225,57 +240,59 @@ def per_sample_orbit_rows() -> dict:
     rows = {}
     worst = 0.0
     for _ in range(100):
-        w = moment_hamiltonian(spec, rng.standard_normal(3))
+        w = moment_hamiltonian(spec, column(3))
         pt = point()
-        xi = rng.standard_normal(2)
+        xi = column(2)
         lhs = symplectic_form_at(spec, pt, hamiltonian_field(spec, w, pt), xi)
-        worst = max(worst, abs(lhs + float(np.dot(w.chart_gradient(pt), xi))))
+        worst = max(worst, float(np.abs(lhs + np.sum(w.chart_gradient(pt) * xi, axis=0))[0]))
     rows["orbit.hamiltonian_field_identity"] = worst
 
     worst = 0.0
     for _ in range(25):
-        w = moment_hamiltonian(spec, rng.standard_normal(3))
+        w = moment_hamiltonian(spec, column(3))
         pt = point()
-        xi = rng.standard_normal(2)
+        xi = column(2)
         field_at = lambda p: hamiltonian_field(spec, w, p)
         hw = field_at(pt)
         d_hw = central_difference(lambda s: theta_pair(shift(pt, hw, s), xi), 0.0, 1e-5)
         d_xi = central_difference(lambda s: theta_pair(shift(pt, xi, s), field_at(shift(pt, xi, s))), 0.0, 1e-5)
         jac_xi = central_difference(lambda s: field_at(shift(pt, xi, s)), 0.0, 1e-5)
         rhs = d_hw - d_xi - theta_pair(pt, -jac_xi)
-        worst = max(worst, abs(symplectic_form_at(spec, pt, hw, xi) - rhs))
+        worst = max(worst, float(np.abs(symplectic_form_at(spec, pt, hw, xi) - rhs)[0]))
     rows["orbit.potential_lie_chain"] = worst
 
     worst = 0.0
     for _ in range(50):
-        w = moment_hamiltonian(spec, rng.standard_normal(3))
+        w = moment_hamiltonian(spec, column(3))
         pt = point()
-        worst = max(worst, abs(w.value(pt) - w.value(chart_transition(pt))))
+        worst = max(worst, float(np.abs(w.value(pt) - w.value(chart_transition(pt)))[0]))
     rows["orbit.chart_covariance"] = worst
 
     worst = 0.0
     for two_j in (1, 2, 3, 4):
         spec_j = OrbitSpec(two_j)
         for _ in range(25):
-            a = rng.standard_normal(3)
-            b = rng.standard_normal(3)
+            a = column(3)
+            b = column(3)
             pt = point()
             bracket = poisson_bracket(spec_j, moment_hamiltonian(spec_j, a), moment_hamiltonian(spec_j, b), pt)
-            worst = max(worst, abs(bracket - moment_hamiltonian(spec_j, np.cross(a, b)).value(pt)))
+            expected = moment_hamiltonian(spec_j, np.cross(a, b, axis=0)).value(pt)
+            worst = max(worst, float(np.abs(bracket - expected)[0]))
     rows["orbit.poisson_sign_global"] = worst
 
     worst = 0.0
     for _ in range(100):
-        worst = max(worst, abs(np.linalg.norm(embed_point(spec, point())) - spec.j))
+        embedded = embed_point(spec, point())
+        worst = max(worst, float(np.abs(np.sqrt(np.sum(embedded * embedded, axis=0)) - spec.j)[0]))
     rows["orbit.embed_radius"] = worst
 
     worst = 0.0
     for _ in range(100):
         pt = point()
-        comp = lambda z, k: complex(kahler_potential_at(spec, ChartPoint(pt.chart, z))[k])
+        comp = lambda z, k: kahler_potential_at(spec, ChartPoint(pt.chart, z))[k]
         curl = (central_difference(lambda s: comp(pt.z + s, 1), 0.0, 1e-5)
                 - central_difference(lambda s: comp(pt.z + 1j * s, 0), 0.0, 1e-5))
-        worst = max(worst, abs(curl - symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0))))
+        worst = max(worst, float(np.abs(curl - symplectic_form_at(spec, pt, (1.0, 0.0), (0.0, 1.0)))[0]))
     rows["orbit.potential_curvature"] = worst
     return rows
 
@@ -293,7 +310,7 @@ class TestStackedOrbitRows:
         monkeypatch.setattr(verify, "central_difference",
                             lambda f, x, h: calls.append(np.shape(f(x))) or central_difference(f, x, h))
         verify.suite_orbit(2)
-        assert calls == [(50,), (50,), (2, 25), (200,), (200,)]
+        assert calls == [(25,), (25,), (2, 25), (100,), (100,)]
 
 
 class TestStackedGaugeRows:
@@ -306,6 +323,25 @@ class TestStackedGaugeRows:
         run_suite("all", default_scenario(2, "monopole", strength=1))
         assert len(calls) == 20
         assert Counter(calls) == {(12, 3): 6, (4, 12, 3): 6, (10, 3): 3, (4, 10, 3): 3, (3,): 2}
+
+    def test_one_connection_call_per_model_and_route(self, monkeypatch):
+        # 20 samples per model: the quad route at (q, v), the rep route at (q, v), (q, v2) and the combination
+        calls, connection = [], verify.connection_rep
+        route = lambda rep: "rep" if rep.group_action is not None else "quad"  # build_rep's carries the basis
+        monkeypatch.setattr(verify, "connection_rep",
+                            lambda model, rep, chart, q, dq: calls.append((model.kind, route(rep), q.shape, dq.shape))
+                            or connection(model, rep, chart, q, dq))
+        verify.suite_gauge(2)
+        assert calls == [(kind, name, shape, shape) for kind in ("monopole", "constant")
+                         for name, shape in (("quad", (20, 2)), ("rep", (3, 20, 2)))]
+
+    def test_one_lift_orthogonality_call_per_model(self, monkeypatch):
+        calls, residual = [], verify.lift_orthogonality_residual
+        monkeypatch.setattr(verify, "lift_orthogonality_residual",
+                            lambda model, chart, q, p, dq, f, xi: calls.append((model.kind, f.z.shape))
+                            or residual(model, chart, q, p, dq, f, xi))
+        verify.suite_gauge(2)
+        assert calls == [("monopole", (10,)), ("constant", (10,))]
 
     def test_one_gauge_residual_call_per_model(self, monkeypatch):
         shapes, residual = [], verify.gauge_residual
