@@ -18,7 +18,7 @@ import numpy as np
 
 from . import constants
 from .errors import AccuracyFailure, FiberquantError, InvalidArgument, ValidationError
-from .fiberq import build_basis, prequant_matrix, quantize_transition
+from .fiberq import build_basis, exact_monomial_norms_sq, prequant_matrix, quantize_transition
 from .gauge import connection_rep, quadrature_rep
 from .orbit import moment_hamiltonian
 from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
@@ -176,8 +176,6 @@ def _bounded(scenario: Scenario, key: str, value: float) -> dict:
 
 
 def _cmd_gram(args, scenario: Scenario) -> dict:
-    from .fiberq import exact_monomial_norms_sq
-
     spec = scenario.spec()
     basis = build_basis(spec)
     exact = exact_monomial_norms_sq(spec)

@@ -115,39 +115,43 @@ def build_basis(spec: OrbitSpec) -> FiberBasis:
     return FiberBasis(spec=spec, norms=np.sqrt(diag), gram=gram)
 
 
-def _prequant_pointwise(spec: OrbitSpec, w: FiberHamiltonian, z: np.ndarray,
-                        f_vals: np.ndarray, f_deriv: np.ndarray) -> np.ndarray:
-    """Apply O(w) = -i nabla_{H_w} + w to section values in the chart frame.
+def _prequant_pointwise(basis: FiberBasis, w: FiberHamiltonian, z: np.ndarray, f_vals: np.ndarray) -> np.ndarray:
+    """Apply O(w) = -i nabla_{H_w} + w to the basis sections in the chart frame.
 
     For values f and derivative f' of a polarized section,
     O(w) f = -i h_w f' + (w - <theta, H_w>) f with h_w the dz-component
-    of the Hamiltonian field.  ``f_vals`` and ``f_deriv`` are (n, len(z))
-    blocks, one row per basis section; the node data is computed once,
-    as one array-valued call per kernel.
+    of the Hamiltonian field.  ``f_vals`` is the (n, len(z)) block of the
+    basis values, one row per basis section; the node data is computed
+    once, as one array-valued call per kernel.  A stack of k Hamiltonians
+    gives (k, n, len(z)): a basis-row axis goes in front of w's node axis.
+    The derivatives are dropped once their term is formed, so a stack
+    holds two such blocks at its peak.
     """
     pt = ChartPoint(Chart.NORTH, z)
-    h = hamiltonian_field_complex(spec, w, pt)
-    theta = theta_dz(spec, pt)
-    wv = w.value(pt)
-    return -1j * h * f_deriv + (wv - theta * h) * f_vals
+    h, wv = (x[..., None, :] if np.ndim(x) else x for x in (hamiltonian_field_complex(basis.spec, w, pt), w.value(pt)))
+    deriv_term = -1j * h * basis.eval_deriv(z)
+    applied = (wv - theta_dz(basis.spec, pt) * h) * f_vals
+    applied += deriv_term
+    return applied
 
 
 def prequant_matrix(basis: FiberBasis, w: FiberHamiltonian) -> np.ndarray:
-    """Matrix elements <e_nu | O(w) e_mu> by quadrature on the basis's default rule."""
+    """Matrix elements <e_nu | O(w) e_mu> by quadrature on the basis's default rule, (..., n, n) for a stack of
+    fiber Hamiltonians; each is checked Hermitian to 1e-8, and the message gives the worst deviation."""
     rule = default_rule(basis.spec)
     z = rule_points(rule)
     wts = measure_weights(basis.spec, rule)
     vals = basis.eval(z)
-    applied = _prequant_pointwise(basis.spec, w, z, vals, basis.eval_deriv(z))
-    matrix = (vals.conj() * wts[None, :]) @ applied.T
-    herm = spectral_norm(matrix - matrix.conj().T)
-    if not herm <= 1e-8:
-        raise AccuracyFailure(f"prequantization matrix not Hermitian to tolerance ({herm:.2e})")
+    applied = _prequant_pointwise(basis, w, z, vals)
+    matrix = (vals.conj() * wts[None, :]) @ applied.swapaxes(-1, -2)
+    herm = spectral_norm(matrix - matrix.conj().swapaxes(-1, -2))
+    if not np.all(herm <= 1e-8):
+        raise AccuracyFailure(f"prequantization matrix not Hermitian to tolerance ({np.max(herm):.2e})")
     return matrix
 
 
 def polarization_residual(basis: FiberBasis, w: FiberHamiltonian) -> float:
-    """Largest leakage of O(w) e_k outside the polarized subspace.
+    """Largest leakage of O(w) e_k outside the polarized subspace, over a stack's members too.
 
     The leakage integrand is not polynomial, so it is integrated on the
     oversized residual rule, not on the default rule.  The component
@@ -159,12 +163,13 @@ def polarization_residual(basis: FiberBasis, w: FiberHamiltonian) -> float:
     z = rule_points(rule)
     wts = measure_weights(basis.spec, rule)
     vals = basis.eval(z)
-    applied = _prequant_pointwise(basis.spec, w, z, vals, basis.eval_deriv(z))
-    # Stacked matrix-vector products, one per basis column: the same
+    applied = _prequant_pointwise(basis, w, z, vals)
+    # Stacked matrix-vector products, one per basis column and member: the same
     # kernels a per-column loop calls, so the residual is unchanged to the bit.
-    coeffs = np.matmul(vals.conj() * wts[None, :], applied[:, :, None])[..., 0]
-    leak = applied - np.matmul(coeffs[:, None, :], vals)[:, 0, :]
-    norm_sq = np.matmul((np.abs(leak) ** 2)[:, None, :], wts)[:, 0]
+    # The leak overwrites ``applied``, so a stack holds two blocks at its peak.
+    coeffs = np.matmul(vals.conj() * wts[None, :], applied[..., None])[..., 0]
+    leak = np.subtract(applied, np.matmul(coeffs[..., None, :], vals)[..., 0, :], out=applied)
+    norm_sq = np.matmul((np.abs(leak) ** 2)[..., None, :], wts)[..., 0]
     return float(np.sqrt(np.maximum(norm_sq, 0.0)).max())
 
 

@@ -15,7 +15,7 @@ of length 1.  Only the canonical term p dq reads p
 ``check_model`` tests a model against the ``FiberBasis`` in use: its
 potentials against its transitions, and minimal coupling, which holds for
 every potential at a spin once the three moment functions' operators
-preserve the polarization there (``moment_polarization_residual``).  The
+preserve the polarization there (``polarization_residual`` on their stack).  The
 connection on the quantum bundle is the potential's tau-coefficients
 contracted with a ``LieAlgebraRep``, three generator matrices built from
 the ``FiberBasis`` alone, in two independent ways:
@@ -51,6 +51,7 @@ from .orbit import (
     ChartPoint,
     FiberHamiltonian,
     OrbitSpec,
+    _moment_functions,
     hamiltonian_field,
     kahler_potential_at,
     moment_hamiltonian,
@@ -75,11 +76,9 @@ class LieAlgebraRep:
     group_action: FiberBasis | None = None
 
     def commutator_residual(self) -> float:
-        worst = 0.0
-        for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-            comm = self.matrices[a] @ self.matrices[b] - self.matrices[b] @ self.matrices[a]
-            worst = max(worst, float(np.linalg.norm(comm - self.matrices[c], 2)))
-        return worst
+        """Largest 2-norm of [X_a, X_b] - X_c over the cyclic (a, b, c), the three as one stack."""
+        x, y, z = self.matrices, self.matrices[[1, 2, 0]], self.matrices[[2, 0, 1]]
+        return float(np.max(np.linalg.norm(x @ y - y @ x - z, 2, axis=(-2, -1))))
 
 
 @dataclass(frozen=True)
@@ -159,16 +158,15 @@ def horizontal_lift(model: GaugeModel, chart: str, q: np.ndarray, dq: np.ndarray
 
 
 def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
-    """Generators i * _MOMENT_TWIST[a] * <e_nu | O(mu_a) e_mu> of the moment functions, by quadrature.
+    """Generators i * _MOMENT_TWIST[a] * <e_nu | O(mu_a) e_mu> of the moment functions, by quadrature:
+    one ``prequant_matrix`` call on the stack of the three.
 
     O(w) is linear in w, so the connection value i O(w) of the orbit
     function is the potential contracted with these three matrices.  Every
     value is a real combination of them, so the anti-Hermiticity guard
     runs here, once per generator.
     """
-    spec = basis.spec
-    mats = np.array([1j * twist * prequant_matrix(basis, moment_hamiltonian(spec, e))
-                     for twist, e in zip(_MOMENT_TWIST, np.eye(3))])
+    mats = 1j * _MOMENT_TWIST[:, None, None] * prequant_matrix(basis, _moment_functions(basis.spec))
     dev = np.linalg.norm(mats + np.swapaxes(mats, -1, -2).conj(), 2, axis=(-2, -1))
     if not np.all(dev <= 1e-8):
         raise AccuracyFailure(f"quadrature generator not anti-Hermitian ({np.max(dev):.2e})")
@@ -243,18 +241,14 @@ def curvature(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, 
     Normalized to the small-loop law of the transport ordering: holonomy
     around the (v1, v2) square of side eps is I + eps^2 F + O(eps^3), so
     F = d1 A(v2) - d2 A(v1) + [A(v2), A(v1)].  Vanishes for pure-gauge
-    potentials.
+    potentials.  The six stencil points are one stacked ``connection_rep``
+    call: A(v2) at q +- h v1, A(v1) at q +- h v2, then A(v1) and A(v2) at q.
     """
     h = 1.0e-5
-
-    def a_at(x, v):
-        return connection_rep(model, rep, chart, x, v)
-
-    d1 = central_difference(lambda s: a_at(q + s * v1, v2), 0.0, h)
-    d2 = central_difference(lambda s: a_at(q + s * v2, v1), 0.0, h)
-    a1 = a_at(q, v1)
-    a2 = a_at(q, v2)
-    return d1 - d2 + a2 @ a1 - a1 @ a2
+    shifts = np.array([[h], [-h]])
+    up1, down1, up2, down2, a1, a2 = connection_rep(model, rep, chart, np.concatenate(
+        [q + shifts * v1, q + shifts * v2, [q, q]]), np.array([v2, v2, v1, v1, v1, v2]))
+    return (up1 - down1) / (2.0 * h) - (up2 - down2) / (2.0 * h) + a2 @ a1 - a1 @ a2
 
 
 def alpha_total_components(model: GaugeModel, chart: str, q: np.ndarray, p: np.ndarray,
@@ -306,16 +300,6 @@ def lift_orthogonality_residual(model: GaugeModel, chart: str, q: np.ndarray, p:
     d2 = central_difference(lambda s: pairing(base + s * vert6, lift6), 0.0, h)
     residuals = np.abs(d1 - d2)
     return residuals.reshape(shape) if shape else float(residuals[0])
-
-
-def moment_polarization_residual(basis: FiberBasis) -> float:
-    """Largest polarization leakage of O(mu_a) over the three moment functions at the basis spin.
-
-    Every fiber Hamiltonian a potential induces is a real combination of
-    the mu_a, and O is linear, so these three bound minimal coupling for
-    every model at this spin, whatever the scale of its coefficients.
-    """
-    return max(polarization_residual(basis, moment_hamiltonian(basis.spec, e)) for e in np.eye(3))
 
 
 def verify_gauge_data(model: GaugeModel, rng: np.random.Generator) -> float:
@@ -380,7 +364,7 @@ def check_model(model: GaugeModel, basis: FiberBasis) -> None:
     data_defect = verify_gauge_data(model, np.random.default_rng(11))
     if not data_defect <= 1e-8:
         raise ConfigurationError(f"chart potentials inconsistent with transitions ({data_defect:.2e})")
-    leak = moment_polarization_residual(basis)
+    leak = polarization_residual(basis, _moment_functions(basis.spec))
     if not leak <= 1e-6:
         raise ConfigurationError(f"the moment generators break the polarization at two_j = {basis.spec.two_j} "
                                  f"(residual {leak:.2e} > 1.0e-06)")

@@ -65,7 +65,7 @@ class FiberHamiltonian:
     """Real function on the fiber with a chart gradient (d/dx, d/dy).
 
     Both callables take a ``ChartPoint``; given an array ``z`` they work
-    elementwise, the gradient with shape (2,) + z.shape.
+    elementwise, the gradient with shape (2,) + the value's shape.
     """
 
     value: Callable[[ChartPoint], float]
@@ -170,7 +170,8 @@ def _dot3(a: np.ndarray, v: np.ndarray):
 
 
 def moment_hamiltonian(spec: OrbitSpec, a) -> FiberHamiltonian:
-    """Linear moment function H_a(f) = a . embed(f), with analytic gradient."""
+    """Linear moment function H_a(f) = a . embed(f), with analytic gradient; a stack a (3, ...) broadcasts
+    against the points, its gradient (2,) in front, each element bit-equal to its single direction's."""
     a = np.asarray(a, dtype=float)
 
     def value(pt: ChartPoint) -> float | np.ndarray:
@@ -178,9 +179,14 @@ def moment_hamiltonian(spec: OrbitSpec, a) -> FiberHamiltonian:
         return h if np.ndim(pt.z) else float(h)
 
     def gradient(pt: ChartPoint) -> np.ndarray:
-        return _dot3(a, embed_gradient(spec, pt).swapaxes(0, 1))
+        return np.moveaxis(_dot3(a[..., None], np.moveaxis(embed_gradient(spec, pt), 0, -1)), -1, 0)
 
     return FiberHamiltonian(value=value, chart_gradient=gradient)
+
+
+def _moment_functions(spec: OrbitSpec) -> FiberHamiltonian:
+    """The three moment functions mu_a = e_a . embed as one stack: values (3, N) on N points z (N,)."""
+    return moment_hamiltonian(spec, np.eye(3)[..., None])
 
 
 def squared_hamiltonian(w: FiberHamiltonian) -> FiberHamiltonian:

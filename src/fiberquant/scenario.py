@@ -20,8 +20,8 @@ the scenario's basis (``gauge.check_model``).
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,11 +93,11 @@ DEFAULT_TOLERANCES = {key: bound for key, bound in CHECKS.values() if key is not
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return isinstance(x, int) and not isinstance(x, bool) and abs(x) <= 2**53  # exact as a float
 
 
 def _is_real(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x)
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _is_reals(x, length: int) -> bool:
@@ -107,13 +107,13 @@ def _is_reals(x, length: int) -> bool:
 # Scenario field types: name -> (check, what a value must be).
 _FIELD_TYPES = {
     "real": (_is_real, "a finite real"),
-    "int": (_is_int, "an integer"),
-    "spin": (lambda x: _is_int(x) and x >= 0, "a non-negative integer"),
+    "int": (_is_int, "an integer of magnitude at most 2**53"),
+    "spin": (lambda x: _is_int(x) and x >= 0, "a non-negative integer at most 2**53"),
     "pair": (lambda x: _is_reals(x, 2), "a pair of finite reals"),
     "colatitude": (lambda x: _is_real(x) and 0.0 < x < np.pi, "a real strictly between 0 and pi"),
     "plane": (lambda x: _is_int(x) and x in (0, 1), "0 or 1"),
     "chart": (lambda x: isinstance(x, str), "a chart name"),
-    "strength": (lambda x: _is_int(x) and x != 0, "a nonzero integer"),
+    "strength": (lambda x: _is_int(x) and x != 0, "a nonzero integer of magnitude at most 2**53"),
     "coefficients": (lambda x: isinstance(x, list) and len(x) == 2 and all(_is_reals(r, 3) for r in x),
                      "a 2x3 array of finite reals"),
 }
@@ -233,7 +233,8 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     model = data.get("model")
     _require(isinstance(model, dict), "model: required object with field kind")
     kind = model.get("kind")
-    _require(kind in _MODEL_FIELDS, f"model.kind: must be one of {tuple(_MODEL_FIELDS)}, got {kind!r}")
+    _require(isinstance(kind, str) and kind in _MODEL_FIELDS,
+             f"model.kind: must be one of {tuple(_MODEL_FIELDS)}, got {kind!r}")
     params = {k: v for k, v in model.items() if k != "kind"}
     _check_fields(params, "model", {}, _MODEL_FIELDS[kind])
 
@@ -241,7 +242,7 @@ def validate_scenario_dict(data: dict, source: str = "<dict>") -> Scenario:
     user_paths = data.get("paths", {})
     _require(isinstance(user_paths, dict), "paths: must be an object")
     for name, pspec in user_paths.items():
-        _require(isinstance(pspec, dict) and pspec.get("kind") in _PATHS,
+        _require(isinstance(pspec, dict) and isinstance(pspec.get("kind"), str) and pspec["kind"] in _PATHS,
                  f"paths.{name}.kind: must be one of {tuple(_PATHS)}")
         _, required, optional = _PATHS[pspec["kind"]]
         _check_fields({k: v for k, v in pspec.items() if k != "kind"}, f"paths.{name}", required, optional)

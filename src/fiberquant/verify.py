@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .constants import MONOPOLE_HOLONOMY_SIGN
 from .errors import FiberquantError
 from .fiberq import (
     build_basis,
@@ -28,7 +29,6 @@ from .gauge import (
     curvature,
     gauge_residual,
     lift_orthogonality_residual,
-    moment_polarization_residual,
     monopole_model,
     pure_gauge_model,
     quadrature_rep,
@@ -40,6 +40,7 @@ from .orbit import (
     Chart,
     ChartPoint,
     OrbitSpec,
+    _moment_functions,
     chart_transition,
     embed_point,
     hamiltonian_field,
@@ -167,7 +168,7 @@ def _curl_vs_form_residual(spec: OrbitSpec, rng) -> float:
 
 def suite_fiber(_two_j: int) -> dict[str, float]:
     """Fiber rows, at fixed spins.  Each sampled row takes a spin's samples as one stack: O(w) of a moment
-    function is the ``einsum`` of its direction with the spin's three generator operators O(mu_a), built once,
+    function is the ``einsum`` of its direction with the spin's three operators O(mu_a), one stacked call,
     and the transition rows make one ``quantize_transition`` call per spin and operand."""
     rng = np.random.default_rng(202)
     rows = {}
@@ -184,7 +185,7 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
     for two_j in (1, 2, 3, 4, 5):
         spec = OrbitSpec(two_j)
         basis = build_basis(spec)
-        generators[two_j] = np.array([prequant_matrix(basis, moment_hamiltonian(spec, e)) for e in np.eye(3)])
+        generators[two_j] = prequant_matrix(basis, _moment_functions(spec))
 
     worst_h = 0.0
     worst_s = 0.0
@@ -219,7 +220,7 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
 
     spec = OrbitSpec(2)
     basis = build_basis(spec)
-    moment_res = moment_polarization_residual(basis)
+    moment_res = polarization_residual(basis, _moment_functions(spec))
     rows["fiber.polarization_moment"] = moment_res
     quad_res = polarization_residual(basis, squared_hamiltonian(moment_hamiltonian(spec, [0, 0, 1])))
     rows["fiber.polarization_counterexample_ratio"] = quad_res / max(moment_res, 1e-300)
@@ -337,8 +338,6 @@ def suite_transport(two_j: int) -> dict[str, float]:
     bwd = transport(pure, basis, sub_path(diag, 1.0, 0.0, diag.start_chart), rep=rep, steps=2000)
     rows["transport.reversal"] = float(np.linalg.norm(bwd.unitary - fwd.unitary.conj().T, 2))
     rows["transport.unitarity"] = fwd.unitarity_deviation
-
-    from .constants import MONOPOLE_HOLONOMY_SIGN
 
     lat = latitude_path(np.pi / 3.0)
     strength = 1

@@ -356,6 +356,36 @@ class TestExitCodes:
         assert (code, err) == (EXIT_INVALID, "")
         assert out.startswith(f"error: {field}:")
 
+    @pytest.mark.parametrize("doc, field", [
+        # a kind that is no string, and integers beyond the float range or past 2**53, where every
+        # integer field stops being exact in the float arithmetic it enters
+        ({"model": {"kind": ["monopole"]}}, "model.kind"),
+        ({"paths": {"bad": {"kind": ["latitude"], "theta": 1.0}}}, "paths.bad.kind"),
+        ({"tolerances": {"gram": 10**400}}, "tolerances.gram"),
+        ({"paths": {"bad": {"kind": "latitude", "theta": 10**400}}}, "paths.bad.theta"),
+        ({"model": {"kind": "pure_gauge", "rates": [10**400, 1.0]}}, "model.rates"),
+        ({"model": {"kind": "constant", "coefficients": [[10**400, 0, 0], [0, 1, 0]]}}, "model.coefficients"),
+        ({"paths": {"bad": {"kind": "segment", "q_from": [0, 10**400], "q_to": [1, 0]}}}, "paths.bad.q_from"),
+        ({"paths": {"bad": {"kind": "latitude", "theta": 1.0, "winds": 10**400}}}, "paths.bad.winds"),
+        ({"paths": {"bad": {"kind": "latitude", "theta": 1.0, "winds": -(2**53 + 1)}}}, "paths.bad.winds"),
+        ({"model": {"kind": "monopole", "strength": 2**53 + 1}}, "model.strength"),
+        ({"orbit": {"two_j": 10**400}}, "orbit.two_j"),
+        ({"paths": {"bad": {"kind": "phase_circle", "center_q": [0, 0], "radius": 1, "plane": 10**400}}},
+         "paths.bad.plane"),
+    ])
+    def test_out_of_range_scenario_values_rejected(self, tmp_path, capsys, doc, field):
+        cfg = tmp_path / "bad.json"
+        cfg.write_text(json.dumps({"orbit": {"two_j": 1}, "model": {"kind": "monopole"}, **doc}))
+        code = main(["transport", "--config", str(cfg), "--path", "bad"])
+        out, err = capsys.readouterr()
+        assert (code, err) == (EXIT_INVALID, "")
+        assert out.startswith(f"error: {field}:")
+
+    def test_integer_fields_hold_up_to_two_to_the_53(self):
+        sc = validate_scenario_dict({"orbit": {"two_j": 2**53}, "model": {"kind": "monopole", "strength": -2**53},
+                                     "paths": {"far": {"kind": "latitude", "theta": 1.0, "winds": 2**53}}})
+        assert (sc.two_j, sc.model_params["strength"], sc.path_specs["far"]["winds"]) == (2**53, -2**53, 2**53)
+
     @pytest.mark.parametrize("argv, flag", [
         (["prequant", "--hamiltonian", "nan,0,0"], "--hamiltonian"),
         (["transition", "--axis", "0,0,1", "--angle", "nan"], "--angle"),

@@ -31,6 +31,7 @@ from fiberquant.numerics import sphere_rule
 from fiberquant.orbit import (
     FiberHamiltonian,
     OrbitSpec,
+    _moment_functions,
     moment_hamiltonian,
     squared_hamiltonian,
 )
@@ -183,6 +184,42 @@ class TestPolarization:
         quad = polarization_residual(basis, squared_hamiltonian(moment_hamiltonian(spec, [0, 0, 1])))
         assert quad >= 1e3 * moment
         assert quad >= 1e3 * 1e-8
+
+
+class TestStackedPrequant:
+    """A stack of fiber Hamiltonians is one call whose members equal their single calls bit for bit."""
+
+    @staticmethod
+    def stacks(spec):
+        # the three moment functions, and a random stack of four directions, with their directions
+        a = np.random.default_rng(24 + spec.two_j).standard_normal((4, 3))
+        return [(_moment_functions(spec), np.eye(3)), (moment_hamiltonian(spec, a.T[..., None]), a)]
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 5, 20])
+    def test_prequant_stack_equals_per_direction_calls(self, two_j):
+        spec = OrbitSpec(two_j)
+        basis = build_basis(spec)
+        for stack, directions in self.stacks(spec):
+            ops = prequant_matrix(basis, stack)
+            assert ops.shape == (len(directions), spec.dim, spec.dim)
+            for op, a in zip(ops, directions):
+                assert op.tobytes() == prequant_matrix(basis, moment_hamiltonian(spec, a)).tobytes()
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 3, 4, 5, 20])
+    def test_polarization_stack_is_the_largest_member(self, two_j):
+        spec = OrbitSpec(two_j)
+        basis = build_basis(spec)
+        for stack, directions in self.stacks(spec):
+            single = [polarization_residual(basis, moment_hamiltonian(spec, a)) for a in directions]
+            assert polarization_residual(basis, stack) == max(single)
+
+    def test_hermiticity_guard_checks_every_member(self):
+        # member 0 is Hermitian, members 1 and 2 are 1e-4 i and 2e-3 i times the identity: the worst is named
+        basis = build_basis(OrbitSpec(2))
+        w = FiberHamiltonian(value=lambda pt: np.array([[1.0], [1e-4j], [2e-3j]]),
+                             chart_gradient=lambda pt: np.zeros(2))
+        with pytest.raises(AccuracyFailure, match=r"not Hermitian to tolerance \(4\.00e-03\)"):
+            prequant_matrix(basis, w)
 
 
 class TestQuantizedTransitions:

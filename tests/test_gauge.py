@@ -23,7 +23,6 @@ from fiberquant.gauge import (
     gauge_residual,
     horizontal_lift,
     lift_orthogonality_residual,
-    moment_polarization_residual,
     monopole_model,
     orbit_function,
     pure_gauge_model,
@@ -36,6 +35,7 @@ from fiberquant.orbit import (
     Chart,
     ChartPoint,
     OrbitSpec,
+    _moment_functions,
     moment_hamiltonian,
     theta_dz,
 )
@@ -110,6 +110,15 @@ class TestRepresentation:
         spec = OrbitSpec(two_j)
         rep = build_rep(build_basis(spec))
         assert rep.commutator_residual() <= 1e-9
+
+    @pytest.mark.parametrize("two_j", [0, 1, 2, 5, 20])
+    def test_stacked_residual_equals_the_per_pair_loop(self, two_j):
+        basis = build_basis(OrbitSpec(two_j))
+        for rep in (build_rep(basis), quadrature_rep(basis)):
+            m = rep.matrices
+            loop = max(float(np.linalg.norm(m[a] @ m[b] - m[b] @ m[a] - m[c], 2))
+                       for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+            assert np.float64(rep.commutator_residual()).tobytes() == np.float64(loop).tobytes()
 
 
 def finite_difference_rep(basis):
@@ -682,6 +691,21 @@ class TestCurvature:
         f21 = curvature(ctx["const"], ctx["rep"], "main", q, v2, v1)
         assert np.linalg.norm(f12 + f21, 2) <= 1e-9
 
+    @pytest.mark.parametrize("model, chart, rep", [("mono", "north", "quad"), ("pure", "gauged", "rep"),
+                                                   ("const", "main", "rep")])
+    def test_one_stacked_call_equals_the_six_point_calls(self, ctx, monkeypatch, model, chart, rep):
+        model, rep, h = ctx[model], ctx[rep], 1.0e-5
+        q, v1, v2 = np.array([0.3, -0.2]), np.array([1.0, 0.3]), np.array([-0.2, 1.0])
+        a_at = lambda x, v: connection_rep(model, rep, chart, x, v)
+        d1 = central_difference(lambda s: a_at(q + s * v1, v2), 0.0, h)
+        d2 = central_difference(lambda s: a_at(q + s * v2, v1), 0.0, h)
+        a1, a2 = a_at(q, v1), a_at(q, v2)
+        per_point = d1 - d2 + a2 @ a1 - a1 @ a2
+        shapes, stacked = [], gauge.connection_rep
+        monkeypatch.setattr(gauge, "connection_rep", lambda *args: shapes.append(np.shape(args[3])) or stacked(*args))
+        assert curvature(model, rep, chart, q, v1, v2).tobytes() == per_point.tobytes()
+        assert shapes == [(6, 2)]
+
 
 class TestModelConstruction:
     def test_monopole_strength_validation(self):
@@ -721,7 +745,8 @@ class TestModelConstruction:
 
     @pytest.mark.parametrize("two_j", [0, 1, 2, 20])
     def test_moment_generators_preserve_polarization(self, two_j):
-        assert moment_polarization_residual(build_basis(OrbitSpec(two_j))) <= 1e-6
+        spec = OrbitSpec(two_j)
+        assert polarization_residual(build_basis(spec), _moment_functions(spec)) <= 1e-6
 
     @pytest.mark.parametrize("builder", [trivial_model, constant_model, monopole_model, pure_gauge_model])
     def test_check_probes_the_three_moments_at_the_basis_spin(self, builder, monkeypatch):
@@ -736,9 +761,11 @@ class TestModelConstruction:
 
         monkeypatch.setattr(gauge, "polarization_residual", recording)
         check_model(builder(spec), basis)
-        assert [two_j for two_j, _ in seen] == [3, 3, 3]
-        for (_, values), e in zip(seen, np.eye(3)):
-            assert np.array_equal(values, moment_hamiltonian(spec, e).value(probes))
+        # one call on the stack of the three moment functions, each row the function alone, bit for bit
+        [(two_j, values)] = seen
+        assert two_j == 3 and values.shape == (3, 3)
+        for row, e in zip(values, np.eye(3)):
+            assert row.tobytes() == moment_hamiltonian(spec, e).value(probes).tobytes()
 
     def test_check_is_independent_of_the_coefficient_scale(self, ctx):
         coefficients = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])  # the builder's default

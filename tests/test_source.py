@@ -1,5 +1,5 @@
-"""Source hygiene that a linter would check: every name a module imports is read in it, and every
-module-level symbol is read somewhere in the package or exported by it."""
+"""Source hygiene that a linter would check: every import sits at module level and every name it binds is
+read in its module, and every module-level symbol is read somewhere in the package or exported by it."""
 
 import ast
 from pathlib import Path
@@ -31,6 +31,30 @@ def test_the_modules_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_read(path):
     assert unread_imports(path.read_text()) == []
+
+
+def function_imports(source: str) -> list[str]:
+    """``function: module`` for each import inside a function body of ``source``, nested functions included."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            for node in ast.walk(func):
+                if isinstance(node, ast.Import):
+                    found += [f"{func.name}: {alias.name}" for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    found.append(f"{func.name}: {'.' * node.level}{node.module or ''}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"], ids=lambda p: p.name)
+def test_no_import_inside_a_function(path):
+    # a module-level import is seen by test_every_import_is_read; one inside a function is not
+    assert function_imports(path.read_text()) == []
+
+
+def test_a_function_import_is_caught():
+    source = "import os\ndef f():\n    from .fiberq import build_basis\n    def g():\n        import math\n"
+    assert sorted(function_imports(source)) == ["f: .fiberq", "f: math", "g: math"]
 
 
 def test_an_unread_import_is_caught():

@@ -17,14 +17,16 @@ from fiberquant.gauge import (
     constant_model,
     curvature,
     monopole_model,
+    orbit_function,
     pure_gauge_model,
     quadrature_rep,
     trivial_model,
 )
-from fiberquant.numerics import central_difference, matrix_exp
-from fiberquant.orbit import OrbitSpec
+from fiberquant.numerics import central_difference, matrix_exp, rk4_step
+from fiberquant.orbit import Chart, ChartPoint, OrbitSpec, hamiltonian_field_complex, theta_dz
 from fiberquant.su2 import TAU
 from fiberquant.transport import (
+    _FIBER_SAMPLES,
     BasePath,
     covariant_residual_total_space,
     latitude_path,
@@ -525,6 +527,81 @@ class TestTotalSpaceReconstruction:
                 tracemalloc.stop()
 
         assert traced_peak(40) <= 1.25 * traced_peak(2)
+
+
+def per_centre_residual(model, basis, path, *, rep, steps, corruption=None):
+    """``covariant_residual_total_space`` as it was with one march per stencil centre: each kept centre's fiber
+    points take two ``rk4_step`` calls of their own, forwards and backwards, and its pairing is evaluated alone."""
+    spec = basis.spec
+    psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
+    centers = [k for k in (int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
+               if 0 < k < steps]
+
+    knots, unitary, phase, chart, k_prev = {}, np.eye(spec.dim, dtype=complex), 0.0, path.start_chart, 0
+    for k in sorted({k + d for k in centers for d in (-1, 0, 1)}):
+        if k > k_prev:
+            piece = transport(model, basis, sub_path(path, k_prev / steps, k / steps, chart),
+                              rep=rep, steps=k - k_prev)
+            unitary, phase, chart = piece.unitary @ unitary, phase + piece.alpha_phase, piece.chart_log[-1][1]
+        c = np.exp(1j * phase) * (unitary @ psi0)
+        knots[k], k_prev = (chart, c if corruption is None else corruption(k / steps) * c), k
+
+    h = 1.0 / steps
+    z0 = np.asarray(_FIBER_SAMPLES, dtype=complex)
+    pt = ChartPoint(Chart.NORTH, z0)
+    vals_mid = basis.eval(z0)
+    worst = 0.0
+    for k in centers:
+        (chart_lo, c_lo), (chart, c_mid), (chart_hi, c_hi) = knots[k - 1], knots[k], knots[k + 1]
+        if not chart_lo == chart == chart_hi:
+            continue
+        t0 = k / steps
+        q, p, dq = path.at(chart, np.array([t0]))
+        w = orbit_function(model, chart, q[0], dq[0])
+        alpha_b = float(np.dot(p[0], dq[0]))
+
+        def fiber_velocity(t, zz):
+            qq, _, dqq = path.at(chart, np.array([t]))
+            ww = orbit_function(model, chart, qq[0], dqq[0])
+            return -hamiltonian_field_complex(spec, ww, ChartPoint(Chart.NORTH, zz))
+
+        z_plus = rk4_step(fiber_velocity, t0, z0, h)
+        z_minus = rk4_step(fiber_velocity, t0, z0, -h)
+        psi_mid = c_mid @ vals_mid
+        deriv = (c_hi @ basis.eval(z_plus) - c_lo @ basis.eval(z_minus)) / (2.0 * h)
+        pairing = alpha_b + w.value(pt) - theta_dz(spec, pt) * hamiltonian_field_complex(spec, w, pt)
+        worst = max(worst, float(np.max(np.abs(deriv - 1j * pairing * psi_mid), initial=0.0)))
+    return worst
+
+
+class TestStackedFiberMarch:
+    """The residual marches the fiber points of every kept centre, both ways, in one ``rk4_step`` per chart."""
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    @pytest.mark.parametrize("path, steps", [
+        (lambda mono: latitude_path(np.pi / 3), 4000),
+        (lambda mono: latitude_path(0.8 * np.pi), 2000),  # starts in the south chart
+        (lambda mono: meridian_path(), 2000),  # crosses charts: its centres fall in both
+        # crosses charts too, with a potential that does not vanish along it, so both charts' residuals are not 0
+        (lambda mono: north_line_path(mono, [0.3, 0.4], [4.0, -1.0]), 2000),
+    ], ids=["lat60", "lat144_south", "meridian", "north_line"])
+    @pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
+    def test_equals_the_per_centre_loop(self, two_j, path, steps, corrupted):
+        spec, basis, rep, mono = spin_ctx(two_j)
+        path = path(mono)
+        corruption = (lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t))) if corrupted else None
+        stacked = covariant_residual_total_space(mono, basis, path, rep=rep, steps=steps, corruption=corruption)
+        reference = per_centre_residual(mono, basis, path, rep=rep, steps=steps, corruption=corruption)
+        assert np.float64(stacked).tobytes() == np.float64(reference).tobytes()
+
+    def test_one_march_per_chart(self, monkeypatch):
+        # the six centres of a latitude loop lie in one chart: one step of 12 fiber stacks, not 12 steps
+        spec, basis, rep, mono = spin_ctx(2)
+        shapes, step = [], transport_module.rk4_step
+        monkeypatch.setattr(transport_module, "rk4_step",
+                            lambda field, t, y, h: shapes.append((np.shape(t), np.shape(y))) or step(field, t, y, h))
+        covariant_residual_total_space(mono, basis, latitude_path(np.pi / 3), rep=rep, steps=4000)
+        assert shapes == [((12, 1), (12, 5))]
 
 
 class TestTransportErrors:

@@ -201,14 +201,14 @@ class TestStackedFiberRows:
         assert {name: rows[name] for name in expected} == expected
 
     def test_prequant_calls_in_verify_all(self, monkeypatch):
-        # the fiber suite's 3 generator operators at each of 5 spins, and quadrature_rep's 3 in the gauge and
-        # transport suites; the hermiticity rows built one operator per sample, 41 in all
+        # one call on the stack of the 3 moment functions for the fiber suite's generators at each of 5 spins,
+        # and one in each quadrature_rep of the gauge and transport suites; one call per direction made 21
         calls = []
         for module in (verify, gauge):
             monkeypatch.setattr(module, "prequant_matrix", lambda basis, w, original=module.prequant_matrix:
                                 calls.append(basis.spec.two_j) or original(basis, w))
         run_suite("all", default_scenario(2, "monopole", strength=1))
-        assert Counter(calls) == {1: 3, 2: 9, 3: 3, 4: 3, 5: 3}
+        assert Counter(calls) == {1: 1, 2: 3, 3: 1, 4: 1, 5: 1}
 
     def test_one_quantize_call_per_spin_and_operand(self, monkeypatch):
         # 3 spins x (g1, g2, g1 g2), each a stack of 34; a per-sample loop would make 3 x 34 x 3 = 306 calls
