@@ -182,8 +182,8 @@ def build_rep(basis: FiberBasis) -> LieAlgebraRep:
 
 def connection_rep(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Connection values (..., n, n) at the chart points q (..., 2) along dq (..., 2), checked against their chart.
-    Each point is the one row of a one-point ``connection_rep_batch``, the contraction the march uses, so a
-    stack equals its per-point calls bit for bit on either route."""
+    Each point is a one-point ``connection_rep_batch``, the march's contraction: a stack equals its per-point
+    calls bit for bit on either route, and a point its row in a larger batch to within that function's bound."""
     q, dq = np.asarray(q, dtype=float), np.asarray(dq, dtype=float)
     model.chart_data(chart, q)
     return connection_rep_batch(model, rep, chart, q[..., None, :], dq[..., None, :])[..., 0, :, :]
@@ -191,7 +191,8 @@ def connection_rep(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndar
 
 def connection_rep_batch(model: GaugeModel, rep: LieAlgebraRep, chart: str, q: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Vectorized connection values along arrays of points/tangents, shaped like one rep matrix each:
-    the real coefficients times the float view (re, im interleaved) of the generators, read as complex."""
+    the real coefficients times the float view (re, im interleaved) of the generators, read as complex.
+    One point is a gemv, more a gemm; on the quad route the two differ by <= 3 eps (|coeffs| @ |generators|)."""
     coeffs = model.charts[chart].potential(q, dq)
     generators = rep.matrices.reshape(3, -1).view(np.float64)
     return (coeffs @ generators).view(complex).reshape(coeffs.shape[:-1] + rep.matrices.shape[1:])

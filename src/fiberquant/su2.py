@@ -47,10 +47,10 @@ def check_special_unitary(g: np.ndarray) -> np.ndarray:
     return g
 
 
-def random_su2(rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed SU(2) element via a normalized quaternion."""
-    q = rng.standard_normal(4)
-    q /= np.linalg.norm(q)
-    a = q[0] + 1.0j * q[3]
-    b = q[2] + 1.0j * q[1]
-    return np.array([[a, b], [-np.conj(b), np.conj(a)]], dtype=complex)
+def random_su2(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndarray:
+    """Haar-distributed SU(2) elements (*shape, 2, 2) via normalized quaternions, one ``standard_normal(shape + (4,))``
+    block; a stack equals its per-draw calls bit for bit and leaves ``rng`` in the same state."""
+    q = rng.standard_normal(shape + (4,))
+    q /= np.sqrt(np.vecdot(q, q))[..., None]
+    a, b = q[..., 0] + 1.0j * q[..., 3], q[..., 2] + 1.0j * q[..., 1]
+    return np.stack([np.stack([a, b], axis=-1), np.stack([-np.conj(b), np.conj(a)], axis=-1)], axis=-2)

@@ -377,8 +377,8 @@ def covariant_residual_total_space(
     *,
     rep: LieAlgebraRep,
     steps: int,
-    corruption: Callable[[float], complex] | None = None,
-) -> float:
+    corruption: Callable[[float], complex | np.ndarray] | None = None,
+) -> float | np.ndarray:
     """Defect of the lifted-section equation along the transported path.
 
     Reconstructs psi(t, f) = sum_mu Psi_mu(t) e_mu(f), for the uniform
@@ -392,13 +392,18 @@ def covariant_residual_total_space(
     three knots are not all in one chart is skipped.  The fiber points of
     the kept centres of each chart march as one stack, forwards and
     backwards: one ``rk4_step`` and one pairing evaluation per chart.
+    ``corruption(t)`` scales the knot coefficients: a scalar gives one float,
+    a 1-D stack of k factors the k residuals of one knot and fiber march, and
+    a factor of exactly 1 the clean residual.  Below 7 steps the six centres
+    are not distinct; that, or no stencil kept, raises InvalidArgument.
     """
+    if steps < 7:
+        raise InvalidArgument(f"the total-space residual needs steps >= 7 for six distinct stencils, got {steps}")
     spec = basis.spec
     psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
-    centers = [k for k in (int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
-               if 0 < k < steps]
+    centers = [int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)]
 
-    # (chart, coefficients Psi(k / steps)) at every knot, marched piece by piece
+    # (chart, coefficients Psi(k / steps), times each factor) at every knot, marched piece by piece
     knots, unitary, phase, chart, k_prev = {}, np.eye(spec.dim, dtype=complex), 0.0, path.start_chart, 0
     for k in sorted({k + d for k in centers for d in (-1, 0, 1)}):
         if k > k_prev:
@@ -406,17 +411,19 @@ def covariant_residual_total_space(
                               rep=rep, steps=k - k_prev)
             unitary, phase, chart = piece.unitary @ unitary, phase + piece.alpha_phase, piece.chart_log[-1][1]
         c = np.exp(1j * phase) * (unitary @ psi0)
-        knots[k], k_prev = (chart, c if corruption is None else corruption(k / steps) * c), k
+        knots[k], k_prev = (chart, c if corruption is None else np.multiply.outer(corruption(k / steps), c)), k
 
     h, z0 = 1.0 / steps, np.asarray(_FIBER_SAMPLES, dtype=complex)
     pt = ChartPoint(Chart.NORTH, z0)
     kept = {}  # chart -> its centres, none of whose stencils straddles a chart crossing
     for k in (k for k in centers if knots[k - 1][0] == knots[k][0] == knots[k + 1][0]):
         kept.setdefault(knots[k][0], []).append(k)
-    worst = 0.0
+    if not kept:
+        raise InvalidArgument(f"every stencil of the total-space residual straddles a chart crossing at steps={steps}")
+    worst = []
     for chart, ks in kept.items():
-        # coefficient rows (m, 1, n): each centre is its own vector-matrix product, as in a per-centre loop
-        c_lo, c_mid, c_hi = (np.array([knots[k + d][1] for k in ks])[:, None, :] for d in (-1, 0, 1))
+        # coefficient rows (..., m, 1, n), factors leading: each centre is its own vector-matrix product
+        c_lo, c_mid, c_hi = (np.stack([knots[k + d][1] for k in ks], axis=-2)[..., None, :] for d in (-1, 0, 1))
         t0 = np.array(ks * 2)[:, None] / steps  # each centre twice, marched forwards, then backwards
 
         def fiber_velocity(t, zz):
@@ -426,10 +433,10 @@ def covariant_residual_total_space(
         z_end = rk4_step(fiber_velocity, t0, np.broadcast_to(z0, (t0.size, z0.size)),
                          np.repeat([h, -h], len(ks))[:, None])
         plus, minus = np.split(basis.eval(z_end.ravel()).reshape(spec.dim, t0.size, z0.size).swapaxes(0, 1), 2)
-        deriv = (np.matmul(c_hi, plus) - np.matmul(c_lo, minus))[:, 0, :] / (2.0 * h)
+        deriv = (np.matmul(c_hi, plus) - np.matmul(c_lo, minus))[..., 0, :] / (2.0 * h)
         q, p, dq = path.at(chart, t0[:len(ks)])
         w = orbit_function(model, chart, q, dq)
         alpha_b = np.matmul(p, dq.swapaxes(-1, -2))[..., 0]
         pairing = alpha_b + w.value(pt) - theta_dz(spec, pt) * hamiltonian_field_complex(spec, w, pt)
-        worst = max(worst, float(np.max(np.abs(deriv - 1j * pairing * np.matmul(c_mid, basis.eval(z0))[:, 0, :]))))
-    return worst
+        worst.append(np.max(np.abs(deriv - 1j * pairing * np.matmul(c_mid, basis.eval(z0))[..., 0, :]), axis=(-2, -1)))
+    return np.max(worst, axis=0)

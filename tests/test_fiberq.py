@@ -330,8 +330,28 @@ class TestQuantizedTransitions:
 
 
 def su2_stack(shape, seed=75):
-    rng = np.random.default_rng(seed)
-    return np.array([random_su2(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (2, 2))
+    return random_su2(np.random.default_rng(seed), shape)
+
+
+def random_su2_of_one_draw(rng):
+    """One Haar element from its own ``standard_normal(4)`` draw: the per-draw loop ``random_su2`` must equal."""
+    q = rng.standard_normal(4)
+    q /= np.linalg.norm(q)
+    a, b = q[0] + 1.0j * q[3], q[2] + 1.0j * q[1]
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]], dtype=complex)
+
+
+class TestStackedRandomSu2:
+    @pytest.mark.parametrize("shape", [(), (5,), (34, 2)])
+    @pytest.mark.parametrize("seed", [0, 202, 4711])
+    def test_stack_is_its_per_draw_loop(self, shape, seed):
+        stacked_rng, loop_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        stacked = random_su2(stacked_rng, shape)
+        loop = np.array([random_su2_of_one_draw(loop_rng) for _ in range(int(np.prod(shape)))])
+        assert stacked.shape == shape + (2, 2) and stacked.dtype == complex
+        assert stacked.tobytes() == loop.tobytes()
+        # the generator is left where the loop leaves it
+        assert stacked_rng.standard_normal(4).tobytes() == loop_rng.standard_normal(4).tobytes()
 
 
 class TestStackedTransitions:
@@ -470,8 +490,7 @@ class TestSpinLift:
     @pytest.mark.parametrize("shape", [(), (7,), (2, 3)])
     def test_stacked_equals_single_bit_for_bit(self, shape):
         basis = build_basis(OrbitSpec(5))
-        rng = np.random.default_rng(71)
-        stack = np.array([random_su2(rng) for _ in range(int(np.prod(shape)))]).reshape(shape + (2, 2))
+        stack = random_su2(np.random.default_rng(71), shape)
         lifted = spin_lift(basis, stack)
         assert lifted.shape == shape + (6, 6)
         for idx in np.ndindex(*shape):

@@ -574,22 +574,30 @@ def per_centre_residual(model, basis, path, *, rep, steps, corruption=None):
     return worst
 
 
+RESIDUAL_PATHS = pytest.mark.parametrize("path, steps", [
+    (lambda mono: latitude_path(np.pi / 3), 4000),
+    (lambda mono: latitude_path(0.8 * np.pi), 2000),  # starts in the south chart
+    (lambda mono: meridian_path(), 2000),  # crosses charts: its centres fall in both
+    # crosses charts too, with a potential that does not vanish along it, so both charts' residuals are not 0
+    (lambda mono: north_line_path(mono, [0.3, 0.4], [4.0, -1.0]), 2000),
+], ids=["lat60", "lat144_south", "meridian", "north_line"])
+
+
+def sine_corruption(t):
+    return np.exp(1j * 1e-2 * np.sin(2 * np.pi * t))
+
+
 class TestStackedFiberMarch:
-    """The residual marches the fiber points of every kept centre, both ways, in one ``rk4_step`` per chart."""
+    """The residual marches the fiber points of every kept centre, both ways, in one ``rk4_step`` per chart,
+    and its knots once for every corruption factor of a stack."""
 
     @pytest.mark.parametrize("two_j", [1, 2, 4])
-    @pytest.mark.parametrize("path, steps", [
-        (lambda mono: latitude_path(np.pi / 3), 4000),
-        (lambda mono: latitude_path(0.8 * np.pi), 2000),  # starts in the south chart
-        (lambda mono: meridian_path(), 2000),  # crosses charts: its centres fall in both
-        # crosses charts too, with a potential that does not vanish along it, so both charts' residuals are not 0
-        (lambda mono: north_line_path(mono, [0.3, 0.4], [4.0, -1.0]), 2000),
-    ], ids=["lat60", "lat144_south", "meridian", "north_line"])
+    @RESIDUAL_PATHS
     @pytest.mark.parametrize("corrupted", [False, True], ids=["clean", "corrupted"])
     def test_equals_the_per_centre_loop(self, two_j, path, steps, corrupted):
         spec, basis, rep, mono = spin_ctx(two_j)
         path = path(mono)
-        corruption = (lambda t: np.exp(1j * 1e-2 * np.sin(2 * np.pi * t))) if corrupted else None
+        corruption = sine_corruption if corrupted else None
         stacked = covariant_residual_total_space(mono, basis, path, rep=rep, steps=steps, corruption=corruption)
         reference = per_centre_residual(mono, basis, path, rep=rep, steps=steps, corruption=corruption)
         assert np.float64(stacked).tobytes() == np.float64(reference).tobytes()
@@ -602,6 +610,32 @@ class TestStackedFiberMarch:
                             lambda field, t, y, h: shapes.append((np.shape(t), np.shape(y))) or step(field, t, y, h))
         covariant_residual_total_space(mono, basis, latitude_path(np.pi / 3), rep=rep, steps=4000)
         assert shapes == [((12, 1), (12, 5))]
+
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    @RESIDUAL_PATHS
+    def test_factor_stack_equals_its_single_calls(self, two_j, path, steps):
+        # [1, f]: the clean row and the corrupted row, each bit for bit the call with that factor alone
+        spec, basis, rep, mono = spin_ctx(two_j)
+        path = path(mono)
+        rows = covariant_residual_total_space(mono, basis, path, rep=rep, steps=steps,
+                                              corruption=lambda t: np.array([1.0, sine_corruption(t)]))
+        singles = [covariant_residual_total_space(mono, basis, path, rep=rep, steps=steps, corruption=corruption)
+                   for corruption in (None, sine_corruption)]
+        assert rows.shape == (2,)
+        assert rows.tobytes() == np.array(singles).tobytes()
+
+    def test_one_knot_march_for_every_factor(self, monkeypatch):
+        # a stack of two factors makes the 18 knot transports and the one fiber step of a single call
+        spec, basis, rep, mono = spin_ctx(2)
+        pieces, shapes = [], []
+        march, step = transport_module.transport, transport_module.rk4_step
+        monkeypatch.setattr(transport_module, "transport", lambda *a, **k: pieces.append(k["steps"]) or march(*a, **k))
+        monkeypatch.setattr(transport_module, "rk4_step",
+                            lambda field, t, y, h: shapes.append(np.shape(y)) or step(field, t, y, h))
+        rows = covariant_residual_total_space(mono, basis, latitude_path(np.pi / 3), rep=rep, steps=4000,
+                                              corruption=lambda t: np.ones(2))
+        assert (len(pieces), shapes) == (18, [(12, 5)])
+        assert rows.shape == (2,) and rows[0].tobytes() == rows[1].tobytes()
 
 
 class TestTransportErrors:
@@ -636,6 +670,28 @@ class TestTransportErrors:
         assert covariant_residual_total_space(monopole_model(spec), basis, lat, rep=rep, steps=2000) <= 1e-5
         with pytest.raises(InvalidArgument, match="model has two_j = 3 but the basis has two_j = 1"):
             covariant_residual_total_space(monopole_model(OrbitSpec(3)), basis, lat, rep=rep, steps=2000)
+
+    @pytest.mark.parametrize("steps", [1, 6])
+    def test_residual_below_seven_steps_rejected(self, ctx, steps):
+        # below 7 steps the six stencil centres are not distinct (none is at steps = 1)
+        with pytest.raises(InvalidArgument, match=f"needs steps >= 7 for six distinct stencils, got {steps}"):
+            covariant_residual_total_space(ctx["mono"], ctx["basis"], latitude_path(np.pi / 3), rep=ctx["rep"],
+                                           steps=steps)
+
+    def test_residual_with_no_stencil_kept_rejected(self, ctx):
+        # a meridian swing whose colatitude crosses 3 pi / 4 (going south) and pi / 4 (going north) in turn at
+        # the six centres k = 3, 6, ..., 18 of 20 steps: every stencil's outer knots lie in different charts
+        meridian = meridian_path()
+        rate = np.sqrt(2.0) / 8.0
+
+        def at(chart, t):
+            x = np.pi * (20.0 * np.asarray(t, dtype=float) - 2.25) / 3.0
+            q, p, dq = meridian.at(chart, 0.25 + rate * np.sin(x))
+            return q, p, (rate * 20.0 * np.pi / 3.0 * np.cos(x))[..., None] * dq
+
+        with pytest.raises(InvalidArgument, match="every stencil .* straddles a chart crossing"):
+            covariant_residual_total_space(ctx["mono"], ctx["basis"], BasePath(at=at, start_chart="north"),
+                                           rep=ctx["rep"], steps=20)
 
     @pytest.mark.parametrize("t_switch", [1.5, -0.5, np.nan, np.inf])
     def test_forced_switch_outside_the_path_rejected(self, ctx, t_switch):

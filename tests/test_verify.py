@@ -1,12 +1,13 @@
 import importlib
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fiberquant import gauge, verify
+from fiberquant import fiberq, gauge, su2, verify
 from fiberquant.cli import EXIT_ACCURACY, run_command
 from fiberquant.errors import FiberquantError
 from fiberquant.fiberq import build_basis, prequant_matrix, quantize_transition
@@ -100,6 +101,44 @@ class TestMarchOrderFaults:
         code, out = run_command(["verify", "transport", "--spin", "2"])
         assert code == EXIT_ACCURACY
         assert out.startswith("accuracy failure:") and "unitar" in out
+
+
+def test_a_clean_factor_in_place_of_the_corruption_fails_the_sensitivity_row(monkeypatch):
+    # the suite's one residual call fed [1, 1]: the corrupted row is the clean row, and the ratio reads 1
+    residual = verify.covariant_residual_total_space
+    monkeypatch.setattr(verify, "covariant_residual_total_space",
+                        lambda *args, corruption, **kw: residual(*args, corruption=lambda t: np.ones(2), **kw))
+    rows = {c.name: c for c in run_suite("transport", default_scenario(2, "monopole", strength=1))}
+    assert rows["transport.corruption_sensitivity"].value == 1.0
+    assert not rows["transport.corruption_sensitivity"].passed
+
+
+class TestVerifyAllCallCounts:
+    """The calls one ``verify all`` makes, by function, each deterministic: a change that brings back
+    duplicate work fails the row of the function it repeats."""
+
+    CALLS = [  # (the module that defines the function, its name, calls)
+        (transport_module, "transport", 28),  # 10 suite transports, the 18 knot pieces of the one residual call
+        (transport_module, "covariant_residual_total_space", 1),  # the clean and corrupted row of one knot march
+        (fiberq, "build_basis", 13),  # each of the 11 fiber spins once, one each in the gauge and transport suites
+        (su2, "random_su2", 3),  # one (34, 2) block per transition spin
+        (fiberq, "spin_lift", 40),  # 9 transition stacks, 27 rep-route transports (18 knots), 4 gauge-law lifts
+        (fiberq, "prequant_matrix", 7),  # 5 fiber generator stacks, the gauge and transport suites' quadrature_rep
+    ]
+
+    @pytest.mark.parametrize("argv", [["verify", "all"], ["verify", "all", "--spin", "2"]], ids=["default", "spin2"])
+    def test_calls(self, monkeypatch, argv):
+        counts = Counter()
+        modules = [m for name, m in sys.modules.items() if name.startswith("fiberquant.")]
+        for home, name, _ in self.CALLS:
+            original = getattr(home, name)
+            counter = lambda *args, _f=original, _name=name, **kwargs: counts.update([_name]) or _f(*args, **kwargs)
+            for module in modules:  # every name a caller looks the function up by
+                for attr in [attr for attr, value in vars(module).items() if value is original]:
+                    monkeypatch.setattr(module, attr, counter)
+        code, _ = run_command(argv)
+        assert code == 0
+        assert dict(counts) == {name: calls for _, name, calls in self.CALLS}
 
 
 class TestCheckTable:
