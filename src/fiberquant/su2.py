@@ -53,4 +53,4 @@ def random_su2(rng: np.random.Generator, shape: tuple[int, ...] = ()) -> np.ndar
     q = rng.standard_normal(shape + (4,))
     q /= np.sqrt(np.vecdot(q, q))[..., None]
     a, b = q[..., 0] + 1.0j * q[..., 3], q[..., 2] + 1.0j * q[..., 1]
-    return np.stack([np.stack([a, b], axis=-1), np.stack([-np.conj(b), np.conj(a)], axis=-1)], axis=-2)
+    return np.stack([a, b, -np.conj(b), np.conj(a)], axis=-1).reshape(shape + (2, 2))
