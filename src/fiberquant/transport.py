@@ -19,10 +19,11 @@ maps and their products are carried in offset form, M - I, so that
 near-identity factors do not round against I.  Either route is one march
 in chunks that evaluate each node once and stop at the first step endpoint
 outside the chart; it keeps one chunk and its running product, so its
-memory does not grow with the step count.
-Holonomy and the total-space reconstruction check live here too; the
-check transports to its own stencil nodes along ``sub_path`` pieces of the
-path.
+memory does not grow with the step count.  A chunk reads its endpoints and
+midpoints as two ``BasePath.nodes`` grids, along which a curved path rotates
+one unit phase: no sin or cos per node.
+Holonomy and the total-space reconstruction check live here too; the check
+transports to its own stencil nodes along ``sub_path`` pieces of the path.
 """
 
 from __future__ import annotations
@@ -71,11 +72,17 @@ class BasePath:
 
     ``at(chart, t)`` takes a chart name and an array of parameters and
     returns ``(q, p, dq)``, each shaped t.shape + (2,); it raises
-    ChartError in a chart where the path is not defined.
+    ChartError in a chart where the path is not defined.  The optional
+    ``grid(chart, t0, dt, count)`` returns them at the node times t0 + j dt, j < count, equal to ``at``
+    there up to rounding; ``nodes`` reads the grid, or ``at`` for a path without one.
     """
 
     at: Callable[[str, np.ndarray], tuple]
     start_chart: str
+    grid: Callable[[str, float, float, int], tuple] | None = None
+
+    def nodes(self, chart: str, t0: float, dt: float, count: int) -> tuple:
+        return self.at(chart, t0 + dt * np.arange(count)) if self.grid is None else self.grid(chart, t0, dt, count)
 
 
 def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> BasePath:
@@ -93,6 +100,29 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
     return BasePath(at=at, start_chart=chart)
 
 
+def _unit_grid(a0: float, delta: float, count: int) -> tuple:
+    """(cos, sin) of a0 + j delta, j < count, as the views of exp(i (a0 + j delta)) built by doubling: one np.exp
+    per power of two, so each value is a product of at most ceil(log2 count) + 1 unit factors, with no per-node trig."""
+    e = np.empty(count, dtype=complex)
+    e[:1], n = np.exp(1j * a0), 1
+    while n < count:
+        m = min(n, count - n)
+        np.multiply(e[:m], np.exp(1j * (n * delta)), out=e[n:n + m])
+        n += m
+    return e.real, e.imag
+
+
+def _phase_path(body, a: float, b: float, start_chart: str) -> BasePath:
+    """The path body(chart, cos, sin) of the angle a + b t: ``at`` by np.cos and np.sin, ``grid`` by ``_unit_grid``."""
+
+    def at(chart, t):
+        angle = a + b * np.asarray(t, dtype=float)
+        return body(chart, np.cos(angle), np.sin(angle))
+
+    grid = lambda chart, t0, dt, count: body(chart, *_unit_grid(a + b * t0, b * dt, count))
+    return BasePath(at=at, start_chart=start_chart, grid=grid)
+
+
 def _sphere_sign(chart: str, what: str) -> float:
     """+1 in the north chart, -1 in the south chart; ChartError elsewhere."""
     if chart not in ("north", "south"):
@@ -107,55 +137,45 @@ def latitude_path(theta: float, winds: int = 1, phi0: float = 0.0) -> BasePath:
     r_n = np.tan(theta / 2.0)
     rate = 2.0 * np.pi * winds
 
-    def at(chart, t):
+    def body(chart, cos, sin):
         s = _sphere_sign(chart, "latitude")
         r = r_n if s > 0.0 else 1.0 / r_n
-        phi = phi0 + rate * np.asarray(t, dtype=float)
-        cos, sin = np.cos(phi), np.sin(phi)
-        q, p, dq = np.zeros((3,) + phi.shape + (2,))
-        q[..., 0], q[..., 1] = r * cos, s * r * sin
-        dq[..., 0], dq[..., 1] = -r * sin * rate, s * r * cos * rate
+        q, p, dq = np.zeros((3,) + cos.shape + (2,))
+        q[..., 0], q[..., 1] = r * cos, (s * r) * sin
+        dq[..., 0], dq[..., 1] = (-r * rate) * sin, (s * r * rate) * cos
         return q, p, dq
 
-    start = "north" if theta <= 3.0 * np.pi / 4.0 else "south"
-    return BasePath(at=at, start_chart=start)
+    return _phase_path(body, phi0, rate, "north" if theta <= 3.0 * np.pi / 4.0 else "south")
 
 
 def meridian_path() -> BasePath:
-    """Great-circle loop through both poles (down at azimuth 0, up at pi)."""
+    """Great-circle loop through both poles (down at azimuth 0, up at pi), at the angle pi t."""
 
-    def at(chart, t):
-        angle = np.pi * np.asarray(t, dtype=float)
-        u1 = np.tan(angle)
+    def body(chart, cos, sin):
+        q, p, dq = np.zeros((3,) + cos.shape + (2,))
         if _sphere_sign(chart, "meridian") > 0.0:
-            d = np.pi / np.cos(angle) ** 2
+            q[..., 0], dq[..., 0] = sin / cos, np.pi / cos**2
         else:
             with np.errstate(divide="ignore"):  # the north pole, t = 0, is at infinity
-                u1 = np.where(u1 != 0.0, 1.0 / u1, np.inf)
-                d = -np.pi / np.sin(angle) ** 2
-        q, p, dq = np.zeros((3,) + angle.shape + (2,))
-        q[..., 0], dq[..., 0] = u1, d
+                q[..., 0], dq[..., 0] = np.where(sin != 0.0, cos / sin, np.inf), -np.pi / sin**2
         return q, p, dq
 
-    return BasePath(at=at, start_chart="north")
+    return _phase_path(body, 0.0, np.pi, "north")
 
 
 def phase_circle_path(center_q, radius: float, plane: int = 0, chart: str = "main") -> BasePath:
     """Circle in one (q_k, p_k) phase plane; encloses area pi r^2."""
     c = np.asarray(center_q, dtype=float)
 
-    def at(chart_name, t):
-        t = np.asarray(t, dtype=float)
-        ang = 2.0 * np.pi * t
-        cos, sin = np.cos(ang), np.sin(ang)
-        q, p, dq = np.zeros((3,) + t.shape + (2,))
+    def body(chart_name, cos, sin):
+        q, p, dq = np.zeros((3,) + cos.shape + (2,))
         q[...] = c
         q[..., plane] = c[plane] + radius * cos
         p[..., plane] = -radius * sin
         dq[..., plane] = -2.0 * np.pi * radius * sin
         return q, p, dq
 
-    return BasePath(at=at, start_chart=chart)
+    return _phase_path(body, 0.0, 2.0 * np.pi, chart)
 
 
 @dataclass(frozen=True)
@@ -188,39 +208,40 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None)
 
     Yields (step-map offsets M - I, Simpson phases of the commuting
     i <alpha_B, v> I part p . dq) a chunk of at most _CHUNK_STEPS steps at a
-    time, each from one ``connection_rep_batch`` call.
-    A chunk of k steps evaluates its 2k + 1 nodes t0 + (t1 - t0) j / (2 n_steps)
-    once, ordered [step endpoints; midpoints], so the stages read contiguous
-    blocks.  With a ``boundary``, a chunk reads it on its endpoints first and
-    stops the march before the first endpoint outside the chart.  The maps
-    have the shape of one of ``rep.matrices``, pairs stored component-major
-    as ``_pair_product`` returns them; ``product`` multiplies two stacks."""
+    time.  A chunk of k steps from step c evaluates its endpoints t0 + (c + j) h,
+    j <= k, and midpoints t0 + (c + j + 1/2) h, j < k, as two ``path.nodes``
+    grids, one ``connection_rep_batch`` call each: each node once, each stage
+    input contiguous.  With a ``boundary``, a chunk reads it on its endpoints
+    first, stops the march before the first endpoint outside the chart and
+    evaluates the midpoints of the steps marched only.  The maps have the
+    shape of one of ``rep.matrices``, pairs stored component-major as
+    ``_pair_product`` returns them; ``product`` multiplies two stacks."""
+
+    def connection(q, p, dq):
+        g = connection_rep_batch(model, rep, chart, q, dq)
+        return np.ascontiguousarray(g.T).T if g.ndim == 2 else g, p[:, 0] * dq[:, 0] + p[:, 1] * dq[:, 1]
+
     n_steps = max(int(n_steps), 1)
     h = (t1 - t0) / n_steps
     for c0 in range(0, n_steps, _CHUNK_STEPS):
         k = min(_CHUNK_STEPS, n_steps - c0)
-        nodes = np.concatenate([np.arange(2 * c0, 2 * (c0 + k) + 1, 2), np.arange(2 * c0 + 1, 2 * (c0 + k), 2)])
-        q, p, dq = path.at(chart, t0 + (t1 - t0) * nodes / (2.0 * n_steps))
+        q, p, dq = path.nodes(chart, t0 + c0 * h, h, k + 1)
         marched = k
         if boundary is not None:
-            outside = np.flatnonzero(boundary(q[:k + 1]) > 0.0)
+            outside = np.flatnonzero(boundary(q) > 0.0)
             if outside.size:
                 if outside[0] == 0:
                     raise ChartError(f"path starts outside chart {chart!r}")
                 marched = int(outside[0]) - 1
                 if marched == 0:
                     return
-                q, p, dq = (np.concatenate([x[:marched + 1], x[k + 1:k + 1 + marched]]) for x in (q, p, dq))
-        g = connection_rep_batch(model, rep, chart, q, dq)
-        if g.ndim == 2:
-            g = np.ascontiguousarray(g.T).T
-        alpha = p[:, 0] * dq[:, 0] + p[:, 1] * dq[:, 1]
-        g0, g1, g2 = g[:marched], g[marched + 1:], g[1:marched + 1]
+        g, alpha = connection(q[:marched + 1], p[:marched + 1], dq[:marched + 1])
+        g1, alpha_mid = connection(*path.nodes(chart, t0 + (c0 + 0.5) * h, h, marched))
+        g0, g2 = g[:-1], g[1:]
         a2 = g1 + (0.5 * h) * product(g1, g0)
         a3 = g1 + (0.5 * h) * product(g1, a2)
         a4 = g2 + h * product(g2, a3)
-        yield ((h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
-               (h / 6.0) * (alpha[:marched] + 4.0 * alpha[marched + 1:] + alpha[1:marched + 1]))
+        yield (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4), (h / 6.0) * (alpha[:-1] + 4.0 * alpha_mid + alpha[1:])
         if marched < k:
             return
 
@@ -300,7 +321,7 @@ def transport(
                 t_now = t_stop
                 continue
             # the march's last endpoint and the first one outside, at its node times
-            t_in, t_out = t_now + (t_stop - t_now) * np.array([2 * marched, 2 * marched + 2]) / (2.0 * n_span)
+            t_in, t_out = t_now + (t_stop - t_now) / n_span * np.array([marched, marched + 1])
             t_cross = _bisect_boundary(path, chart, boundary, t_in, t_out)
             if t_cross - t_in > constants.CROSSING_BISECT_TOL:
                 run_span(t_in, t_cross, 1)
@@ -338,14 +359,13 @@ def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
 def sub_path(path: BasePath, t0: float, t1: float, chart: str) -> BasePath:
     """The piece of ``path`` from t0 to t1, reparametrized over [0, 1] and started in ``chart``.
 
-    Only the base velocity dq scales with the reparametrization.
-    sub_path(path, 1.0, 0.0, path.start_chart) is the reversed path."""
-
-    def at(chart_name, s):
-        q, p, dq = path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float))
-        return q, p, (t1 - t0) * dq
-
-    return BasePath(at=at, start_chart=chart)
+    Only the base velocity dq scales with the reparametrization, and a ``grid`` is forwarded
+    affinely.  sub_path(path, 1.0, 0.0, path.start_chart) is the reversed path."""
+    scaled = lambda q, p, dq: (q, p, (t1 - t0) * dq)
+    at = lambda chart_name, s: scaled(*path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float)))
+    grid = None if path.grid is None else (
+        lambda chart_name, s0, ds, count: scaled(*path.grid(chart_name, t0 + (t1 - t0) * s0, (t1 - t0) * ds, count)))
+    return BasePath(at=at, start_chart=chart, grid=grid)
 
 
 def wilson_loop(

@@ -2,13 +2,14 @@ import dataclasses
 import importlib
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 
 from fiberquant.constants import CROSSING_BISECT_TOL, MONOPOLE_HOLONOMY_SIGN
 from fiberquant import scenario
 from fiberquant.errors import ChartError, InvalidArgument
-from fiberquant.fiberq import build_basis, spin_lift
+from fiberquant.fiberq import build_basis, quantize_transition, spin_lift
 from fiberquant.gauge import (
     ChartData,
     GaugeModel,
@@ -28,6 +29,7 @@ from fiberquant.su2 import TAU
 from fiberquant.transport import (
     _FIBER_SAMPLES,
     BasePath,
+    _unit_grid,
     covariant_residual_total_space,
     latitude_path,
     meridian_path,
@@ -85,6 +87,44 @@ class TestPathMaps:
     def test_sphere_path_rejects_other_chart(self, kind):
         with pytest.raises(ChartError):
             _PATH_CASES[kind][0].at("main", np.array([0.5]))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("kind", sorted(_PATH_CASES))
+    def test_nodes_match_at_at_the_same_times(self, kind, reverse):
+        # a grid equals at within 16 ulp of the largest entry, on 1001 nodes of each window; windows in the
+        # meridian's charts stay off the poles of tan and cot, where a last-bit difference in the angle is no
+        # longer a few ulp of the value.  A path without a grid gives at's values exactly.
+        path, charts = _PATH_CASES[kind]
+        assert (path.grid is None) == (kind == "segment")
+        if reverse:
+            path = sub_path(path, 1.0, 0.0, path.start_chart)
+        windows = {"north": [(0.0, 0.35), (0.65, 1.0)], "south": [(0.15, 0.85)]} if kind == "meridian" else {}
+        for chart in charts:
+            for t0, t1 in windows.get(chart, [(0.0, 1.0)]):
+                dt = (t1 - t0) / 1000
+                grid, at = path.nodes(chart, t0, dt, 1001), path.at(chart, t0 + dt * np.arange(1001))
+                for got, want in zip(grid, at):
+                    assert got.shape == want.shape == (1001, 2)
+                    bound = 0.0 if path.grid is None else 16 * np.finfo(float).eps * np.max(np.abs(want))
+                    assert np.max(np.abs(got - want)) <= bound, (chart, t0)
+
+    def test_meridian_south_pole_stays_at_infinity(self):
+        # t = 0 is the north pole, at infinity in the south chart, in a grid as in at
+        path = _PATH_CASES["meridian"][0]
+        for q, p, dq in (path.nodes("south", 0.0, 0.01, 5), path.at("south", np.array([0.0]))):
+            assert q[0, 0] == np.inf and q[0, 1] == 0.0 and np.all(np.isfinite(q[1:]))
+
+    def test_unit_grid_against_mpmath(self):
+        # 16385 nodes, angles 0.7 to 50: each value is a product of at most 15 unit factors, so within 15 eps
+        count, a0 = 16385, 0.7
+        delta = (50.0 - a0) / (count - 1)
+        cos, sin = _unit_grid(a0, delta, count)
+        e = cos + 1j * sin
+        with mpmath.workdps(40):
+            exact = np.array([complex(mpmath.expj(mpmath.mpf(a0) + j * mpmath.mpf(delta))) for j in range(count)])
+        bound = (np.ceil(np.log2(count)) + 1) * np.finfo(float).eps
+        assert np.max(np.abs(e - exact)) <= bound
+        assert np.max(np.abs(np.abs(e) - 1.0)) <= bound
 
 
 class TestBasicTransport:
@@ -417,26 +457,45 @@ class TestPairMarch:
 
         assert traced_peak(10**6) <= 1.05 * traced_peak(10**5)
 
-    def test_each_node_is_evaluated_once(self, monkeypatch):
-        # a chunk of k steps evaluates its 2k + 1 nodes once; the chart scan reuses its endpoints
+    @staticmethod
+    def counted_wilson_loop(monkeypatch, path, steps):
+        """The sizes of every ``at`` and ``grid`` call and every ``connection_rep_batch`` batch of one Wilson loop."""
         spec, basis, rep, mono = spin_ctx(2)
-        lat, at_sizes, batch_sizes, batch = latitude_path(1.0), [], [], transport_module.connection_rep_batch
-        assert mono.charts[lat.start_chart].boundary is not None
+        at_sizes, grid_sizes, batch_sizes, batch = [], [], [], transport_module.connection_rep_batch
+        assert mono.charts[path.start_chart].boundary is not None
 
         def counting_at(chart, t):
             at_sizes.append(np.size(t))
-            return lat.at(chart, t)
+            return path.at(chart, t)
+
+        def counting_grid(chart, t0, dt, count):
+            grid_sizes.append(count)
+            return path.grid(chart, t0, dt, count)
 
         def recording(model, rep, chart, q, dq):
             batch_sizes.append(len(q))
             return batch(model, rep, chart, q, dq)
 
         monkeypatch.setattr(transport_module, "connection_rep_batch", recording)
+        wilson_loop(mono, basis, BasePath(at=counting_at, start_chart=path.start_chart, grid=counting_grid),
+                    rep=rep, steps=steps)
+        return at_sizes, grid_sizes, batch_sizes
+
+    def test_each_node_is_evaluated_once(self, monkeypatch):
+        # a chunk of k steps evaluates its k + 1 endpoints and k midpoints once, as two grids, and the chart
+        # scan reuses its endpoints; at sees the two single points of the closure check only
         chunk, steps = transport_module._CHUNK_STEPS, 20000
-        res = transport(mono, basis, BasePath(at=counting_at, start_chart=lat.start_chart), rep=rep, steps=steps)
-        assert len(res.chart_log) == 1
-        assert sum(at_sizes) == 2 * steps + -(-steps // chunk)
-        assert batch_sizes == [2 * chunk + 1, 2 * chunk + 1, 2 * (steps - 2 * chunk) + 1]
+        at_sizes, grid_sizes, batch_sizes = self.counted_wilson_loop(monkeypatch, latitude_path(1.0), steps)
+        assert at_sizes == [1, 1]
+        assert sum(grid_sizes) == 2 * steps + -(-steps // chunk)
+        assert batch_sizes == grid_sizes == [chunk + 1, chunk, chunk + 1, chunk, steps - 2 * chunk + 1, steps - 2 * chunk]
+
+    def test_crossings_evaluate_single_points_only(self, monkeypatch):
+        # the meridian's two crossings add the bisection and the inserts to the closure check, each one point
+        # at a time; the connection reads the marched part of each grid of endpoints, then its midpoints
+        at_sizes, grid_sizes, batch_sizes = self.counted_wilson_loop(monkeypatch, meridian_path(), 20000)
+        assert set(at_sizes) == {1} and len(at_sizes) > 4
+        assert batch_sizes[1::2] == [n - 1 for n in batch_sizes[0::2]] == grid_sizes[1::2]
 
 
 class TestChartLog:
@@ -449,23 +508,26 @@ class TestChartLog:
         for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
             assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
 
-    @pytest.mark.parametrize("kind", ["meridian", "line"])
+    @pytest.mark.parametrize("kind", ["meridian", "line", "meridian_off_node"])
     @pytest.mark.parametrize("where", ["first", "last", "middle"])
     def test_crossings_at_chunk_edges(self, monkeypatch, ctx, kind, where):
         # the first exit from the north chart on a chunk's first new endpoint, on its last one, and in
         # mid-chunk: the meridian's at t = 3/8, and that of a line whose connection does not vanish there
-        model, steps = ctx["mono"], 2000
-        path = meridian_path() if kind == "meridian" else north_line_path(model, [0.4, 0.3], [2.5, 1.8])
-        marched, batch = [], transport_module.connection_rep_batch
+        model, steps = ctx["mono"], 2001 if kind == "meridian_off_node" else 2000
+        path = north_line_path(model, [0.4, 0.3], [2.5, 1.8]) if kind == "line" else meridian_path()
+        sizes, marched, batch = [], [], transport_module.connection_rep_batch
 
-        def recording(model, rep, chart, q, dq):
-            marched.append((len(q) - 1) // 2)
+        def recording(model, rep, chart, q, dq):  # a chunk of k steps: k + 1 endpoints, then k midpoints
+            sizes.append(len(q))
+            if len(sizes) % 2 == 0:
+                assert sizes[-2] == sizes[-1] + 1
+                marched.append(sizes[-1])
             return batch(model, rep, chart, q, dq)
 
         monkeypatch.setattr(transport_module, "connection_rep_batch", recording)
         reference = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=steps)
-        reference_steps, marched[:] = sum(marched), []
-        q_ends = path.at("north", 2 * np.arange(steps + 1) / (2.0 * steps))[0]
+        reference_steps, sizes[:], marched[:] = sum(marched), [], []
+        q_ends = path.nodes("north", 0.0, 1.0 / steps, steps + 1)[0]
         exit_step = int(np.flatnonzero(model.charts["north"].boundary(q_ends) > 0.0)[0])
         chunk = {"first": exit_step - 1, "last": exit_step, "middle": 300}[where]
         offset = exit_step % chunk
@@ -474,17 +536,39 @@ class TestChartLog:
         monkeypatch.setattr(transport_module, "_CHUNK_STEPS", chunk)
         res = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=steps)
         assert [chart for _, chart in res.chart_log] == [chart for _, chart in reference.chart_log]
-        if kind == "meridian":
+        if kind != "line":
             assert [chart for _, chart in res.chart_log] == ["north", "south", "north"]
             for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
                 assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
-        assert sum(marched) == reference_steps
+        if kind == "meridian":
+            # at 2000 steps t = 3/8 and 7/8 are step endpoints on the chart boundary; a grid's last bit depends on
+            # where its chunk starts, and an endpoint read as outside costs one more step, across the bisection
+            assert abs(sum(marched) - reference_steps) <= len(res.chart_log) - 1
+        else:
+            assert sum(marched) == reference_steps
         # and a march that never reads a boundary, with the crossings forced at the same times
         free = dataclasses.replace(model, charts={name: ChartData(data.potential) for name, data in model.charts.items()})
         forced = transport(free, ctx["basis"], path, rep=ctx["rep"], steps=steps, forced_switches=res.chart_log[1:])
         hol = np.exp(1j * res.alpha_phase) * res.unitary
         for other in (reference, forced):
             assert np.max(np.abs(hol - np.exp(1j * other.alpha_phase) * other.unitary)) <= 1e-13
+
+
+class TestMarchOrder:
+    """The rep route across a pure-gauge segment in its gauged chart, where A = (dg) g^-1, against the closed
+    form X(g(q1) g(q0)^-1).  The step maps do not commute, and at 20000 steps W is far from I when a chunk's
+    product is applied, so this sees the operand order of the ordered product and of each chunk's apply."""
+
+    @pytest.mark.parametrize("steps", [2000, 20000])
+    @pytest.mark.parametrize("two_j", [1, 2])
+    def test_pure_gauge_segment_closed_form(self, two_j, steps):
+        spec = OrbitSpec(two_j)
+        basis, model = build_basis(spec), pure_gauge_model(spec)
+        q0, q1 = np.array([0.3, -0.2]), np.array([1.1, 0.9])
+        g = model.overlaps[("flat", "gauged")].transition
+        res = transport(model, basis, segment_path(q0, q1, chart="gauged"), rep=build_rep(basis), steps=steps)
+        assert res.alpha_phase == 0.0
+        assert np.linalg.norm(res.unitary - quantize_transition(basis, g(q1) @ g(q0).conj().T), 2) <= 1e-13
 
 
 class TestTotalSpaceReconstruction:
