@@ -19,9 +19,9 @@ maps and their products are carried in offset form, M - I, so that
 near-identity factors do not round against I.  Either route is one march
 in chunks that evaluate each node once and stop at the first step endpoint
 outside the chart; it keeps one chunk and its running product, so its
-memory does not grow with the step count.  A chunk reads its endpoints and
-midpoints as two ``BasePath.nodes`` grids, along which a curved path rotates
-one unit phase: no sin or cos per node.
+memory does not grow with the step count.  A chunk reads its nodes as one
+``BasePath.nodes`` grid, on which a curved path multiplies two tables of unit
+phases: no sin or cos per node.
 Holonomy and the total-space reconstruction check live here too; the check
 transports to its own stencil nodes along ``sub_path`` pieces of the path.
 """
@@ -48,6 +48,7 @@ from .orbit import Chart, ChartPoint, hamiltonian_field_complex, theta_dz
 from .su2 import TAU, check_special_unitary
 
 _CHUNK_STEPS = 8192
+_UNIT_BLOCK = 128  # the block of _unit_grid's tables
 # The march of a rep with a group action: the first rows (a, b) of the tau generators,
 # so that connection values come out as quaternion pairs; contiguous for their float view.
 _TAU_PAIRS = LieAlgebraRep(np.ascontiguousarray(TAU[:, 0, :]))
@@ -73,16 +74,20 @@ class BasePath:
     ``at(chart, t)`` takes a chart name and an array of parameters and
     returns ``(q, p, dq)``, each shaped t.shape + (2,); it raises
     ChartError in a chart where the path is not defined.  The optional
-    ``grid(chart, t0, dt, count)`` returns them at the node times t0 + j dt, j < count, equal to ``at``
-    there up to rounding; ``nodes`` reads the grid, or ``at`` for a path without one.
+    ``grid(chart, t0, dt, start, stop)`` returns them at the times t0 + j dt,
+    start <= j < stop, equal to ``at`` there up to rounding, with bits that
+    depend on j alone, so a march reads the same bits whatever its chunks.
     """
 
     at: Callable[[str, np.ndarray], tuple]
     start_chart: str
-    grid: Callable[[str, float, float, int], tuple] | None = None
+    grid: Callable[[str, float, float, int, int], tuple] | None = None
 
-    def nodes(self, chart: str, t0: float, dt: float, count: int) -> tuple:
-        return self.at(chart, t0 + dt * np.arange(count)) if self.grid is None else self.grid(chart, t0, dt, count)
+    def nodes(self, chart: str, t0: float, dt: float, start: int, stop: int) -> tuple:
+        """The maps at the node times t0 + j dt, start <= j < stop: the grid's, or ``at``'s for a path without one."""
+        if self.grid is None:
+            return self.at(chart, t0 + dt * np.arange(start, stop))
+        return self.grid(chart, t0, dt, start, stop)
 
 
 def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> BasePath:
@@ -100,15 +105,12 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
     return BasePath(at=at, start_chart=chart)
 
 
-def _unit_grid(a0: float, delta: float, count: int) -> tuple:
-    """(cos, sin) of a0 + j delta, j < count, as the views of exp(i (a0 + j delta)) built by doubling: one np.exp
-    per power of two, so each value is a product of at most ceil(log2 count) + 1 unit factors, with no per-node trig."""
-    e = np.empty(count, dtype=complex)
-    e[:1], n = np.exp(1j * a0), 1
-    while n < count:
-        m = min(n, count - n)
-        np.multiply(e[:m], np.exp(1j * (n * delta)), out=e[n:n + m])
-        n += m
+def _unit_grid(a0: float, delta: float, start: int, stop: int) -> tuple:
+    """(cos, sin) of a0 + j delta, start <= j < stop, with no per-node trig: exp(i (a0 + B m delta)) exp(i r delta)
+    for j = B m + r, B = _UNIT_BLOCK, from two np.exp tables; each value is two unit factors and depends on j alone."""
+    m0, r0 = divmod(start, _UNIT_BLOCK)
+    blocks = np.exp(1j * (a0 + (_UNIT_BLOCK * delta) * np.arange(m0, -(-stop // _UNIT_BLOCK))))
+    e = np.multiply.outer(blocks, np.exp(1j * delta * np.arange(_UNIT_BLOCK))).ravel()[r0:r0 + stop - start]
     return e.real, e.imag
 
 
@@ -119,7 +121,9 @@ def _phase_path(body, a: float, b: float, start_chart: str) -> BasePath:
         angle = a + b * np.asarray(t, dtype=float)
         return body(chart, np.cos(angle), np.sin(angle))
 
-    grid = lambda chart, t0, dt, count: body(chart, *_unit_grid(a + b * t0, b * dt, count))
+    def grid(chart, t0, dt, start, stop):
+        return body(chart, *_unit_grid(a + b * t0, b * dt, start, stop))
+
     return BasePath(at=at, start_chart=start_chart, grid=grid)
 
 
@@ -208,40 +212,42 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None)
 
     Yields (step-map offsets M - I, Simpson phases of the commuting
     i <alpha_B, v> I part p . dq) a chunk of at most _CHUNK_STEPS steps at a
-    time.  A chunk of k steps from step c evaluates its endpoints t0 + (c + j) h,
-    j <= k, and midpoints t0 + (c + j + 1/2) h, j < k, as two ``path.nodes``
-    grids, one ``connection_rep_batch`` call each: each node once, each stage
-    input contiguous.  With a ``boundary``, a chunk reads it on its endpoints
-    first, stops the march before the first endpoint outside the chart and
-    evaluates the midpoints of the steps marched only.  The maps have the
-    shape of one of ``rep.matrices``, pairs stored component-major as
-    ``_pair_product`` returns them; ``product`` multiplies two stacks."""
-
-    def connection(q, p, dq):
-        g = connection_rep_batch(model, rep, chart, q, dq)
-        return np.ascontiguousarray(g.T).T if g.ndim == 2 else g, p[:, 0] * dq[:, 0] + p[:, 1] * dq[:, 1]
-
+    time, each from one ``connection_rep_batch`` call.
+    A chunk of k steps from step c evaluates its 2k + 1 nodes t0 + j h / 2,
+    2c <= j <= 2(c + k), once, as one ``path.nodes`` grid, step endpoints at
+    even j.  With a ``boundary``, a chunk reads it on its endpoints first and
+    stops the march before the first endpoint outside the chart.  The
+    connection values are reordered [endpoints; midpoints], so the stages
+    read contiguous blocks.  The maps have the shape of one of
+    ``rep.matrices``, pairs stored component-major as ``_pair_product``
+    returns them; ``product`` multiplies two stacks."""
     n_steps = max(int(n_steps), 1)
     h = (t1 - t0) / n_steps
     for c0 in range(0, n_steps, _CHUNK_STEPS):
         k = min(_CHUNK_STEPS, n_steps - c0)
-        q, p, dq = path.nodes(chart, t0 + c0 * h, h, k + 1)
+        q, p, dq = path.nodes(chart, t0, 0.5 * h, 2 * c0, 2 * (c0 + k) + 1)
         marched = k
         if boundary is not None:
-            outside = np.flatnonzero(boundary(q) > 0.0)
+            outside = np.flatnonzero(boundary(q[::2]) > 0.0)
             if outside.size:
                 if outside[0] == 0:
                     raise ChartError(f"path starts outside chart {chart!r}")
                 marched = int(outside[0]) - 1
                 if marched == 0:
                     return
-        g, alpha = connection(q[:marched + 1], p[:marched + 1], dq[:marched + 1])
-        g1, alpha_mid = connection(*path.nodes(chart, t0 + (c0 + 0.5) * h, h, marched))
-        g0, g2 = g[:-1], g[1:]
+                q, p, dq = q[:2 * marched + 1], p[:2 * marched + 1], dq[:2 * marched + 1]
+        g = connection_rep_batch(model, rep, chart, q, dq)
+        if g.ndim == 2:  # pairs component-major, as _pair_product reads them
+            g = np.concatenate([g[::2].T, g[1::2].T], axis=1, out=np.empty(g.shape[::-1], dtype=complex)).T
+        else:
+            g = np.concatenate([g[::2], g[1::2]])
+        alpha = p[:, 0] * dq[:, 0] + p[:, 1] * dq[:, 1]
+        g0, g1, g2 = g[:marched], g[marched + 1:], g[1:marched + 1]
         a2 = g1 + (0.5 * h) * product(g1, g0)
         a3 = g1 + (0.5 * h) * product(g1, a2)
         a4 = g2 + h * product(g2, a3)
-        yield (h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4), (h / 6.0) * (alpha[:-1] + 4.0 * alpha_mid + alpha[1:])
+        yield ((h / 6.0) * (g0 + 2.0 * a2 + 2.0 * a3 + a4),
+               (h / 6.0) * (alpha[:-1:2] + 4.0 * alpha[1::2] + alpha[2::2]))
         if marched < k:
             return
 
@@ -359,13 +365,18 @@ def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
 def sub_path(path: BasePath, t0: float, t1: float, chart: str) -> BasePath:
     """The piece of ``path`` from t0 to t1, reparametrized over [0, 1] and started in ``chart``.
 
-    Only the base velocity dq scales with the reparametrization, and a ``grid`` is forwarded
-    affinely.  sub_path(path, 1.0, 0.0, path.start_chart) is the reversed path."""
-    scaled = lambda q, p, dq: (q, p, (t1 - t0) * dq)
-    at = lambda chart_name, s: scaled(*path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float)))
-    grid = None if path.grid is None else (
-        lambda chart_name, s0, ds, count: scaled(*path.grid(chart_name, t0 + (t1 - t0) * s0, (t1 - t0) * ds, count)))
-    return BasePath(at=at, start_chart=chart, grid=grid)
+    Only the base velocity dq scales with the reparametrization, in ``at`` and in the forwarded ``grid``.
+    sub_path(path, 1.0, 0.0, path.start_chart) is the reversed path."""
+
+    def at(chart_name, s):
+        q, p, dq = path.at(chart_name, t0 + (t1 - t0) * np.asarray(s, dtype=float))
+        return q, p, (t1 - t0) * dq
+
+    def grid(chart_name, s0, ds, start, stop):
+        q, p, dq = path.grid(chart_name, t0 + (t1 - t0) * s0, (t1 - t0) * ds, start, stop)
+        return q, p, (t1 - t0) * dq
+
+    return BasePath(at=at, start_chart=chart, grid=None if path.grid is None else grid)
 
 
 def wilson_loop(

@@ -91,9 +91,9 @@ class TestPathMaps:
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("kind", sorted(_PATH_CASES))
     def test_nodes_match_at_at_the_same_times(self, kind, reverse):
-        # a grid equals at within 16 ulp of the largest entry, on 1001 nodes of each window; windows in the
-        # meridian's charts stay off the poles of tan and cot, where a last-bit difference in the angle is no
-        # longer a few ulp of the value.  A path without a grid gives at's values exactly.
+        # a grid equals at within 16 ulp of the largest entry, on 1001 nodes of each window, and gives a sub-range
+        # the same bits; windows in the meridian's charts stay off the poles of tan and cot, where a last-bit
+        # difference in the angle is no longer a few ulp of the value.  A path without a grid gives at's values.
         path, charts = _PATH_CASES[kind]
         assert (path.grid is None) == (kind == "segment")
         if reverse:
@@ -102,29 +102,34 @@ class TestPathMaps:
         for chart in charts:
             for t0, t1 in windows.get(chart, [(0.0, 1.0)]):
                 dt = (t1 - t0) / 1000
-                grid, at = path.nodes(chart, t0, dt, 1001), path.at(chart, t0 + dt * np.arange(1001))
-                for got, want in zip(grid, at):
+                grid, at = path.nodes(chart, t0, dt, 0, 1001), path.at(chart, t0 + dt * np.arange(1001))
+                for got, want, part in zip(grid, at, path.nodes(chart, t0, dt, 300, 777)):
                     assert got.shape == want.shape == (1001, 2)
                     bound = 0.0 if path.grid is None else 16 * np.finfo(float).eps * np.max(np.abs(want))
                     assert np.max(np.abs(got - want)) <= bound, (chart, t0)
+                    assert np.array_equal(part, got[300:777]), (chart, t0)
 
     def test_meridian_south_pole_stays_at_infinity(self):
         # t = 0 is the north pole, at infinity in the south chart, in a grid as in at
         path = _PATH_CASES["meridian"][0]
-        for q, p, dq in (path.nodes("south", 0.0, 0.01, 5), path.at("south", np.array([0.0]))):
+        for q, p, dq in (path.nodes("south", 0.0, 0.01, 0, 5), path.at("south", np.array([0.0]))):
             assert q[0, 0] == np.inf and q[0, 1] == 0.0 and np.all(np.isfinite(q[1:]))
 
     def test_unit_grid_against_mpmath(self):
-        # 16385 nodes, angles 0.7 to 50: each value is a product of at most 15 unit factors, so within 15 eps
-        count, a0 = 16385, 0.7
+        # 16385 nodes, angles 0.7 to 50: each value is two unit factors, exp(i (a0 + B m delta)) exp(i r delta),
+        # whose angles round at most twice, so it is within one ulp of 50 plus 4 eps of exp(i (a0 + j delta)), with
+        # no drift of |e| from 1; and a sub-range has the same bits wherever it starts in a block
+        count, a0, eps = 16385, 0.7, np.finfo(float).eps
         delta = (50.0 - a0) / (count - 1)
-        cos, sin = _unit_grid(a0, delta, count)
+        cos, sin = _unit_grid(a0, delta, 0, count)
         e = cos + 1j * sin
         with mpmath.workdps(40):
             exact = np.array([complex(mpmath.expj(mpmath.mpf(a0) + j * mpmath.mpf(delta))) for j in range(count)])
-        bound = (np.ceil(np.log2(count)) + 1) * np.finfo(float).eps
-        assert np.max(np.abs(e - exact)) <= bound
-        assert np.max(np.abs(np.abs(e) - 1.0)) <= bound
+        assert np.max(np.abs(e - exact)) <= np.spacing(50.0) + 4 * eps
+        assert np.max(np.abs(np.abs(e) - 1.0)) <= 4 * eps
+        for start, stop in [(0, 1), (1, 130), (127, 129), (5000, 16385), (8193, 8194)]:
+            part = _unit_grid(a0, delta, start, stop)
+            assert np.array_equal(part[0], cos[start:stop]) and np.array_equal(part[1], sin[start:stop])
 
 
 class TestBasicTransport:
@@ -458,8 +463,8 @@ class TestPairMarch:
         assert traced_peak(10**6) <= 1.05 * traced_peak(10**5)
 
     @staticmethod
-    def counted_wilson_loop(monkeypatch, path, steps):
-        """The sizes of every ``at`` and ``grid`` call and every ``connection_rep_batch`` batch of one Wilson loop."""
+    def counted_transport(monkeypatch, path, steps):
+        """One transport along ``path``, and the sizes of its ``at`` and ``grid`` calls and connection batches."""
         spec, basis, rep, mono = spin_ctx(2)
         at_sizes, grid_sizes, batch_sizes, batch = [], [], [], transport_module.connection_rep_batch
         assert mono.charts[path.start_chart].boundary is not None
@@ -468,34 +473,36 @@ class TestPairMarch:
             at_sizes.append(np.size(t))
             return path.at(chart, t)
 
-        def counting_grid(chart, t0, dt, count):
-            grid_sizes.append(count)
-            return path.grid(chart, t0, dt, count)
+        def counting_grid(chart, t0, dt, start, stop):
+            grid_sizes.append(stop - start)
+            return path.grid(chart, t0, dt, start, stop)
 
         def recording(model, rep, chart, q, dq):
             batch_sizes.append(len(q))
             return batch(model, rep, chart, q, dq)
 
         monkeypatch.setattr(transport_module, "connection_rep_batch", recording)
-        wilson_loop(mono, basis, BasePath(at=counting_at, start_chart=path.start_chart, grid=counting_grid),
-                    rep=rep, steps=steps)
-        return at_sizes, grid_sizes, batch_sizes
+        counted = BasePath(at=counting_at, start_chart=path.start_chart, grid=counting_grid)
+        return transport(mono, basis, counted, rep=rep, steps=steps), at_sizes, grid_sizes, batch_sizes
 
     def test_each_node_is_evaluated_once(self, monkeypatch):
-        # a chunk of k steps evaluates its k + 1 endpoints and k midpoints once, as two grids, and the chart
-        # scan reuses its endpoints; at sees the two single points of the closure check only
+        # a chunk of k steps evaluates its 2k + 1 nodes once, as one grid; the chart scan reuses its endpoints,
+        # and a latitude's march never calls at
         chunk, steps = transport_module._CHUNK_STEPS, 20000
-        at_sizes, grid_sizes, batch_sizes = self.counted_wilson_loop(monkeypatch, latitude_path(1.0), steps)
-        assert at_sizes == [1, 1]
+        res, at_sizes, grid_sizes, batch_sizes = self.counted_transport(monkeypatch, latitude_path(1.0), steps)
+        assert len(res.chart_log) == 1
+        assert at_sizes == []
         assert sum(grid_sizes) == 2 * steps + -(-steps // chunk)
-        assert batch_sizes == grid_sizes == [chunk + 1, chunk, chunk + 1, chunk, steps - 2 * chunk + 1, steps - 2 * chunk]
+        assert batch_sizes == grid_sizes == [2 * chunk + 1, 2 * chunk + 1, 2 * (steps - 2 * chunk) + 1]
 
     def test_crossings_evaluate_single_points_only(self, monkeypatch):
-        # the meridian's two crossings add the bisection and the inserts to the closure check, each one point
-        # at a time; the connection reads the marched part of each grid of endpoints, then its midpoints
-        at_sizes, grid_sizes, batch_sizes = self.counted_wilson_loop(monkeypatch, meridian_path(), 20000)
+        # the meridian's two crossings call at for the bisection and the inserts, one point at a time; each
+        # connection batch reads the marched endpoints and midpoints of its chunk's grid
+        res, at_sizes, grid_sizes, batch_sizes = self.counted_transport(monkeypatch, meridian_path(), 20000)
+        assert len(res.chart_log) == 3
         assert set(at_sizes) == {1} and len(at_sizes) > 4
-        assert batch_sizes[1::2] == [n - 1 for n in batch_sizes[0::2]] == grid_sizes[1::2]
+        assert len(batch_sizes) == len(grid_sizes)
+        assert all(n % 2 == 1 and n <= m for n, m in zip(batch_sizes, grid_sizes))
 
 
 class TestChartLog:
@@ -508,26 +515,23 @@ class TestChartLog:
         for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
             assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
 
-    @pytest.mark.parametrize("kind", ["meridian", "line", "meridian_off_node"])
+    @pytest.mark.parametrize("kind", ["meridian", "line"])
     @pytest.mark.parametrize("where", ["first", "last", "middle"])
     def test_crossings_at_chunk_edges(self, monkeypatch, ctx, kind, where):
         # the first exit from the north chart on a chunk's first new endpoint, on its last one, and in
         # mid-chunk: the meridian's at t = 3/8, and that of a line whose connection does not vanish there
-        model, steps = ctx["mono"], 2001 if kind == "meridian_off_node" else 2000
-        path = north_line_path(model, [0.4, 0.3], [2.5, 1.8]) if kind == "line" else meridian_path()
-        sizes, marched, batch = [], [], transport_module.connection_rep_batch
+        model, steps = ctx["mono"], 2000
+        path = meridian_path() if kind == "meridian" else north_line_path(model, [0.4, 0.3], [2.5, 1.8])
+        marched, batch = [], transport_module.connection_rep_batch
 
-        def recording(model, rep, chart, q, dq):  # a chunk of k steps: k + 1 endpoints, then k midpoints
-            sizes.append(len(q))
-            if len(sizes) % 2 == 0:
-                assert sizes[-2] == sizes[-1] + 1
-                marched.append(sizes[-1])
+        def recording(model, rep, chart, q, dq):
+            marched.append((len(q) - 1) // 2)
             return batch(model, rep, chart, q, dq)
 
         monkeypatch.setattr(transport_module, "connection_rep_batch", recording)
         reference = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=steps)
-        reference_steps, sizes[:], marched[:] = sum(marched), [], []
-        q_ends = path.nodes("north", 0.0, 1.0 / steps, steps + 1)[0]
+        reference_steps, marched[:] = sum(marched), []
+        q_ends = path.nodes("north", 0.0, 0.5 / steps, 0, 2 * steps + 1)[0][::2]  # the endpoints the march reads
         exit_step = int(np.flatnonzero(model.charts["north"].boundary(q_ends) > 0.0)[0])
         chunk = {"first": exit_step - 1, "last": exit_step, "middle": 300}[where]
         offset = exit_step % chunk
@@ -536,16 +540,11 @@ class TestChartLog:
         monkeypatch.setattr(transport_module, "_CHUNK_STEPS", chunk)
         res = transport(model, ctx["basis"], path, rep=ctx["rep"], steps=steps)
         assert [chart for _, chart in res.chart_log] == [chart for _, chart in reference.chart_log]
-        if kind != "line":
+        if kind == "meridian":
             assert [chart for _, chart in res.chart_log] == ["north", "south", "north"]
             for (t_cross, _), expected in zip(res.chart_log[1:], (3.0 / 8.0, 7.0 / 8.0)):
                 assert abs(t_cross - expected) <= CROSSING_BISECT_TOL
-        if kind == "meridian":
-            # at 2000 steps t = 3/8 and 7/8 are step endpoints on the chart boundary; a grid's last bit depends on
-            # where its chunk starts, and an endpoint read as outside costs one more step, across the bisection
-            assert abs(sum(marched) - reference_steps) <= len(res.chart_log) - 1
-        else:
-            assert sum(marched) == reference_steps
+        assert sum(marched) == reference_steps
         # and a march that never reads a boundary, with the crossings forced at the same times
         free = dataclasses.replace(model, charts={name: ChartData(data.potential) for name, data in model.charts.items()})
         forced = transport(free, ctx["basis"], path, rep=ctx["rep"], steps=steps, forced_switches=res.chart_log[1:])
