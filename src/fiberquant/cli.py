@@ -20,6 +20,7 @@ from . import constants
 from .errors import AccuracyFailure, FiberquantError, InvalidArgument, ValidationError
 from .fiberq import build_basis, exact_monomial_norms_sq, prequant_matrix, quantize_transition
 from .gauge import connection_rep, quadrature_rep
+from .numerics import spectral_norm
 from .orbit import moment_hamiltonian
 from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
@@ -194,7 +195,7 @@ def _cmd_prequant(args, scenario: Scenario) -> dict:
     a = _parse_vector(args.hamiltonian, 3, "--hamiltonian")
     spec = scenario.spec()
     op = prequant_matrix(build_basis(spec), moment_hamiltonian(spec, a))
-    herm = float(np.linalg.norm(op - op.conj().T, 2))
+    herm = spectral_norm(op - op.conj().T)
     return {
         "two_j": spec.two_j,
         "direction": [float(x) for x in a],
@@ -218,7 +219,7 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
     g = su2_exp(axis / norm * args.angle)
     spec = scenario.spec()
     trans = quantize_transition(build_basis(spec), g)
-    dev = float(np.linalg.norm(trans.conj().T @ trans - np.eye(spec.dim), 2))
+    dev = spectral_norm(trans.conj().T @ trans - np.eye(spec.dim))
     return {
         "two_j": spec.two_j,
         "group_element": matrix_payload(g),
@@ -244,7 +245,7 @@ def _cmd_connection(args, scenario: Scenario) -> dict:
     model = ctx["model"]
     chart = args.chart or next(iter(model.charts))
     a_val = connection_rep(model, _generators(args, ctx), chart, q, dq)
-    anti = float(np.linalg.norm(a_val + a_val.conj().T, 2))
+    anti = spectral_norm(a_val + a_val.conj().T)
     return {
         "source": args.source,
         "chart": chart,
@@ -278,7 +279,7 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
     ctx = scenario.build_context()
     loop = scenario.path(args.path_name)
     hol, trace = wilson_loop(ctx["model"], ctx["basis"], loop, rep=_generators(args, ctx), steps=args.steps)
-    dev = float(np.linalg.norm(hol.conj().T @ hol - np.eye(hol.shape[0]), 2))
+    dev = spectral_norm(hol.conj().T @ hol - np.eye(hol.shape[0]))
     return {
         "path": args.path_name,
         "holonomy": matrix_payload(hol),

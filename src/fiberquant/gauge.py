@@ -78,7 +78,7 @@ class LieAlgebraRep:
     def commutator_residual(self) -> float:
         """Largest 2-norm of [X_a, X_b] - X_c over the cyclic (a, b, c), the three as one stack."""
         x, y, z = self.matrices, self.matrices[[1, 2, 0]], self.matrices[[2, 0, 1]]
-        return float(np.max(np.linalg.norm(x @ y - y @ x - z, 2, axis=(-2, -1))))
+        return float(np.max(spectral_norm(x @ y - y @ x - z)))
 
 
 @dataclass(frozen=True)
@@ -167,7 +167,7 @@ def quadrature_rep(basis: FiberBasis) -> LieAlgebraRep:
     runs here, once per generator.
     """
     mats = 1j * _MOMENT_TWIST[:, None, None] * prequant_matrix(basis, _moment_functions(basis.spec))
-    dev = np.linalg.norm(mats + np.swapaxes(mats, -1, -2).conj(), 2, axis=(-2, -1))
+    dev = spectral_norm(mats + np.swapaxes(mats, -1, -2).conj())
     if not np.all(dev <= 1e-8):
         raise AccuracyFailure(f"quadrature generator not anti-Hermitian ({np.max(dev):.2e})")
     return LieAlgebraRep(matrices=mats)
@@ -350,7 +350,11 @@ def _sample_overlap_point(model: GaugeModel, i: str, j: str, rng: np.random.Gene
 def _constant_potential(coefficients: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     """dq_1 coefficients[0] + dq_2 coefficients[1], whatever q; a non-finite dq stays visible
     (inf * 0 is nan), so that it reaches the unitarity guards even through a zero potential."""
-    return lambda q, dq: dq[..., 0, None] * coefficients[0] + dq[..., 1, None] * coefficients[1]
+
+    def potential(q, dq):  # one full-length product per column: a broadcast over the length-3 axis loops per node
+        return np.stack([dq[..., 0] * c1 + dq[..., 1] * c2 for c1, c2 in coefficients.T], axis=-1)
+
+    return potential
 
 
 _ZERO_POTENTIAL = _constant_potential(np.zeros((2, 3)))

@@ -118,9 +118,13 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
 
 def spectral_norm(m: np.ndarray) -> float | np.ndarray:
     """Largest singular value of each matrix of the stack m (..., rows, cols), a float for one matrix; inf for each
-    one with an entry that is not finite, where the SVD would not converge."""
-    finite = np.all(np.isfinite(m), axis=(-2, -1))
-    norms = np.where(finite, np.linalg.norm(np.where(finite[..., None, None], m, 0.0), 2, axis=(-2, -1)), np.inf)
+    one with an entry that is not finite, where the SVD would not converge.  The first of the descending singular
+    values, so the bits of ``np.linalg.norm(m, 2, axis=(-2, -1))`` wherever that converges."""
+    if np.isfinite(m).all():
+        norms = np.linalg.svd(m, compute_uv=False)[..., 0]
+    else:
+        finite = np.all(np.isfinite(m), axis=(-2, -1))
+        norms = np.where(finite, spectral_norm(np.where(finite[..., None, None], m, 0.0)), np.inf)
     return float(norms) if norms.ndim == 0 else norms
 
 

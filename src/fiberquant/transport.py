@@ -23,7 +23,7 @@ memory does not grow with the step count.  A chunk reads its nodes as one
 ``BasePath.nodes`` grid, on which a curved path multiplies two tables of unit
 phases: no sin or cos per node.
 Holonomy and the total-space reconstruction check live here too; the check
-transports to its own stencil nodes along ``sub_path`` pieces of the path.
+reads Psi at its own stencil knots from one march that records each knot.
 """
 
 from __future__ import annotations
@@ -97,9 +97,10 @@ def segment_path(q_from, q_to, p_from=None, p_to=None, chart: str = "main") -> B
     dp = np.zeros(2) if p_to is None else np.asarray(p_to, dtype=float) - p0
 
     def at(chart_name, t):
-        t = np.asarray(t, dtype=float)[..., None]
-        q, p, dqs = np.empty((3,) + t.shape[:-1] + (2,))
-        q[...], p[...], dqs[...] = q0 + t * dq, p0 + t * dp, dq
+        t = np.asarray(t, dtype=float)
+        q, p, dqs = np.empty((3,) + t.shape + (2,))
+        for i in (0, 1):  # one full-length product per column: a broadcast over the length-2 axis loops per node
+            q[..., i], p[..., i], dqs[..., i] = q0[i] + t * dq[i], p0[i] + t * dp[i], dq[i]
         return q, p, dqs
 
     return BasePath(at=at, start_chart=chart)
@@ -252,6 +253,98 @@ def _step_maps(model, rep, path, chart, t0, t1, n_steps, product, boundary=None)
             return
 
 
+def _march(model, basis, path, rep, steps, switches=(), knots=()):
+    """Transport's march: (W, phase, unitarity deviation, chart log) at t = 1, W lifted once on a rep with a group
+    action, its deviation at most 1e-6 and its phase finite.  Spans run between forced switches and chart crossings,
+    each in one chart, and apply their chunks' ordered products: W <- W + (M - I) W.  Given ``knots`` (and no switches),
+    increasing steps k of the grid t = k / steps, it records W after each knot step, splitting a chunk's product there,
+    W_k = (I + O(D[k_prev:k])) W_k_prev, stops at the last knot and returns the stacked W, phases and deviations and
+    each knot's chart.  A span that starts at a crossing ends at the next knot, so every later knot is a step end."""
+    if steps < 1:
+        raise InvalidArgument(f"transport needs at least one step per unit, got steps = {steps}")
+    check_spin(basis, "model", model.spec.two_j)
+    check_spin(basis, "rep", rep.matrices.shape[-1] - 1)
+    switches = sorted(switches)
+    for t_switch, _ in switches:
+        if not 0.0 <= t_switch <= 1.0:
+            raise InvalidArgument(f"forced switch time {t_switch} outside [0, 1]")
+    chart = path.start_chart
+    if chart not in model.charts:
+        raise ChartError(f"path start chart {chart!r} unknown to the model")
+
+    group = rep.group_action
+    if group is None:
+        march_rep, product, w = rep, np.matmul, np.eye(rep.matrices.shape[-1], dtype=complex)
+    else:
+        march_rep, product, w = _TAU_PAIRS, _pair_product, np.array([1.0, 0.0], dtype=complex)
+    phase = 0.0
+    chart_log = [(0.0, chart)]
+    records = [(chart, w, phase)] if knots and knots[0] == 0 else []
+
+    def run_span(t0: float, t1: float, n_steps: int, boundary=None, ends=()) -> int:
+        """March n_steps steps over [t0, t1], recording after each step in ``ends``; the steps marched in the chart."""
+        nonlocal w, phase
+        marched = 0
+        for offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product, boundary):
+            k, start = phases.shape[0], 0
+            for stop in [end - marched for end in ends if marched < end < marched + k] + [k]:
+                w = w + product(_ordered_product(offsets[start:stop], product), w)
+                phase += float(np.sum(phases[start:stop]))
+                start = stop
+                if marched + stop in ends:
+                    records.append((chart, w, phase))
+            marched += k
+        return marched
+
+    def do_insert(t_cross: float, from_chart: str, target: str) -> None:
+        nonlocal chart, w
+        overlap = model.overlaps.get((from_chart, target))
+        if overlap is None:
+            raise ChartError(f"no registered transition {from_chart!r} -> {target!r} at t = {t_cross:.6f}")
+        q_here = path.at(from_chart, np.array([t_cross]))[0][0]
+        g = overlap.transition(q_here)
+        w = product(quantize_transition(basis, g) if group is None else check_special_unitary(g)[0], w)
+        chart = target
+        chart_log.append((t_cross, target))
+
+    t_now, k_now = 0.0, 0 if knots else None  # k_now: the knot step the march is on, None off the knot grid
+    for t_stop, stop_chart in switches + [(knots[-1] / steps if knots else 1.0, None)]:
+        while t_now < t_stop - 1e-15:
+            # on the knot grid to the last knot; off it to t_stop, or from a crossing to the next knot
+            k_to = knots[-1] if k_now is not None else knots[len(records)] if knots else None
+            t1 = t_stop if k_to is None else k_to / steps
+            n_span = k_to - k_now if k_now is not None else max(int(np.ceil(steps * (t1 - t_now))), 1)
+            ends = [n_span - k_to + k for k in knots[len(records):] if k <= k_to]
+            boundary = model.charts[chart].boundary
+            marched = run_span(t_now, t1, n_span, boundary, ends)
+            if marched == n_span:
+                t_now, k_now = t1, k_to
+                continue
+            # the march's last endpoint and the first one outside, at its node times
+            t_in, t_out = t_now + (t1 - t_now) / n_span * np.array([marched, marched + 1])
+            t_cross = _bisect_boundary(path, chart, boundary, t_in, t_out)
+            if t_cross - t_in > constants.CROSSING_BISECT_TOL:
+                run_span(t_in, t_cross, 1)
+            target = model.other_chart(chart)
+            if target is None:
+                raise ChartError(f"path leaves chart {chart!r} with no overlap registered")
+            do_insert(t_cross, chart, target)
+            t_now, k_now = t_cross, None
+        if stop_chart is not None and stop_chart != chart:
+            do_insert(t_stop, chart, stop_chart)
+    if knots:
+        chart_log, w, phase = zip(*records)
+        w, phase = np.array(w), np.array(phase)
+    if group is not None:
+        w = spin_lift(group, w[..., None, :])
+    dev = spectral_norm(w.conj().swapaxes(-1, -2) @ w - np.eye(w.shape[-1]))
+    if not np.all(dev <= 1e-6):
+        raise AccuracyFailure(f"transport unitarity deviation {np.max(dev):.2e} exceeds 1e-6")
+    if not np.all(np.isfinite(phase)):
+        raise AccuracyFailure(f"transport alpha phase {phase} is not finite")
+    return w, phase, dev, tuple(chart_log)
+
+
 def transport(
     model: GaugeModel,
     basis: FiberBasis,
@@ -269,84 +362,12 @@ def transport(
     (``build_rep``) marches the 2x2 transport U of the tau generators as
     its quaternion pair (a, b), inserts each transition g in SU(2) and
     returns the lift X(U), lifted once; a rep without one marches n x n
-    and inserts X(g).  Each span applies the ordered product of its step
-    offsets: W <- W + (M - I) W.
-    ``forced_switches`` lists (t, chart) chart changes at times t in [0, 1].
+    and inserts X(g).  ``forced_switches`` lists (t, chart) chart changes at times t in [0, 1].
     """
     if steps is None:
         steps = constants.RK4_STEPS_PER_UNIT
-    if steps < 1:
-        raise InvalidArgument(f"transport needs at least one step per unit, got steps = {steps}")
-    check_spin(basis, "model", model.spec.two_j)
-    check_spin(basis, "rep", rep.matrices.shape[-1] - 1)
-
-    switches = sorted(forced_switches or [])
-    for t_switch, _ in switches:
-        if not 0.0 <= t_switch <= 1.0:
-            raise InvalidArgument(f"forced switch time {t_switch} outside [0, 1]")
-    chart = path.start_chart
-    if chart not in model.charts:
-        raise ChartError(f"path start chart {chart!r} unknown to the model")
-
-    group = rep.group_action
-    if group is None:
-        march_rep, product, w = rep, np.matmul, np.eye(rep.matrices.shape[-1], dtype=complex)
-    else:
-        march_rep, product, w = _TAU_PAIRS, _pair_product, np.array([1.0, 0.0], dtype=complex)
-    phase = 0.0
-    chart_log = [(0.0, chart)]
-
-    def run_span(t0: float, t1: float, n_steps: int, boundary=None) -> int:
-        """March n_steps steps over [t0, t1]; the number marched before the path left the chart."""
-        nonlocal w, phase
-        marched = 0
-        for offsets, phases in _step_maps(model, march_rep, path, chart, t0, t1, n_steps, product, boundary):
-            w = w + product(_ordered_product(offsets, product), w)
-            phase += float(np.sum(phases))
-            marched += phases.shape[0]
-        return marched
-
-    def do_insert(t_cross: float, from_chart: str, target: str) -> None:
-        nonlocal chart, w
-        overlap = model.overlaps.get((from_chart, target))
-        if overlap is None:
-            raise ChartError(f"no registered transition {from_chart!r} -> {target!r} at t = {t_cross:.6f}")
-        q_here = path.at(from_chart, np.array([t_cross]))[0][0]
-        g = overlap.transition(q_here)
-        w = product(quantize_transition(basis, g) if group is None else check_special_unitary(g)[0], w)
-        chart = target
-        chart_log.append((t_cross, target))
-
-    t_now = 0.0
-    for t_stop, stop_chart in switches + [(1.0, None)]:
-        while t_now < t_stop - 1e-15:
-            n_span = max(int(np.ceil(steps * (t_stop - t_now))), 1)
-            boundary = model.charts[chart].boundary
-            marched = run_span(t_now, t_stop, n_span, boundary)
-            if marched == n_span:
-                t_now = t_stop
-                continue
-            # the march's last endpoint and the first one outside, at its node times
-            t_in, t_out = t_now + (t_stop - t_now) / n_span * np.array([marched, marched + 1])
-            t_cross = _bisect_boundary(path, chart, boundary, t_in, t_out)
-            if t_cross - t_in > constants.CROSSING_BISECT_TOL:
-                run_span(t_in, t_cross, 1)
-            target = model.other_chart(chart)
-            if target is None:
-                raise ChartError(f"path leaves chart {chart!r} with no overlap registered")
-            do_insert(t_cross, chart, target)
-            t_now = t_cross
-        if stop_chart is not None and stop_chart != chart:
-            do_insert(t_stop, chart, stop_chart)
-
-    if group is not None:
-        w = spin_lift(group, w[None, :])
-    dev = spectral_norm(w.conj().T @ w - np.eye(w.shape[-1]))
-    if not dev <= 1e-6:
-        raise AccuracyFailure(f"transport unitarity deviation {dev:.2e} exceeds 1e-6")
-    if not np.isfinite(phase):
-        raise AccuracyFailure(f"transport alpha phase {phase} is not finite")
-    return TransportResult(w, phase, steps, dev, tuple(chart_log))
+    w, phase, dev, chart_log = _march(model, basis, path, rep, steps, forced_switches or [])
+    return TransportResult(w, phase, steps, dev, chart_log)
 
 
 def _bisect_boundary(path, chart, boundary, t_lo, t_hi):
@@ -415,11 +436,10 @@ def covariant_residual_total_space(
     Reconstructs psi(t, f) = sum_mu Psi_mu(t) e_mu(f), for the uniform
     initial vector Psi(0), on the horizontal lift of five fixed fiber
     points and compares its parameter derivative (central differences
-    along the lift) against i <alpha_total, lift> psi.  Psi is transported
-    to its own stencil knots t = k / steps, k = int(frac steps) + (-1, 0, 1)
-    for six fractions frac, by chaining ``transport`` over ``sub_path``
-    pieces between successive knots, each at ``steps`` steps per unit of t
-    and started in the chart the previous piece ended in.  A stencil whose
+    along the lift) against i <alpha_total, lift> psi.  Psi is read at its
+    own stencil knots t = k / steps, k = int(frac steps) + (-1, 0, 1) for six
+    fractions frac, from one ``_march`` at ``steps`` steps per unit of t that
+    records its state at each knot, lifted as one stack.  A stencil whose
     three knots are not all in one chart is skipped.  The fiber points of
     the kept centres of each chart march as one stack, forwards and
     backwards: one ``rk4_step`` and one pairing evaluation per chart.
@@ -431,18 +451,13 @@ def covariant_residual_total_space(
     if steps < 7:
         raise InvalidArgument(f"the total-space residual needs steps >= 7 for six distinct stencils, got {steps}")
     spec = basis.spec
-    psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
     centers = [int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)]
-
-    # (chart, coefficients Psi(k / steps), times each factor) at every knot, marched piece by piece
-    knots, unitary, phase, chart, k_prev = {}, np.eye(spec.dim, dtype=complex), 0.0, path.start_chart, 0
-    for k in sorted({k + d for k in centers for d in (-1, 0, 1)}):
-        if k > k_prev:
-            piece = transport(model, basis, sub_path(path, k_prev / steps, k / steps, chart),
-                              rep=rep, steps=k - k_prev)
-            unitary, phase, chart = piece.unitary @ unitary, phase + piece.alpha_phase, piece.chart_log[-1][1]
-        c = np.exp(1j * phase) * (unitary @ psi0)
-        knots[k], k_prev = (chart, c if corruption is None else np.multiply.outer(corruption(k / steps), c)), k
+    marks = sorted({k + d for k in centers for d in (-1, 0, 1)})
+    w, phases, _, charts = _march(model, basis, path, rep, steps, knots=marks)
+    psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
+    # knot step -> (chart, coefficients Psi(k / steps) = e^{i phase} W Psi(0), times each factor)
+    knots = {k: (chart, c if corruption is None else np.multiply.outer(corruption(k / steps), c))
+             for k, chart, c in zip(marks, charts, np.exp(1j * phases)[:, None] * (w @ psi0))}
 
     h, z0 = 1.0 / steps, np.asarray(_FIBER_SAMPLES, dtype=complex)
     pt = ChartPoint(Chart.NORTH, z0)

@@ -35,7 +35,7 @@ from .gauge import (
     trivial_model,
     verify_gauge_data,
 )
-from .numerics import central_difference, matrix_exp
+from .numerics import central_difference, matrix_exp, spectral_norm
 from .orbit import (
     Chart,
     ChartPoint,
@@ -188,7 +188,7 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
     for two_j in (1, 2, 3, 4):
         a = rng.standard_normal((5, 3))
         op = np.einsum("rk,kij->rij", a / np.linalg.norm(a, axis=-1, keepdims=True), generators[two_j])
-        worst_h = max(worst_h, float(np.max(np.linalg.norm(op - op.conj().swapaxes(-1, -2), 2, axis=(-2, -1)))))
+        worst_h = max(worst_h, float(np.max(spectral_norm(op - op.conj().swapaxes(-1, -2)))))
         expected = np.arange(-0.5 * two_j, 0.5 * two_j + 1.0)
         worst_s = max(worst_s, float(np.max(np.abs(np.linalg.eigvalsh(op) - expected))))
     rows["fiber.hermiticity"] = worst_h
@@ -199,15 +199,15 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
         a, b = rng.standard_normal((20, 2, 3)).swapaxes(0, 1)  # 20 rounds of a then b
         oa, ob, oc = (np.einsum("rk,kij->rij", c, ops) for c in (a, b, np.cross(a, b)))
         comm = oa @ ob - ob @ oa
-        worst = max(worst, float(np.max(np.linalg.norm(comm - (-1j) * oc, 2, axis=(-2, -1)))))
+        worst = max(worst, float(np.max(spectral_norm(comm - (-1j) * oc))))
     rows["fiber.dirac_condition"] = worst
 
     worst_hom = worst_uni = 0.0
     for two_j in (1, 2, 3):
         g1, g2 = random_su2(rng, (34, 2)).swapaxes(0, 1)
         x1, x2, x12 = (quantize_transition(bases[two_j], g) for g in (g1, g2, g1 @ g2))
-        worst_hom = max(worst_hom, float(np.max(np.linalg.norm(x12 - x1 @ x2, 2, axis=(-2, -1)))))
-        uni = np.linalg.norm(x1.conj().swapaxes(-1, -2) @ x1 - np.eye(x1.shape[-1]), 2, axis=(-2, -1))
+        worst_hom = max(worst_hom, float(np.max(spectral_norm(x12 - x1 @ x2))))
+        uni = spectral_norm(x1.conj().swapaxes(-1, -2) @ x1 - np.eye(x1.shape[-1]))
         worst_uni = max(worst_uni, float(np.max(uni)))
     rows["fiber.transition_homomorphism"] = worst_hom
     rows["fiber.transition_unitarity"] = worst_uni
@@ -244,7 +244,6 @@ def suite_gauge(two_j: int) -> dict[str, float]:
     rows["gauge.data_consistency"] = max(verify_gauge_data(mono, np.random.default_rng(7)),
                                          verify_gauge_data(pure, np.random.default_rng(8)))
 
-    norm = lambda m: np.linalg.norm(m, 2, axis=(-2, -1))
     worst_eq = 0.0
     worst_ah = 0.0
     worst_lin = 0.0
@@ -255,10 +254,10 @@ def suite_gauge(two_j: int) -> dict[str, float]:
         a_quad = connection_rep(model, quad_rep, chart, q, v)
         a_rep, a_v2, a_mix = connection_rep(model, rep, chart, np.broadcast_to(q, (3, 20, 2)),
                                             np.stack([v, v2, c1 * v + c2 * v2]))
-        worst_eq = max(worst_eq, float(np.max(norm(a_quad - a_rep))))
-        worst_ah = max(worst_ah, float(np.max(norm(a_quad + a_quad.conj().swapaxes(-1, -2)))))
+        worst_eq = max(worst_eq, float(np.max(spectral_norm(a_quad - a_rep))))
+        worst_ah = max(worst_ah, float(np.max(spectral_norm(a_quad + a_quad.conj().swapaxes(-1, -2)))))
         lin = a_mix - c1[..., None] * a_rep - c2[..., None] * a_v2
-        worst_lin = max(worst_lin, float(np.max(norm(lin))))
+        worst_lin = max(worst_lin, float(np.max(spectral_norm(lin))))
     rows["gauge.connection_equivalence"] = worst_eq
     rows["gauge.anti_hermiticity"] = worst_ah
     rows["gauge.linearity"] = worst_lin
@@ -276,10 +275,8 @@ def suite_gauge(two_j: int) -> dict[str, float]:
         worst = max(worst, float(np.max(lift_orthogonality_residual(model, chart, q, p, v, f, xi))))
     rows["gauge.lift_orthogonality"] = worst
 
-    rows["gauge.pure_gauge_flatness"] = float(np.linalg.norm(
-        curvature(pure, rep, "gauged", np.array([0.3, -0.2]), *np.eye(2)), 2))
-    rows["gauge.constant_model_curvature"] = float(np.linalg.norm(
-        curvature(const, rep, "main", np.zeros(2), *np.eye(2)), 2))
+    rows["gauge.pure_gauge_flatness"] = spectral_norm(curvature(pure, rep, "gauged", np.array([0.3, -0.2]), *np.eye(2)))
+    rows["gauge.constant_model_curvature"] = spectral_norm(curvature(const, rep, "main", np.zeros(2), *np.eye(2)))
     return rows
 
 
@@ -310,16 +307,15 @@ def suite_transport(two_j: int) -> dict[str, float]:
 
     seg = segment_path([0.0, 0.0], [1.0, 0.0])
     res = transport(const, basis, seg, rep=rep, steps=2000)
-    rows["transport.constant_oracle"] = float(np.linalg.norm(res.unitary - matrix_exp(rep.matrices[0]), 2))
+    rows["transport.constant_oracle"] = spectral_norm(res.unitary - matrix_exp(rep.matrices[0]))
 
     res_y = transport(const, basis, segment_path([0.0, 0.0], [0.0, 1.0]), rep=rep, steps=2000)
-    rows["transport.noncommutativity"] = float(np.linalg.norm(
-        res_y.unitary @ res.unitary - res.unitary @ res_y.unitary, 2))
+    rows["transport.noncommutativity"] = spectral_norm(res_y.unitary @ res.unitary - res.unitary @ res_y.unitary)
 
     loop = phase_circle_path([0.0, 0.0], 0.5)
     res = transport(triv, basis, loop, rep=rep, steps=2000)
     area_err = abs(res.alpha_phase - np.pi * 0.25)
-    rows["transport.green_phase"] = area_err + float(np.linalg.norm(res.unitary - np.eye(spec.dim), 2))
+    rows["transport.green_phase"] = area_err + spectral_norm(res.unitary - np.eye(spec.dim))
 
     # The pure-gauge model's gauged chart carries (dg) g^{-1}, which does not
     # commute with itself along the diagonal, so these rows see the non-abelian
@@ -328,7 +324,7 @@ def suite_transport(two_j: int) -> dict[str, float]:
     pure = pure_gauge_model(spec)
     fwd = transport(pure, basis, diag, rep=rep, steps=2000)
     bwd = transport(pure, basis, sub_path(diag, 1.0, 0.0, diag.start_chart), rep=rep, steps=2000)
-    rows["transport.reversal"] = float(np.linalg.norm(bwd.unitary - fwd.unitary.conj().T, 2))
+    rows["transport.reversal"] = spectral_norm(bwd.unitary - fwd.unitary.conj().T)
     rows["transport.unitarity"] = fwd.unitarity_deviation
 
     lat = latitude_path(np.pi / 3.0)
@@ -342,11 +338,11 @@ def suite_transport(two_j: int) -> dict[str, float]:
     plain = transport(mono, basis, lat, rep=rep, steps=2000)
     switched = transport(mono, basis, lat, rep=rep, steps=2000,
                          forced_switches=[(0.25, "south"), (0.75, "north")])
-    rows["transport.chart_independence"] = float(np.linalg.norm(plain.unitary - switched.unitary, 2))
+    rows["transport.chart_independence"] = spectral_norm(plain.unitary - switched.unitary)
 
     quad = transport(pure, basis, diag, rep=quadrature_rep(basis), steps=300)
     repd = transport(pure, basis, diag, rep=rep, steps=300)
-    rows["transport.source_independence"] = float(np.linalg.norm(quad.unitary - repd.unitary, 2))
+    rows["transport.source_independence"] = spectral_norm(quad.unitary - repd.unitary)
 
     # the clean and the corrupted residual from one knot march: a factor of exactly 1 is the clean row
     base_res, corrupted = covariant_residual_total_space(

@@ -206,6 +206,20 @@ class TestConnectionEquivalence:
         a_r = connection_rep(model, ctx["rep"], "main", np.zeros(2), np.array([1.0, 0.0]))
         assert np.linalg.norm(a_r - ctx["rep"].matrices[0], 2) < 1e-12
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_constant_potential_equals_its_broadcast_formula(self, shape):
+        # one product per column gives the bits of dq_1 c[0] + dq_2 c[1] broadcast over the trailing length-3 axis,
+        # and a non-finite tangent stays visible through a zero coefficient (inf * 0 is nan)
+        rng = np.random.default_rng(19)
+        coefficients, dq = rng.standard_normal((2, 3)), rng.standard_normal(shape + (2,))
+        coefficients[1, 2] = 0.0
+        dq[(0,) * len(shape) + (1,)] = np.inf
+        with np.errstate(invalid="ignore"):
+            got = gauge._constant_potential(coefficients)(np.zeros(shape + (2,)), dq)
+            want = dq[..., 0, None] * coefficients[0] + dq[..., 1, None] * coefficients[1]
+        assert got.shape == shape + (3,) and got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes() and np.isnan(got[(0,) * len(shape) + (2,)])
+
     def test_monopole_diagonal_form(self, ctx):
         # along d/dphi the connection is diagonal with entries -i m (1 - cos theta)
         theta = np.pi / 3

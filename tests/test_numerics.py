@@ -105,8 +105,12 @@ class TestMatrixExp:
 
 class TestSpectralNorm:
     def test_finite_matches_numpy(self):
+        # bit for bit: the first of the descending singular values is the maximum np.linalg.norm takes of them
         m = np.random.default_rng(5).standard_normal((4, 4)) + 1j
         assert spectral_norm(m) == float(np.linalg.norm(m, 2))
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((6, 5, 3, 3)) + 1j * rng.standard_normal((6, 5, 3, 3))
+        assert spectral_norm(stack).tobytes() == np.linalg.norm(stack, 2, axis=(-2, -1)).tobytes()
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
     def test_non_finite_entry_is_infinite(self, bad):

@@ -109,6 +109,17 @@ class TestPathMaps:
                     assert np.max(np.abs(got - want)) <= bound, (chart, t0)
                     assert np.array_equal(part, got[300:777]), (chart, t0)
 
+    @pytest.mark.parametrize("shape", [(), (7,), (3, 5)])
+    def test_segment_equals_its_broadcast_formula(self, shape):
+        # one product per column gives the bits of q0 + t dq broadcast over the trailing length-2 axis
+        q0, q1, p0, p1 = np.array([0.1, -0.2]), np.array([0.7, 0.4]), np.array([0.3, 0.0]), np.array([-0.5, 0.2])
+        t = np.random.default_rng(17).uniform(-0.5, 1.5, shape)
+        got = segment_path(q0, q1, p0, p1).at("main", t)
+        want = (q0 + t[..., None] * (q1 - q0), p0 + t[..., None] * (p1 - p0), np.broadcast_to(q1 - q0, shape + (2,)))
+        for g, w in zip(got, want):
+            assert g.shape == shape + (2,) and g.flags.c_contiguous
+            assert g.tobytes() == np.ascontiguousarray(w).tobytes()
+
     def test_meridian_south_pole_stays_at_infinity(self):
         # t = 0 is the north pole, at infinity in the south chart, in a grid as in at
         path = _PATH_CASES["meridian"][0]
@@ -373,10 +384,9 @@ class TestSpinLiftedMarch:
 
         monkeypatch.setattr(transport_module, "spin_lift", recording)
         covariant_residual_total_space(model, basis, path, rep=rep, steps=2000)
-        # one pair (a, b), the first row of the piece's U, per piece between the 18 stencil knots
-        assert len(marched) == 18 and {u.shape for u in marched} == {(1, 2)}
-        u = np.array(marched)
-        assert np.max(np.abs(np.sum(np.abs(u) ** 2, axis=(1, 2)) - 1.0)) <= 1e-14  # |a|^2 + |b|^2 = 1
+        # one stacked lift of the pairs (a, b), the first rows of U, that the knot march records at its 18 knots
+        assert len(marched) == 1 and marched[0].shape == (18, 1, 2)
+        assert np.max(np.abs(np.sum(np.abs(marched[0]) ** 2, axis=(1, 2)) - 1.0)) <= 1e-14  # |a|^2 + |b|^2 = 1
 
 
 def quaternion(pairs):
@@ -614,20 +624,16 @@ class TestTotalSpaceReconstruction:
 
 def per_centre_residual(model, basis, path, *, rep, steps, corruption=None):
     """``covariant_residual_total_space`` as it was with one march per stencil centre: each kept centre's fiber
-    points take two ``rk4_step`` calls of their own, forwards and backwards, and its pairing is evaluated alone."""
+    points take two ``rk4_step`` calls of their own, forwards and backwards, and its pairing is evaluated alone.
+    The knot coefficients come from the same private knot march."""
     spec = basis.spec
-    psi0 = np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)
     centers = [k for k in (int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9))
                if 0 < k < steps]
-
-    knots, unitary, phase, chart, k_prev = {}, np.eye(spec.dim, dtype=complex), 0.0, path.start_chart, 0
-    for k in sorted({k + d for k in centers for d in (-1, 0, 1)}):
-        if k > k_prev:
-            piece = transport(model, basis, sub_path(path, k_prev / steps, k / steps, chart),
-                              rep=rep, steps=k - k_prev)
-            unitary, phase, chart = piece.unitary @ unitary, phase + piece.alpha_phase, piece.chart_log[-1][1]
-        c = np.exp(1j * phase) * (unitary @ psi0)
-        knots[k], k_prev = (chart, c if corruption is None else corruption(k / steps) * c), k
+    marks = sorted({k + d for k in centers for d in (-1, 0, 1)})
+    w, phases, _, charts = transport_module._march(model, basis, path, rep, steps, knots=marks)
+    coefficients = np.exp(1j * phases)[:, None] * (w @ (np.ones(spec.dim, dtype=complex) / np.sqrt(spec.dim)))
+    knots = {k: (chart, c if corruption is None else corruption(k / steps) * c)
+             for k, chart, c in zip(marks, charts, coefficients)}
 
     h = 1.0 / steps
     z0 = np.asarray(_FIBER_SAMPLES, dtype=complex)
@@ -708,17 +714,75 @@ class TestStackedFiberMarch:
         assert rows.tobytes() == np.array(singles).tobytes()
 
     def test_one_knot_march_for_every_factor(self, monkeypatch):
-        # a stack of two factors makes the 18 knot transports and the one fiber step of a single call
+        # a stack of two factors makes the one knot march, to all 18 knots, and the one fiber step of a single call
         spec, basis, rep, mono = spin_ctx(2)
-        pieces, shapes = [], []
-        march, step = transport_module.transport, transport_module.rk4_step
-        monkeypatch.setattr(transport_module, "transport", lambda *a, **k: pieces.append(k["steps"]) or march(*a, **k))
+        marches, shapes = [], []
+        march, step = transport_module._march, transport_module.rk4_step
+        monkeypatch.setattr(transport_module, "_march", lambda *a, **k: marches.append(k["knots"]) or march(*a, **k))
+        monkeypatch.setattr(transport_module, "transport", None)  # no transport of its own
         monkeypatch.setattr(transport_module, "rk4_step",
                             lambda field, t, y, h: shapes.append(np.shape(y)) or step(field, t, y, h))
         rows = covariant_residual_total_space(mono, basis, latitude_path(np.pi / 3), rep=rep, steps=4000,
                                               corruption=lambda t: np.ones(2))
-        assert (len(pieces), shapes) == (18, [(12, 5)])
+        assert ([len(knots) for knots in marches], shapes) == ([18], [(12, 5)])
         assert rows.shape == (2,) and rows[0].tobytes() == rows[1].tobytes()
+
+
+def chained_knots(model, basis, path, rep, steps, marks):
+    """(chart, e^{i phase} W) at each knot step, as the residual read them before its knot march: ``transport``
+    chained over ``sub_path`` pieces between successive knots, each at ``steps`` steps per unit of t and started
+    in the chart the previous piece ended in."""
+    unitary, phase, chart, k_prev, knots = np.eye(basis.spec.dim, dtype=complex), 0.0, path.start_chart, 0, []
+    for k in marks:
+        if k > k_prev:
+            piece = transport(model, basis, sub_path(path, k_prev / steps, k / steps, chart), rep=rep, steps=k - k_prev)
+            unitary, phase, chart = piece.unitary @ unitary, phase + piece.alpha_phase, piece.chart_log[-1][1]
+        knots.append((chart, np.exp(1j * phase) * unitary))
+        k_prev = k
+    return knots
+
+
+class TestKnotMarch:
+    """The residual's one knot march, which records its state at each knot, against the chained pieces."""
+
+    @pytest.mark.parametrize("chunk", [None, 600], ids=["one_chunk", "chunk_edges_on_centres"])
+    @pytest.mark.parametrize("route", ["rep", "quad"])
+    @pytest.mark.parametrize("two_j", [1, 2, 4])
+    @RESIDUAL_PATHS
+    def test_knots_agree_with_the_chained_pieces(self, monkeypatch, two_j, path, steps, route, chunk):
+        spec, basis, rep, mono = spin_ctx(two_j)
+        path, rep = path(mono), rep if route == "rep" else quadrature_rep(basis)
+        centers = [int(frac * steps) for frac in (0.15, 0.3, 0.45, 0.6, 0.75, 0.9)]
+        marks = sorted({k + d for k in centers for d in (-1, 0, 1)})
+        reference = chained_knots(mono, basis, path, rep, steps, marks)
+
+        batch_sizes, chunk_steps, pieces = [], [], []
+        batch, step_maps = transport_module.connection_rep_batch, transport_module._step_maps
+
+        def recording_batch(model, rep, chart, q, dq):
+            batch_sizes.append(len(q))
+            return batch(model, rep, chart, q, dq)
+
+        def recording_maps(*args):
+            for maps in step_maps(*args):
+                chunk_steps.append(maps[1].shape[0])
+                yield maps
+
+        monkeypatch.setattr(transport_module, "connection_rep_batch", recording_batch)
+        monkeypatch.setattr(transport_module, "_step_maps", recording_maps)
+        monkeypatch.setattr(transport_module, "sub_path", lambda *args: pieces.append(args))
+        if chunk is not None:  # chunks of 600 steps end on the centres k = 600, 1200, 1800 of either step count
+            monkeypatch.setattr(transport_module, "_CHUNK_STEPS", chunk)
+        w, phases, _, charts = transport_module._march(mono, basis, path, rep, steps, knots=marks)
+
+        assert pieces == []
+        # one connection batch per chunk, on its 2k + 1 nodes: an odd count, as the benchmark's step tally reads it
+        assert [(n - 1) // 2 for n in batch_sizes] == chunk_steps and all(n % 2 == 1 for n in batch_sizes)
+        if len({chart for chart, _ in reference}) == 1:  # no crossing: the march stops at the last knot
+            assert sum(chunk_steps) == marks[-1]
+        assert list(charts) == [chart for chart, _ in reference]
+        knots = np.exp(1j * phases)[:, None, None] * w
+        assert np.max(np.linalg.norm(knots - np.array([ref for _, ref in reference]), 2, axis=(-2, -1))) <= 1e-13
 
 
 class TestTransportErrors:

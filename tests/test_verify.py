@@ -113,16 +113,27 @@ def test_a_clean_factor_in_place_of_the_corruption_fails_the_sensitivity_row(mon
     assert not rows["transport.corruption_sensitivity"].passed
 
 
+def test_a_non_finite_matrix_reads_inf_and_fails_its_row(monkeypatch):
+    # the rows take their matrix 2-norms through spectral_norm: a nan oracle reads inf and fails the row, exit 3,
+    # where the SVD of np.linalg.norm would not converge and raise
+    monkeypatch.setattr(verify, "matrix_exp", lambda m: np.full_like(m, np.nan))
+    rows = {c.name: c for c in run_suite("transport", default_scenario(2, "monopole", strength=1))}
+    assert rows["transport.constant_oracle"].value == np.inf and not rows["transport.constant_oracle"].passed
+    assert [name for name, c in rows.items() if not c.passed] == ["transport.constant_oracle"]
+    code, _ = run_command(["verify", "transport", "--spin", "2"])
+    assert code == EXIT_ACCURACY
+
+
 class TestVerifyAllCallCounts:
     """The calls one ``verify all`` makes, by function, each deterministic: a change that brings back
     duplicate work fails the row of the function it repeats."""
 
     CALLS = [  # (the module that defines the function, its name, calls)
-        (transport_module, "transport", 28),  # 10 suite transports, the 18 knot pieces of the one residual call
+        (transport_module, "transport", 10),  # the 10 suite transports; the residual's knot march is not one
         (transport_module, "covariant_residual_total_space", 1),  # the clean and corrupted row of one knot march
         (fiberq, "build_basis", 13),  # each of the 11 fiber spins once, one each in the gauge and transport suites
         (su2, "random_su2", 3),  # one (34, 2) block per transition spin
-        (fiberq, "spin_lift", 40),  # 9 transition stacks, 27 rep-route transports (18 knots), 4 gauge-law lifts
+        (fiberq, "spin_lift", 23),  # 9 transition stacks, 9 rep-route transports, 1 knot stack, 4 gauge-law lifts
         (fiberq, "prequant_matrix", 7),  # 5 fiber generator stacks, the gauge and transport suites' quadrature_rep
     ]
 
