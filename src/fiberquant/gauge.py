@@ -351,8 +351,9 @@ def _constant_potential(coefficients: np.ndarray) -> Callable[[np.ndarray, np.nd
     """dq_1 coefficients[0] + dq_2 coefficients[1], whatever q; a non-finite dq stays visible
     (inf * 0 is nan), so that it reaches the unitarity guards even through a zero potential."""
 
-    def potential(q, dq):  # one full-length product per column: a broadcast over the length-3 axis loops per node
-        return np.stack([dq[..., 0] * c1 + dq[..., 1] * c2 for c1, c2 in coefficients.T], axis=-1)
+    def potential(q, dq):  # full-length products, then one copy: a broadcast over the length-3 axis loops per node
+        transposed = np.multiply.outer(coefficients[0], dq[..., 0]) + np.multiply.outer(coefficients[1], dq[..., 1])
+        return np.moveaxis(transposed, 0, -1).copy()
 
     return potential
 

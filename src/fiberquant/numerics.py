@@ -117,9 +117,8 @@ def matrix_exp(m: np.ndarray) -> np.ndarray:
 
 
 def spectral_norm(m: np.ndarray) -> float | np.ndarray:
-    """Largest singular value of each matrix of the stack m (..., rows, cols), a float for one matrix; inf for each
-    one with an entry that is not finite, where the SVD would not converge.  The first of the descending singular
-    values, so the bits of ``np.linalg.norm(m, 2, axis=(-2, -1))`` wherever that converges."""
+    """Largest singular value of each matrix of the stack m (..., rows, cols), a float for one matrix, with the bits of
+    ``np.linalg.norm(m, 2)``; inf for each one with an entry that is not finite, where the SVD would not converge."""
     if np.isfinite(m).all():
         norms = np.linalg.svd(m, compute_uv=False)[..., 0]
     else:
