@@ -18,11 +18,11 @@ import numpy as np
 
 from . import constants
 from .errors import AccuracyFailure, FiberquantError, InvalidArgument, ValidationError
-from .fiberq import build_basis, exact_monomial_norms_sq, prequant_matrix, quantize_transition
-from .gauge import connection_rep, quadrature_rep
+from .fiberq import exact_monomial_norms_sq, prequant_matrix, quantize_transition
+from .gauge import connection_rep
 from .numerics import spectral_norm
 from .orbit import moment_hamiltonian
-from .scenario import DEFAULT_TOLERANCES, Scenario, default_scenario, load_scenario
+from .scenario import DEFAULT_TOLERANCES, Fiber, Scenario, default_scenario, load_scenario
 from .su2 import su2_exp
 from .transport import transport, wilson_loop
 from .verify import run_suite
@@ -178,7 +178,7 @@ def _bounded(scenario: Scenario, key: str, value: float) -> dict:
 
 def _cmd_gram(args, scenario: Scenario) -> dict:
     spec = scenario.spec()
-    basis = build_basis(spec)
+    basis = Fiber(scenario.two_j)["basis"]
     exact = exact_monomial_norms_sq(spec)
     rel = float(np.max(np.abs(basis.norms**2 - exact) / exact))
     return {
@@ -194,7 +194,7 @@ def _cmd_prequant(args, scenario: Scenario) -> dict:
         raise ValidationError("prequant requires --hamiltonian a1,a2,a3")
     a = _parse_vector(args.hamiltonian, 3, "--hamiltonian")
     spec = scenario.spec()
-    op = prequant_matrix(build_basis(spec), moment_hamiltonian(spec, a))
+    op = prequant_matrix(Fiber(scenario.two_j)["basis"], moment_hamiltonian(spec, a))
     herm = spectral_norm(op - op.conj().T)
     return {
         "two_j": spec.two_j,
@@ -218,7 +218,7 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
         raise ValidationError(f"--angle must be finite, got {args.angle}")
     g = su2_exp(axis / norm * args.angle)
     spec = scenario.spec()
-    trans = quantize_transition(build_basis(spec), g)
+    trans = quantize_transition(Fiber(scenario.two_j)["basis"], g)
     dev = spectral_norm(trans.conj().T @ trans - np.eye(spec.dim))
     return {
         "two_j": spec.two_j,
@@ -229,13 +229,6 @@ def _cmd_transition(args, scenario: Scenario) -> dict:
     }
 
 
-def _generators(args, ctx: dict):
-    """The generator matrices of the --source route."""
-    if args.source == "quad":
-        return quadrature_rep(ctx["basis"])
-    return ctx["rep"]
-
-
 def _cmd_connection(args, scenario: Scenario) -> dict:
     if args.point is None or args.tangent is None:
         raise ValidationError("connection requires --point and --tangent")
@@ -244,7 +237,7 @@ def _cmd_connection(args, scenario: Scenario) -> dict:
     ctx = scenario.build_context()
     model = ctx["model"]
     chart = args.chart or next(iter(model.charts))
-    a_val = connection_rep(model, _generators(args, ctx), chart, q, dq)
+    a_val = connection_rep(model, ctx[args.source], chart, q, dq)
     anti = spectral_norm(a_val + a_val.conj().T)
     return {
         "source": args.source,
@@ -260,7 +253,7 @@ def _cmd_transport(args, scenario: Scenario) -> dict:
         raise ValidationError("transport requires --path NAME")
     ctx = scenario.build_context()
     path = scenario.path(args.path_name)
-    result = transport(ctx["model"], ctx["basis"], path, rep=_generators(args, ctx), steps=args.steps)
+    result = transport(ctx["model"], ctx["basis"], path, rep=ctx[args.source], steps=args.steps)
     return {
         "path": args.path_name,
         "source": args.source,
@@ -278,7 +271,7 @@ def _cmd_wilson(args, scenario: Scenario) -> dict:
         raise ValidationError("wilson requires --path NAME")
     ctx = scenario.build_context()
     loop = scenario.path(args.path_name)
-    hol, trace = wilson_loop(ctx["model"], ctx["basis"], loop, rep=_generators(args, ctx), steps=args.steps)
+    hol, trace = wilson_loop(ctx["model"], ctx["basis"], loop, rep=ctx[args.source], steps=args.steps)
     dev = spectral_norm(hol.conj().T @ hol - np.eye(hol.shape[0]))
     return {
         "path": args.path_name,

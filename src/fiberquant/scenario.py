@@ -13,8 +13,9 @@ flag's:
     }
 
 Validation happens before any computation, and an unknown field at any
-level is rejected.  ``Scenario.build_context`` checks the model against
-the scenario's basis (``gauge.check_model``).
+level is rejected.  A spin's fiber is one ``Fiber``, whose basis and
+generators are built on first read; ``Scenario.build_context`` adds the
+model, checked on that basis (``gauge.check_model``).
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .gauge import (
     constant_model,
     monopole_model,
     pure_gauge_model,
+    quadrature_rep,
     trivial_model,
 )
 from .orbit import OrbitSpec
@@ -141,6 +143,21 @@ _PATHS = {
 }
 
 
+class Fiber(dict):
+    """The fiber of one spin: "spec", "basis" and the generators "rep" (``build_rep``) and "quad"
+    (``quadrature_rep``), each built on first read and then shared.  The builders are looked up by
+    module name on each call, so that wrappers installed on those names (benchmark tracing) see it."""
+
+    def __init__(self, two_j: int):
+        super().__init__(spec=OrbitSpec(two_j))
+
+    def __missing__(self, key: str):
+        build = {"basis": lambda: build_basis(self["spec"]), "rep": lambda: build_rep(self["basis"]),
+                 "quad": lambda: quadrature_rep(self["basis"])}[key]  # KeyError: no such entry
+        self[key] = value = build()
+        return value
+
+
 @dataclass
 class Scenario:
     two_j: int
@@ -152,16 +169,19 @@ class Scenario:
     def spec(self) -> OrbitSpec:
         return OrbitSpec(self.two_j)
 
-    def build_context(self) -> dict:
-        """Everything the commands need, constructed once; the model is checked on this basis."""
-        basis = build_basis(self.spec())
+    def build_context(self) -> Fiber:
+        """The scenario spin's ``Fiber`` with the "model" added, checked on its basis.  Set-up builds the basis,
+        the model, its check and the "rep" generators, in that order; "quad" is built only if read."""
+        ctx = Fiber(self.two_j)
+        basis = ctx["basis"]
         # Builders are looked up by module name on each call, so that
         # wrappers installed on those names (benchmark tracing) see it.
         builders = {"trivial": trivial_model, "constant": constant_model,
                     "monopole": monopole_model, "pure_gauge": pure_gauge_model}
-        model = builders[self.model_kind](self.spec(), **self.model_params)
-        check_model(model, basis)
-        return {"basis": basis, "model": model, "rep": build_rep(basis)}
+        ctx["model"] = builders[self.model_kind](ctx["spec"], **self.model_params)
+        check_model(ctx["model"], basis)
+        ctx["rep"]  # built in set-up, not at its first use
+        return ctx
 
     def path(self, name: str) -> BasePath:
         if name not in self.path_specs:

@@ -1,6 +1,7 @@
 """Verification suites: proposition-level invariants as residual tables.
 
-Each suite computes its rows, ``{row name: value}``, at a spin;
+Each suite computes its rows, ``{row name: value}``, at a spin, reading
+every fiber from the run's lookup ``fiber(two_j)``, a ``Fiber`` per spin;
 ``run_suite`` bounds every row from ``scenario.CHECKS``.  A row passes when
 its value is within tolerance (mode "max") or reaches a required floor
 (mode "min", used for separation witnesses such as non-commutativity).
@@ -9,13 +10,13 @@ its value is within tolerance (mode "max") or reaches a required floor
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
 from .constants import MONOPOLE_HOLONOMY_SIGN
 from .errors import FiberquantError
 from .fiberq import (
-    build_basis,
     default_rule,
     exact_monomial_norms_sq,
     polarization_residual,
@@ -23,7 +24,6 @@ from .fiberq import (
     quantize_transition,
 )
 from .gauge import (
-    build_rep,
     connection_rep,
     constant_model,
     curvature,
@@ -31,7 +31,6 @@ from .gauge import (
     lift_orthogonality_residual,
     monopole_model,
     pure_gauge_model,
-    quadrature_rep,
     trivial_model,
     verify_gauge_data,
 )
@@ -51,7 +50,7 @@ from .orbit import (
     symplectic_area,
     symplectic_form_at,
 )
-from .scenario import CHECKS, Scenario
+from .scenario import CHECKS, Fiber, Scenario
 from .su2 import random_su2
 from .transport import (
     covariant_residual_total_space,
@@ -82,7 +81,7 @@ def _random_points(normals: np.ndarray) -> ChartPoint:
     return ChartPoint(Chart.NORTH, 1.2 * normals[..., 0] + 1j * (1.2 * normals[..., 1]))
 
 
-def suite_orbit(_two_j: int) -> dict[str, float]:
+def suite_orbit(_two_j: int, _fiber) -> dict[str, float]:
     """Orbit rows, at fixed spins.  Each sampled row draws its samples as one ``rng.standard_normal((n, k))``
     block and evaluates the orbit kernels once on the whole block; a component axis is summed in order."""
     rng = np.random.default_rng(101)
@@ -166,14 +165,14 @@ def _curl_vs_form_residual(spec: OrbitSpec, rng) -> float:
     return float(np.max(np.abs(d_x_theta_y - d_y_theta_x - expected)))
 
 
-def suite_fiber(_two_j: int) -> dict[str, float]:
-    """Fiber rows, at fixed spins.  Each spin's basis is built once and read by every row.  Each sampled row
+def suite_fiber(_two_j: int, fiber) -> dict[str, float]:
+    """Fiber rows, at fixed spins.  Each spin's basis is read from the run's fiber by every row.  Each sampled row
     takes a spin's samples as one stack: O(w) of a moment function is the ``einsum`` of its direction with the
     spin's three operators O(mu_a), one stacked call, and the transition rows draw their SU(2) pairs as one
     ``random_su2`` block and make one ``quantize_transition`` call per spin and operand."""
     rng = np.random.default_rng(202)
     rows = {}
-    bases = {two_j: build_basis(OrbitSpec(two_j)) for two_j in range(0, 11)}
+    bases = {two_j: fiber(two_j)["basis"] for two_j in range(0, 11)}
 
     worst = 0.0
     for two_j, basis in bases.items():
@@ -219,22 +218,15 @@ def suite_fiber(_two_j: int) -> dict[str, float]:
     return rows
 
 
-def _gauge_context(two_j: int):
-    spec = OrbitSpec(two_j)
-    basis = build_basis(spec)
-    rep = build_rep(basis)
-    return spec, basis, rep
-
-
-def suite_gauge(two_j: int) -> dict[str, float]:
+def suite_gauge(two_j: int, fiber) -> dict[str, float]:
     """Gauge rows, at two_j clamped to 1..4 (2 for two_j = 0).  Each sampled row draws its states as blocks
     (``_sample_states``) and makes one stacked call per model and route: ``connection_rep`` for the connection
     rows, ``gauge_residual`` for the law and ``lift_orthogonality_residual`` for the lift."""
     rng = np.random.default_rng(303)
     rows = {}
 
-    spec, basis, rep = _gauge_context(min(two_j, 4) or 2)
-    quad_rep = quadrature_rep(basis)
+    fib = fiber(min(two_j, 4) or 2)
+    spec, basis, rep, quad_rep = fib["spec"], fib["basis"], fib["rep"], fib["quad"]
     rows["gauge.rep_commutators"] = rep.commutator_residual()
 
     mono = monopole_model(spec)
@@ -296,10 +288,11 @@ def _sample_states(model, rng, count: int, overlap: bool = False):
     return chart, q, p, dq
 
 
-def suite_transport(two_j: int) -> dict[str, float]:
+def suite_transport(two_j: int, fiber) -> dict[str, float]:
     """Transport rows, at two_j clamped to 1..2 (2 for two_j = 0)."""
     rows = {}
-    spec, basis, rep = _gauge_context(min(two_j, 2) or 2)
+    fib = fiber(min(two_j, 2) or 2)
+    spec, basis, rep = fib["spec"], fib["basis"], fib["rep"]
 
     triv = trivial_model(spec)
     const = constant_model(spec)
@@ -340,7 +333,7 @@ def suite_transport(two_j: int) -> dict[str, float]:
                          forced_switches=[(0.25, "south"), (0.75, "north")])
     rows["transport.chart_independence"] = spectral_norm(plain.unitary - switched.unitary)
 
-    quad = transport(pure, basis, diag, rep=quadrature_rep(basis), steps=300)
+    quad = transport(pure, basis, diag, rep=fib["quad"], steps=300)
     repd = transport(pure, basis, diag, rep=rep, steps=300)
     rows["transport.source_independence"] = spectral_norm(quad.unitary - repd.unitary)
 
@@ -354,16 +347,17 @@ def suite_transport(two_j: int) -> dict[str, float]:
 
 
 def run_suite(name: str, scenario: Scenario) -> list[CheckResult]:
-    """The rows of one suite, or of all four, each bounded by its ``CHECKS`` entry."""
+    """The rows of one suite, or of all four, each bounded by its ``CHECKS`` entry.  The run reads only the
+    scenario's spin and tolerances, and keeps one ``Fiber`` per spin, shared by every suite."""
     # Built on each call, so that wrappers installed on the suite names
     # (benchmark tracing) see it.
     suites = {"orbit": suite_orbit, "fiber": suite_fiber, "gauge": suite_gauge,
               "transport": suite_transport}
     if name != "all" and name not in suites:
         raise FiberquantError(f"unknown suite {name!r}; choose from {(*suites, 'all')}")
-    checks = []
+    checks, fiber = [], cache(Fiber)
     for part in suites if name == "all" else (name,):
-        for row, value in suites[part](scenario.two_j).items():
+        for row, value in suites[part](scenario.two_j, fiber).items():
             key, bound = CHECKS[row]  # KeyError: a row missing from the table
             checks.append(CheckResult(row, float(value), bound, mode="min") if key is None
                           else CheckResult(row, float(value), scenario.tolerance(key)))

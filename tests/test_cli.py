@@ -23,8 +23,9 @@ from fiberquant.cli import (
     run_command,
 )
 from fiberquant.errors import ParseError, ValidationError
-from fiberquant.gauge import ChartData, pure_gauge_model
-from fiberquant.scenario import default_scenario, load_scenario, validate_scenario_dict
+from fiberquant.fiberq import build_basis, prequant_matrix
+from fiberquant.gauge import ChartData, build_rep, check_model, pure_gauge_model, quadrature_rep
+from fiberquant.scenario import Fiber, default_scenario, load_scenario, validate_scenario_dict
 
 
 @pytest.fixture()
@@ -103,6 +104,47 @@ class TestScenarioLoading:
     def test_missing_file(self):
         with pytest.raises(ParseError):
             load_scenario("/nonexistent/path.json")
+
+
+def record_calls(monkeypatch, functions) -> list:
+    """The names of the calls of ``functions``, in order, patched at every name a module looks each one up by."""
+    calls = []
+    modules = [m for name, m in sys.modules.items() if name.startswith("fiberquant.")]
+    for original in functions:
+        wrapper = lambda *args, _f=original, **kwargs: calls.append(_f.__name__) or _f(*args, **kwargs)
+        for module in modules:
+            for attr in [attr for attr, value in vars(module).items() if value is original]:
+                monkeypatch.setattr(module, attr, wrapper)
+    return calls
+
+
+class TestSetUpWork:
+    """What a command builds before it computes: the set-up that the benchmark times."""
+
+    BUILDERS = [build_basis, check_model, build_rep, quadrature_rep, prequant_matrix]
+
+    @pytest.mark.parametrize("two_j", [2, 20])
+    def test_build_context_builds_the_basis_the_check_and_the_rep_once(self, monkeypatch, two_j):
+        calls = record_calls(monkeypatch, self.BUILDERS)
+        ctx = default_scenario(two_j, "monopole", strength=1).build_context()
+        assert calls == ["build_basis", "check_model", "build_rep"]
+        assert (ctx["basis"].spec.two_j, ctx["model"].kind) == (two_j, "monopole")
+        assert calls == ["build_basis", "check_model", "build_rep"]  # read again, built once
+
+    @pytest.mark.parametrize("source, built", [("rep", []), ("quad", ["quadrature_rep"])])
+    def test_transport_builds_the_quad_rep_only_on_its_route(self, monkeypatch, monopole_config, source, built):
+        calls = record_calls(monkeypatch, [quadrature_rep])
+        code, _ = run_command(["transport", "--config", monopole_config, "--path", "lat60", "--source", source])
+        assert code == EXIT_OK and calls == built
+
+    def test_a_fiber_builds_each_entry_on_first_read(self, monkeypatch):
+        calls = record_calls(monkeypatch, self.BUILDERS)
+        fiber = Fiber(3)
+        assert calls == [] and fiber["spec"].two_j == 3
+        assert fiber["quad"] is fiber["quad"] and fiber["rep"] is fiber["rep"]
+        assert calls == ["build_basis", "quadrature_rep", "prequant_matrix", "build_rep"]
+        with pytest.raises(KeyError):
+            fiber["model"]
 
 
 class TestCommands:

@@ -525,22 +525,24 @@ class TestStackedGaugeLaw:
     @pytest.mark.parametrize("name", sorted(OVERLAP_MODELS))
     def test_data_check_equals_the_per_sample_loop(self, ctx, name, monkeypatch):
         model = OVERLAP_MODELS[name](ctx["spec"])
-        rng = np.random.default_rng(40)
-        per_sample = []
-        for (i, j), overlap in model.overlaps.items():
-            per_sample.append([])
-            for _ in range(12):  # each sample a stack of length 1
-                q = gauge._sample_overlap_point(model, i, j, rng)[None]
-                dq = rng.standard_normal((1, 2))
-                xi_i = lift(model.charts[i].potential(q, dq))
-                xi_j = lift(model.charts[j].potential(*overlap.convert(q, dq)))
-                per_sample[-1].append(gauge._gauge_law_defect(xi_i, xi_j, overlap.transition, np.asarray, q, dq)[0])
         stacked, defect = [], gauge._gauge_law_defect
-        monkeypatch.setattr(gauge, "_gauge_law_defect", lambda *args: stacked.append(defect(*args)) or stacked[-1])
-        assert verify_gauge_data(model, np.random.default_rng(40)) == np.max(per_sample)
-        # one stacked call per overlap, each sample's defect bit for bit
+        monkeypatch.setattr(gauge, "_gauge_law_defect",
+                            lambda *args: stacked.append((args, defect(*args))) or stacked[-1][1])
+        worst = verify_gauge_data(model, np.random.default_rng(40))
+        # one stacked call per overlap on its 12 drawn points, each point's defect its own call's bit for bit
         assert len(stacked) == len(model.overlaps)
-        assert all(np.array_equal(s, p) for s, p in zip(stacked, per_sample))
+        per_sample = []
+        for ((i, j), overlap), ((_, _, _, _, q, dq), values) in zip(model.overlaps.items(), stacked):
+            assert q.shape == dq.shape == (12, 2)
+            assert np.all(model.charts[i].holds(q)) and np.all(model.charts[j].holds(overlap.convert(q, dq)[0]))
+            single = []
+            for x, v in zip(q[:, None], dq[:, None]):  # each sample a stack of length 1
+                xi_i = lift(model.charts[i].potential(x, v))
+                xi_j = lift(model.charts[j].potential(*overlap.convert(x, v)))
+                single.append(defect(xi_i, xi_j, overlap.transition, np.asarray, x, v)[0])
+            assert np.array_equal(values, single)
+            per_sample += single
+        assert worst == np.max(per_sample)
 
 
 class TestStackedEntryPoints:

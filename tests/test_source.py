@@ -97,3 +97,36 @@ def test_an_unused_symbol_is_caught():
     sources = {"a": "LIMIT = 3\n_SPARE = 4\ndef f():\n    return LIMIT\n\ndef _g():\n    return 0\n",
                "b": "from . import a\nclass C:\n    x = a._g()\n"}
     assert unused_symbols(sources, exported={"f"}) == ["a._SPARE", "b.C"]
+
+
+FIBER_BUILDERS = ("build_basis", "build_rep", "quadrature_rep")
+
+
+def fiber_builder_calls(sources: dict[str, str]) -> list[str]:
+    """``module.definition: name`` for each call of a fiber builder in ``sources`` (module name -> source),
+    by name, import alias or attribute, outside ``scenario.Fiber``; module-level code is ``<module>``."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        names = {alias.asname or alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                 for alias in node.names if alias.name in FIBER_BUILDERS} | set(FIBER_BUILDERS)
+        for top in tree.body:
+            owner = getattr(top, "name", "<module>")
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and (module, owner) != ("scenario", "Fiber"):
+                    name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                    found += [f"{module}.{owner}: {name}"] if name in names else []
+    return found
+
+
+def test_only_the_fiber_builds_a_fiber():
+    # every basis and generator set is read from one scenario.Fiber per spin, which builds each once
+    assert fiber_builder_calls({p.stem: p.read_text() for p in MODULES}) == []
+
+
+def test_a_fiber_builder_call_is_caught():
+    sources = {"scenario": "class Fiber:\n    def m(self):\n        return build_basis(1)\n"
+                           "def f(basis):\n    return build_rep(basis)\n",
+               "cli": "from . import gauge\nREP = gauge.quadrature_rep(b)\ndef build_basis():\n    pass\n",
+               "verify": "from .gauge import build_rep as rep_of\ndef g(b):\n    return rep_of(b)\n"}
+    assert fiber_builder_calls(sources) == ["scenario.f: build_rep", "cli.<module>: quadrature_rep", "verify.g: rep_of"]

@@ -24,7 +24,7 @@ from fiberquant.orbit import (
     poisson_bracket,
     symplectic_form_at,
 )
-from fiberquant.scenario import CHECKS, default_scenario
+from fiberquant.scenario import CHECKS, Fiber, default_scenario
 from fiberquant.su2 import random_su2
 from fiberquant.verify import run_suite
 
@@ -131,13 +131,18 @@ class TestVerifyAllCallCounts:
     CALLS = [  # (the module that defines the function, its name, calls)
         (transport_module, "transport", 10),  # the 10 suite transports; the residual's knot march is not one
         (transport_module, "covariant_residual_total_space", 1),  # the clean and corrupted row of one knot march
-        (fiberq, "build_basis", 13),  # each of the 11 fiber spins once, one each in the gauge and transport suites
+        (fiberq, "build_basis", 11),  # each of the 11 fiber spins once; the gauge and transport suites share them
         (su2, "random_su2", 3),  # one (34, 2) block per transition spin
         (fiberq, "spin_lift", 23),  # 9 transition stacks, 9 rep-route transports, 1 knot stack, 4 gauge-law lifts
-        (fiberq, "prequant_matrix", 7),  # 5 fiber generator stacks, the gauge and transport suites' quadrature_rep
+        (fiberq, "prequant_matrix", 6),  # 5 fiber generator stacks and one quadrature_rep per suite spin
+        (gauge, "build_rep", 1),  # one per suite spin: the gauge and transport suites share their fiber
+        (gauge, "quadrature_rep", 1),
     ]
+    # The gauge suite runs at two_j clamped to 1..4, the transport suite at 1..2: two suite spins at 4.
+    AT_SPIN_4 = {"prequant_matrix": 7, "build_rep": 2, "quadrature_rep": 2}
 
-    @pytest.mark.parametrize("argv", [["verify", "all"], ["verify", "all", "--spin", "2"]], ids=["default", "spin2"])
+    @pytest.mark.parametrize("argv", [["verify", "all"], ["verify", "all", "--spin", "2"],
+                                      ["verify", "all", "--spin", "4"]], ids=["default", "spin2", "spin4"])
     def test_calls(self, monkeypatch, argv):
         counts = Counter()
         modules = [m for name, m in sys.modules.items() if name.startswith("fiberquant.")]
@@ -149,7 +154,8 @@ class TestVerifyAllCallCounts:
                     monkeypatch.setattr(module, attr, counter)
         code, _ = run_command(argv)
         assert code == 0
-        assert dict(counts) == {name: calls for _, name, calls in self.CALLS}
+        expected = {name: calls for _, name, calls in self.CALLS}
+        assert dict(counts) == {**expected, **(self.AT_SPIN_4 if argv[-1] == "4" else {})}
 
 
 class TestCheckTable:
@@ -187,7 +193,7 @@ class TestCheckTable:
         assert (CHECKS[row][0] is None) == (row in self.FLOORS)
 
     def test_row_missing_from_table_raises(self, monkeypatch):
-        monkeypatch.setattr(verify, "suite_orbit", lambda two_j: {"orbit.unlisted": 0.0})
+        monkeypatch.setattr(verify, "suite_orbit", lambda two_j, fiber: {"orbit.unlisted": 0.0})
         with pytest.raises(KeyError):
             run_suite("orbit", default_scenario())
 
@@ -246,25 +252,25 @@ def per_sample_fiber_rows() -> dict:
 
 class TestStackedFiberRows:
     def test_stacked_rows_equal_the_per_sample_loops(self):
-        rows = verify.suite_fiber(2)
+        rows = verify.suite_fiber(2, Fiber)
         expected = per_sample_fiber_rows()
         assert {name: rows[name] for name in expected} == expected
 
     def test_prequant_calls_in_verify_all(self, monkeypatch):
         # one call on the stack of the 3 moment functions for the fiber suite's generators at each of 5 spins,
-        # and one in each quadrature_rep of the gauge and transport suites; one call per direction made 21
+        # and one in the quadrature_rep that the gauge and transport suites share; one call per direction made 21
         calls = []
         for module in (verify, gauge):
             monkeypatch.setattr(module, "prequant_matrix", lambda basis, w, original=module.prequant_matrix:
                                 calls.append(basis.spec.two_j) or original(basis, w))
         run_suite("all", default_scenario(2, "monopole", strength=1))
-        assert Counter(calls) == {1: 1, 2: 3, 3: 1, 4: 1, 5: 1}
+        assert Counter(calls) == {1: 1, 2: 2, 3: 1, 4: 1, 5: 1}
 
     def test_one_quantize_call_per_spin_and_operand(self, monkeypatch):
         # 3 spins x (g1, g2, g1 g2), each a stack of 34; a per-sample loop would make 3 x 34 x 3 = 306 calls
         shapes, lift = [], verify.quantize_transition
         monkeypatch.setattr(verify, "quantize_transition", lambda basis, g: shapes.append(g.shape) or lift(basis, g))
-        verify.suite_fiber(2)
+        verify.suite_fiber(2, Fiber)
         assert shapes == [(34, 2, 2)] * 9
 
 
@@ -349,7 +355,7 @@ def per_sample_orbit_rows() -> dict:
 
 class TestStackedOrbitRows:
     def test_stacked_rows_equal_the_per_sample_loops(self):
-        rows = verify.suite_orbit(2)
+        rows = verify.suite_orbit(2, Fiber)
         expected = per_sample_orbit_rows()
         assert {name: rows[name] for name in expected} == expected
 
@@ -359,7 +365,7 @@ class TestStackedOrbitRows:
         calls = []
         monkeypatch.setattr(verify, "central_difference",
                             lambda f, x, h: calls.append(np.shape(f(x))) or central_difference(f, x, h))
-        verify.suite_orbit(2)
+        verify.suite_orbit(2, Fiber)
         assert calls == [(25,), (25,), (2, 25), (100,), (100,)]
 
 
@@ -381,7 +387,7 @@ class TestStackedGaugeRows:
         monkeypatch.setattr(verify, "connection_rep",
                             lambda model, rep, chart, q, dq: calls.append((model.kind, route(rep), q.shape, dq.shape))
                             or connection(model, rep, chart, q, dq))
-        verify.suite_gauge(2)
+        verify.suite_gauge(2, Fiber)
         assert calls == [(kind, name, shape, shape) for kind in ("monopole", "constant")
                          for name, shape in (("quad", (20, 2)), ("rep", (3, 20, 2)))]
 
@@ -390,7 +396,7 @@ class TestStackedGaugeRows:
         monkeypatch.setattr(verify, "lift_orthogonality_residual",
                             lambda model, chart, q, p, dq, f, xi: calls.append((model.kind, f.z.shape))
                             or residual(model, chart, q, p, dq, f, xi))
-        verify.suite_gauge(2)
+        verify.suite_gauge(2, Fiber)
         assert calls == [("monopole", (10,)), ("constant", (10,))]
 
     def test_one_gauge_residual_call_per_model(self, monkeypatch):
@@ -398,5 +404,5 @@ class TestStackedGaugeRows:
         monkeypatch.setattr(verify, "gauge_residual",
                             lambda model, basis, rep, chart, q, dq: shapes.append(q.shape)
                             or residual(model, basis, rep, chart, q, dq))
-        verify.suite_gauge(2)
+        verify.suite_gauge(2, Fiber)
         assert shapes == [(10, 2), (10, 2)]
